@@ -40,7 +40,6 @@ from .bloch import (
     spectrum_from_physical,
     step_matrix,
     trig_compose,
-    trig_evaluate,
 )
 from .cli import (
     CALIBRATION_ANCHOR,

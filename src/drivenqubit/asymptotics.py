@@ -37,6 +37,7 @@ from .bloch import (
     TrigMatrix,
     propagate,
     step_matrix,
+    trig_compose,
 )
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -199,14 +200,14 @@ class PeriodicRecursion:
         """Exact one-period product after the cyclic shift by the phase."""
         out = TrigMatrix.identity()
         for f in cyc_shift(self.factors, self.phase):
-            out = f @ out
+            out = trig_compose(f, out)
         return out
 
     def prefix_product(self) -> TrigMatrix:
         """Exact product of the first ``phase`` factors."""
         out = TrigMatrix.identity()
         for f in self.factors[: self.phase]:
-            out = f @ out
+            out = trig_compose(f, out)
         return out
 
 
@@ -234,16 +235,19 @@ def _quad_nodes(sp: Spectrum, n_nodes: int):
     return nodes, weights / np.sum(weights)
 
 
-def _steady_projector(period: TrigMatrix, theta: float, nudged: bool = False) -> np.ndarray:
-    """Axis projector of the period map, extended by continuity at W = I."""
-    v = period.evaluate(theta)
-    if abs(np.trace(v) - 3.0) >= IDENTITY_TRACE_TOL:
-        return _axis_projector(v)
+def _steady_projector(
+    period: TrigMatrix, theta: float, w: np.ndarray, nudged: bool = False
+) -> np.ndarray:
+    """Axis projector of the period map ``w = period(theta)``, extended by continuity at W = I."""
+    if abs(np.trace(w) - 3.0) >= IDENTITY_TRACE_TOL:
+        return _axis_projector(w)
     if nudged:
         # Identically-identity period map: the powers are constant.
         return np.eye(3)
-    left = _steady_projector(period, theta - CONTINUITY_NUDGE, nudged=True)
-    right = _steady_projector(period, theta + CONTINUITY_NUDGE, nudged=True)
+    left, right = (
+        _steady_projector(period, t, period.evaluate(t), nudged=True)
+        for t in (theta - CONTINUITY_NUDGE, theta + CONTINUITY_NUDGE)
+    )
     return 0.5 * (left + right)
 
 
@@ -264,14 +268,16 @@ def asymptotic_map(
 
     def integral(n_nodes: int) -> np.ndarray:
         nodes, weights = _quad_nodes(sp, n_nodes)
+        values = zip(nodes, weights, period.evaluate(nodes), prefix.evaluate(nodes))
         acc = np.zeros((3, 3))
-        for theta, weight in zip(nodes, weights):
-            acc += weight * (_steady_projector(period, theta) @ prefix.evaluate(theta))
+        for theta, weight, w, x in values:
+            acc += weight * (_steady_projector(period, theta, w) @ x)
         return acc
 
     if sp.s == 0.0:
         # Sharp spectrum: the average is a point evaluation.
-        return BlochMap(_steady_projector(period, sp.theta_bar) @ prefix.evaluate(sp.theta_bar))
+        w = period.evaluate(sp.theta_bar)
+        return BlochMap(_steady_projector(period, sp.theta_bar, w) @ prefix.evaluate(sp.theta_bar))
 
     n_nodes = QUAD_MIN_NODES
     prev = integral(n_nodes)

@@ -6,12 +6,13 @@ phase that couples the qubit to a frequency-like environment variable.  All
 plate phases are integer multiples ``k * theta`` of a common base-unit phase
 ``theta``, so the n-step evolution at fixed ``theta`` is a product of
 rotation matrices whose entries are finite harmonic series in ``theta``.
-This module keeps that representation exact: composition uses
-product-to-sum identities, and averaging over a Gaussian environment
-spectrum reduces to closed-form damping ``exp(-h^2 s^2 / 2)`` of each
-harmonic.  The averaged n-step map is the spectral average of the *whole*
-n-step product, which is what makes the reduced dynamics non-Markovian --
-it is generally not the n-th power of the averaged single step.
+This module keeps that representation exact: a series is one dense band
+of 3x3 coefficients per harmonic, composition is a convolution of bands,
+and averaging over a Gaussian environment spectrum reduces to closed-form
+damping ``exp(-h^2 s^2 / 2)`` of each harmonic.  The averaged n-step map
+is the spectral average of the *whole* n-step product, which is what makes
+the reduced dynamics non-Markovian -- it is generally not the n-th power
+of the averaged single step.
 
 Everything here is a pure function of its inputs; all values are immutable
 after construction and safe to share across threads.  Sums over harmonics
@@ -147,44 +148,34 @@ class Protocol:
         return self.steps[i % self.period]
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class TrigMatrix:
     """3x3 matrix whose entries are finite harmonic series in the phase.
 
     The matrix value at phase ``theta`` is
 
-        A(theta) = sum_h  C[h] * cos(h * theta) + S[h] * sin(h * theta)
+        A(theta) = C_0 + sum_{h=1..H}  C_h cos(h theta) + S_h sin(h theta)
 
-    with 3x3 real coefficient matrices ``C[h]`` and ``S[h]`` stored sparsely
-    over non-negative integer harmonics ``h``.  No sine term is stored at
-    h = 0 (it would be identically zero).  Instances are immutable.
+    with real 3x3 coefficients stored densely in one read-only stack
+    ``terms = [C_0, C_1, S_1, ..., C_H, S_H]`` of shape ``(2H+1, 3, 3)``,
+    trimmed so that H is the highest harmonic with a nonzero coefficient.
+    Instances are immutable.
     """
 
-    __slots__ = ("_cos", "_sin")
+    terms: np.ndarray
 
-    def __init__(self, cos_terms=None, sin_terms=None):
-        self._cos = {}
-        self._sin = {}
-        for table, terms, kind in (
-            (self._cos, cos_terms or {}, "cos"),
-            (self._sin, sin_terms or {}, "sin"),
-        ):
-            for h, mat in terms.items():
-                h = int(h)
-                if h < 0:
-                    raise DomainError(f"negative harmonic {h} in {kind} terms")
-                mat = np.asarray(mat, dtype=float)
-                if mat.shape != (3, 3):
-                    raise DomainError(f"{kind}[{h}] has shape {mat.shape}, want (3, 3)")
-                if not np.any(mat):
-                    continue
-                if kind == "sin" and h == 0:
-                    raise DomainError("sin term at harmonic 0 is identically zero")
-                table[h] = _readonly(mat)
+    def __post_init__(self):
+        terms = np.array(self.terms, dtype=float)
+        if terms.ndim != 3 or terms.shape[1:] != (3, 3) or len(terms) % 2 == 0:
+            raise DomainError(f"terms must have shape (2H+1, 3, 3), got {terms.shape}")
+        slots = np.flatnonzero(terms.reshape(len(terms), 9).any(axis=1))
+        top = (int(slots[-1]) + 1) // 2 if slots.size else 0
+        object.__setattr__(self, "terms", _readonly(terms[: 2 * top + 1]))
 
     @classmethod
     def constant(cls, matrix) -> "TrigMatrix":
         """Phase-independent matrix (harmonic 0 only)."""
-        return cls({0: np.asarray(matrix, dtype=float)})
+        return cls(np.asarray(matrix, dtype=float)[None])
 
     @classmethod
     def identity(cls) -> "TrigMatrix":
@@ -192,50 +183,53 @@ class TrigMatrix:
 
     @property
     def max_harmonic(self) -> int:
-        keys = set(self._cos) | set(self._sin)
-        return max(keys) if keys else 0
+        return len(self.terms) // 2
 
     def harmonics(self):
-        """Sorted harmonics carrying a nonzero coefficient."""
-        return sorted(set(self._cos) | set(self._sin))
+        """Sorted non-negative harmonics carrying a nonzero coefficient."""
+        slots = np.flatnonzero(self.terms.reshape(len(self.terms), 9).any(axis=1))
+        return np.unique((slots + 1) // 2).tolist()
 
-    def cos_term(self, h: int) -> np.ndarray:
-        return np.array(self._cos.get(h, np.zeros((3, 3))))
+    def evaluate(self, theta):
+        """Sum the series at a phase, or at every phase of an array.
 
-    def sin_term(self, h: int) -> np.ndarray:
-        return np.array(self._sin.get(h, np.zeros((3, 3))))
-
-    def entry(self, i: int, j: int) -> dict:
-        """Harmonic series of one entry as {h: (c_h, d_h)}."""
-        out = {}
-        for h in self.harmonics():
-            c = self._cos[h][i, j] if h in self._cos else 0.0
-            d = self._sin[h][i, j] if h in self._sin else 0.0
-            if c != 0.0 or d != 0.0:
-                out[h] = (float(c), float(d))
-        return out
-
-    def evaluate(self, theta: float) -> np.ndarray:
-        """Sum the harmonic series at a phase value."""
-        out = np.zeros((3, 3))
-        for h in self.harmonics():
-            if h in self._cos:
-                out += math.cos(h * theta) * self._cos[h]
-            if h in self._sin:
-                out += math.sin(h * theta) * self._sin[h]
-        return out
-
-    def compose(self, other: "TrigMatrix") -> "TrigMatrix":
-        """Pointwise matrix product self(theta) @ other(theta), kept exact."""
-        return trig_compose(self, other)
-
-    def __matmul__(self, other):
-        if not isinstance(other, TrigMatrix):
-            return NotImplemented
-        return trig_compose(self, other)
+        Returns shape ``np.shape(theta) + (3, 3)``.
+        """
+        return _harmonic_sum(self.terms, theta, np.ones(self.max_harmonic + 1))
 
     def __repr__(self):
         return f"TrigMatrix(max_harmonic={self.max_harmonic}, terms={len(self.harmonics())})"
+
+
+# Phases per block of a harmonic sum times its number of terms: bounds the
+# (block, 2H+1, 3, 3) running-sum buffers to about 0.3 MB.
+_SUM_BLOCK_TERMS = 2**11
+
+
+def _harmonic_sum(terms: np.ndarray, theta, damping: np.ndarray) -> np.ndarray:
+    """sum_h damping[h] * (cos(h theta) C_h + sin(h theta) S_h) at each phase.
+
+    The terms are added one by one in increasing harmonic order, cosine
+    before sine, starting from zero: a running sum along the harmonic axis,
+    never a reordered reduction.  Every phase of an array therefore gets
+    the bits of a scalar call.
+    """
+    theta = np.asarray(theta, dtype=float)
+    flat = theta.reshape(-1)
+    harmonic = np.arange(1, len(damping))
+    out = np.empty((flat.size, 3, 3))
+    block = max(1, _SUM_BLOCK_TERMS // len(terms))
+    for lo in range(0, flat.size, block):
+        angle = np.multiply.outer(flat[lo : lo + block], harmonic)
+        coef = np.empty((len(angle), len(terms)))
+        coef[:, 0] = damping[0]
+        coef[:, 1::2] = damping[1:] * np.cos(angle)
+        coef[:, 2::2] = damping[1:] * np.sin(angle)
+        parts = coef[:, :, None, None] * terms
+        # The first addition is to zero, so a -0.0 term ends as 0.0.
+        parts[:, 0] += 0.0
+        out[lo : lo + block] = np.cumsum(parts, axis=1)[:, -1]
+    return out.reshape(theta.shape + (3, 3))
 
 
 @dataclass(frozen=True)
@@ -290,10 +284,11 @@ def quartz_rotation(k: int) -> TrigMatrix:
     k = int(k)
     if k == 0:
         return TrigMatrix.identity()
-    cos_k = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-    sin_k = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    cos_0 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    return TrigMatrix({0: cos_0, k: cos_k}, {k: sin_k})
+    terms = np.zeros((2 * k + 1, 3, 3))
+    terms[0] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    terms[2 * k - 1] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    terms[2 * k] = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    return TrigMatrix(terms)
 
 
 def step_matrix(step: ControlStep, order: str = ORDER_PHASE_AFTER) -> TrigMatrix:
@@ -308,94 +303,79 @@ def step_matrix(step: ControlStep, order: str = ORDER_PHASE_AFTER) -> TrigMatrix
     rot = TrigMatrix.constant(c_rotation(step.eta))
     phase = quartz_rotation(step.k)
     if order == ORDER_PHASE_AFTER:
-        return phase @ rot
-    return rot @ phase
+        return trig_compose(phase, rot)
+    return trig_compose(rot, phase)
+
+
+def _bands(a: TrigMatrix):
+    """Cosines and sines of harmonics 0..H (the h = 0 sine is zero), then a zero row."""
+    zero = np.zeros((1, 3, 3))
+    cos = np.concatenate([a.terms[:1], a.terms[1::2], zero])
+    return cos, np.concatenate([zero, a.terms[2::2], zero])
 
 
 def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     """Harmonic series of the pointwise product a(theta) @ b(theta).
 
-    Product-to-sum identities send a pair of harmonics (h, g) to h + g and
-    |h - g|; sine terms produced at negative h - g are folded back using
-    the oddness of sine.  The resulting max harmonic is bounded by
-    ``a.max_harmonic + b.max_harmonic``.
+    This is the convolution of the complex bands ``sum_h A_h e^{i h theta}``:
+    harmonic h of ``a`` and g of ``b`` meet at h + g and |h - g|.  Each
+    nonzero harmonic of ``a`` meets the band of ``b`` in at most two rounds
+    of batched matmuls over all output harmonics, so deep products should
+    pass the narrow factor first.  Each output coefficient takes its real
+    parts ``(C_h C_g -/+ S_h S_g) / 2`` and ``(S_h C_g +/- C_h S_g) / 2`` in
+    the order of the pairs (h, g), so products are reproducible bit for
+    bit.  The max harmonic is at most ``a.max_harmonic + b.max_harmonic``.
     """
-    cos_out: dict = {}
-    sin_out: dict = {}
-
-    def add(table, h, mat):
-        if h in table:
-            table[h] = table[h] + mat
-        else:
-            table[h] = mat.copy()
-
-    a_harm = a.harmonics()
-    b_harm = b.harmonics()
-    for h in a_harm:
-        ca = a._cos.get(h)
-        sa = a._sin.get(h)
-        for g in b_harm:
-            cb = b._cos.get(g)
-            sb = b._sin.get(g)
-            plus = h + g
-            minus = abs(h - g)
-            sgn = float(np.sign(h - g))
-            if ca is not None and cb is not None:
-                m = 0.5 * (ca @ cb)
-                add(cos_out, minus, m)
-                add(cos_out, plus, m)
-            if sa is not None and sb is not None:
-                m = 0.5 * (sa @ sb)
-                add(cos_out, minus, m)
-                add(cos_out, plus, -m)
-            if sa is not None and cb is not None:
-                m = 0.5 * (sa @ cb)
-                add(sin_out, plus, m)
-                if sgn != 0.0:
-                    add(sin_out, minus, sgn * m)
-            if ca is not None and sb is not None:
-                m = 0.5 * (ca @ sb)
-                add(sin_out, plus, m)
-                if sgn != 0.0:
-                    add(sin_out, minus, -sgn * m)
-    sin_out.pop(0, None)
-    return TrigMatrix(cos_out, sin_out)
-
-
-def trig_evaluate(a: TrigMatrix, theta: float) -> np.ndarray:
-    """Numeric 3x3 value of the harmonic series at a phase."""
-    return a.evaluate(theta)
+    j = np.arange(a.max_harmonic + b.max_harmonic + 1)
+    # Output harmonic j meets harmonic h of a at harmonics |j - h| and then
+    # j + h of b, so the rounds come in (h, g) order.  For h = 0, and at
+    # j = 0, the two are one pair.
+    rows = [(x, up) for x in a.harmonics() for up in (False, True) if x > 0 or not up]
+    h = np.array([x for x, _ in rows], dtype=int)[:, None] + 0 * j
+    upper = np.array([up for _, up in rows], dtype=bool)[:, None]
+    g = np.where(upper, j + h, np.abs(j - h))
+    live = (g <= b.max_harmonic) & ~(upper & (j == 0))
+    minus = (np.abs(h - g) == j).astype(float)[..., None, None]
+    plus = (h + g == j).astype(float)[..., None, None]
+    sign = np.sign(h - g)[..., None, None] * minus
+    # Dead slots read the zero row at the end of each band.
+    h, g = np.where(live, h, -1), np.where(live, g, -1)
+    ca, sa = _bands(a)
+    cb, sb = _bands(b)
+    cos = np.zeros((len(j), 3, 3))
+    sin = np.zeros((len(j), 3, 3))
+    # A pair hits j as |h - g| (minus), as h + g (plus), or both when h = 0
+    # or g = 0; each hit adds its parts in the pair's own order.
+    for x, y, mi, pl, sg in zip(h, g, minus, plus, sign):
+        cc, ss, sc, cs = (0.5 * (u[x] @ v[y]) for u, v in ((ca, cb), (sa, sb), (sa, cb), (ca, sb)))
+        cos += mi * cc
+        cos += pl * cc
+        cos += mi * ss
+        cos -= pl * ss
+        sin += pl * sc
+        sin += sg * sc
+        sin += pl * cs
+        sin -= sg * cs
+    pairs = np.stack([cos[1:], sin[1:]], axis=1).reshape(-1, 3, 3)
+    return TrigMatrix(np.concatenate([cos[:1], pairs]))
 
 
 def gaussian_average(a: TrigMatrix, sp: Spectrum) -> BlochMap:
     """Average the harmonic series over the environment phase distribution.
 
-    For an unwrapped Gaussian phase each harmonic term acquires the moment
-    damping ``exp(-h^2 s^2 / 2)`` and is evaluated at the mean phase:
+    For a Gaussian phase each harmonic term acquires the moment damping
+    ``exp(-h^2 s^2 / 2)`` and is evaluated at the mean phase:
 
         <c cos(h theta) + d sin(h theta)>
             = exp(-h^2 s^2 / 2) * (c cos(h theta_bar) + d sin(h theta_bar))
 
     In the uniform limit ``s = inf`` only the h = 0 term survives.  The
-    unwrapped-moment formula neglects 2 pi wrapping corrections, which are
-    below double precision for widths up to s ~ 1 and grow relevant only
-    for s approaching 2 pi.
+    formula is exact for every s: integer harmonics have the same moments
+    under the wrapped and the unwrapped normal, since
+    ``exp(i h (theta + 2 pi m)) = exp(i h theta)``.
     """
-    out = np.zeros((3, 3))
-    for h in a.harmonics():
-        if h == 0:
-            weight = 1.0
-        else:
-            weight = math.exp(-0.5 * (h * sp.s) ** 2) if not sp.is_uniform else 0.0
-        if weight == 0.0:
-            continue
-        c = a._cos.get(h)
-        s = a._sin.get(h)
-        if c is not None:
-            out += weight * math.cos(h * sp.theta_bar) * c
-        if s is not None:
-            out += weight * math.sin(h * sp.theta_bar) * s
-    return BlochMap(out)
+    damping = [1.0] + [math.exp(-0.5 * (h * sp.s) ** 2) for h in range(1, a.max_harmonic + 1)]
+    return BlochMap(_harmonic_sum(a.terms, sp.theta_bar, np.array(damping)))
 
 
 def protocol_product(p: Protocol, n: int, order: str = ORDER_PHASE_AFTER) -> TrigMatrix:
@@ -409,7 +389,7 @@ def protocol_product(p: Protocol, n: int, order: str = ORDER_PHASE_AFTER) -> Tri
     factors = [step_matrix(s, order) for s in p.steps]
     out = TrigMatrix.identity()
     for i in range(int(n)):
-        out = factors[i % p.period] @ out
+        out = trig_compose(factors[i % p.period], out)
     return out
 
 
@@ -434,7 +414,7 @@ def propagate(
     out = [a0]
     running = TrigMatrix.identity()
     for i in range(int(n)):
-        running = factors[i % p.period] @ running
+        running = trig_compose(factors[i % p.period], running)
         out.append(BlochVector.from_array(gaussian_average(running, sp).m @ a0_arr))
     return out
 

@@ -506,8 +506,8 @@ def _gauss_hermite_average(tm, sp: Spectrum, max_nodes: int = 2**17) -> np.ndarr
         thetas = sp.theta_bar + math.sqrt(2.0) * sp.s * x
         w = w / math.sqrt(math.pi)
         acc = np.zeros((3, 3))
-        for wi, ti in zip(w, thetas):
-            acc += wi * tm.evaluate(ti)
+        for wi, value in zip(w, tm.evaluate(thetas)):
+            acc += wi * value
         if prev is not None and float(np.max(np.abs(acc - prev))) < 1e-12:
             return acc
         prev = acc
@@ -545,7 +545,7 @@ def _verification_checks(config: RunConfig):
     tm = protocol_product(p, 3 * p.period, order)
     harm = gaussian_average(tm, sp).m
     if sp.is_uniform:
-        quad = tm.cos_term(0)
+        quad = tm.terms[0]
         detail = "uniform limit: harmonic-0 term"
     elif sp.s == 0.0:
         quad = tm.evaluate(sp.theta_bar)

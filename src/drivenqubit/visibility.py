@@ -19,6 +19,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConvergenceError, DomainError
+from .nonmarkov import _fibonacci_sphere
 
 NEG_DEFINITE = "negative_definite"
 NEG_SEMIDEFINITE = "negative_semidefinite"
@@ -184,12 +185,7 @@ def maximize_visibility(cycle) -> VisibilityMaximum:
     eye = np.eye(3)
 
     candidates = []
-    i = np.arange(N_STARTS)
-    z = 1.0 - (2.0 * i + 1.0) / N_STARTS
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = np.pi * (3.0 - np.sqrt(5.0))
-    starts = np.stack([r * np.cos(golden * i), r * np.sin(golden * i), z], axis=1)
-    for u0 in starts:
+    for u0 in _fibonacci_sphere(N_STARTS):
         value, angles = _refine(f, u0, eye)
         candidates.append((value, _angles_to_unit(angles, eye)))
 

@@ -22,7 +22,6 @@ from drivenqubit import (
     spectrum_from_physical,
     step_matrix,
     trig_compose,
-    trig_evaluate,
 )
 
 
@@ -36,11 +35,7 @@ def gauss_hermite_average(tm, sp, n):
     x, w = roots_hermite(n)
     theta = sp.theta_bar + math.sqrt(2.0) * sp.s * x
     w = w / math.sqrt(math.pi)
-    out = np.zeros((3, 3))
-    for h in tm.harmonics():
-        out += (w @ np.cos(h * theta)) * tm.cos_term(h)
-        out += (w @ np.sin(h * theta)) * tm.sin_term(h)
-    return out
+    return np.tensordot(w, tm.evaluate(theta), axes=1)
 
 
 class TestControlRotation:
@@ -89,9 +84,13 @@ class TestQuartzRotation:
     def test_harmonic_population(self):
         tm = quartz_rotation(3)
         assert tm.harmonics() == [0, 3]
-        assert tm.entry(0, 0) == {3: (1.0, 0.0)}
-        assert tm.entry(1, 0) == {3: (0.0, 1.0)}
-        assert tm.entry(2, 2) == {0: (1.0, 0.0)}
+        # Stack layout [C0, C1, S1, C2, S2, C3, S3]; harmonics 1 and 2 are empty.
+        want = np.zeros((7, 3, 3))
+        want[0, 2, 2] = 1.0
+        want[5] = np.diag([1.0, 1.0, 0.0])
+        want[6, 0, 1], want[6, 1, 0] = -1.0, 1.0
+        assert np.array_equal(tm.terms, want)
+        assert not tm.terms.flags.writeable
 
     def test_negative_k(self):
         with pytest.raises(DomainError):
@@ -110,8 +109,13 @@ class TestStepMatrix:
         eta, k = 0.3, 2
         b, a = 1 - 2 * eta, 2 * math.sqrt(eta * (1 - eta))
         tm = step_matrix(ControlStep(eta=eta, k=k), order="eq4a")
-        assert tm.entry(0, 0) == {k: (pytest.approx(b), 0.0)}
-        assert tm.entry(0, 2) == {0: (pytest.approx(a), 0.0)}
+        assert tm.max_harmonic == k
+        # Entry (0, 0) is b cos(k theta) and entry (0, 2) the constant a:
+        # every other slot of the two series is exactly zero.
+        assert np.flatnonzero(tm.terms[:, 0, 0]).tolist() == [2 * k - 1]
+        assert np.flatnonzero(tm.terms[:, 0, 2]).tolist() == [0]
+        assert tm.terms[2 * k - 1, 0, 0] == pytest.approx(b)
+        assert tm.terms[0, 0, 2] == pytest.approx(a)
 
     def test_matches_two_factor_product(self):
         theta = 0.3
@@ -154,13 +158,7 @@ class TestTrigCompose:
         composed = trig_compose(quartz_rotation(2), quartz_rotation(3))
         expected = quartz_rotation(5)
         assert composed.harmonics() == expected.harmonics()
-        for i in range(3):
-            for j in range(3):
-                got = composed.entry(i, j)
-                want = expected.entry(i, j)
-                assert set(got) == set(want)
-                for h in want:
-                    assert_allclose(got[h], want[h], atol=1e-15)
+        assert np.array_equal(composed.terms, expected.terms)
 
     def test_max_harmonic_bound(self, three_controls):
         a = protocol_product(three_controls, 4)
@@ -170,7 +168,7 @@ class TestTrigCompose:
 
 class TestTrigEvaluate:
     def test_unit_harmonic_at_zero(self):
-        assert_allclose(trig_evaluate(quartz_rotation(1), 0.0), np.eye(3), atol=1e-15)
+        assert_allclose(quartz_rotation(1).evaluate(0.0), np.eye(3), atol=1e-15)
 
     def test_determinant_is_one(self):
         rng = np.random.default_rng(2)
@@ -304,14 +302,14 @@ class TestMemoryEffect:
         uniform = Spectrum(0.0, math.inf)
         a = step_matrix(two_controls.steps[0])
         # Per step: dropping h >= 1 before averaging changes nothing.
-        truncated = TrigMatrix.constant(a.cos_term(0))
+        truncated = TrigMatrix.constant(a.terms[0])
         assert_allclose(
             gaussian_average(a, uniform).m, gaussian_average(truncated, uniform).m, atol=1e-15
         )
         # Across steps with a shared harmonic it matters: the (h, h) cross
         # terms of the product feed back into harmonic 0.
         product_then_average = gaussian_average(trig_compose(a, a), uniform).m
-        average_then_product = a.cos_term(0) @ a.cos_term(0)
+        average_then_product = a.terms[0] @ a.terms[0]
         assert np.max(np.abs(product_then_average - average_then_product)) > 1e-3
 
 
@@ -337,8 +335,11 @@ class TestDomainTypes:
             Protocol.from_steps([])
 
     def test_trig_matrix_rejects_zero_harmonic_sine(self):
+        # An even-length stack [C0, S0, ...] would hold a sine at h = 0.
         with pytest.raises(DomainError):
-            TrigMatrix({}, {0: np.eye(3)})
+            TrigMatrix(np.stack([np.zeros((3, 3)), np.eye(3)]))
+        with pytest.raises(DomainError):
+            TrigMatrix(np.eye(3))
 
     def test_bloch_map_rejects_expansion(self):
         with pytest.raises(DomainError):

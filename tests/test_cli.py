@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -19,6 +20,15 @@ from drivenqubit import (
     spectrum_from_physical,
 )
 from drivenqubit.cli import main
+
+# Hashes of the preset CLI outputs pinned by the benchmark references.
+PRESET_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli_presets.json"
+
+
+def preset_ops() -> list:
+    """The 20 preset runs: five subcommands x two presets x two step orders."""
+    templates = json.loads(PRESET_REFS.read_text())["templates"]
+    return [op for template in templates for variant in template["variants"] for op in variant]
 
 
 def read_output(out_dir, name: str) -> str:
@@ -269,3 +279,16 @@ class TestMainEntry:
         assert echoed["spectrum"]["s"] == 0.5
         assert echoed["order"] == "eq4a"
         assert echoed["n_steps"] == 7
+
+
+class TestPresetBytes:
+    @pytest.mark.parametrize("op", preset_ops(), ids=lambda op: op["id"])
+    def test_outputs_match_pinned_hashes(self, op, tmp_path, monkeypatch, capsys):
+        # The recorded --out is relative and echoed in effective_config.json,
+        # so the run happens in a scratch directory with the same layout.
+        monkeypatch.chdir(tmp_path)
+        assert main(list(op["argv"])) == op["expect"]["exit"]
+        pinned = {name: f["sha256"] for name, f in op["expect"]["files"].items() if "sha256" in f}
+        assert pinned
+        for name, digest in pinned.items():
+            assert hashlib.sha256((Path(op["out"]) / name).read_bytes()).hexdigest() == digest, name
