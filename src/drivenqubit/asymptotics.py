@@ -17,8 +17,11 @@ long-iteration propagation; the products themselves keep a residual
 oscillatory error that decays only like 1/sqrt(m) through stationary
 points of the rotation angle.
 
-All functions are pure; quadrature nodes are reduced in a fixed order so
-results are reproducible across runs.
+All functions are pure.  Each quadrature refinement runs in blocks of
+nodes: the axis projectors of a block are extracted in one batched pass,
+and the weighted terms are added as one running sum in node order, carried
+from block to block, so results are reproducible bit for bit and equal a
+node-by-node loop.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ QUAD_MAX_NODES = 2**16
 QUAD_TOL = 1e-10
 GAUSSIAN_WINDOW_SIGMAS = 8.0
 RESOLVENT_DET_TOL = 1e-12
+# Quadrature nodes reduced per block: bounds the (block, 3, 3) buffers to
+# about 0.15 MB each.
+_QUAD_BLOCK = 2**11
 
 
 def _det3(m: np.ndarray):
@@ -108,18 +114,27 @@ def _check_rotation(w: np.ndarray):
         raise DomainError(f"matrix is not a proper rotation: det = {det}")
 
 
-def _axis_projector(w: np.ndarray) -> np.ndarray:
-    """Projector onto the rotation axis; assumes a proper rotation != I."""
-    a = np.array([w[2, 1] - w[1, 2], w[0, 2] - w[2, 0], w[1, 0] - w[0, 1]])
-    norm = float(np.linalg.norm(a))
-    if norm < ANTISYMMETRIC_NORM_TOL:
-        # Essentially a half turn: W + I ~ 2 u u^T, so the axis is the
-        # dominant eigenvector.
-        vals, vecs = np.linalg.eigh(0.5 * (w + np.eye(3)))
-        u = vecs[:, int(np.argmax(vals))]
-    else:
-        u = a / norm
-    return np.outer(u, u)
+def _axis_projectors(w: np.ndarray):
+    """Axis projectors of a stack of proper rotations, shape (n, 3, 3).
+
+    Returns the projectors and the mask of maps within |trace - 3| < 1e-9
+    of the identity, whose projector is the identity.  Each axis is the
+    normalised antisymmetric part, or at a half turn the dominant
+    eigenvector of (W + I) / 2, so every map gets the bits of a one-map call.
+    """
+    identity = np.abs(w[:, 0, 0] + w[:, 1, 1] + w[:, 2, 2] - 3.0) < IDENTITY_TRACE_TOL
+    a = np.stack([w[:, 2, 1] - w[:, 1, 2], w[:, 0, 2] - w[:, 2, 0], w[:, 1, 0] - w[:, 0, 1]], -1)
+    # np.linalg.norm's bits: the square root of a dot product.
+    norm = np.sqrt(np.vecdot(a, a))
+    half_turn = ~identity & (norm < ANTISYMMETRIC_NORM_TOL)
+    u = np.divide(a, norm[:, None], out=np.zeros_like(a), where=~(identity | half_turn)[:, None])
+    if half_turn.any():
+        # Essentially a half turn: W + I ~ 2 u u^T.
+        vals, vecs = np.linalg.eigh(0.5 * (w[half_turn] + np.eye(3)))
+        u[half_turn] = vecs[np.arange(len(vals)), :, np.argmax(vals, axis=1)]
+    p = u[:, :, None] * u[:, None, :]
+    p[identity] = np.eye(3)
+    return p, identity
 
 
 def abel_limit(w: np.ndarray) -> np.ndarray:
@@ -131,9 +146,7 @@ def abel_limit(w: np.ndarray) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float)
     _check_rotation(w)
-    if abs(np.trace(w) - 3.0) < IDENTITY_TRACE_TOL:
-        return np.eye(3)
-    return _axis_projector(w)
+    return _axis_projectors(w[None])[0][0]
 
 
 def cesaro_mean(w: np.ndarray, doublings: int = 24) -> np.ndarray:
@@ -235,20 +248,18 @@ def _quad_nodes(sp: Spectrum, n_nodes: int):
     return nodes, weights / np.sum(weights)
 
 
-def _steady_projector(
-    period: TrigMatrix, theta: float, w: np.ndarray, nudged: bool = False
-) -> np.ndarray:
-    """Axis projector of the period map ``w = period(theta)``, extended by continuity at W = I."""
-    if abs(np.trace(w) - 3.0) >= IDENTITY_TRACE_TOL:
-        return _axis_projector(w)
-    if nudged:
-        # Identically-identity period map: the powers are constant.
-        return np.eye(3)
-    left, right = (
-        _steady_projector(period, t, period.evaluate(t), nudged=True)
-        for t in (theta - CONTINUITY_NUDGE, theta + CONTINUITY_NUDGE)
-    )
-    return 0.5 * (left + right)
+def _steady_projectors(period: TrigMatrix, theta: np.ndarray) -> np.ndarray:
+    """Axis projectors of the period maps at an array of phases, extended by
+    continuity where W = I: there the mean of the projectors at
+    theta -/+ CONTINUITY_NUDGE, and the identity if the map stays I there."""
+    p, identity = _axis_projectors(period.evaluate(theta))
+    if identity.any():
+        t = theta[identity]
+        side, _ = _axis_projectors(
+            period.evaluate(np.concatenate([t - CONTINUITY_NUDGE, t + CONTINUITY_NUDGE]))
+        )
+        p[identity] = 0.5 * (side[: len(t)] + side[len(t) :])
+    return p
 
 
 def asymptotic_map(
@@ -268,16 +279,20 @@ def asymptotic_map(
 
     def integral(n_nodes: int) -> np.ndarray:
         nodes, weights = _quad_nodes(sp, n_nodes)
-        values = zip(nodes, weights, period.evaluate(nodes), prefix.evaluate(nodes))
         acc = np.zeros((3, 3))
-        for theta, weight, w, x in values:
-            acc += weight * (_steady_projector(period, theta, w) @ x)
+        for lo in range(0, len(nodes), _QUAD_BLOCK):
+            theta = nodes[lo : lo + _QUAD_BLOCK]
+            proj = _steady_projectors(period, theta)
+            parts = weights[lo : lo + _QUAD_BLOCK, None, None] * (proj @ prefix.evaluate(theta))
+            # A running sum in node order, carried from the previous block.
+            parts[0] += acc
+            acc = np.cumsum(parts, axis=0)[-1]
         return acc
 
     if sp.s == 0.0:
         # Sharp spectrum: the average is a point evaluation.
-        w = period.evaluate(sp.theta_bar)
-        return BlochMap(_steady_projector(period, sp.theta_bar, w) @ prefix.evaluate(sp.theta_bar))
+        proj = _steady_projectors(period, np.array([sp.theta_bar]))[0]
+        return BlochMap(proj @ prefix.evaluate(sp.theta_bar))
 
     n_nodes = QUAD_MIN_NODES
     prev = integral(n_nodes)

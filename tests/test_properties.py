@@ -1,4 +1,5 @@
-"""Property suite for the harmonic-series core over random protocols.
+"""Property suite for the harmonic-series core and the steady maps over
+random protocols.
 
 Protocols have periods 1-5, rotation parameters that include the edges
 eta = 0 and eta = 1, phase multipliers that include k = 0, and both step
@@ -9,6 +10,7 @@ conftest.py, so every run checks the same cases.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -16,14 +18,18 @@ from drivenqubit import (
     STEP_ORDERS,
     BlochVector,
     ControlStep,
+    ConvergenceError,
+    PeriodicRecursion,
     Protocol,
     Spectrum,
     TrigMatrix,
+    asymptotic_map,
     gaussian_average,
     protocol_product,
     step_matrix,
     trig_compose,
 )
+from drivenqubit import asymptotics
 
 
 def protocols_with(etas):
@@ -168,3 +174,103 @@ def test_half_turns_about_x_cancel_harmonics():
     tm = protocol_product(p, 2)
     assert tm.max_harmonic == 1
     assert true_degree(tm) == 1
+
+
+def axis_projector_reference(w):
+    """Projector onto the rotation axis of one proper rotation != I."""
+    a = np.array([w[2, 1] - w[1, 2], w[0, 2] - w[2, 0], w[1, 0] - w[0, 1]])
+    norm = float(np.linalg.norm(a))
+    if norm < asymptotics.ANTISYMMETRIC_NORM_TOL:
+        vals, vecs = np.linalg.eigh(0.5 * (w + np.eye(3)))
+        u = vecs[:, int(np.argmax(vals))]
+    else:
+        u = a / norm
+    return np.outer(u, u)
+
+
+def steady_projector_reference(period, theta, w, nudged=False):
+    """Axis projector of w = period(theta), by continuity where W = I."""
+    if abs(np.trace(w) - 3.0) >= asymptotics.IDENTITY_TRACE_TOL:
+        return axis_projector_reference(w)
+    if nudged:
+        return np.eye(3)
+    left, right = (
+        steady_projector_reference(period, t, period.evaluate(t), nudged=True)
+        for t in (theta - asymptotics.CONTINUITY_NUDGE, theta + asymptotics.CONTINUITY_NUDGE)
+    )
+    return 0.5 * (left + right)
+
+
+def steady_map_reference(p, sp, K, order):
+    """Reference steady map: one node at a time, added to a running sum."""
+    rec = PeriodicRecursion.from_protocol(p, K, order)
+    period, prefix = rec.shifted_product(), rec.prefix_product()
+    if sp.s == 0.0:
+        w = period.evaluate(sp.theta_bar)
+        return steady_projector_reference(period, sp.theta_bar, w) @ prefix.evaluate(sp.theta_bar)
+
+    def integral(n_nodes):
+        nodes, weights = asymptotics._quad_nodes(sp, n_nodes)
+        values = zip(nodes, weights, period.evaluate(nodes), prefix.evaluate(nodes))
+        acc = np.zeros((3, 3))
+        for theta, weight, w, x in values:
+            acc += weight * (steady_projector_reference(period, theta, w) @ x)
+        return acc
+
+    n_nodes = asymptotics.QUAD_MIN_NODES
+    prev = integral(n_nodes)
+    while n_nodes < asymptotics.QUAD_MAX_NODES:
+        n_nodes *= 2
+        cur = integral(n_nodes)
+        if float(np.max(np.abs(cur - prev))) < asymptotics.QUAD_TOL:
+            return cur
+        prev = cur
+    raise ConvergenceError("reference quadrature hit the node cap")
+
+
+def assert_steady_map_matches_reference(p, sp, K, order):
+    try:
+        want = steady_map_reference(p, sp, K, order)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError):
+            asymptotic_map(p, sp, K, order)
+        return
+    assert asymptotic_map(p, sp, K, order).m.tobytes() == want.tobytes()
+
+
+steady_spectra = st.builds(
+    Spectrum,
+    theta_bar=st.floats(-math.pi, math.pi),
+    s=st.one_of(
+        st.sampled_from([0.0, math.inf]), st.floats(0.01, 0.5), st.floats(0.5, 25.0)
+    ),
+)
+
+
+@given(protocols, orders, st.integers(0, 4), steady_spectra)
+def test_steady_map_matches_node_loop_bytewise(p, order, phase, sp):
+    assert_steady_map_matches_reference(p, sp, phase % p.period, order)
+
+
+@pytest.mark.parametrize("order", STEP_ORDERS)
+@pytest.mark.parametrize(
+    "steps, sp",
+    [
+        # The period map is the identity at every phase: every node takes
+        # the continuity nudge, and the map stays I beside it.
+        ([ControlStep(1.0, 0), ControlStep(1.0, 0)], Spectrum(0.4, 0.3)),
+        ([ControlStep(1.0, 0), ControlStep(1.0, 0)], Spectrum(0.4, 0.0)),
+        # The identity only at theta = 0, where the axis turns: the nudge
+        # averages two projectors 8e-5 apart.
+        ([ControlStep(0.5, 1), ControlStep(0.5, 2)], Spectrum(0.0, 0.0)),
+        # A half turn at every phase: every node takes the eigh fallback.
+        ([ControlStep(0.7, 0)], Spectrum(0.4, 0.3)),
+        ([ControlStep(0.7, 0)], Spectrum(0.4, math.inf)),
+        # The last refinements span two blocks (4,096 nodes).
+        ([ControlStep(0.5, 3), ControlStep(0.5, 2)], Spectrum(0.4, 8.25)),
+    ],
+)
+def test_steady_map_fallbacks_and_blocks_match_node_loop(steps, sp, order):
+    p = Protocol.from_steps(steps)
+    for K in range(p.period):
+        assert_steady_map_matches_reference(p, sp, K, order)
