@@ -4,11 +4,21 @@ The observable footprint of the limit cycle depends on the initial state.
 For a two-point cycle the natural size is the squared Euclidean distance
 between the two asymptotic states; for a three-point cycle it is the area
 spanned by the three asymptotic endpoints (half the norm of the cyclic
-cross-product sum).  Both are smooth functions of the initial direction on
-the Bloch sphere and are maximized by a multi-start ascent in spherical
-angles.  The spherical chart is singular at the poles, so a candidate
-landing near one is re-optimized in a rotated frame; definiteness of the
-Hessian at a stationary point is invariant under such chart changes.
+cross-product sum).  Both have one form, ``c |q(u)|`` with the quadratic
+forms ``q_k(u) = u^T Q_k u`` of the initial direction ``u``:
+
+* period 2: ``Q = D^T D`` with ``D = M_0 - M_1`` and ``c = 1``;
+* period 3: ``Q_k = sym(D_1^T eps_k D_2)`` with ``D_i = M_i - M_0``, the
+  Levi-Civita matrix ``eps_k`` of axis k and ``c = 1/2``.  This equals
+  ``sym(sum_i M_i^T eps_k M_{i+1})``, since ``(x_1 - x_0) x (x_2 - x_0)`` is
+  the cyclic cross-product sum, and is exactly 0 when the maps are equal.
+
+The period-2 maximum is the top eigenpair of ``Q``.  The period-3 maximum
+is a multi-start BFGS ascent of the scale-free extension
+``|q(x)|^2 / |x|^4`` in R^3, which has no chart and no poles, finished by
+one Newton step in the tangent plane.  Gradient and Hessian at the result
+are the analytic Riemannian ones on the sphere, in an orthonormal basis of
+the tangent plane.
 """
 
 from __future__ import annotations
@@ -25,17 +35,13 @@ NEG_DEFINITE = "negative_definite"
 NEG_SEMIDEFINITE = "negative_semidefinite"
 INDEFINITE = "indefinite"
 
-GRADIENT_STEP = 1e-5
-HESSIAN_STEP = 1e-4
 STATIONARITY_TOL = 1e-9
 HESSIAN_EIG_TOL = 1e-8
-POLE_MARGIN = 1e-3
 DEGENERACY_VALUE_TOL = 1e-9
 N_STARTS = 32
 
-# Fixed frame rotation (quarter turn about y) used to move a polar
-# maximizer onto the equator of the working chart.
-_POLE_FRAME = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-1.0, 0.0, 0.0]])
+# _LEVI_CIVITA[k] is the matrix eps_k with (a x b)_k = a^T eps_k b.
+_LEVI_CIVITA = np.moveaxis(np.cross(np.eye(3)[:, None], np.eye(3)), -1, 0)
 
 
 @dataclass(frozen=True)
@@ -72,31 +78,29 @@ class SphereAngles:
         )
 
 
-def _functional(cycle):
+def _forms(cycle):
+    """Quadratic forms ``Q`` (shape (K, 3, 3)) and scale ``c`` of the
+    cycle's visibility ``c |q(u)|``, ``q_k(u) = u^T Q_k u``."""
+    mats = [m.m for m in cycle.maps]
     if cycle.period == 2:
-        diff = cycle.maps[0].m - cycle.maps[1].m
-
-        def f(u: np.ndarray) -> float:
-            return float(np.dot(diff @ u, diff @ u))
-
-        return f
+        d = mats[0] - mats[1]
+        return (d.T @ d)[None], 1.0
     if cycle.period == 3:
-        mats = [m.m for m in cycle.maps]
-
-        def f(u: np.ndarray) -> float:
-            x0, x1, x2 = (m @ u for m in mats)
-            total = np.cross(x0, x1) + np.cross(x1, x2) + np.cross(x2, x0)
-            return 0.5 * float(np.linalg.norm(total))
-
-        return f
+        d1, d2 = mats[1] - mats[0], mats[2] - mats[0]
+        forms = d1.T @ _LEVI_CIVITA @ d2
+        return 0.5 * (forms + np.swapaxes(forms, 1, 2)), 0.5
     raise DomainError(f"visibility is defined for periods 2 and 3, got {cycle.period}")
+
+
+def _value(forms: np.ndarray, c: float, u: np.ndarray) -> float:
+    return c * float(np.linalg.norm(u @ forms @ u))
 
 
 def volume_two(cycle, a: SphereAngles) -> float:
     """Squared distance between the two cycle points reached from ``a``."""
     if cycle.period != 2:
         raise DomainError(f"volume_two needs a period-2 cycle, got {cycle.period}")
-    return _functional(cycle)(a.unit_vector())
+    return _value(*_forms(cycle), a.unit_vector())
 
 
 def volume_three(cycle, a: SphereAngles) -> float:
@@ -108,7 +112,7 @@ def volume_three(cycle, a: SphereAngles) -> float:
     """
     if cycle.period != 3:
         raise DomainError(f"volume_three needs a period-3 cycle, got {cycle.period}")
-    return _functional(cycle)(a.unit_vector())
+    return _value(*_forms(cycle), a.unit_vector())
 
 
 @dataclass(frozen=True)
@@ -124,115 +128,87 @@ class VisibilityMaximum:
     degenerate: bool
 
 
-def _angles_to_unit(angles: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    th, ph = angles
-    u = np.array([np.cos(ph) * np.sin(th), np.sin(ph) * np.sin(th), np.cos(th)])
-    return frame @ u
+def _tangent_basis(u: np.ndarray) -> np.ndarray:
+    """Orthonormal basis (3 x 2) of the tangent plane at the unit vector u."""
+    return np.linalg.svd(u[None, :])[2][1:].T
 
 
-def _gradient(g, x: np.ndarray, h: float = GRADIENT_STEP) -> np.ndarray:
-    out = np.zeros(2)
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        out[i] = (g(x + e) - g(x - e)) / (2.0 * h)
-    return out
+def _sphere_derivatives(forms: np.ndarray, c: float, u: np.ndarray):
+    """Riemannian gradient and Hessian of ``c |q|`` at the unit vector u,
+    in the basis ``_tangent_basis(u)``."""
+    q = u @ forms @ u
+    norm = float(np.linalg.norm(q))
+    if norm == 0.0:
+        # q vanishes at a maximizer only when it vanishes on the whole
+        # sphere, that is when every form is zero.
+        return np.zeros(2), np.zeros((2, 2))
+    n = q / norm
+    jac = 2.0 * (forms @ u)
+    grad = c * (n @ jac)
+    perp = np.eye(len(q)) - np.outer(n, n)
+    hess = c * (jac.T @ perp @ jac / norm + 2.0 * np.tensordot(n, forms, 1))
+    basis = _tangent_basis(u)
+    # The sphere's curvature adds -(u . grad) to the projected Hessian.
+    return basis.T @ grad, basis.T @ hess @ basis - float(u @ grad) * np.eye(2)
 
 
-def _hessian(g, x: np.ndarray, h: float = HESSIAN_STEP) -> np.ndarray:
-    out = np.zeros((2, 2))
-    for i in range(2):
-        for j in range(2):
-            ei = np.zeros(2)
-            ej = np.zeros(2)
-            ei[i] = h
-            ej[j] = h
-            out[i, j] = (
-                g(x + ei + ej) - g(x + ei - ej) - g(x - ei + ej) + g(x - ei - ej)
-            ) / (4.0 * h * h)
-    return 0.5 * (out + out.T)
+def _ascend(forms: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Maximize ``|q(x)|^2 / |x|^4`` over R^3 from ``start``; unit result."""
+    # Unit-norm forms make BFGS's absolute gradient tolerance relative.
+    forms = forms / (np.linalg.norm(forms) or 1.0)
 
+    def neg_extension(x):
+        r2 = float(x @ x)
+        q = x @ forms @ x
+        qq = float(q @ q)
+        grad = 4.0 * (np.tensordot(q, forms, 1) @ x) / r2**2 - 4.0 * qq * x / r2**3
+        return -qq / r2**2, -grad
 
-def _refine(f, u_start: np.ndarray, frame: np.ndarray):
-    th = float(np.arccos(np.clip((frame.T @ u_start)[2], -1.0, 1.0)))
-    ph = float(np.arctan2((frame.T @ u_start)[1], (frame.T @ u_start)[0]))
-
-    def neg(angles):
-        return -f(_angles_to_unit(angles, frame))
-
-    res = minimize(
-        neg,
-        np.array([th, ph]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 5000, "maxfev": 10000},
-    )
-    return -float(res.fun), np.asarray(res.x)
+    res = minimize(neg_extension, start, jac=True, method="BFGS", options={"gtol": 1e-10})
+    return res.x / np.linalg.norm(res.x)
 
 
 def maximize_visibility(cycle) -> VisibilityMaximum:
     """Maximize the cycle's visibility over pure initial states.
 
-    Multi-start ascent from a 32-point sphere grid with derivative-free
-    refinement, followed by Newton polishing on central-difference
-    derivatives until the gradient norm drops below 1e-9.  Returns the
-    best maximizer, its value, and the definiteness verdict of the 2x2
-    numerical Hessian in the working chart (negative eigenvalue within
-    1e-8 of zero counts as semidefinite).  The result is flagged
-    degenerate when distinct, non-antipodal maximizers tie with the best
-    value to within 1e-9.
+    Period 2 takes the top eigenpair of ``D^T D``; the maximum is flagged
+    degenerate when the top two eigenvalues are within 1e-9.  Period 3
+    ascends from each point of a 32-point sphere grid by BFGS on analytic
+    derivatives; the maximum is flagged degenerate when distinct,
+    non-antipodal maximizers tie with the best value to within 1e-9.
+    Returns the maximizer, its value, the norm of the Riemannian gradient
+    there (``ConvergenceError`` unless below 1e-9) and the definiteness
+    verdict of the 2x2 Riemannian Hessian in an orthonormal tangent basis
+    (an eigenvalue within 1e-8 of zero counts as semidefinite).
     """
-    f = _functional(cycle)
-    eye = np.eye(3)
-
-    candidates = []
-    for u0 in _fibonacci_sphere(N_STARTS):
-        value, angles = _refine(f, u0, eye)
-        candidates.append((value, _angles_to_unit(angles, eye)))
-
-    best_value, best_u = max(candidates, key=lambda c: c[0])
-
-    # Re-optimize in a rotated chart whenever the maximizer sits too close
-    # to a pole of the working chart for stable derivatives.
-    frame = eye
-    if abs(best_u[2]) > np.cos(POLE_MARGIN):
-        frame = _POLE_FRAME
-        best_value, angles = _refine(f, best_u, frame)
-        best_u = _angles_to_unit(angles, frame)
-
-    def g(angles):
-        return f(_angles_to_unit(angles, frame))
-
-    x = np.array(
-        [
-            float(np.arccos(np.clip((frame.T @ best_u)[2], -1.0, 1.0))),
-            float(np.arctan2((frame.T @ best_u)[1], (frame.T @ best_u)[0])),
-        ]
-    )
-    grad = _gradient(g, x)
-    for _ in range(100):
-        if np.linalg.norm(grad) < STATIONARITY_TOL:
-            break
-        hess = _hessian(g, x)
-        try:
-            delta = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            delta = -grad
-        if np.linalg.norm(delta) > 0.1:
-            delta *= 0.1 / np.linalg.norm(delta)
-        x_new = x + delta
-        if g(x_new) < g(x) - 1e-15:
-            # Newton overshoot on a non-concave patch; damp it.
-            x_new = x + 0.25 * delta
-        x = x_new
-        grad = _gradient(g, x)
+    forms, c = _forms(cycle)
+    if cycle.period == 2:
+        vals, vecs = np.linalg.eigh(forms[0])
+        best_u = vecs[:, -1]
+        degenerate = bool(vals[-1] - vals[-2] <= DEGENERACY_VALUE_TOL)
     else:
-        raise ConvergenceError(
-            f"visibility polish stalled with |grad| = {np.linalg.norm(grad):.3e}"
-        )
+        candidates = []
+        for start in _fibonacci_sphere(N_STARTS):
+            u = _ascend(forms, start)
+            candidates.append((_value(forms, c, u), u))
+        best_value, best_u = max(candidates, key=lambda cand: cand[0])
+        top = [u for value, u in candidates if value >= best_value - DEGENERACY_VALUE_TOL]
+        clusters = []
+        for u in top:
+            if not any(abs(np.dot(u, v)) > 1.0 - 1e-6 for v in clusters):
+                clusters.append(u)
+        degenerate = len(clusters) >= 2
+        # BFGS's line search stops resolving the objective near |grad|
+        # ~ 1e-9, the stationarity tolerance, so one Newton step in the
+        # tangent plane finishes the best maximizer.
+        grad, hess = _sphere_derivatives(forms, c, best_u)
+        best_u = best_u + _tangent_basis(best_u) @ np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        best_u /= np.linalg.norm(best_u)
 
-    best_u = _angles_to_unit(x, frame)
-    best_value = f(best_u)
-    hess = _hessian(g, x)
+    grad, hess = _sphere_derivatives(forms, c, best_u)
+    gradient_norm = float(np.linalg.norm(grad))
+    if gradient_norm >= STATIONARITY_TOL:
+        raise ConvergenceError(f"visibility ascent stalled with |grad| = {gradient_norm:.3e}")
     eigs = np.linalg.eigvalsh(hess)
     if np.all(eigs < -HESSIAN_EIG_TOL):
         verdict = NEG_DEFINITE
@@ -241,18 +217,11 @@ def maximize_visibility(cycle) -> VisibilityMaximum:
     else:
         verdict = INDEFINITE
 
-    top = [c for c in candidates if c[0] >= best_value - DEGENERACY_VALUE_TOL]
-    clusters = []
-    for _, u in top:
-        if not any(abs(np.dot(u, v)) > 1.0 - 1e-6 for v in clusters):
-            clusters.append(u)
-    degenerate = len(clusters) >= 2
-
     return VisibilityMaximum(
         angles=SphereAngles.from_vector(best_u),
-        direction=best_u / np.linalg.norm(best_u),
-        value=best_value,
-        gradient_norm=float(np.linalg.norm(grad)),
+        direction=best_u,
+        value=_value(forms, c, best_u),
+        gradient_norm=gradient_norm,
         hessian_eigenvalues=tuple(float(e) for e in eigs),
         verdict=verdict,
         degenerate=degenerate,

@@ -1,5 +1,5 @@
-"""Property suite for the harmonic-series core and the steady maps over
-random protocols.
+"""Property suite for the harmonic-series core, the steady maps and the
+visibility maximum over random protocols.
 
 Protocols have periods 1-5, rotation parameters that include the edges
 eta = 0 and eta = 1, phase multipliers that include k = 0, and both step
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from drivenqubit import (
@@ -23,13 +23,15 @@ from drivenqubit import (
     Protocol,
     Spectrum,
     TrigMatrix,
+    asymptotic_cycle,
     asymptotic_map,
     gaussian_average,
+    maximize_visibility,
     protocol_product,
     step_matrix,
     trig_compose,
 )
-from drivenqubit import asymptotics
+from drivenqubit import asymptotics, visibility
 
 
 def protocols_with(etas):
@@ -274,3 +276,60 @@ def test_steady_map_fallbacks_and_blocks_match_node_loop(steps, sp, order):
     p = Protocol.from_steps(steps)
     for K in range(p.period):
         assert_steady_map_matches_reference(p, sp, K, order)
+
+
+def protocols_of_period(period):
+    return protocols.filter(lambda p: p.period == period)
+
+
+# Widths below 1 keep each steady map at a few hundred nodes.
+cycle_spectra = st.builds(
+    Spectrum,
+    theta_bar=st.floats(-math.pi, math.pi),
+    s=st.one_of(st.sampled_from([0.0, math.inf]), st.floats(0.01, 1.0)),
+)
+
+
+def steady_cycle(p, sp, order):
+    """The steady cycle; examples whose quadrature hits its node cap (near-
+    degenerate period maps) are rejected, since the optimizer is under test."""
+    try:
+        return asymptotic_cycle(p, sp, order)
+    except ConvergenceError:
+        reject()
+
+
+def assert_verdict_matches_eigenvalues(result):
+    eigs = np.array(result.hessian_eigenvalues)
+    if np.all(eigs < -visibility.HESSIAN_EIG_TOL):
+        assert result.verdict == visibility.NEG_DEFINITE
+    elif np.all(eigs <= visibility.HESSIAN_EIG_TOL):
+        assert result.verdict == visibility.NEG_SEMIDEFINITE
+    else:
+        assert result.verdict == visibility.INDEFINITE
+
+
+@given(protocols_of_period(2), cycle_spectra, orders)
+def test_two_point_maximum_is_top_eigenpair(p, sp, order):
+    cycle = steady_cycle(p, sp, order)
+    result = maximize_visibility(cycle)
+    d = cycle.maps[0].m - cycle.maps[1].m
+    top = np.linalg.eigvalsh(d.T @ d)[-1]
+    assert abs(result.value - top) < 1e-12
+    u = result.direction
+    assert abs(np.linalg.norm(u) - 1.0) < 1e-12
+    assert np.max(np.abs(d.T @ d @ u - top * u)) < 1e-12
+    assert_verdict_matches_eigenvalues(result)
+
+
+@given(protocols_of_period(3), cycle_spectra, orders, st.integers(0, 2**32 - 1))
+def test_three_point_maximum_beats_random_directions(p, sp, order, seed):
+    cycle = steady_cycle(p, sp, order)
+    result = maximize_visibility(cycle)
+    u = np.random.default_rng(seed).normal(size=(2000, 3))
+    x0, x1, x2 = (u @ m.m.T for m in cycle.maps)
+    areas = 0.5 * np.linalg.norm(np.cross(x0, x1) + np.cross(x1, x2) + np.cross(x2, x0), axis=1)
+    best = float(np.max(areas / np.sum(u * u, axis=1)))
+    assert result.value >= best - 1e-12
+    assert result.gradient_norm < 1e-9
+    assert_verdict_matches_eigenvalues(result)

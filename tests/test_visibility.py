@@ -1,4 +1,7 @@
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,13 +10,25 @@ from numpy.testing import assert_allclose
 from drivenqubit import (
     AsymptoticCycle,
     BlochMap,
+    ControlStep,
     DomainError,
+    Protocol,
     SphereAngles,
+    Spectrum,
+    asymptotic_cycle,
     maximize_visibility,
     volume_three,
     volume_two,
 )
-from drivenqubit.visibility import NEG_DEFINITE, NEG_SEMIDEFINITE
+from drivenqubit.cli import main
+from drivenqubit.visibility import (
+    NEG_DEFINITE,
+    NEG_SEMIDEFINITE,
+    _forms,
+    _sphere_derivatives,
+    _tangent_basis,
+    _value,
+)
 
 
 def closed_form_maximum(cycle):
@@ -21,6 +36,13 @@ def closed_form_maximum(cycle):
     d = cycle.maps[0].m - cycle.maps[1].m
     vals, vecs = np.linalg.eigh(d.T @ d)
     return float(vals[-1]), vecs[:, -1]
+
+
+def random_map(rng):
+    """A random contraction: rotation, singular values in [0, 1), rotation."""
+    q1, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    q2, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return q1 @ np.diag(rng.uniform(0.0, 1.0, 3)) @ q2
 
 
 def heron_area(x0, x1, x2):
@@ -170,9 +192,63 @@ class TestMaximizeVisibility:
         assert result.degenerate
         assert result.verdict == NEG_SEMIDEFINITE
 
+    @pytest.mark.parametrize("period", [2, 3])
+    def test_equal_maps_have_zero_visibility(self, period):
+        # Every initial state lands on one point: q vanishes identically,
+        # so every direction maximizes.
+        a = random_map(np.random.default_rng(46))
+        cycle = AsymptoticCycle.from_maps([BlochMap(a)] * period)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = maximize_visibility(cycle)
+        assert result.value == 0.0
+        assert result.gradient_norm == 0.0
+        assert result.verdict == NEG_SEMIDEFINITE
+        assert result.degenerate
+
+    def test_rounding_noise_visibility_is_degenerate(self):
+        # The two steady maps agree to rounding, so the visibility is
+        # noise (about 1e-31) everywhere; all directions tie within 1e-9.
+        p = Protocol.from_steps([ControlStep(0.5, 1), ControlStep(0.5, 1)])
+        result = maximize_visibility(asymptotic_cycle(p, Spectrum(0.4, 0.3)))
+        assert result.value < 1e-20
+        assert result.verdict == NEG_SEMIDEFINITE
+        assert result.degenerate
+
+    @pytest.mark.parametrize(
+        "steps, sp, value, degenerate",
+        [
+            # BFGS alone stops at |grad| = 3e-9 here.  The pinned values
+            # and flags come from a Nelder-Mead search in spherical angles
+            # with a central-difference Newton polish.
+            (
+                [(1.0, 0), (0.7312653398013568, 3), (0.0, 0)],
+                Spectrum(0.0, math.inf),
+                0.290567053050546,
+                True,
+            ),
+            # A maximum of 3e-8: the ascent must not stop on the absolute
+            # size of the gradient.
+            (
+                [(0.0, 0), (0.0, 1), (0.9999999999999999, 0)],
+                Spectrum(2.0, 0.0),
+                3.281991372036315e-08,
+                False,
+            ),
+        ],
+        ids=["bfgs-stall", "tiny-maximum"],
+    )
+    def test_three_point_maximum_is_stationary(self, steps, sp, value, degenerate):
+        p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
+        result = maximize_visibility(asymptotic_cycle(p, sp))
+        assert result.value == pytest.approx(value, rel=1e-9)
+        assert result.gradient_norm < 1e-9
+        assert result.verdict == NEG_DEFINITE
+        assert result.degenerate == degenerate
+
     def test_polar_maximizer_uses_rotated_chart(self):
-        # Optimum exactly at a pole of the spherical chart: the maximizer
-        # must restart in a rotated frame and still certify concavity.
+        # Optimum exactly at a pole of the spherical angles: the maximizer
+        # works on the sphere without a chart and still certifies concavity.
         cycle = AsymptoticCycle.from_maps(
             [BlochMap(np.diag([0.1, 0.1, 0.9])), BlochMap(np.diag([0.1, 0.1, -0.9]))]
         )
@@ -183,24 +259,79 @@ class TestMaximizeVisibility:
         assert result.verdict in (NEG_DEFINITE, NEG_SEMIDEFINITE)
 
     def test_gradient_step_consistency(self, reference_three_cycle):
-        # Central differences at 1e-5 and 1e-7 agree to 1e-3 relative away
-        # from the chart poles.
-        from drivenqubit.visibility import _functional, _gradient
-
-        f = _functional(reference_three_cycle)
-
-        def g(angles):
-            th, ph = angles
-            return f(
-                np.array(
-                    [math.cos(ph) * math.sin(th), math.sin(ph) * math.sin(th), math.cos(th)]
-                )
-            )
-
+        # The analytic Riemannian gradient and Hessian agree with central
+        # differences of the value along geodesics in the tangent basis.
         rng = np.random.default_rng(45)
-        for _ in range(20):
-            x = np.array([rng.uniform(0.5, math.pi - 0.5), rng.uniform(0.0, 2 * math.pi)])
-            coarse = _gradient(g, x, 1e-5)
-            fine = _gradient(g, x, 1e-7)
-            scale = max(np.linalg.norm(fine), 1e-6)
-            assert np.linalg.norm(coarse - fine) / scale < 1e-3
+        random_two_cycle = AsymptoticCycle.from_maps(BlochMap(random_map(rng)) for _ in range(2))
+        h1, h2 = 1e-5, 1e-4
+        for cycle in (reference_three_cycle, random_two_cycle):
+            forms, c = _forms(cycle)
+            for _ in range(20):
+                u = rng.normal(size=3)
+                u /= np.linalg.norm(u)
+                grad, hess = _sphere_derivatives(forms, c, u)
+                basis = _tangent_basis(u)
+                assert_allclose(basis.T @ basis, np.eye(2), atol=1e-15)
+                assert_allclose(basis.T @ u, 0.0, atol=1e-15)
+
+                def along(v, t):
+                    return _value(forms, c, math.cos(t) * u + math.sin(t) * v)
+
+                def second(v):
+                    return (along(v, h2) + along(v, -h2) - 2.0 * along(v, 0.0)) / h2**2
+
+                b1, b2 = basis.T
+                fd_grad = np.array([(along(b, h1) - along(b, -h1)) / (2.0 * h1) for b in (b1, b2)])
+                h11, h22 = second(b1), second(b2)
+                h12 = second((b1 + b2) / math.sqrt(2.0)) - 0.5 * (h11 + h22)
+                fd_hess = np.array([[h11, h12], [h12, h22]])
+                assert np.linalg.norm(grad - fd_grad) / max(np.linalg.norm(fd_grad), 1e-6) < 1e-6
+                assert np.linalg.norm(hess - fd_hess) / max(np.linalg.norm(fd_hess), 1e-6) < 1e-5
+
+
+# Optimizer results recorded by the benchmark references (read only).
+REFS = Path(__file__).resolve().parents[1] / "bench" / "refs"
+
+
+def recorded_ops(workload, keep):
+    templates = json.loads((REFS / f"{workload}.json").read_text())["templates"]
+    return [op for t in templates for variant in t["variants"] for op in variant if keep(op)]
+
+
+def assert_matches_record(result, expect, value_tol):
+    assert abs(result["value"] - expect["value"]) <= value_tol
+    assert result["verdict"] == expect["verdict"]
+    assert result["degenerate"] == expect["degenerate"]
+    if not expect["degenerate"]:
+        got, want = np.asarray(result["direction"]), np.asarray(expect["direction"])
+        assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-6
+
+
+class TestRecordedReferences:
+    @pytest.mark.parametrize(
+        "op", recorded_ops("steady_sweep", lambda op: op["kind"] == "vis"), ids=lambda op: op["id"]
+    )
+    def test_steady_sweep_maximum(self, op):
+        cycle = AsymptoticCycle.from_maps(BlochMap(np.array(m)) for m in op["maps"])
+        result = maximize_visibility(cycle)
+        summary = {
+            "value": result.value,
+            "direction": result.direction,
+            "verdict": result.verdict,
+            "degenerate": result.degenerate,
+        }
+        assert_matches_record(summary, op["expect"], 1e-9)
+
+    @pytest.mark.parametrize(
+        "op",
+        recorded_ops("cli_presets", lambda op: op["argv"][0] == "visibility"),
+        ids=lambda op: op["id"],
+    )
+    def test_preset_visibility_file(self, op, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(list(op["argv"])) == op["expect"]["exit"]
+        expect = op["expect"]["files"]["visibility.json"]["json"]
+        got = json.loads((Path(op["out"]) / "visibility.json").read_text())
+        # Files carry 9 significant digits: allow one unit in the ninth.
+        printed = 10.0 ** (math.floor(math.log10(abs(expect["value"]))) - 8)
+        assert_matches_record(got, expect, 1e-9 + printed)
