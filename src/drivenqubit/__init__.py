@@ -12,13 +12,11 @@ maximization over initial pure states.
 from .asymptotics import (
     AsymptoticCycle,
     ConvergenceProfile,
-    PeriodicRecursion,
     abel_limit,
     asymptotic_cycle,
     asymptotic_map,
     cesaro_mean,
     convergence_profile,
-    cyc_shift,
     limit_cycle,
     resolvent,
 )
@@ -34,6 +32,7 @@ from .bloch import (
     TrigMatrix,
     c_rotation,
     gaussian_average,
+    product_chain,
     propagate,
     protocol_product,
     quartz_rotation,

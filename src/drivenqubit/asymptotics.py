@@ -39,15 +39,14 @@ from .bloch import (
     Spectrum,
     TrigMatrix,
     propagate,
-    step_matrix,
-    trig_compose,
+    protocol_product,
 )
 from .errors import ConvergenceError, DomainError, PoleError
 
 ORTHOGONALITY_TOL = 1e-10
-# Rotations closer to the identity than this (in |trace - 3|) have an
-# ill-conditioned axis; they are treated as the identity map.
-IDENTITY_TRACE_TOL = 1e-9
+# Rotations with trace > 1 and an antisymmetric part of squared norm (4 sin^2
+# angle) below this are the identity; any larger part still fixes the axis.
+IDENTITY_AXIS_NORM2_TOL = 1e-26
 # Crossover to the eigenvector-based axis extraction at a half turn: the
 # antisymmetric part (norm 2|sin angle|) keeps full relative accuracy down
 # to this norm, so the fallback is needed only essentially at angle = pi.
@@ -117,16 +116,18 @@ def _check_rotation(w: np.ndarray):
 def _axis_projectors(w: np.ndarray):
     """Axis projectors of a stack of proper rotations, shape (n, 3, 3).
 
-    Returns the projectors and the mask of maps within |trace - 3| < 1e-9
-    of the identity, whose projector is the identity.  Each axis is the
-    normalised antisymmetric part, or at a half turn the dominant
-    eigenvector of (W + I) / 2, so every map gets the bits of a one-map call.
+    Returns the projectors and the mask of identity maps (trace > 1, no
+    antisymmetric part), whose projector is I.  Each axis is the normalised
+    antisymmetric part, or at a half turn (trace <= 1, tiny antisymmetric
+    part) the top eigenvector of (W + I) / 2; each map gets one-map bits.
     """
-    identity = np.abs(w[:, 0, 0] + w[:, 1, 1] + w[:, 2, 2] - 3.0) < IDENTITY_TRACE_TOL
+    small_angle = w[:, 0, 0] + w[:, 1, 1] + w[:, 2, 2] > 1.0
     a = np.stack([w[:, 2, 1] - w[:, 1, 2], w[:, 0, 2] - w[:, 2, 0], w[:, 1, 0] - w[:, 0, 1]], -1)
+    norm2 = np.vecdot(a, a)
     # np.linalg.norm's bits: the square root of a dot product.
-    norm = np.sqrt(np.vecdot(a, a))
-    half_turn = ~identity & (norm < ANTISYMMETRIC_NORM_TOL)
+    norm = np.sqrt(norm2)
+    identity = small_angle & (norm2 < IDENTITY_AXIS_NORM2_TOL)
+    half_turn = ~small_angle & (norm < ANTISYMMETRIC_NORM_TOL)
     u = np.divide(a, norm[:, None], out=np.zeros_like(a), where=~(identity | half_turn)[:, None])
     if half_turn.any():
         # Essentially a half turn: W + I ~ 2 u u^T.
@@ -142,7 +143,7 @@ def abel_limit(w: np.ndarray) -> np.ndarray:
 
     For a rotation by a nonzero angle about a unit axis u this is the
     spectral projector u u^T onto the eigenvalue-1 eigenspace; for W = I
-    (within |trace - 3| < 1e-9) it is the identity.
+    (trace > 1 and antisymmetric part below 1e-13) it is the identity.
     """
     w = np.asarray(w, dtype=float)
     _check_rotation(w)
@@ -163,65 +164,6 @@ def cesaro_mean(w: np.ndarray, doublings: int = 24) -> np.ndarray:
         p = p @ p
         n *= 2
     return s / n
-
-
-def cyc_shift(factors, k: int) -> list:
-    """Cyclically shift the factors of a one-period product by k positions.
-
-    ``factors`` lists the per-step operators in application order (element
-    0 acts first), so the represented product is
-    ``factors[-1] @ ... @ factors[0]``.  One shift moves the first-applied
-    operator to the end of the schedule, i.e. it conjugates the product by
-    that operator; k shifts conjugate by the k-step prefix.  Shifting by
-    the full period returns the original schedule.
-    """
-    n = len(factors)
-    if not 0 <= k < max(n, 1):
-        raise DomainError(f"shift {k} outside [0, {n})")
-    return list(factors[k:]) + list(factors[:k])
-
-
-@dataclass(frozen=True)
-class PeriodicRecursion:
-    """One period of step generators plus the integer phase of interest.
-
-    ``factors`` are the exact per-step matrices in application order; the
-    n-step product for n = m T + K is (shifted period product)^m times the
-    K-step prefix, which is the decomposition the asymptotics uses.
-    """
-
-    factors: tuple
-    phase: int
-
-    def __post_init__(self):
-        if len(self.factors) < 1:
-            raise DomainError("need at least one factor")
-        if not 0 <= self.phase < len(self.factors):
-            raise DomainError(f"phase {self.phase} outside [0, {len(self.factors)})")
-
-    @classmethod
-    def from_protocol(
-        cls, p: Protocol, phase: int, order: str = ORDER_PHASE_AFTER
-    ) -> "PeriodicRecursion":
-        return cls(tuple(step_matrix(s, order) for s in p.steps), phase)
-
-    @property
-    def period(self) -> int:
-        return len(self.factors)
-
-    def shifted_product(self) -> TrigMatrix:
-        """Exact one-period product after the cyclic shift by the phase."""
-        out = TrigMatrix.identity()
-        for f in cyc_shift(self.factors, self.phase):
-            out = trig_compose(f, out)
-        return out
-
-    def prefix_product(self) -> TrigMatrix:
-        """Exact product of the first ``phase`` factors."""
-        out = TrigMatrix.identity()
-        for f in self.factors[: self.phase]:
-            out = trig_compose(f, out)
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -267,15 +209,17 @@ def asymptotic_map(
 ) -> BlochMap:
     """Steady-cycle map at integer driving phase K.
 
-    Computes the spectral average of the axis projector of the cyclically
-    shifted one-period product times the K-step prefix.  The quadrature
-    doubles its node count until two successive refinements agree to
-    1e-10 entrywise (the integrand is piecewise analytic, so this is
-    reached quickly); exceeding the node cap raises ConvergenceError.
+    Spectral average of the axis projector of the one-period product of the
+    schedule rotated by K (``steps[K:] + steps[:K]``) times the K-step
+    prefix.  The quadrature doubles its node count until two successive
+    refinements agree to 1e-10 entrywise (the integrand is piecewise
+    analytic, so this is quick), else raises ConvergenceError at the cap.
+    A window that rounds to one float (s = 0, or tiny s) is a point value.
     """
-    rec = PeriodicRecursion.from_protocol(p, K, order)
-    period = rec.shifted_product()
-    prefix = rec.prefix_product()
+    if not 0 <= K < p.period:
+        raise DomainError(f"phase {K} outside [0, {p.period})")
+    period = protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order)
+    prefix = protocol_product(p, K, order)
 
     def integral(n_nodes: int) -> np.ndarray:
         nodes, weights = _quad_nodes(sp, n_nodes)
@@ -289,20 +233,19 @@ def asymptotic_map(
             acc = np.cumsum(parts, axis=0)[-1]
         return acc
 
-    if sp.s == 0.0:
-        # Sharp spectrum: the average is a point evaluation.
+    half = GAUSSIAN_WINDOW_SIGMAS * sp.s
+    if sp.theta_bar - half == sp.theta_bar + half:
         proj = _steady_projectors(period, np.array([sp.theta_bar]))[0]
         return BlochMap(proj @ prefix.evaluate(sp.theta_bar))
 
     n_nodes = QUAD_MIN_NODES
-    prev = integral(n_nodes)
+    cur, diff = integral(n_nodes), np.inf
     while n_nodes < QUAD_MAX_NODES:
         n_nodes *= 2
-        cur = integral(n_nodes)
-        if float(np.max(np.abs(cur - prev))) < QUAD_TOL:
+        prev, cur = cur, integral(n_nodes)
+        diff = float(np.max(np.abs(cur - prev)))
+        if diff < QUAD_TOL:
             return BlochMap(cur)
-        prev = cur
-    diff = float(np.max(np.abs(cur - prev)))
     raise ConvergenceError(
         f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} nodes "
         f"(period {p.period}, phase {K}, s = {sp.s}, last change {diff:.3e})"

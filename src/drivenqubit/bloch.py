@@ -22,6 +22,8 @@ bit for bit.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -291,12 +293,14 @@ def quartz_rotation(k: int) -> TrigMatrix:
     return TrigMatrix(terms)
 
 
+@functools.lru_cache(maxsize=256)
 def step_matrix(step: ControlStep, order: str = ORDER_PHASE_AFTER) -> TrigMatrix:
     """Exact Bloch matrix of one operation unit as a function of the phase.
 
     With the default order the rotation acts first and the plate phase
     second, i.e. the returned matrix is ``quartz_rotation(k)(theta) @
-    c_rotation(eta)``.  ``order="eq4a"`` swaps the two factors.
+    c_rotation(eta)``.  ``order="eq4a"`` swaps the two factors.  The
+    immutable result is cached, since every product chain starts from it.
     """
     if order not in STEP_ORDERS:
         raise DomainError(f"order must be one of {STEP_ORDERS}, got {order!r}")
@@ -378,6 +382,17 @@ def gaussian_average(a: TrigMatrix, sp: Spectrum) -> BlochMap:
     return BlochMap(_harmonic_sum(a.terms, sp.theta_bar, np.array(damping)))
 
 
+def product_chain(p: Protocol, order: str = ORDER_PHASE_AFTER):
+    """Endless, lazy chain of the exact products ``P_0 = I, P_1, P_2, ...``
+    of the cyclic schedule: ``P_{n+1} = trig_compose(step[n mod T], P_n)``.
+    Every n-step product of the package comes from this compose sequence."""
+    factors = [step_matrix(s, order) for s in p.steps]
+    out = TrigMatrix.identity()
+    for i in itertools.count():
+        yield out
+        out = trig_compose(factors[i % p.period], out)
+
+
 def protocol_product(p: Protocol, n: int, order: str = ORDER_PHASE_AFTER) -> TrigMatrix:
     """Exact n-step product of cyclically scheduled step matrices.
 
@@ -386,11 +401,19 @@ def protocol_product(p: Protocol, n: int, order: str = ORDER_PHASE_AFTER) -> Tri
     """
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
-    factors = [step_matrix(s, order) for s in p.steps]
-    out = TrigMatrix.identity()
-    for i in range(int(n)):
-        out = trig_compose(factors[i % p.period], out)
-    return out
+    return next(itertools.islice(product_chain(p, order), int(n), None))
+
+
+def averaged_maps(p: Protocol, sp: Spectrum, n: int, order: str = ORDER_PHASE_AFTER) -> list:
+    """Spectral averages ``[E[P_1], ..., E[P_n]]`` of the exact products.
+
+    The environment phase is shared by all steps, so ``E[P_m]`` is *not*
+    the m-th power of the averaged one-step map.
+    """
+    if n != int(n) or n < 0:
+        raise DomainError(f"n must be a non-negative integer, got {n}")
+    chain = itertools.islice(product_chain(p, order), 1, int(n) + 1)
+    return [gaussian_average(tm, sp) for tm in chain]
 
 
 def propagate(
@@ -403,20 +426,9 @@ def propagate(
     """Bloch trajectory [a_0, a_1, ..., a_n] under the averaged dynamics.
 
     Element m applies the spectral average of the full m-step product to
-    the initial vector.  Because the environment phase is shared by all
-    steps, this is *not* the m-th power of the averaged one-step map; the
-    running product is kept exact and averaged afresh at every step.
+    the initial vector (see ``averaged_maps``).
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n}")
-    factors = [step_matrix(s, order) for s in p.steps]
-    a0_arr = a0.as_array()
-    out = [a0]
-    running = TrigMatrix.identity()
-    for i in range(int(n)):
-        running = trig_compose(factors[i % p.period], running)
-        out.append(BlochVector.from_array(gaussian_average(running, sp).m @ a0_arr))
-    return out
+    return [a0] + [m.apply(a0) for m in averaged_maps(p, sp, n, order)]
 
 
 def spectrum_from_physical(lambda0: float, fwhm: float, delta_L_over_lambda: float) -> Spectrum:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -40,8 +41,8 @@ from .bloch import (
     Protocol,
     Spectrum,
     gaussian_average,
+    product_chain,
     propagate,
-    protocol_product,
     spectrum_from_physical,
     trig_compose,
 )
@@ -521,11 +522,13 @@ def _verification_checks(config: RunConfig):
     p = config.protocol
     sp = config.spectrum
     order = config.order
-    period_tm = protocol_product(p, p.period, order)
+    # Every product the checks read: P_0 = I up to the deepest one used.
+    products = list(itertools.islice(product_chain(p, order), max(50, 3 * p.period) + 1))
+    period_tm = products[p.period]
 
     thetas = rng.uniform(-np.pi, np.pi, size=100)
     worst = 0.0
-    half = protocol_product(p, max(1, p.period // 2), order)
+    half = products[max(1, p.period // 2)]
     composed = trig_compose(period_tm, half)
     for th in thetas:
         lhs = composed.evaluate(th)
@@ -535,14 +538,14 @@ def _verification_checks(config: RunConfig):
 
     worst = 0.0
     for n in (1, 7, 50):
-        tm = protocol_product(p, n, order)
+        tm = products[n]
         for th in rng.uniform(-np.pi, np.pi, size=10):
             m = tm.evaluate(th)
             worst = max(worst, float(np.max(np.abs(m.T @ m - np.eye(3)))))
             worst = max(worst, abs(float(np.linalg.det(m)) - 1.0))
     yield "products stay special orthogonal", worst < 1e-10, f"max dev {worst:.3e}"
 
-    tm = protocol_product(p, 3 * p.period, order)
+    tm = products[3 * p.period]
     harm = gaussian_average(tm, sp).m
     if sp.is_uniform:
         quad = tm.terms[0]
@@ -601,7 +604,7 @@ def _verification_checks(config: RunConfig):
 
     worst = 0.0
     for n in range(1, 2 * p.period + 1):
-        m = gaussian_average(protocol_product(p, n, order), sp)
+        m = gaussian_average(products[n], sp)
         worst = max(worst, float(np.max(m.singular_values())))
     for k in range(p.period):
         m = asymptotic_map(p, sp, k, order)

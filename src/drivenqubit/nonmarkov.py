@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .bloch import ORDER_PHASE_AFTER, BlochVector, Protocol, Spectrum, propagate
+from .bloch import ORDER_PHASE_AFTER, BlochVector, Protocol, Spectrum, averaged_maps
 from .errors import DomainError
 
 # Antipodal-pair tolerance and the resolution of the search grid.
@@ -69,10 +69,12 @@ def pair_distances(
     n: int,
     order: str = ORDER_PHASE_AFTER,
 ) -> np.ndarray:
-    """Trace distance of the jointly evolved pair after 0..n steps."""
-    plus = propagate(p, sp, n, pair.a_plus, order)
-    minus = propagate(p, sp, n, pair.a_minus, order)
-    return np.array([trace_distance(a, b) for a, b in zip(plus, minus)])
+    """Trace distance of the jointly evolved pair after 0..n steps; both
+    states share each averaged map."""
+    d = [trace_distance(pair.a_plus, pair.a_minus)]
+    for m in averaged_maps(p, sp, n, order):
+        d.append(trace_distance(m.apply(pair.a_plus), m.apply(pair.a_minus)))
+    return np.array(d)
 
 
 def blp_accumulate(

@@ -1,17 +1,18 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from drivenqubit import (
+    STEP_ORDERS,
     THREE_CONTROL_REFERENCE,
     TWO_CONTROL_REFERENCE,
     BlochVector,
     ControlStep,
     ConvergenceError,
     DomainError,
-    PeriodicRecursion,
     PoleError,
     Protocol,
     Spectrum,
@@ -19,10 +20,10 @@ from drivenqubit import (
     asymptotic_map,
     cesaro_mean,
     convergence_profile,
-    cyc_shift,
     gaussian_average,
     limit_cycle,
     protocol_product,
+    step_matrix,
     resolvent,
 )
 from conftest import random_rotation
@@ -101,55 +102,66 @@ class TestAbelLimit:
             assert np.max(np.abs(extrapolated - abel_limit(w))) < 1e-6
 
 
-class TestCycShift:
-    def test_zero_shift(self):
-        factors = [np.eye(3), 2 * np.eye(3), 3 * np.eye(3)]
-        assert cyc_shift(factors, 0) == factors
-
-    def test_full_cycle_is_identity_operation(self):
-        rng = np.random.default_rng(16)
-        factors = [rng.normal(size=(3, 3)) for _ in range(4)]
-        shifted = cyc_shift(factors, 4 - 1)
-        shifted = cyc_shift(shifted, 1)
-        for got, want in zip(shifted, factors):
-            assert_allclose(got, want, atol=0)
-
-    def test_double_shift_product(self):
-        rng = np.random.default_rng(17)
-        a, b, c = (rng.normal(size=(3, 3)) for _ in range(3))
-        # Application order [c, b, a] represents the product a @ b @ c;
-        # two shifts give the product b @ c @ a.
-        shifted = cyc_shift([c, b, a], 2)
-        product = shifted[2] @ shifted[1] @ shifted[0]
-        assert_allclose(product, b @ c @ a, atol=1e-14)
-
-    def test_shift_conjugates_the_product(self):
-        rng = np.random.default_rng(18)
-        factors = [random_rotation(rng)[0] for _ in range(4)]
-        full = factors[3] @ factors[2] @ factors[1] @ factors[0]
-        for k in range(4):
-            shifted = cyc_shift(factors, k)
-            got = shifted[3] @ shifted[2] @ shifted[1] @ shifted[0]
-            prefix = np.eye(3)
-            for f in factors[:k]:
-                prefix = f @ prefix
-            assert_allclose(got, prefix @ full @ prefix.T, atol=1e-13)
-
-    def test_out_of_range(self):
-        with pytest.raises(DomainError):
-            cyc_shift([np.eye(3)], 1)
+def rotated(p, k):
+    """The schedule of p started at step k: steps[k:] + steps[:k]."""
+    return Protocol(p.steps[k:] + p.steps[:k])
 
 
-class TestPeriodicRecursion:
-    def test_phase_validation(self, two_controls):
-        with pytest.raises(DomainError):
-            PeriodicRecursion.from_protocol(two_controls, 2)
+def random_protocol(rng, period):
+    return Protocol.from_steps(
+        ControlStep(float(rng.uniform(0.0, 1.0)), int(rng.integers(0, 5))) for _ in range(period)
+    )
 
-    def test_prefix_matches_protocol_product(self, three_controls):
-        rec = PeriodicRecursion.from_protocol(three_controls, 2)
-        want = protocol_product(three_controls, 2)
-        for theta in (0.1, 0.9):
-            assert_allclose(rec.prefix_product().evaluate(theta), want.evaluate(theta), atol=1e-13)
+
+class TestRotatedSchedule:
+    def test_zero_rotation(self, three_controls):
+        assert rotated(three_controls, 0) == three_controls
+        want = protocol_product(three_controls, 3).terms
+        assert protocol_product(rotated(three_controls, 0), 3).terms.tobytes() == want.tobytes()
+
+    def test_full_rotation_is_identity_operation(self):
+        p = random_protocol(np.random.default_rng(16), 4)
+        back = rotated(rotated(p, 4 - 1), 1)
+        assert back == p
+        for order in STEP_ORDERS:
+            got = protocol_product(back, 4, order).terms
+            assert got.tobytes() == protocol_product(p, 4, order).terms.tobytes()
+
+    def test_double_rotation_product(self):
+        # Application order [c, b, a] is the product a @ b @ c; two
+        # rotations give the product b @ c @ a.
+        p = random_protocol(np.random.default_rng(17), 3)
+        c, b, a = (step_matrix(s) for s in p.steps)
+        product = protocol_product(rotated(p, 2), 3)
+        for theta in np.random.default_rng(170).uniform(-np.pi, np.pi, size=10):
+            want = b.evaluate(theta) @ c.evaluate(theta) @ a.evaluate(theta)
+            assert_allclose(product.evaluate(theta), want, atol=1e-14)
+
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    def test_rotation_conjugates_the_product(self, three_controls, order):
+        thetas = np.random.default_rng(18).uniform(-np.pi, np.pi, size=10)
+        for p in (three_controls, random_protocol(np.random.default_rng(180), 4)):
+            full = protocol_product(p, p.period, order).evaluate(thetas)
+            for k in range(p.period):
+                got = protocol_product(rotated(p, k), p.period, order).evaluate(thetas)
+                prefix = protocol_product(p, k, order).evaluate(thetas)
+                want = prefix @ full @ np.swapaxes(prefix, -1, -2)
+                assert_allclose(got, want, atol=1e-13)
+
+    def test_out_of_range(self, calibrated_spectrum):
+        p = Protocol.from_steps([ControlStep(0.5, 3)])
+        for K in (-1, 1):
+            with pytest.raises(DomainError):
+                asymptotic_map(p, calibrated_spectrum, K)
+
+    def test_sharp_map_is_rotated_axis_times_prefix(self, three_controls):
+        for K in range(3):
+            period = protocol_product(rotated(three_controls, K), 3)
+            prefix = protocol_product(three_controls, K)
+            for theta in (0.1, 0.9):
+                got = asymptotic_map(three_controls, Spectrum(theta, 0.0), K).m
+                want = abel_limit(period.evaluate(theta)) @ prefix.evaluate(theta)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestAsymptoticMap:
@@ -211,6 +223,26 @@ class TestAsymptoticMap:
         monkeypatch.setattr(asym, "QUAD_MAX_NODES", 128)
         with pytest.raises(ConvergenceError, match="nodes"):
             asymptotic_map(two_controls, calibrated_spectrum, 0)
+
+    def test_node_cap_reports_last_change(self, two_controls, monkeypatch):
+        # s = 8.25 needs 4,096 nodes; at a cap of 128 the last two
+        # refinements still differ, and the message says by how much.
+        import drivenqubit.asymptotics as asym
+
+        monkeypatch.setattr(asym, "QUAD_MAX_NODES", 128)
+        with pytest.raises(ConvergenceError) as info:
+            asymptotic_map(two_controls, Spectrum(0.0, 8.25), 0)
+        change = float(re.search(r"last change (\S+)\)", str(info.value)).group(1))
+        assert change > 1e-10
+
+    @pytest.mark.parametrize("s", [1e-18, 1.04e-287])
+    def test_collapsed_window_is_point_value(self, two_controls, s):
+        # theta_bar -/+ 8 s round to the same float, where the Gaussian
+        # weights would be 0/0: the map is the sharp point value.
+        for K in range(2):
+            got = asymptotic_map(two_controls, Spectrum(1.0, s), K).m
+            want = asymptotic_map(two_controls, Spectrum(1.0, 0.0), K).m
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLimitCycle:

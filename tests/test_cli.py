@@ -251,6 +251,13 @@ class TestMainEntry:
         bad.write_text(json.dumps({"protocol": {}}))
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
+    def test_collapsed_spectral_window_exit_zero(self, tmp_path):
+        # theta_bar -/+ 8 s round to one float: the steady maps are point values.
+        path = tmp_path / "narrow.json"
+        raw = config_dict(tmp_path / "out", spectrum={"theta_bar": 1.0, "s": 1e-18})
+        path.write_text(json.dumps(raw))
+        assert main(["asymptotics", "--config", str(path)]) == 0
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

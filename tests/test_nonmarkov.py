@@ -17,6 +17,7 @@ from drivenqubit import (
     trace_distance,
     trace_distance_povm,
 )
+from drivenqubit import bloch
 
 EY = BlochVector(0.0, 1.0, 0.0)
 
@@ -83,6 +84,27 @@ class TestTraceDistancePovm:
     def test_effect_norm_bound_enforced(self):
         with pytest.raises(DomainError):
             trace_distance_povm(EY, -EY, BlochVector(1.0, 0.5, 0.0))
+
+
+class TestPairDistances:
+    def test_one_product_chain(self, three_controls, calibrated_spectrum, monkeypatch):
+        # Both states share each averaged map: the pair costs the compose
+        # calls of one trajectory, T step matrices plus one per step.
+        calls = []
+
+        def counting(a, b, compose=bloch.trig_compose):
+            calls.append(1)
+            return compose(a, b)
+
+        monkeypatch.setattr(bloch, "trig_compose", counting)
+        pair = StatePair(BlochVector(0.6, 0.3, -0.2), BlochVector(0.0, 0.0, 1.0))
+        bloch.step_matrix.cache_clear()
+        pair_distances(three_controls, calibrated_spectrum, pair, 20)
+        per_pair = len(calls)
+        calls.clear()
+        bloch.step_matrix.cache_clear()
+        propagate(three_controls, calibrated_spectrum, 20, pair.a_plus)
+        assert per_pair == len(calls) == three_controls.period + 20
 
 
 class TestBlpAccumulate:
