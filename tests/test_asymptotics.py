@@ -154,6 +154,15 @@ class TestRotatedSchedule:
             with pytest.raises(DomainError):
                 asymptotic_map(p, calibrated_spectrum, K)
 
+    def test_phase_validation(self, two_controls, calibrated_spectrum):
+        # The rotation steps[K:] + steps[:K] is defined only for 0 <= K < T,
+        # on both the quadrature and the point-value path, in every order.
+        for sp in (calibrated_spectrum, Spectrum(0.7, 0.0)):
+            for order in STEP_ORDERS:
+                for K in (-1, 2, 3):
+                    with pytest.raises(DomainError):
+                        asymptotic_map(two_controls, sp, K, order)
+
     def test_sharp_map_is_rotated_axis_times_prefix(self, three_controls):
         for K in range(3):
             period = protocol_product(rotated(three_controls, K), 3)
