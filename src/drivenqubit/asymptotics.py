@@ -172,7 +172,8 @@ def _panel_rule(order: int):
 
 
 def _quad_nodes(sp: Spectrum, n_nodes: int):
-    """Composite Gauss-Legendre nodes and normalized spectral weights."""
+    """Composite Gauss-Legendre nodes and normalized spectral weights, or
+    None when every weight underflows (a window of a few subnormal widths)."""
     x, w = _panel_rule(QUAD_PANEL_ORDER)
     panels = max(1, n_nodes // QUAD_PANEL_ORDER)
     if sp.is_uniform:
@@ -187,7 +188,8 @@ def _quad_nodes(sp: Spectrum, n_nodes: int):
     weights = (half_widths[:, None] * w[None, :]).ravel()
     if not sp.is_uniform:
         weights = weights * np.exp(-0.5 * ((nodes - sp.theta_bar) / sp.s) ** 2)
-    return nodes, weights / np.sum(weights)
+    total = np.sum(weights)
+    return (nodes, weights / total) if total > 0.0 else None
 
 
 def _steady_projectors(period: TrigMatrix, theta: np.ndarray) -> np.ndarray:
@@ -214,15 +216,15 @@ def asymptotic_map(
     prefix.  The quadrature doubles its node count until two successive
     refinements agree to 1e-10 entrywise (the integrand is piecewise
     analytic, so this is quick), else raises ConvergenceError at the cap.
-    A window that rounds to one float (s = 0, or tiny s) is a point value.
+    A window that rounds to one float (s = 0, or tiny s), or whose weights
+    all underflow (s of one or two subnormals), is a point value.
     """
     if not 0 <= K < p.period:
         raise DomainError(f"phase {K} outside [0, {p.period})")
     period = protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order)
     prefix = protocol_product(p, K, order)
 
-    def integral(n_nodes: int) -> np.ndarray:
-        nodes, weights = _quad_nodes(sp, n_nodes)
+    def integral(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
         acc = np.zeros((3, 3))
         for lo in range(0, len(nodes), _QUAD_BLOCK):
             theta = nodes[lo : lo + _QUAD_BLOCK]
@@ -234,22 +236,23 @@ def asymptotic_map(
         return acc
 
     half = GAUSSIAN_WINDOW_SIGMAS * sp.s
-    if sp.theta_bar - half == sp.theta_bar + half:
-        proj = _steady_projectors(period, np.array([sp.theta_bar]))[0]
-        return BlochMap(proj @ prefix.evaluate(sp.theta_bar))
-
-    n_nodes = QUAD_MIN_NODES
-    cur, diff = integral(n_nodes), np.inf
-    while n_nodes < QUAD_MAX_NODES:
-        n_nodes *= 2
-        prev, cur = cur, integral(n_nodes)
-        diff = float(np.max(np.abs(cur - prev)))
-        if diff < QUAD_TOL:
-            return BlochMap(cur)
-    raise ConvergenceError(
-        f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} nodes "
-        f"(period {p.period}, phase {K}, s = {sp.s}, last change {diff:.3e})"
-    )
+    if sp.theta_bar - half != sp.theta_bar + half:
+        n_nodes, prev, diff = QUAD_MIN_NODES, None, np.inf
+        while (rule := _quad_nodes(sp, n_nodes)) is not None:
+            cur = integral(*rule)
+            if prev is not None:
+                diff = float(np.max(np.abs(cur - prev)))
+                if diff < QUAD_TOL:
+                    return BlochMap(cur)
+            if n_nodes >= QUAD_MAX_NODES:
+                raise ConvergenceError(
+                    f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
+                    f"nodes (period {p.period}, phase {K}, s = {sp.s}, last change {diff:.3e})"
+                )
+            prev, n_nodes = cur, 2 * n_nodes
+    # The window rounds to one float, or a refinement's weights all underflow.
+    proj = _steady_projectors(period, np.array([sp.theta_bar]))[0]
+    return BlochMap(proj @ prefix.evaluate(sp.theta_bar))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .bloch import ORDER_PHASE_AFTER, BlochVector, Protocol, Spectrum, averaged_maps
 from .errors import DomainError
@@ -23,6 +22,11 @@ from .errors import DomainError
 # Antipodal-pair tolerance and the resolution of the search grid.
 ANTIPODAL_TOL = 1e-12
 SEARCH_GRID_POINTS = 32
+# scipy's non-adaptive Nelder-Mead: reflection, expansion, contraction and
+# shrink coefficients, and the initial-simplex steps (relative, and absolute
+# for a zero coordinate).
+NM_RHO, NM_CHI, NM_PSI, NM_SIGMA = 1, 2, 0.5, 0.5
+NM_NONZDELT, NM_ZDELT = 0.05, 0.00025
 
 
 @dataclass(frozen=True)
@@ -120,10 +124,9 @@ class OptimalPairResult:
 
 
 def _angles_to_unit(angles: np.ndarray) -> np.ndarray:
-    th, ph = angles
-    return np.array(
-        [np.cos(ph) * np.sin(th), np.sin(ph) * np.sin(th), np.cos(th)]
-    )
+    """Unit vectors of spherical angles (theta, phi) along the last axis."""
+    th, ph = angles[..., 0], angles[..., 1]
+    return np.stack([np.cos(ph) * np.sin(th), np.sin(ph) * np.sin(th), np.cos(th)], axis=-1)
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -135,33 +138,138 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(golden * i), r * np.sin(golden * i), z], axis=1)
 
 
+@dataclass(frozen=True)
+class SimplexResult:
+    """Best vertex ``x`` and its value ``fun`` per start, and the number of
+    evaluations over all starts."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+
+
+def minimize(fun, starts, *, xatol: float, fatol: float, maxiter: int, maxfev: int) -> SimplexResult:
+    """Nelder-Mead from every row of ``starts``, all starts in lockstep.
+
+    Each start replays scipy 1.17's non-adaptive ``_minimize_neldermead``
+    bit for bit: the same initial simplex, vertex formulas, branch tests,
+    sort and convergence test, and the same ``maxiter``/``maxfev`` caps,
+    including its abort when ``maxfev`` runs out partway through an
+    iteration.  ``fun`` maps an (m, n) array of points to their m values;
+    each group of evaluations in an iteration is one call.  The benchmark's
+    tracer counts evaluations by wrapping this name and reading ``nfev``.
+    """
+    x0 = np.asarray(starts, dtype=float)
+    n_starts, n = x0.shape
+    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    for k in range(n):
+        y = sim[:, k + 1, k]
+        sim[:, k + 1, k] = np.where(y != 0, (1 + NM_NONZDELT) * y, NM_ZDELT)
+    fsim = np.full((n_starts, n + 1), np.inf)
+    first = min(n + 1, maxfev)
+    fsim[:, :first] = fun(sim[:, :first].reshape(-1, n)).reshape(n_starts, first)
+    nfev = np.full(n_starts, first)
+    iterations = np.ones(n_starts, dtype=int)
+    # scipy sorts the initial simplex twice; an unstable sort may permute ties again.
+    for _ in range(2):
+        _sort_simplices(sim, fsim, np.arange(n_starts))
+    converged = np.zeros(n_starts, dtype=bool)
+    while True:
+        rows = np.flatnonzero(~converged & (nfev < maxfev) & (iterations < maxiter))
+        if not len(rows):
+            break
+        s, f = sim[rows], fsim[rows]
+        done = (np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol) & (
+            np.max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= fatol
+        )
+        converged[rows[done]] = True
+        rows, s, f = rows[~done], s[~done], f[~done]
+
+        xbar = np.add.reduce(s[:, :-1], 1) / n
+        worst = s[:, -1]
+        xr = (1 + NM_RHO) * xbar - NM_RHO * worst
+        fxr = fun(xr)
+        nfev[rows] += 1
+        expand = fxr < f[:, 0]
+        accept_r = ~expand & (fxr < f[:, -2])
+        outside = ~expand & ~accept_r & (fxr < f[:, -1])
+        inside = ~expand & ~accept_r & ~outside
+        # One trial point per start beyond the reflection: expansion or a contraction.
+        trial = np.where(
+            expand[:, None],
+            (1 + NM_RHO * NM_CHI) * xbar - NM_RHO * NM_CHI * worst,
+            np.where(
+                outside[:, None],
+                (1 + NM_PSI * NM_RHO) * xbar - NM_PSI * NM_RHO * worst,
+                (1 - NM_PSI) * xbar + NM_PSI * worst,
+            ),
+        )
+        tried = ~accept_r & (nfev[rows] < maxfev)
+        ftrial = np.full(len(rows), np.nan)
+        ftrial[tried] = fun(trial[tried])
+        nfev[rows[tried]] += 1
+
+        take_trial = tried & (
+            (expand & (ftrial < fxr)) | (outside & (ftrial <= fxr)) | (inside & (ftrial < f[:, -1]))
+        )
+        take_r = accept_r | (tried & expand & ~take_trial)
+        s[take_r, -1], f[take_r, -1] = xr[take_r], fxr[take_r]
+        s[take_trial, -1], f[take_trial, -1] = trial[take_trial], ftrial[take_trial]
+
+        shrink = np.flatnonzero(tried & ~expand & ~take_trial)
+        if len(shrink):
+            # Vertex j moves once j - 1 evaluations succeeded, and is evaluated
+            # if the budget allows: an abort leaves it moved with its old value.
+            budget = (maxfev - nfev[rows[shrink]])[:, None]
+            j = np.arange(1, n + 1)[None, :]
+            moved, evaluated = j <= budget + 1, j <= budget
+            best = s[shrink, :1]
+            shrunk = np.where(moved[..., None], best + NM_SIGMA * (s[shrink, 1:] - best), s[shrink, 1:])
+            fshrunk = f[shrink, 1:].copy()
+            fshrunk[evaluated] = fun(shrunk[evaluated])
+            s[shrink, 1:], f[shrink, 1:] = shrunk, fshrunk
+            nfev[rows[shrink]] += evaluated.sum(axis=1)
+
+        # scipy does not count an aborted iteration, but then maxfev ends the run anyway.
+        iterations[rows] += 1
+        sim[rows], fsim[rows] = s, f
+        _sort_simplices(sim, fsim, rows)
+    return SimplexResult(sim[:, 0], np.min(fsim, axis=1), int(np.sum(nfev)))
+
+
+def _sort_simplices(sim: np.ndarray, fsim: np.ndarray, rows: np.ndarray) -> None:
+    """Order the vertices of the given simplices by value, with the sort
+    scipy applies to one simplex."""
+    ind = np.argsort(fsim[rows], axis=1)
+    fsim[rows], sim[rows] = fsim[rows[:, None], ind], sim[rows[:, None], ind]
+
+
 def optimal_pair_search(cycle) -> OptimalPairResult:
     """Antipodal initial pair maximizing the per-cycle backflow rate.
 
     By linearity an antipodal pair stays antipodal, so the trace distance
     reduces to the evolved norm and the search runs over unit vectors
     only.  Multi-start: every point of a 32-point sphere grid is refined
-    locally in spherical angles.  The objective can be non-smooth where an
-    increment changes sign, hence the derivative-free refinement.
+    locally in spherical angles by Nelder-Mead, all starts in lockstep with
+    one batched rate evaluation per group of trial points.  The objective
+    can be non-smooth where an increment changes sign, hence the
+    derivative-free refinement.  Ties go to the earliest start.
     """
+    ms = np.stack([m.m for m in cycle.maps])
+    following = np.roll(np.arange(len(ms)), -1)
 
-    def rate_of(u: np.ndarray) -> float:
-        d = np.array([np.linalg.norm(m.m @ u) for m in cycle.maps])
-        return float(np.sum(np.maximum(0.0, np.roll(d, -1) - d)))
+    def neg_rates(angles: np.ndarray) -> np.ndarray:
+        # These forms round as the per-point ``m.m @ u`` and ``np.linalg.norm``.
+        v = np.matmul(ms[None], _angles_to_unit(angles)[:, None, :, None])[..., 0]
+        d = np.sqrt(np.vecdot(v, v))
+        return -np.maximum(0.0, d[:, following] - d).sum(axis=1)
 
-    best_u, best_rate = None, -1.0
-    for start in _fibonacci_sphere(SEARCH_GRID_POINTS):
-        th = float(np.arccos(np.clip(start[2], -1.0, 1.0)))
-        ph = float(np.arctan2(start[1], start[0]))
-        res = minimize(
-            lambda ang: -rate_of(_angles_to_unit(ang)),
-            np.array([th, ph]),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000, "maxfev": 8000},
-        )
-        if -res.fun > best_rate:
-            best_rate = -res.fun
-            best_u = _angles_to_unit(res.x)
+    grid = _fibonacci_sphere(SEARCH_GRID_POINTS)
+    starts = np.stack([np.arccos(np.clip(grid[:, 2], -1.0, 1.0)), np.arctan2(grid[:, 1], grid[:, 0])], axis=1)
+    res = minimize(neg_rates, starts, xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000)
+    best = int(np.argmin(res.fun))
+    best_rate = -res.fun[best]
+    best_u = _angles_to_unit(res.x[best])
     best_u = best_u / np.linalg.norm(best_u)
     d = np.array([np.linalg.norm(m.m @ best_u) for m in cycle.maps])
     pair = StatePair.antipodal(BlochVector.from_array(best_u))

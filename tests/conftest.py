@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -17,6 +20,9 @@ from drivenqubit import (
 # 0.114589 of the two-unit benchmark (see test_acceptance, criterion 2);
 # frozen here so the module suites do not re-run the bisection.
 CALIBRATED_S = 0.4002315521240235
+
+# Optimizer results recorded by the benchmark references (read only).
+REFS = Path(__file__).resolve().parents[1] / "bench" / "refs"
 
 # Property tests draw the same bounded set of examples on every run and
 # keep no example database, so the suite stays reproducible.
@@ -68,3 +74,9 @@ def random_rotation(rng, min_angle=0.3):
     angle = rng.uniform(min_angle, np.pi)
     k = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k), u, angle
+
+
+def recorded_ops(workload, keep):
+    """The recorded ops of one benchmark workload that ``keep`` selects."""
+    templates = json.loads((REFS / f"{workload}.json").read_text())["templates"]
+    return [op for t in templates for variant in t["variants"] for op in variant if keep(op)]

@@ -244,14 +244,33 @@ class TestAsymptoticMap:
         change = float(re.search(r"last change (\S+)\)", str(info.value)).group(1))
         assert change > 1e-10
 
-    @pytest.mark.parametrize("s", [1e-18, 1.04e-287])
-    def test_collapsed_window_is_point_value(self, two_controls, s):
-        # theta_bar -/+ 8 s round to the same float, where the Gaussian
-        # weights would be 0/0: the map is the sharp point value.
+    @pytest.mark.parametrize(
+        "theta_bar, s",
+        [
+            pytest.param(1.0, 1e-18, id="1e-18"),
+            pytest.param(1.0, 1.04e-287, id="1.04e-287"),
+            pytest.param(0.0, 5e-324, id="0-5e-324"),
+            pytest.param(0.0, 1e-323, id="0-1e-323"),
+        ],
+    )
+    def test_collapsed_window_is_point_value(self, two_controls, theta_bar, s):
+        # Either theta_bar -/+ 8 s round to the same float, or every panel
+        # weight of a refinement underflows (s of one or two subnormals at
+        # theta_bar = 0); the Gaussian weights would be 0/0 there, so the
+        # map is the sharp point value.
         for K in range(2):
-            got = asymptotic_map(two_controls, Spectrum(1.0, s), K).m
-            want = asymptotic_map(two_controls, Spectrum(1.0, 0.0), K).m
+            got = asymptotic_map(two_controls, Spectrum(theta_bar, s), K).m
+            want = asymptotic_map(two_controls, Spectrum(theta_bar, 0.0), K).m
             assert got.tobytes() == want.tobytes()
+
+    def test_subnormal_widths_converge_to_point_value(self, two_controls):
+        # The smallest widths s = m * 5e-324 resolve to a few distinct nodes:
+        # every one converges, without a NaN weight, to the sharp map.
+        sharp = [asymptotic_map(two_controls, Spectrum(0.0, 0.0), K).m for K in range(2)]
+        for m in range(1, 40):
+            for K in range(2):
+                got = asymptotic_map(two_controls, Spectrum(0.0, m * 5e-324), K).m
+                assert np.max(np.abs(got - sharp[K])) < 1e-15
 
 
 class TestLimitCycle:

@@ -258,6 +258,13 @@ class TestMainEntry:
         path.write_text(json.dumps(raw))
         assert main(["asymptotics", "--config", str(path)]) == 0
 
+    def test_subnormal_spectral_window_exit_zero(self, tmp_path):
+        # Every quadrature weight underflows at the smallest widths: point values.
+        path = tmp_path / "subnormal.json"
+        raw = config_dict(tmp_path / "out", spectrum={"theta_bar": 0.0, "s": 5e-324})
+        path.write_text(json.dumps(raw))
+        assert main(["asymptotics", "--config", str(path)]) == 0
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 

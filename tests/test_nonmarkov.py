@@ -1,8 +1,14 @@
+import linecache
+import sys
+
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from drivenqubit import (
+    AsymptoticCycle,
+    BlochMap,
     BlochVector,
     DomainError,
     Spectrum,
@@ -17,7 +23,9 @@ from drivenqubit import (
     trace_distance,
     trace_distance_povm,
 )
-from drivenqubit import bloch
+from drivenqubit import bloch, nonmarkov
+
+from conftest import recorded_ops
 
 EY = BlochVector(0.0, 1.0, 0.0)
 
@@ -213,3 +221,75 @@ class TestReflectionSymmetry:
             a = BlochVector.from_array(random_ball_point(rng))
             b = BlochVector.from_array(random_ball_point(rng))
             assert trace_distance(m.apply(a), m.apply(b)) <= smax * trace_distance(a, b) + 1e-14
+
+
+class TestRecordedPairs:
+    @pytest.mark.parametrize(
+        "op", recorded_ops("steady_sweep", lambda op: op["kind"] == "pair"), ids=lambda op: op["id"]
+    )
+    def test_steady_sweep_pair(self, op):
+        # The benchmark's comparison: values within 1e-9, direction within
+        # 1e-6 up to sign.
+        cycle = AsymptoticCycle.from_maps(BlochMap(np.array(m)) for m in op["maps"])
+        result = optimal_pair_search(cycle)
+        expect = op["expect"]
+        assert abs(result.rate - expect["rate"]) <= 1e-9
+        assert abs(result.purity_swing - expect["purity_swing"]) <= 1e-9
+        got, want = result.pair.a_plus.as_array(), np.asarray(expect["direction"])
+        assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-6
+
+
+def kinked_bowl(x):
+    """A kink along x0 = 0.3 and a flat floor, so runs expand, contract,
+    shrink and tie."""
+    return np.maximum(np.abs(x[:, 0] - 0.3) + (x[:, 1] - 0.7) ** 2, 0.01)
+
+
+# One start has a zero coordinate, which takes the absolute initial step.
+CAP_STARTS = np.array([[0.0, 0.0], [2.0, -1.0], [0.3, 5.0], [-3.0, 0.5], [1.0, 1.0], [0.31, 0.69]])
+TOLERANCES = {"xatol": 1e-12, "fatol": 1e-14}
+
+
+def scipy_runs(**caps):
+    """One scipy Nelder-Mead per start, and the step of every evaluation,
+    read from the line of scipy's loop that asked for it."""
+    runs, paths = [], []
+    for x0 in CAP_STARTS:
+        path = []
+
+        def fun(x):
+            caller = sys._getframe(2)  # scipy's loop, through its counting wrapper
+            step = linecache.getline(caller.f_code.co_filename, caller.f_lineno).split("=")[0].strip()
+            path.append(f"shrink{caller.f_locals['j']}" if step == "fsim[j]" else step)
+            return float(kinked_bowl(x[None])[0])
+
+        runs.append(scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options={**TOLERANCES, **caps}))
+        paths.append(path)
+    return runs, paths
+
+
+def assert_matches_scipy(**caps):
+    runs, _ = scipy_runs(**caps)
+    got = nonmarkov.minimize(kinked_bowl, CAP_STARTS, **TOLERANCES, **caps)
+    assert got.x.tobytes() == np.array([r.x for r in runs]).tobytes()
+    assert got.fun.tobytes() == np.array([r.fun for r in runs]).tobytes()
+    assert got.nfev == sum(r.nfev for r in runs)
+
+
+class TestLockstepNelderMead:
+    def test_matches_scipy_at_search_caps(self):
+        assert_matches_scipy(maxiter=4000, maxfev=8000)
+
+    def test_maxfev_abort_in_every_step(self):
+        # A run capped at maxfev refuses evaluation maxfev + 1 of its
+        # uncapped path, so the sweep aborts inside every step kind.
+        _, paths = scipy_runs(maxiter=4000, maxfev=8000)
+        refused = set()
+        for maxfev in range(1, 61):
+            assert_matches_scipy(maxiter=4000, maxfev=maxfev)
+            refused |= {path[maxfev] for path in paths if len(path) > maxfev}
+        assert {"fsim[k]", "fxe", "fxc", "fxcc", "shrink1", "shrink2"} <= refused
+
+    def test_maxiter_caps(self):
+        for maxiter in range(1, 31):
+            assert_matches_scipy(maxiter=maxiter, maxfev=8000)

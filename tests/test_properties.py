@@ -12,11 +12,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, reject
 from hypothesis import strategies as st
 
 from drivenqubit import (
     STEP_ORDERS,
+    AsymptoticCycle,
+    BlochMap,
     BlochVector,
     ControlStep,
     ConvergenceError,
@@ -28,6 +31,7 @@ from drivenqubit import (
     asymptotic_map,
     gaussian_average,
     maximize_visibility,
+    optimal_pair_search,
     pair_distances,
     product_chain,
     propagate,
@@ -36,7 +40,7 @@ from drivenqubit import (
     trace_distance,
     trig_compose,
 )
-from drivenqubit import asymptotics, visibility
+from drivenqubit import asymptotics, nonmarkov, visibility
 
 
 def protocols_with(etas):
@@ -400,3 +404,62 @@ def test_three_point_maximum_beats_random_directions(p, sp, order, seed):
     assert result.value >= best - 1e-12
     assert result.gradient_norm < 1e-9
     assert_verdict_matches_eigenvalues(result)
+
+
+def pair_search_reference(cycle):
+    """The backflow-pair search as one scipy Nelder-Mead per grid start, in
+    start order: (rate, purity swing, direction)."""
+
+    def rate_of(u):
+        d = np.array([np.linalg.norm(m.m @ u) for m in cycle.maps])
+        return float(np.sum(np.maximum(0.0, np.roll(d, -1) - d)))
+
+    def unit(angles):
+        th, ph = angles
+        return np.array([np.cos(ph) * np.sin(th), np.sin(ph) * np.sin(th), np.cos(th)])
+
+    best_u, best_rate = None, -1.0
+    for start in nonmarkov._fibonacci_sphere(nonmarkov.SEARCH_GRID_POINTS):
+        th = float(np.arccos(np.clip(start[2], -1.0, 1.0)))
+        ph = float(np.arctan2(start[1], start[0]))
+        res = scipy.optimize.minimize(
+            lambda ang: -rate_of(unit(ang)),
+            np.array([th, ph]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 4000, "maxfev": 8000},
+        )
+        if -res.fun > best_rate:
+            best_rate, best_u = -res.fun, unit(res.x)
+    best_u = best_u / np.linalg.norm(best_u)
+    d = np.array([np.linalg.norm(m.m @ best_u) for m in cycle.maps])
+    return best_rate, float(np.max(d) - np.min(d)), best_u
+
+
+def random_contraction(rng):
+    """Orthogonal times singular values in [0, 1) times orthogonal."""
+    left, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    right, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return left @ np.diag(rng.uniform(0.0, 1.0, 3)) @ right
+
+
+def assert_pair_search_matches_reference(maps):
+    cycle = AsymptoticCycle.from_maps(BlochMap(m) for m in maps)
+    result = optimal_pair_search(cycle)
+    rate, swing, direction = pair_search_reference(cycle)
+    assert np.float64(result.rate).tobytes() == np.float64(rate).tobytes()
+    assert np.float64(result.purity_swing).tobytes() == np.float64(swing).tobytes()
+    assert result.pair.a_plus.as_array().tobytes() == direction.tobytes()
+
+
+@pytest.mark.parametrize("period", range(1, 6))
+def test_pair_search_matches_scipy_loop_bytewise(period):
+    rng = np.random.default_rng(400 + period)
+    assert_pair_search_matches_reference([random_contraction(rng) for _ in range(period)])
+
+
+@pytest.mark.parametrize("period", [2, 4])
+def test_degenerate_pair_search_matches_scipy_loop_bytewise(period):
+    # All maps equal: the rate is exactly 0 everywhere, every value ties,
+    # and the direction is set by the simplex path alone.
+    m = random_contraction(np.random.default_rng(410 + period))
+    assert_pair_search_matches_reference([m] * period)

@@ -30,6 +30,8 @@ from drivenqubit.visibility import (
     _value,
 )
 
+from conftest import recorded_ops
+
 
 def closed_form_maximum(cycle):
     """Largest eigenvalue of D^T D for the two-point functional |D a|^2."""
@@ -287,15 +289,6 @@ class TestMaximizeVisibility:
                 fd_hess = np.array([[h11, h12], [h12, h22]])
                 assert np.linalg.norm(grad - fd_grad) / max(np.linalg.norm(fd_grad), 1e-6) < 1e-6
                 assert np.linalg.norm(hess - fd_hess) / max(np.linalg.norm(fd_hess), 1e-6) < 1e-5
-
-
-# Optimizer results recorded by the benchmark references (read only).
-REFS = Path(__file__).resolve().parents[1] / "bench" / "refs"
-
-
-def recorded_ops(workload, keep):
-    templates = json.loads((REFS / f"{workload}.json").read_text())["templates"]
-    return [op for t in templates for variant in t["variants"] for op in variant if keep(op)]
 
 
 def assert_matches_record(result, expect, value_tol):
