@@ -364,7 +364,12 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     return TrigMatrix(np.concatenate([cos[:1], pairs]))
 
 
-def gaussian_average(a: TrigMatrix, sp: Spectrum) -> BlochMap:
+def _damping(s: float, max_harmonic: int) -> np.ndarray:
+    """Moment damping ``exp(-h^2 s^2 / 2)`` of the harmonics 0..max_harmonic."""
+    return np.array([1.0] + [math.exp(-0.5 * (h * s) ** 2) for h in range(1, max_harmonic + 1)])
+
+
+def gaussian_average(a: TrigMatrix, sp: Spectrum, damping: np.ndarray | None = None) -> BlochMap:
     """Average the harmonic series over the environment phase distribution.
 
     For a Gaussian phase each harmonic term acquires the moment damping
@@ -377,9 +382,13 @@ def gaussian_average(a: TrigMatrix, sp: Spectrum) -> BlochMap:
     formula is exact for every s: integer harmonics have the same moments
     under the wrapped and the unwrapped normal, since
     ``exp(i h (theta + 2 pi m)) = exp(i h theta)``.
+
+    ``damping``, when given, is ``_damping(sp.s, H)`` for some
+    ``H >= a.max_harmonic``, so that a sequence of products shares one.
     """
-    damping = [1.0] + [math.exp(-0.5 * (h * sp.s) ** 2) for h in range(1, a.max_harmonic + 1)]
-    return BlochMap(_harmonic_sum(a.terms, sp.theta_bar, np.array(damping)))
+    if damping is None:
+        damping = _damping(sp.s, a.max_harmonic)
+    return BlochMap(_harmonic_sum(a.terms, sp.theta_bar, damping[: a.max_harmonic + 1]))
 
 
 def product_chain(p: Protocol, order: str = ORDER_PHASE_AFTER):
@@ -412,8 +421,11 @@ def averaged_maps(p: Protocol, sp: Spectrum, n: int, order: str = ORDER_PHASE_AF
     """
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
-    chain = itertools.islice(product_chain(p, order), 1, int(n) + 1)
-    return [gaussian_average(tm, sp) for tm in chain]
+    n = int(n)
+    # P_n has no harmonic above the sum of its steps' top harmonics.
+    damping = _damping(sp.s, sum(step_matrix(p.step(i), order).max_harmonic for i in range(n)))
+    chain = itertools.islice(product_chain(p, order), 1, n + 1)
+    return [gaussian_average(tm, sp, damping) for tm in chain]
 
 
 def propagate(

@@ -14,6 +14,7 @@ error, 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import json
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import roots_hermite
 
 from .asymptotics import (
     abel_limit,
@@ -179,9 +179,26 @@ def reference_maps_for(protocol: Protocol):
 
 
 def _require(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{context} must be an object, got {mapping!r}")
     if key not in mapping:
         raise ConfigError(f"missing field {context}.{key}" if context else f"missing field {key}")
     return mapping[key]
+
+
+def _number(mapping: dict, key: str, context: str) -> float:
+    """Required field ``context.key`` as a float; a boolean is not a number."""
+    value = _require(mapping, key, context)
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError, ValueError, OverflowError):
+            return float(value)
+    raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
+
+
+def _integer(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def config_from_dict(raw: dict) -> RunConfig:
@@ -189,21 +206,23 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("configuration root must be an object")
     proto_raw = _require(raw, "protocol", "")
-    base = _require(proto_raw, "base_unit_wavelengths", "protocol")
+    base = _number(proto_raw, "base_unit_wavelengths", "protocol")
     steps_raw = _require(proto_raw, "steps", "protocol")
     if not isinstance(steps_raw, list) or not steps_raw:
         raise ConfigError("protocol.steps must be a non-empty array")
+    steps = []
     try:
-        steps = [
-            ControlStep(eta=float(_require(s, "eta", f"protocol.steps[{i}]")),
-                        k=int(_require(s, "k", f"protocol.steps[{i}]")))
-            for i, s in enumerate(steps_raw)
-        ]
+        for i, s in enumerate(steps_raw):
+            context = f"protocol.steps[{i}]"
+            k = _integer(_require(s, "k", context), f"{context}.k")
+            steps.append(ControlStep(eta=_number(s, "eta", context), k=k))
     except DomainError as exc:
         raise ConfigError(f"protocol.steps: {exc}") from exc
     protocol = Protocol.from_steps(steps)
 
     spec_raw = _require(raw, "spectrum", "")
+    if not isinstance(spec_raw, dict):
+        raise ConfigError(f"spectrum must be an object, got {spec_raw!r}")
     direct = {"theta_bar", "s"} <= set(spec_raw)
     physical = {"lambda_nm", "fwhm_nm"} <= set(spec_raw)
     if direct == physical:
@@ -212,10 +231,14 @@ def config_from_dict(raw: dict) -> RunConfig:
         )
     try:
         if direct:
-            spectrum = Spectrum(float(spec_raw["theta_bar"]), float(spec_raw["s"]))
+            spectrum = Spectrum(
+                _number(spec_raw, "theta_bar", "spectrum"), _number(spec_raw, "s", "spectrum")
+            )
         else:
             spectrum = spectrum_from_physical(
-                float(spec_raw["lambda_nm"]), float(spec_raw["fwhm_nm"]), float(base)
+                _number(spec_raw, "lambda_nm", "spectrum"),
+                _number(spec_raw, "fwhm_nm", "spectrum"),
+                base,
             )
     except DomainError as exc:
         raise ConfigError(f"spectrum: {exc}") from exc
@@ -233,8 +256,8 @@ def config_from_dict(raw: dict) -> RunConfig:
     elif isinstance(state_raw, dict):
         try:
             sa = SphereAngles(
-                float(_require(state_raw, "theta", "initial_state")),
-                float(_require(state_raw, "phi", "initial_state")),
+                _number(state_raw, "theta", "initial_state"),
+                _number(state_raw, "phi", "initial_state"),
             )
         except DomainError as exc:
             raise ConfigError(f"initial_state: {exc}") from exc
@@ -243,9 +266,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     else:
         raise ConfigError("initial_state must be a name or an object {theta, phi}")
 
-    n_steps = raw.get("n_steps", 50)
-    if not isinstance(n_steps, int) or isinstance(n_steps, bool):
-        raise ConfigError(f"n_steps must be an integer, got {n_steps!r}")
+    n_steps = _integer(raw.get("n_steps", 50), "n_steps")
     order = raw.get("order", ORDER_PHASE_AFTER)
     outputs = raw.get("outputs", {})
     if not isinstance(outputs, dict):
@@ -254,7 +275,7 @@ def config_from_dict(raw: dict) -> RunConfig:
 
     return RunConfig(
         protocol=protocol,
-        base_unit_wavelengths=float(base),
+        base_unit_wavelengths=base,
         spectrum=spectrum,
         initial_state=state,
         n_steps=n_steps,
@@ -500,6 +521,8 @@ def _run_visibility(config: RunConfig, out: Path):
 
 def _gauss_hermite_average(tm, sp: Spectrum, max_nodes: int = 2**17) -> np.ndarray:
     """Adaptive Gauss-Hermite average of tm(theta) over the Gaussian phase."""
+    from scipy.special import roots_hermite  # scipy is slow to import; only verify needs it
+
     n = 64
     prev = None
     while n <= max_nodes:

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConvergenceError, DomainError
 from .nonmarkov import _fibonacci_sphere
@@ -150,6 +149,15 @@ def _sphere_derivatives(forms: np.ndarray, c: float, u: np.ndarray):
     basis = _tangent_basis(u)
     # The sphere's curvature adds -(u . grad) to the projected Hessian.
     return basis.T @ grad, basis.T @ hess @ basis - float(u @ grad) * np.eye(2)
+
+
+def minimize(fun, x0, **options):
+    """``scipy.optimize.minimize``, imported on the first call: scipy takes
+    longer to import than the rest of the package, and only the period-3
+    ascent needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **options)
 
 
 def _ascend(forms: np.ndarray, start: np.ndarray) -> np.ndarray:

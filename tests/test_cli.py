@@ -2,6 +2,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -265,6 +268,34 @@ class TestMainEntry:
         path.write_text(json.dumps(raw))
         assert main(["asymptotics", "--config", str(path)]) == 0
 
+    @pytest.mark.parametrize(
+        "keys, value, field",
+        [
+            (("protocol", "steps", 0, "eta"), "abc", "protocol.steps[0].eta"),
+            (("protocol", "steps", 0, "eta"), None, "protocol.steps[0].eta"),
+            (("protocol", "steps", 0, "eta"), True, "protocol.steps[0].eta"),
+            (("spectrum", "s"), 10**400, "spectrum.s"),
+            (("protocol", "base_unit_wavelengths"), "x", "protocol.base_unit_wavelengths"),
+            (("spectrum", "theta_bar"), "a", "spectrum.theta_bar"),
+            (("spectrum",), 5, "spectrum"),
+            (("protocol", "steps"), [3], "protocol.steps[0]"),
+            (("protocol", "steps", 0, "k"), 2.5, "protocol.steps[0].k"),
+            (("protocol", "steps", 0, "k"), True, "protocol.steps[0].k"),
+        ],
+        ids=["eta-str", "eta-null", "eta-bool", "s-overflow", "base-str", "theta_bar-str", "spectrum-int", "step-int",
+             "k-float", "k-bool"],
+    )
+    def test_wrong_field_type_exit_code(self, tmp_path, capsys, keys, value, field):
+        raw = config_dict(tmp_path / "out")
+        parent = raw
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert f"configuration error: {field} " in capsys.readouterr().err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -293,6 +324,33 @@ class TestMainEntry:
         assert echoed["spectrum"]["s"] == 0.5
         assert echoed["order"] == "eq4a"
         assert echoed["n_steps"] == 7
+
+
+class TestColdStart:
+    def test_subcommands_do_not_import_scipy(self, tmp_path):
+        # scipy takes longer to import than the rest of the package, and
+        # only period-3 visibility and verify use it.
+        runs = [
+            [cmd, "--preset", name, "--out", str(tmp_path / f"{cmd}-{name}")]
+            for cmd in ("simulate", "asymptotics", "nonmarkov")
+            for name in ("two_controls", "three_controls")
+        ] + [["visibility", "--preset", "two_controls", "--out", str(tmp_path / "visibility")]]
+        script = (
+            "import json, sys\n"
+            "from drivenqubit.cli import main\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(json.dumps([codes, scipy]))\n"
+        )
+        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(runs)
+        assert scipy_modules == []
 
 
 class TestPresetBytes:

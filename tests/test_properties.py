@@ -41,6 +41,7 @@ from drivenqubit import (
     trig_compose,
 )
 from drivenqubit import asymptotics, nonmarkov, visibility
+from drivenqubit.bloch import averaged_maps
 
 
 def protocols_with(etas):
@@ -173,6 +174,13 @@ def test_averaged_maps_are_unital_contractions(p, order, n, sp):
     bm = gaussian_average(protocol_product(p, n, order), sp)
     assert bm.apply(BlochVector(0.0, 0.0, 0.0)).norm() == 0.0
     assert np.max(bm.singular_values()) <= 1.0 + 1e-12
+
+
+@given(protocols, orders, depths, spectra)
+def test_shared_damping_matches_own_average_bitwise(p, order, n, sp):
+    # averaged_maps slices one damping array, built for the deepest product.
+    for m, bm in enumerate(averaged_maps(p, sp, n, order), start=1):
+        assert bm.m.tobytes() == gaussian_average(protocol_product(p, m, order), sp).m.tobytes()
 
 
 @given(protocols, orders, depths, st.floats(-10.0, 10.0))

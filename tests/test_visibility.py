@@ -20,6 +20,7 @@ from drivenqubit import (
     volume_three,
     volume_two,
 )
+from drivenqubit import visibility
 from drivenqubit.cli import main
 from drivenqubit.visibility import (
     NEG_DEFINITE,
@@ -148,6 +149,24 @@ class TestMaximizeVisibility:
         assert result.gradient_norm < 1e-9
         assert result.verdict in (NEG_DEFINITE, NEG_SEMIDEFINITE)
         assert not result.degenerate
+
+    def test_every_ascent_calls_module_minimize(self, reference_two_cycle, reference_three_cycle,
+                                                monkeypatch):
+        # bench/tracing.py counts the BFGS evaluations by wrapping this name.
+        nfev = []
+        forward = visibility.minimize
+
+        def counting(*args, **kwargs):
+            result = forward(*args, **kwargs)
+            nfev.append(result.nfev)
+            return result
+
+        monkeypatch.setattr(visibility, "minimize", counting)
+        maximize_visibility(reference_two_cycle)
+        assert nfev == []
+        maximize_visibility(reference_three_cycle)
+        assert len(nfev) == visibility.N_STARTS == 32
+        assert sum(nfev) > 0
 
     def test_hessian_negative_semidefinite(self, reference_two_cycle, reference_three_cycle):
         for cycle in (reference_two_cycle, reference_three_cycle):
