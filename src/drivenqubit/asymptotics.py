@@ -61,6 +61,8 @@ QUAD_MAX_NODES = 2**16
 QUAD_TOL = 1e-10
 GAUSSIAN_WINDOW_SIGMAS = 8.0
 RESOLVENT_DET_TOL = 1e-12
+CESARO_DOUBLINGS = 24
+CONVERGENCE_TOL = 1e-2
 # Quadrature nodes reduced per block: bounds the (block, 3, 3) buffers to
 # about 0.15 MB each.
 _QUAD_BLOCK = 2**11
@@ -150,8 +152,8 @@ def abel_limit(w: np.ndarray) -> np.ndarray:
     return _axis_projectors(w[None])[0][0]
 
 
-def cesaro_mean(w: np.ndarray, doublings: int = 24) -> np.ndarray:
-    """Brute-force Cesaro mean (1/N) sum_{n<N} W^n with N = 2^doublings.
+def cesaro_mean(w: np.ndarray) -> np.ndarray:
+    """Brute-force Cesaro mean (1/N) sum_{n<N} W^n with N = 2^CESARO_DOUBLINGS.
 
     Uses the doubling identity S_{2N} = S_N + W^N S_N, so the cost is
     logarithmic in N.  Serves as the iteration oracle for abel_limit.
@@ -159,7 +161,7 @@ def cesaro_mean(w: np.ndarray, doublings: int = 24) -> np.ndarray:
     s = np.eye(3)
     p = np.asarray(w, dtype=float)
     n = 1
-    for _ in range(doublings):
+    for _ in range(CESARO_DOUBLINGS):
         s = s + p @ s
         p = p @ p
         n *= 2
@@ -260,16 +262,18 @@ class AsymptoticCycle:
     """The T steady-cycle maps and their middle (y-channel) entries."""
 
     maps: tuple
-    y_eigenvalues: tuple
 
     @classmethod
     def from_maps(cls, maps) -> "AsymptoticCycle":
-        maps = tuple(maps)
-        return cls(maps, tuple(float(m.m[1, 1]) for m in maps))
+        return cls(tuple(maps))
 
     @property
     def period(self) -> int:
         return len(self.maps)
+
+    @property
+    def y_eigenvalues(self) -> tuple:
+        return tuple(float(m.m[1, 1]) for m in self.maps)
 
 
 def asymptotic_cycle(
@@ -304,12 +308,11 @@ def convergence_profile(
     K: int,
     m_max: int,
     order: str = ORDER_PHASE_AFTER,
-    tolerance: float = 1e-2,
 ) -> ConvergenceProfile:
     """Euclidean distance of a_{mT+K} from the phase-K steady point, m <= m_max.
 
-    The profile is flagged converged when its final entry drops below the
-    tolerance; with a sharp spectrum (s = 0) there is no dephasing and the
+    The profile is flagged converged when its final entry drops below
+    CONVERGENCE_TOL; with a sharp spectrum (s = 0) there is no dephasing and the
     distances need not decay at all.
     """
     if m_max < 0:
@@ -320,4 +323,4 @@ def convergence_profile(
         float(np.linalg.norm(traj[m * p.period + K].as_array() - target))
         for m in range(m_max + 1)
     )
-    return ConvergenceProfile(distances, distances[-1] < tolerance, tolerance)
+    return ConvergenceProfile(distances, distances[-1] < CONVERGENCE_TOL, CONVERGENCE_TOL)

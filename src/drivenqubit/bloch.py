@@ -36,6 +36,8 @@ PURITY_TOL = 1e-12
 # Construction guard for averaged maps: admits rounding accumulated over
 # long exact compositions, still orders of magnitude below any physics.
 CONTRACTION_GUARD_TOL = 1e-9
+# Largest phase multiplier: one step's harmonic band then takes about 150 MB.
+MAX_PHASE_MULTIPLIER = 2**20
 
 # Step-operator orderings within one operation unit.  ORDER_PHASE_AFTER
 # applies the polarization rotation first and the environment phase second;
@@ -121,8 +123,10 @@ class ControlStep:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise DomainError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.k != int(self.k) or self.k < 0:
-            raise DomainError(f"k must be a non-negative integer, got {self.k}")
+        if self.k != int(self.k) or not 0 <= self.k <= MAX_PHASE_MULTIPLIER:
+            raise DomainError(
+                f"k must be an integer in [0, {MAX_PHASE_MULTIPLIER}], got {self.k}"
+            )
 
 
 @dataclass(frozen=True)

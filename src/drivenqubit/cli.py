@@ -56,7 +56,6 @@ EXIT_NUMERICAL = 3
 EXIT_VERIFY = 4
 
 SUBCOMMANDS = ("simulate", "asymptotics", "nonmarkov", "visibility", "verify")
-PRESETS = ("two_controls", "three_controls")
 
 NAMED_STATES = {
     "H": BlochVector(0.0, 0.0, 1.0),
@@ -72,6 +71,7 @@ NAMED_STATES = {
 CALIBRATION_ANCHOR = 0.114589
 CALIBRATION_BRACKET = (0.05, 1.5)
 CALIBRATION_TOL = 1e-6
+GAUSS_HERMITE_MAX_NODES = 2**17
 
 TWO_CONTROL_REFERENCE = (
     np.array(
@@ -119,21 +119,36 @@ _PRESET_FWHM_NM = 3.0
 _PRESET_BASE_UNIT = 40.0
 
 
+# Each benchmark preset's protocol and reference cycle.
+_PRESETS = {
+    name: (Protocol.from_steps(ControlStep(eta=0.5, k=k) for k in ks), reference)
+    for name, ks, reference in [
+        ("two_controls", (3, 2), TWO_CONTROL_REFERENCE),
+        ("three_controls", (3, 2, 1), THREE_CONTROL_REFERENCE),
+    ]
+}
+PRESETS = tuple(_PRESETS)
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved inputs of one analysis run."""
+    """Fully resolved inputs of one analysis run; ``state`` is the initial
+    state as given, a key of NAMED_STATES or the SphereAngles of a pure state."""
 
     protocol: Protocol
     base_unit_wavelengths: float
     spectrum: Spectrum
-    initial_state: BlochVector
+    state: str | SphereAngles
     n_steps: int
     order: str = ORDER_PHASE_AFTER
     out_dir: str = "out"
-    initial_state_label: str | None = None
-    initial_state_angles: tuple | None = None
 
     def __post_init__(self):
+        if not (isinstance(self.state, SphereAngles) or self.state in tuple(NAMED_STATES)):
+            raise ConfigError(
+                f"initial_state must be one of {sorted(NAMED_STATES)} or an object "
+                f"{{theta, phi}}, got {self.state!r}"
+            )
         if self.n_steps < 0:
             raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
         if self.order not in STEP_ORDERS:
@@ -142,6 +157,12 @@ class RunConfig:
             raise ConfigError(
                 f"base_unit_wavelengths must be positive, got {self.base_unit_wavelengths}"
             )
+
+    @property
+    def initial_state(self) -> BlochVector:
+        if isinstance(self.state, SphereAngles):
+            return BlochVector.from_array(self.state.unit_vector())
+        return NAMED_STATES[self.state]
 
 
 def preset(name: str) -> RunConfig:
@@ -152,30 +173,22 @@ def preset(name: str) -> RunConfig:
     a base plate of 40 wavelengths, the 800 nm / 3 nm FWHM filter spectrum
     and the initial state "H".
     """
-    if name not in PRESETS:
+    if name not in _PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {PRESETS}")
-    ks = (3, 2) if name == "two_controls" else (3, 2, 1)
     return RunConfig(
-        protocol=Protocol.from_steps(ControlStep(eta=0.5, k=k) for k in ks),
+        protocol=_PRESETS[name][0],
         base_unit_wavelengths=_PRESET_BASE_UNIT,
         spectrum=spectrum_from_physical(
             _PRESET_WAVELENGTH_NM, _PRESET_FWHM_NM, _PRESET_BASE_UNIT
         ),
-        initial_state=NAMED_STATES["H"],
+        state="H",
         n_steps=50,
-        order=ORDER_PHASE_AFTER,
-        initial_state_label="H",
     )
 
 
 def reference_maps_for(protocol: Protocol):
     """Reference cycle for a protocol, or None if it has none."""
-    signature = tuple((s.k, s.eta) for s in protocol.steps)
-    if signature == ((3, 0.5), (2, 0.5)):
-        return TWO_CONTROL_REFERENCE
-    if signature == ((3, 0.5), (2, 0.5), (1, 0.5)):
-        return THREE_CONTROL_REFERENCE
-    return None
+    return next((ref for p, ref in _PRESETS.values() if p == protocol), None)
 
 
 def _require(mapping: dict, key: str, context: str):
@@ -217,7 +230,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             k = _integer(_require(s, "k", context), f"{context}.k")
             steps.append(ControlStep(eta=_number(s, "eta", context), k=k))
     except DomainError as exc:
-        raise ConfigError(f"protocol.steps: {exc}") from exc
+        raise ConfigError(f"{context} is out of range: {exc}") from exc
     protocol = Protocol.from_steps(steps)
 
     spec_raw = _require(raw, "spectrum", "")
@@ -243,28 +256,14 @@ def config_from_dict(raw: dict) -> RunConfig:
     except DomainError as exc:
         raise ConfigError(f"spectrum: {exc}") from exc
 
-    state_raw = raw.get("initial_state", "H")
-    label = None
-    angles = None
-    if isinstance(state_raw, str):
-        if state_raw not in NAMED_STATES:
-            raise ConfigError(
-                f"initial_state {state_raw!r} unknown; named states: {sorted(NAMED_STATES)}"
-            )
-        label = state_raw
-        state = NAMED_STATES[state_raw]
-    elif isinstance(state_raw, dict):
+    state = raw.get("initial_state", "H")
+    if isinstance(state, dict):
         try:
-            sa = SphereAngles(
-                _number(state_raw, "theta", "initial_state"),
-                _number(state_raw, "phi", "initial_state"),
+            state = SphereAngles(
+                _number(state, "theta", "initial_state"), _number(state, "phi", "initial_state")
             )
         except DomainError as exc:
             raise ConfigError(f"initial_state: {exc}") from exc
-        angles = (sa.theta, sa.phi)
-        state = BlochVector.from_array(sa.unit_vector())
-    else:
-        raise ConfigError("initial_state must be a name or an object {theta, phi}")
 
     n_steps = _integer(raw.get("n_steps", 50), "n_steps")
     order = raw.get("order", ORDER_PHASE_AFTER)
@@ -272,32 +271,25 @@ def config_from_dict(raw: dict) -> RunConfig:
     if not isinstance(outputs, dict):
         raise ConfigError("outputs must be an object")
     out_dir = outputs.get("dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"outputs.dir must be a string, got {out_dir!r}")
 
     return RunConfig(
         protocol=protocol,
         base_unit_wavelengths=base,
         spectrum=spectrum,
-        initial_state=state,
+        state=state,
         n_steps=n_steps,
         order=order,
-        out_dir=str(out_dir),
-        initial_state_label=label,
-        initial_state_angles=angles,
+        out_dir=out_dir,
     )
 
 
 def config_to_dict(config: RunConfig) -> dict:
     """Fully resolved configuration echo; re-ingesting reproduces the run."""
-    if config.initial_state_label is not None:
-        state = config.initial_state_label
-    elif config.initial_state_angles is not None:
-        state = {
-            "theta": config.initial_state_angles[0],
-            "phi": config.initial_state_angles[1],
-        }
-    else:
-        sa = SphereAngles.from_vector(config.initial_state.as_array())
-        state = {"theta": sa.theta, "phi": sa.phi}
+    state = config.state
+    if isinstance(state, SphereAngles):
+        state = {"theta": state.theta, "phi": state.phi}
     return {
         "protocol": {
             "base_unit_wavelengths": config.base_unit_wavelengths,
@@ -350,14 +342,9 @@ class CalibrationResult:
         return "\n".join(lines)
 
 
-def calibrate(
-    config: RunConfig,
-    anchor: float = CALIBRATION_ANCHOR,
-    bracket: tuple = CALIBRATION_BRACKET,
-    tol: float = CALIBRATION_TOL,
-) -> CalibrationResult:
+def calibrate(config: RunConfig, anchor: float = CALIBRATION_ANCHOR) -> CalibrationResult:
     """Fit the spectral width so the phase-0 y-channel contraction hits
-    the reference anchor, by bisection on s.
+    the anchor, by bisection on s over CALIBRATION_BRACKET to CALIBRATION_TOL.
 
     Intended for the two-unit benchmark protocol (any protocol whose
     steady cycle decouples the y axis works the same way).  Reports the
@@ -373,7 +360,7 @@ def calibrate(
         sp = Spectrum(theta_bar, s)
         return float(asymptotic_map(config.protocol, sp, 0, config.order).m[1, 1])
 
-    lo, hi = bracket
+    lo, hi = CALIBRATION_BRACKET
     f_lo = lambda_y(lo) - anchor
     f_hi = lambda_y(hi) - anchor
     if f_lo * f_hi > 0.0:
@@ -386,7 +373,7 @@ def calibrate(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = lambda_y(mid) - anchor
-        if abs(f_mid) < tol:
+        if abs(f_mid) < CALIBRATION_TOL:
             break
         if f_lo * f_mid <= 0.0:
             hi = mid
@@ -394,7 +381,8 @@ def calibrate(
             lo, f_lo = mid, f_mid
     else:
         raise CalibrationError(
-            f"bisection did not reach |lambda_y - anchor| < {tol}; last residual {f_mid:.3e}"
+            f"bisection did not reach |lambda_y - anchor| < {CALIBRATION_TOL}; "
+            f"last residual {f_mid:.3e}"
         )
 
     spectrum = Spectrum(theta_bar, mid)
@@ -519,13 +507,13 @@ def _run_visibility(config: RunConfig, out: Path):
     _write_json(out / "visibility.json", payload)
 
 
-def _gauss_hermite_average(tm, sp: Spectrum, max_nodes: int = 2**17) -> np.ndarray:
+def _gauss_hermite_average(tm, sp: Spectrum) -> np.ndarray:
     """Adaptive Gauss-Hermite average of tm(theta) over the Gaussian phase."""
     from scipy.special import roots_hermite  # scipy is slow to import; only verify needs it
 
     n = 64
     prev = None
-    while n <= max_nodes:
+    while n <= GAUSS_HERMITE_MAX_NODES:
         x, w = roots_hermite(n)
         thetas = sp.theta_bar + math.sqrt(2.0) * sp.s * x
         w = w / math.sqrt(math.pi)
@@ -599,7 +587,7 @@ def _verification_checks(config: RunConfig):
         if cesaro_used < 5 and abs(np.trace(w) - 3.0) > 1e-1:
             cesaro_used += 1
             cesaro_worst = max(
-                cesaro_worst, float(np.max(np.abs(cesaro_mean(w, 24) - proj)))
+                cesaro_worst, float(np.max(np.abs(cesaro_mean(w) - proj)))
             )
     yield "axis projector laws", worst < 1e-12, f"max dev {worst:.3e}"
     yield "Abel limit vs Cesaro iteration", cesaro_worst < 1e-5, f"max dev {cesaro_worst:.3e}"
@@ -733,6 +721,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (ConvergenceError, PoleError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

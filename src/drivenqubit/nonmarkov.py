@@ -95,10 +95,16 @@ def blp_accumulate(
     return float(np.sum(np.maximum(0.0, np.diff(d))))
 
 
-def _cycle_distances(cycle, pair: StatePair) -> np.ndarray:
-    plus = pair.a_plus.as_array()
-    minus = pair.a_minus.as_array()
-    return np.array([0.5 * np.linalg.norm(m.m @ (plus - minus)) for m in cycle.maps])
+def _map_norms(ms: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``|M_i u|`` of stacked maps (T, 3, 3) and each row of u (n, 3), shape
+    (n, T), with the bits of the per-map ``np.linalg.norm(m.m @ u)``."""
+    v = np.matmul(ms[None], u[:, None, :, None])[..., 0]
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _cycle_gain(d: np.ndarray) -> np.ndarray:
+    """Sum of the positive increments along the last axis, wrap-around included."""
+    return np.maximum(0.0, np.concatenate([d[..., 1:], d[..., :1]], axis=-1) - d).sum(axis=-1)
 
 
 def asymptotic_blp_rate(cycle, pair: StatePair) -> float:
@@ -108,9 +114,9 @@ def asymptotic_blp_rate(cycle, pair: StatePair) -> float:
     period, including the wrap-around increment back into phase 0 of the
     next cycle (asymptotically the phase-0 distance repeats).
     """
-    d = _cycle_distances(cycle, pair)
-    increments = np.roll(d, -1) - d
-    return float(np.sum(np.maximum(0.0, increments)))
+    ms = np.stack([m.m for m in cycle.maps])
+    diff = pair.a_plus.as_array() - pair.a_minus.as_array()
+    return float(_cycle_gain(0.5 * _map_norms(ms, diff[None])[0]))
 
 
 @dataclass(frozen=True)
@@ -256,13 +262,9 @@ def optimal_pair_search(cycle) -> OptimalPairResult:
     derivative-free refinement.  Ties go to the earliest start.
     """
     ms = np.stack([m.m for m in cycle.maps])
-    following = np.roll(np.arange(len(ms)), -1)
 
     def neg_rates(angles: np.ndarray) -> np.ndarray:
-        # These forms round as the per-point ``m.m @ u`` and ``np.linalg.norm``.
-        v = np.matmul(ms[None], _angles_to_unit(angles)[:, None, :, None])[..., 0]
-        d = np.sqrt(np.vecdot(v, v))
-        return -np.maximum(0.0, d[:, following] - d).sum(axis=1)
+        return -_cycle_gain(_map_norms(ms, _angles_to_unit(angles)))
 
     grid = _fibonacci_sphere(SEARCH_GRID_POINTS)
     starts = np.stack([np.arccos(np.clip(grid[:, 2], -1.0, 1.0)), np.arctan2(grid[:, 1], grid[:, 0])], axis=1)
@@ -271,6 +273,6 @@ def optimal_pair_search(cycle) -> OptimalPairResult:
     best_rate = -res.fun[best]
     best_u = _angles_to_unit(res.x[best])
     best_u = best_u / np.linalg.norm(best_u)
-    d = np.array([np.linalg.norm(m.m @ best_u) for m in cycle.maps])
+    d = _map_norms(ms, best_u[None])[0]
     pair = StatePair.antipodal(BlochVector.from_array(best_u))
     return OptimalPairResult(pair, best_rate, float(np.max(d) - np.min(d)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .nonmarkov import _fibonacci_sphere
+from .nonmarkov import _angles_to_unit, _fibonacci_sphere
 
 NEG_DEFINITE = "negative_definite"
 NEG_SEMIDEFINITE = "negative_semidefinite"
@@ -68,13 +68,7 @@ class SphereAngles:
         return cls(theta, phi)
 
     def unit_vector(self) -> np.ndarray:
-        return np.array(
-            [
-                np.cos(self.phi) * np.sin(self.theta),
-                np.sin(self.phi) * np.sin(self.theta),
-                np.cos(self.theta),
-            ]
-        )
+        return _angles_to_unit(np.array([self.theta, self.phi]))
 
 
 def _forms(cycle):

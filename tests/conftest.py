@@ -76,6 +76,12 @@ def random_rotation(rng, min_angle=0.3):
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k), u, angle
 
 
+def random_ball_point(rng):
+    """Uniform random point of the closed unit ball."""
+    v = rng.normal(size=3)
+    return v / np.linalg.norm(v) * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+
+
 def recorded_ops(workload, keep):
     """The recorded ops of one benchmark workload that ``keep`` selects."""
     templates = json.loads((REFS / f"{workload}.json").read_text())["templates"]

@@ -330,7 +330,7 @@ def test_criterion_7_property_suites(two_preset):
         proj = abel_limit(w)
         dev = max(dev, float(np.max(np.abs(proj @ proj - proj))))
         dev = max(dev, float(np.max(np.abs(proj @ w - proj))))
-        dev = max(dev, float(np.max(np.abs(cesaro_mean(w, 24) - proj))))
+        dev = max(dev, float(np.max(np.abs(cesaro_mean(w) - proj))))
     if dev >= 1e-5:
         failures.append(f"Abel/Cesaro {dev:.2e}")
 

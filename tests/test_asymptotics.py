@@ -63,7 +63,7 @@ class TestAbelLimit:
         rng = np.random.default_rng(12)
         for _ in range(10):
             w, _, _ = random_rotation(rng)
-            assert np.max(np.abs(cesaro_mean(w, 24) - abel_limit(w))) < 1e-5
+            assert np.max(np.abs(cesaro_mean(w) - abel_limit(w))) < 1e-5
 
     def test_projector_laws(self, two_controls):
         rng = np.random.default_rng(13)

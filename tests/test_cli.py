@@ -13,6 +13,7 @@ from drivenqubit import (
     CALIBRATION_ANCHOR,
     CalibrationError,
     ConfigError,
+    SphereAngles,
     Spectrum,
     asymptotic_map,
     calibrate,
@@ -22,6 +23,7 @@ from drivenqubit import (
     run,
     spectrum_from_physical,
 )
+from drivenqubit import cli
 from drivenqubit.cli import main
 
 # Hashes of the preset CLI outputs pinned by the benchmark references.
@@ -67,6 +69,7 @@ class TestPreset:
         assert ks[0] / ks[1] == pytest.approx(3 / 2)
         assert all(s.eta == 0.5 for s in cfg.protocol.steps)
         assert cfg.n_steps == 50
+        assert cfg.state == "H"
         assert cfg.initial_state.as_array().tolist() == [0.0, 0.0, 1.0]
 
     def test_three_controls(self):
@@ -76,6 +79,7 @@ class TestPreset:
         assert ks[0] / ks[1] == pytest.approx(3 / 2)
         assert ks[1] / ks[2] == pytest.approx(2.0)
         assert cfg.n_steps == 50
+        assert cfg.state == "H"
         assert cfg.initial_state.as_array().tolist() == [0.0, 0.0, 1.0]
 
     def test_physical_spectrum(self):
@@ -188,6 +192,27 @@ class TestRunOutputs:
         run(two_config, "simulate")
         assert read_output(two_config.out_dir, "trajectory.csv") == first
 
+    def test_replaced_initial_state_round_trips(self, tmp_path):
+        # The echo names the state the run starts from, and re-ingesting it
+        # reproduces the run byte for byte.
+        cases = [("V", "V"), (SphereAngles(2.0, 4.0), {"theta": 2.0, "phi": 4.0})]
+        for i, (state, echo) in enumerate(cases):
+            cfg = dataclasses.replace(
+                preset("two_controls"), state=state, n_steps=10, out_dir=str(tmp_path / f"run{i}")
+            )
+            assert run(cfg, "simulate") == 0
+            start = read_output(cfg.out_dir, "trajectory.csv").split("\n")[1].split(",")[1:4]
+            assert [float(v) for v in start] == pytest.approx(cfg.initial_state.as_array().tolist())
+            echoed = json.loads(read_output(cfg.out_dir, "effective_config.json"))
+            assert echoed["initial_state"] == echo
+            echoed["outputs"]["dir"] = str(tmp_path / f"replay{i}")
+            replay = config_from_dict(echoed)
+            assert replay == dataclasses.replace(cfg, out_dir=echoed["outputs"]["dir"])
+            assert run(replay, "simulate") == 0
+            assert read_output(replay.out_dir, "trajectory.csv") == read_output(
+                cfg.out_dir, "trajectory.csv"
+            )
+
     def test_effective_config_reproduces_run(self, two_config, tmp_path):
         run(two_config, "simulate")
         echoed = json.loads(read_output(two_config.out_dir, "effective_config.json"))
@@ -281,11 +306,14 @@ class TestMainEntry:
             (("protocol", "steps"), [3], "protocol.steps[0]"),
             (("protocol", "steps", 0, "k"), 2.5, "protocol.steps[0].k"),
             (("protocol", "steps", 0, "k"), True, "protocol.steps[0].k"),
+            (("protocol", "steps", 0, "k"), 10**30, "protocol.steps[0]"),
+            (("outputs", "dir"), [1], "outputs.dir"),
+            (("initial_state",), 5, "initial_state"),
         ],
         ids=["eta-str", "eta-null", "eta-bool", "s-overflow", "base-str", "theta_bar-str", "spectrum-int", "step-int",
-             "k-float", "k-bool"],
+             "k-float", "k-bool", "k-oversized", "dir-list", "state-int"],
     )
-    def test_wrong_field_type_exit_code(self, tmp_path, capsys, keys, value, field):
+    def test_wrong_field_type_exit_code(self, tmp_path, capsys, monkeypatch, keys, value, field):
         raw = config_dict(tmp_path / "out")
         parent = raw
         for key in keys[:-1]:
@@ -293,8 +321,19 @@ class TestMainEntry:
         parent[keys[-1]] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
         assert main(["simulate", "--config", str(path)]) == 2
         assert f"configuration error: {field} " in capsys.readouterr().err
+        # No output directory is made: neither the configured one nor one named after the value.
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate the harmonic band")
+
+        monkeypatch.setattr(cli, "propagate", exhausted)
+        assert main(["simulate", "--preset", "two_controls", "--out", str(tmp_path / "o")]) == 3
+        assert "numerical error: out of memory" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -25,14 +25,9 @@ from drivenqubit import (
 )
 from drivenqubit import bloch, nonmarkov
 
-from conftest import recorded_ops
+from conftest import random_ball_point, recorded_ops
 
 EY = BlochVector(0.0, 1.0, 0.0)
-
-
-def random_ball_point(rng):
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v) * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
 
 
 class TestTraceDistance:

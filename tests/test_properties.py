@@ -25,8 +25,10 @@ from drivenqubit import (
     ConvergenceError,
     Protocol,
     Spectrum,
+    SphereAngles,
     StatePair,
     TrigMatrix,
+    asymptotic_blp_rate,
     asymptotic_cycle,
     asymptotic_map,
     gaussian_average,
@@ -42,6 +44,8 @@ from drivenqubit import (
 )
 from drivenqubit import asymptotics, nonmarkov, visibility
 from drivenqubit.bloch import averaged_maps
+
+from conftest import random_ball_point
 
 
 def protocols_with(etas):
@@ -471,3 +475,34 @@ def test_degenerate_pair_search_matches_scipy_loop_bytewise(period):
     # and the direction is set by the simplex path alone.
     m = random_contraction(np.random.default_rng(410 + period))
     assert_pair_search_matches_reference([m] * period)
+
+
+def blp_rate_reference(cycle, pair):
+    """The per-cycle backflow rate as a loop over the maps."""
+    plus, minus = pair.a_plus.as_array(), pair.a_minus.as_array()
+    d = np.array([0.5 * np.linalg.norm(m.m @ (plus - minus)) for m in cycle.maps])
+    return float(np.sum(np.maximum(0.0, np.roll(d, -1) - d)))
+
+
+@pytest.mark.parametrize("period", range(1, 6))
+def test_blp_rate_matches_map_loop_bitwise(period):
+    rng = np.random.default_rng(420 + period)
+    for i in range(200):
+        maps = [random_contraction(rng) for _ in range(period)]
+        if i % 5 == 0:
+            maps = [maps[0]] * period
+        cycle = AsymptoticCycle.from_maps(BlochMap(m) for m in maps)
+        a = BlochVector.from_array(random_ball_point(rng))
+        general = StatePair(a, BlochVector.from_array(random_ball_point(rng)))
+        for pair in (general, StatePair.antipodal(a)):
+            got, want = asymptotic_blp_rate(cycle, pair), blp_rate_reference(cycle, pair)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def test_unit_vector_matches_scalar_formula_bitwise():
+    rng = np.random.default_rng(430)
+    thetas = [0.0, math.pi, math.pi / 2, *rng.uniform(0.0, math.pi, 5000)]
+    phis = [0.0, math.pi, np.nextafter(2.0 * math.pi, 0.0), *rng.uniform(0.0, 2.0 * math.pi, 5000)]
+    for theta, phi in zip(map(float, thetas), map(float, phis)):
+        want = np.array([np.cos(phi) * np.sin(theta), np.sin(phi) * np.sin(theta), np.cos(theta)])
+        assert SphereAngles(theta, phi).unit_vector().tobytes() == want.tobytes()
