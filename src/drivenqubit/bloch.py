@@ -253,7 +253,7 @@ class BlochMap:
         mat = np.asarray(self.m, dtype=float)
         if mat.shape != (3, 3):
             raise DomainError(f"Bloch map must be 3x3, got shape {mat.shape}")
-        smax = float(np.linalg.norm(mat, 2))
+        smax = float(np.linalg.svd(mat, compute_uv=False)[0])
         if smax > 1.0 + CONTRACTION_GUARD_TOL:
             raise DomainError(f"largest singular value {smax} exceeds 1: not a contraction")
         object.__setattr__(self, "m", _readonly(mat))
@@ -315,57 +315,84 @@ def step_matrix(step: ControlStep, order: str = ORDER_PHASE_AFTER) -> TrigMatrix
     return trig_compose(rot, phase)
 
 
-def _bands(a: TrigMatrix):
-    """Cosines and sines of harmonics 0..H (the h = 0 sine is zero), then a zero row."""
-    zero = np.zeros((1, 3, 3))
-    cos = np.concatenate([a.terms[:1], a.terms[1::2], zero])
-    return cos, np.concatenate([zero, a.terms[2::2], zero])
+def _cos_sin_pairs(a: TrigMatrix) -> np.ndarray:
+    """Coefficients ``[[C_0, 0], [C_1, S_1], ..., [C_H, S_H]]``, shape (H+1, 2, 3, 3)."""
+    pairs = np.zeros((a.max_harmonic + 1, 2, 3, 3))
+    pairs[0, 0] = a.terms[0]
+    pairs.reshape(-1, 3, 3)[2:] = a.terms[1:]
+    return pairs
 
 
 def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     """Harmonic series of the pointwise product a(theta) @ b(theta).
 
     This is the convolution of the complex bands ``sum_h A_h e^{i h theta}``:
-    harmonic h of ``a`` and g of ``b`` meet at h + g and |h - g|.  Each
-    nonzero harmonic of ``a`` meets the band of ``b`` in at most two rounds
-    of batched matmuls over all output harmonics, so deep products should
-    pass the narrow factor first.  Each output coefficient takes its real
-    parts ``(C_h C_g -/+ S_h S_g) / 2`` and ``(S_h C_g +/- C_h S_g) / 2`` in
-    the order of the pairs (h, g), so products are reproducible bit for
-    bit.  The max harmonic is at most ``a.max_harmonic + b.max_harmonic``.
+    harmonic h of ``a`` and g of ``b`` meet at h + g, where they add
+    ``cc - ss`` to the cosine and ``sc + cs`` to the sine, and at |h - g|,
+    where they add ``cc + ss`` and ``sign(h - g) (sc - cs)``, with
+    ``cc = C_h C_g / 2``, ``ss = S_h S_g / 2``, ``sc = S_h C_g / 2`` and
+    ``cs = C_h S_g / 2``.  The max harmonic is at most
+    ``a.max_harmonic + b.max_harmonic``.
+
+    Each nonzero harmonic h of ``a`` takes one matrix product with the
+    whole band of ``b``, which gives all four families for every g, and adds
+    them to three runs of output harmonics: the pairs g <= h at h - g, every
+    pair at h + g, and the pairs g > h at g - h.  Work is O(H_a H_b) and
+    memory O(H_a + H_b); deep products should pass the narrow factor first.
+    Blocks are kept transposed, ``(C_h V)^T = V^T C_h^T``, so that each
+    family is one contiguous run of 3x3 blocks.
+
+    Products are reproducible bit for bit: every output coefficient adds its
+    parts one at a time in (h, g) pair order, as ``pairwise_compose`` in the
+    tests does.  Parts that are +-0.0 by construction (from the zero sine
+    of harmonic 0, or a zero block) may be added or skipped: the sums start
+    at +0.0, and a round-to-nearest sum is -0.0 only if both addends are, so
+    adding +-0.0 never changes them.  The matrix product relies on OpenBLAS
+    rounding each 3-term dot product the same way whatever the shape of the
+    product, as the tests check against single 3x3 products.
     """
-    j = np.arange(a.max_harmonic + b.max_harmonic + 1)
-    # Output harmonic j meets harmonic h of a at harmonics |j - h| and then
-    # j + h of b, so the rounds come in (h, g) order.  For h = 0, and at
-    # j = 0, the two are one pair.
-    rows = [(x, up) for x in a.harmonics() for up in (False, True) if x > 0 or not up]
-    h = np.array([x for x, _ in rows], dtype=int)[:, None] + 0 * j
-    upper = np.array([up for _, up in rows], dtype=bool)[:, None]
-    g = np.where(upper, j + h, np.abs(j - h))
-    live = (g <= b.max_harmonic) & ~(upper & (j == 0))
-    minus = (np.abs(h - g) == j).astype(float)[..., None, None]
-    plus = (h + g == j).astype(float)[..., None, None]
-    sign = np.sign(h - g)[..., None, None] * minus
-    # Dead slots read the zero row at the end of each band.
-    h, g = np.where(live, h, -1), np.where(live, g, -1)
-    ca, sa = _bands(a)
-    cb, sb = _bands(b)
-    cos = np.zeros((len(j), 3, 3))
-    sin = np.zeros((len(j), 3, 3))
-    # A pair hits j as |h - g| (minus), as h + g (plus), or both when h = 0
-    # or g = 0; each hit adds its parts in the pair's own order.
-    for x, y, mi, pl, sg in zip(h, g, minus, plus, sign):
-        cc, ss, sc, cs = (0.5 * (u[x] @ v[y]) for u, v in ((ca, cb), (sa, sb), (sa, cb), (ca, sb)))
-        cos += mi * cc
-        cos += pl * cc
-        cos += mi * ss
-        cos -= pl * ss
-        sin += pl * sc
-        sin += sg * sc
-        sin += pl * cs
-        sin -= sg * cs
-    pairs = np.stack([cos[1:], sin[1:]], axis=1).reshape(-1, 3, 3)
-    return TrigMatrix(np.concatenate([cos[:1], pairs]))
+    hb = b.max_harmonic
+    # Every block V of b, transposed and stacked: band @ U^T holds (U V)^T.
+    band = _cos_sin_pairs(b).transpose(1, 0, 3, 2).reshape(-1, 3)
+    ab = _cos_sin_pairs(a)
+    cos = np.zeros((a.max_harmonic + hb + 1, 3, 3))
+    sin = np.zeros_like(cos)
+    for h in a.harmonics():
+        prod = band @ ab[h].transpose(0, 2, 1)
+        prod *= 0.5
+        (cc, cs), (sc, ss) = prod.reshape(2, 2, hb + 1, 3, 3)
+        if h == 0:
+            # S_0 = 0: each pair (0, g) adds cc and cs twice at g.
+            run = slice(0, hb + 1)
+            cos[run] += cc
+            cos[run] += cc
+            sin[run] += cs
+            sin[run] += cs
+            continue
+        # Pairs g <= h at h - g, so g runs down; the sine at harmonic 0 is
+        # never read.
+        lo = max(0, h - hb)
+        run, g = slice(lo, h + 1), slice(h - lo, None, -1)
+        cos[run] += cc[g]
+        cos[run] += ss[g]
+        sin[run] += sc[g]
+        sin[run] -= cs[g]
+        run = slice(h, h + hb + 1)
+        cos[run] += cc
+        cos[run] -= ss
+        sin[run] += sc
+        sin[run] += cs
+        if h < hb:
+            run, g = slice(1, hb - h + 1), slice(h + 1, None)
+            cos[run] += cc[g]
+            cos[run] += ss[g]
+            sin[run] -= sc[g]
+            sin[run] += cs[g]
+    terms = np.empty((2 * len(cos) - 1, 3, 3))
+    terms[0] = cos[0].T
+    terms[1::2] = cos[1:].transpose(0, 2, 1)
+    terms[2::2] = sin[1:].transpose(0, 2, 1)
+    return TrigMatrix(terms)
 
 
 def _damping(s: float, max_harmonic: int) -> np.ndarray:
@@ -417,6 +444,13 @@ def protocol_product(p: Protocol, n: int, order: str = ORDER_PHASE_AFTER) -> Tri
     return next(itertools.islice(product_chain(p, order), int(n), None))
 
 
+def _top_harmonic_bound(p: Protocol, n: int, order: str) -> int:
+    """Sum of the top harmonics of steps 0..n-1, which bounds P_n's, in O(period)."""
+    tops = [step_matrix(s, order).max_harmonic for s in p.steps]
+    periods, rest = divmod(n, p.period)
+    return periods * sum(tops) + sum(tops[:rest])
+
+
 def averaged_maps(p: Protocol, sp: Spectrum, n: int, order: str = ORDER_PHASE_AFTER) -> list:
     """Spectral averages ``[E[P_1], ..., E[P_n]]`` of the exact products.
 
@@ -426,8 +460,7 @@ def averaged_maps(p: Protocol, sp: Spectrum, n: int, order: str = ORDER_PHASE_AF
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
     n = int(n)
-    # P_n has no harmonic above the sum of its steps' top harmonics.
-    damping = _damping(sp.s, sum(step_matrix(p.step(i), order).max_harmonic for i in range(n)))
+    damping = _damping(sp.s, _top_harmonic_bound(p, n, order))
     chain = itertools.islice(product_chain(p, order), 1, n + 1)
     return [gaussian_average(tm, sp, damping) for tm in chain]
 

