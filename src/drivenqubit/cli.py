@@ -134,6 +134,11 @@ _PRESETS = {
 PRESETS = tuple(_PRESETS)
 
 
+def _check_base_unit(base: float) -> None:
+    if not 0.0 < base < math.inf:  # false for NaN, unlike base <= 0
+        raise ConfigError(f"protocol.base_unit_wavelengths must be finite and positive, got {base}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Fully resolved inputs of one analysis run; ``state`` is the initial
@@ -157,10 +162,7 @@ class RunConfig:
             raise ConfigError(f"n_steps must be in [0, {MAX_STEPS}], got {self.n_steps}")
         if self.order not in STEP_ORDERS:
             raise ConfigError(f"order must be one of {STEP_ORDERS}, got {self.order!r}")
-        if self.base_unit_wavelengths <= 0:
-            raise ConfigError(
-                f"base_unit_wavelengths must be positive, got {self.base_unit_wavelengths}"
-            )
+        _check_base_unit(self.base_unit_wavelengths)
 
     @property
     def initial_state(self) -> BlochVector:
@@ -224,6 +226,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         raise ConfigError("configuration root must be an object")
     proto_raw = _require(raw, "protocol", "")
     base = _number(proto_raw, "base_unit_wavelengths", "protocol")
+    _check_base_unit(base)  # before the physical spectrum derived from it
     steps_raw = _require(proto_raw, "steps", "protocol")
     if not isinstance(steps_raw, list) or not steps_raw:
         raise ConfigError("protocol.steps must be a non-empty array")

@@ -145,16 +145,16 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SimplexResult:
-    """Best vertex ``x`` and its value ``fun`` per start, and the number of
-    evaluations over all starts."""
+class MultiStartResult:
+    """Best point ``x`` and its value ``fun`` per start of a lockstep
+    multi-start minimization, and the evaluations ``nfev`` over all starts."""
 
     x: np.ndarray
     fun: np.ndarray
     nfev: int
 
 
-def minimize(fun, starts, *, xatol: float, fatol: float, maxiter: int, maxfev: int) -> SimplexResult:
+def minimize(fun, starts, *, xatol: float, fatol: float, maxiter: int, maxfev: int) -> MultiStartResult:
     """Nelder-Mead from every row of ``starts``, all starts in lockstep.
 
     Each start replays scipy 1.17's non-adaptive ``_minimize_neldermead``
@@ -240,7 +240,7 @@ def minimize(fun, starts, *, xatol: float, fatol: float, maxiter: int, maxfev: i
         iterations[rows] += 1
         sim[rows], fsim[rows] = s, f
         _sort_simplices(sim, fsim, rows)
-    return SimplexResult(sim[:, 0], np.min(fsim, axis=1), int(np.sum(nfev)))
+    return MultiStartResult(sim[:, 0], np.min(fsim, axis=1), int(np.sum(nfev)))
 
 
 def _sort_simplices(sim: np.ndarray, fsim: np.ndarray, rows: np.ndarray) -> None:

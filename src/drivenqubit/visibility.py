@@ -14,11 +14,10 @@ forms ``q_k(u) = u^T Q_k u`` of the initial direction ``u``:
   the cyclic cross-product sum, and is exactly 0 when the maps are equal.
 
 The period-2 maximum is the top eigenpair of ``Q``.  The period-3 maximum
-is a multi-start BFGS ascent of the scale-free extension
-``|q(x)|^2 / |x|^4`` in R^3, which has no chart and no poles, finished by
-one Newton step in the tangent plane.  Gradient and Hessian at the result
-are the analytic Riemannian ones on the sphere, in an orthonormal basis of
-the tangent plane.
+is a multi-start alternating ascent on the sphere (see ``minimize``),
+finished by one Newton step in the tangent plane.  Gradient and Hessian at
+the result are the analytic Riemannian ones on the sphere, in an
+orthonormal basis of the tangent plane.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .nonmarkov import _angles_to_unit, _fibonacci_sphere
+from .nonmarkov import MultiStartResult, _angles_to_unit, _fibonacci_sphere
 
 NEG_DEFINITE = "negative_definite"
 NEG_SEMIDEFINITE = "negative_semidefinite"
@@ -38,6 +37,8 @@ STATIONARITY_TOL = 1e-9
 HESSIAN_EIG_TOL = 1e-8
 DEGENERACY_VALUE_TOL = 1e-9
 N_STARTS = 32
+ASCENT_RTOL = 1e-14
+ASCENT_MAX_ITER = 400
 
 # _LEVI_CIVITA[k] is the matrix eps_k with (a x b)_k = a^T eps_k b.
 _LEVI_CIVITA = np.moveaxis(np.cross(np.eye(3)[:, None], np.eye(3)), -1, 0)
@@ -145,29 +146,29 @@ def _sphere_derivatives(forms: np.ndarray, c: float, u: np.ndarray):
     return basis.T @ grad, basis.T @ hess @ basis - float(u @ grad) * np.eye(2)
 
 
-def minimize(fun, x0, **options):
-    """``scipy.optimize.minimize``, imported on the first call: scipy takes
-    longer to import than the rest of the package, and only the period-3
-    ascent needs it."""
-    from scipy.optimize import minimize as scipy_minimize
+def minimize(forms: np.ndarray, starts: np.ndarray) -> MultiStartResult:
+    """Minimize ``-|q(u)|`` over unit vectors from every row of ``starts``,
+    all starts in lockstep; ``nfev`` counts form evaluations.
 
-    return scipy_minimize(fun, x0, **options)
-
-
-def _ascend(forms: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """Maximize ``|q(x)|^2 / |x|^4`` over R^3 from ``start``; unit result."""
-    # Unit-norm forms make BFGS's absolute gradient tolerance relative.
-    forms = forms / (np.linalg.norm(forms) or 1.0)
-
-    def neg_extension(x):
-        r2 = float(x @ x)
-        q = x @ forms @ x
-        qq = float(q @ q)
-        grad = 4.0 * (np.tensordot(q, forms, 1) @ x) / r2**2 - 4.0 * qq * x / r2**3
-        return -qq / r2**2, -grad
-
-    res = minimize(neg_extension, start, jac=True, method="BFGS", options={"gtol": 1e-10})
-    return res.x / np.linalg.norm(res.x)
+    ``|q(u)| = max_{|n|=1} u^T (sum_k n_k Q_k) u``, so each iteration takes
+    ``n = q(u)/|q(u)|`` and then the top eigenvector of ``sum_k n_k Q_k``,
+    signed towards the previous ``u`` (which stays where ``q(u) = 0``), and
+    neither step can lower ``|q|`` (a relative of the shifted power method
+    for symmetric tensors).  Without a stop tolerance the values oscillate
+    at rounding level, so the ascent stops when no start's value rises by
+    more than ``ASCENT_RTOL`` relative, or after ``ASCENT_MAX_ITER`` steps.
+    """
+    u = np.array(starts, dtype=float)
+    value = np.full(len(u), -np.inf)  # the first evaluation counts as a rise
+    for iteration in range(ASCENT_MAX_ITER + 1):
+        q = np.vecdot(u @ forms, u).T
+        value, previous = np.linalg.norm(q, axis=1), value
+        if iteration == ASCENT_MAX_ITER or not np.any(value - previous > ASCENT_RTOL * value):
+            break
+        moving = value > 0.0
+        top = np.linalg.eigh(np.tensordot(q[moving] / value[moving, None], forms, 1))[1][..., -1]
+        u[moving] = top * np.where(np.vecdot(top, u[moving]) < 0.0, -1.0, 1.0)[:, None]
+    return MultiStartResult(u, -value, (iteration + 1) * len(u))
 
 
 def maximize_visibility(cycle) -> VisibilityMaximum:
@@ -175,9 +176,9 @@ def maximize_visibility(cycle) -> VisibilityMaximum:
 
     Period 2 takes the top eigenpair of ``D^T D``; the maximum is flagged
     degenerate when the top two eigenvalues are within 1e-9.  Period 3
-    ascends from each point of a 32-point sphere grid by BFGS on analytic
-    derivatives; the maximum is flagged degenerate when distinct,
-    non-antipodal maximizers tie with the best value to within 1e-9.
+    ascends from a 32-point sphere grid with ``minimize``; ties to rounding
+    go to the earliest start, and the maximum is flagged degenerate when
+    distinct, non-antipodal maximizers tie with the best to within 1e-9.
     Returns the maximizer, its value, the norm of the Riemannian gradient
     there (``ConvergenceError`` unless below 1e-9) and the definiteness
     verdict of the 2x2 Riemannian Hessian in an orthonormal tangent basis
@@ -189,20 +190,14 @@ def maximize_visibility(cycle) -> VisibilityMaximum:
         best_u = vecs[:, -1]
         degenerate = bool(vals[-1] - vals[-2] <= DEGENERACY_VALUE_TOL)
     else:
-        candidates = []
-        for start in _fibonacci_sphere(N_STARTS):
-            u = _ascend(forms, start)
-            candidates.append((_value(forms, c, u), u))
-        best_value, best_u = max(candidates, key=lambda cand: cand[0])
-        top = [u for value, u in candidates if value >= best_value - DEGENERACY_VALUE_TOL]
-        clusters = []
-        for u in top:
-            if not any(abs(np.dot(u, v)) > 1.0 - 1e-6 for v in clusters):
-                clusters.append(u)
-        degenerate = len(clusters) >= 2
-        # BFGS's line search stops resolving the objective near |grad|
-        # ~ 1e-9, the stationarity tolerance, so one Newton step in the
-        # tangent plane finishes the best maximizer.
+        res = minimize(forms, _fibonacci_sphere(N_STARTS))
+        values = -c * res.fun
+        best = np.max(values)
+        best_u = res.x[np.argmax(values >= (1.0 - ASCENT_RTOL) * best)]
+        top = res.x[values >= best - DEGENERACY_VALUE_TOL]
+        degenerate = bool(np.any(np.abs(top @ top[0]) <= 1.0 - 1e-6))
+        # The alternating ascent converges only linearly, so one Newton
+        # step in the tangent plane finishes the best maximizer.
         grad, hess = _sphere_derivatives(forms, c, best_u)
         best_u = best_u + _tangent_basis(best_u) @ np.linalg.lstsq(hess, -grad, rcond=None)[0]
         best_u /= np.linalg.norm(best_u)

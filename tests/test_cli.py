@@ -334,6 +334,23 @@ class TestMainEntry:
         # No output directory is made: neither the configured one nor one named after the value.
         assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
 
+    @pytest.mark.parametrize("base", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "spectrum", [{"theta_bar": 0.0, "s": 0.4}, {"lambda_nm": 800.0, "fwhm_nm": 3.0}], ids=["direct", "physical"]
+    )
+    def test_non_finite_base_unit_exit_code(self, tmp_path, capsys, monkeypatch, base, spectrum):
+        # NaN <= 0 is false, and a NaN echoed into effective_config.json is not JSON.
+        raw = config_dict(tmp_path / "out", spectrum=spectrum)
+        raw["protocol"]["base_unit_wavelengths"] = base
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "configuration error: protocol.base_unit_wavelengths " in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.json"]
+        with pytest.raises(ConfigError, match="base_unit_wavelengths"):
+            dataclasses.replace(preset("two_controls"), base_unit_wavelengths=base)
+
     @pytest.mark.parametrize("source", ["config", "--steps"])
     def test_oversized_n_steps_exits_at_once(self, tmp_path, capsys, source):
         raw = config_dict(tmp_path / "out")
@@ -390,12 +407,15 @@ class TestMainEntry:
 class TestColdStart:
     def test_subcommands_do_not_import_scipy(self, tmp_path):
         # scipy takes longer to import than the rest of the package, and
-        # only period-3 visibility and verify use it.
+        # only verify uses it.
         runs = [
             [cmd, "--preset", name, "--out", str(tmp_path / f"{cmd}-{name}")]
             for cmd in ("simulate", "asymptotics", "nonmarkov")
             for name in ("two_controls", "three_controls")
-        ] + [["visibility", "--preset", "two_controls", "--out", str(tmp_path / "visibility")]]
+        ] + [["visibility", "--preset", "two_controls", "--out", str(tmp_path / "visibility")]] + [
+            ["visibility", "--preset", "three_controls", "--order", order, "--out", str(tmp_path / f"vis3-{order}")]
+            for order in ("eq2b", "eq4a")
+        ]
         script = (
             "import json, sys\n"
             "from drivenqubit.cli import main\n"

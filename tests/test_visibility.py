@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 from drivenqubit import (
@@ -20,9 +21,10 @@ from drivenqubit import (
     volume_three,
     volume_two,
 )
-from drivenqubit import visibility
+from drivenqubit import nonmarkov, visibility
 from drivenqubit.cli import main
 from drivenqubit.visibility import (
+    INDEFINITE,
     NEG_DEFINITE,
     NEG_SEMIDEFINITE,
     _forms,
@@ -54,6 +56,45 @@ def heron_area(x0, x1, x2):
     c = np.linalg.norm(x0 - x2)
     s = 0.5 * (a + b + c)
     return math.sqrt(max(0.0, s * (s - a) * (s - b) * (s - c)))
+
+
+def random_three_cycle(seed, draw=0):
+    """Period-3 cycle of the ``draw``-th triple of random maps from one seed."""
+    rng = np.random.default_rng(seed)
+    maps = [random_map(rng) for _ in range(3 * draw + 3)]
+    return AsymptoticCycle.from_maps(BlochMap(m) for m in maps[-3:])
+
+
+def bfgs_maximum(cycle):
+    """The visibility maximum by one scipy BFGS per grid start on the
+    scale-free extension ``|q(x)|^2 / |x|^4`` in R^3, then one Newton step
+    in the tangent plane: (value, direction, verdict, degenerate)."""
+    forms, c = _forms(cycle)
+    # Unit-norm forms make BFGS's absolute gradient tolerance relative.
+    unit = forms / (np.linalg.norm(forms) or 1.0)
+
+    def neg_extension(x):
+        r2 = float(x @ x)
+        q = x @ unit @ x
+        qq = float(q @ q)
+        grad = 4.0 * (np.tensordot(q, unit, 1) @ x) / r2**2 - 4.0 * qq * x / r2**3
+        return -qq / r2**2, -grad
+
+    candidates = []
+    for start in nonmarkov._fibonacci_sphere(visibility.N_STARTS):
+        x = scipy.optimize.minimize(neg_extension, start, jac=True, method="BFGS", options={"gtol": 1e-10}).x
+        candidates.append((_value(forms, c, x / np.linalg.norm(x)), x / np.linalg.norm(x)))
+    best_value, best_u = max(candidates, key=lambda cand: cand[0])
+    clusters = []
+    for value, u in candidates:
+        if value >= best_value - 1e-9 and not any(abs(u @ v) > 1.0 - 1e-6 for v in clusters):
+            clusters.append(u)
+    grad, hess = _sphere_derivatives(forms, c, best_u)
+    best_u = best_u + _tangent_basis(best_u) @ np.linalg.lstsq(hess, -grad, rcond=None)[0]
+    best_u /= np.linalg.norm(best_u)
+    eigs = np.linalg.eigvalsh(_sphere_derivatives(forms, c, best_u)[1])
+    verdict = NEG_DEFINITE if np.all(eigs < -1e-8) else NEG_SEMIDEFINITE if np.all(eigs <= 1e-8) else INDEFINITE
+    return _value(forms, c, best_u), best_u, verdict, len(clusters) >= 2
 
 
 class TestSphereAngles:
@@ -152,21 +193,40 @@ class TestMaximizeVisibility:
 
     def test_every_ascent_calls_module_minimize(self, reference_two_cycle, reference_three_cycle,
                                                 monkeypatch):
-        # bench/tracing.py counts the BFGS evaluations by wrapping this name.
-        nfev = []
+        # bench/tracing.py counts the ascent's form evaluations by wrapping this name.
+        calls = []
         forward = visibility.minimize
 
-        def counting(*args, **kwargs):
-            result = forward(*args, **kwargs)
-            nfev.append(result.nfev)
+        def counting(forms, starts):
+            result = forward(forms, starts)
+            calls.append((len(starts), len(result.x), result.nfev))
             return result
 
         monkeypatch.setattr(visibility, "minimize", counting)
         maximize_visibility(reference_two_cycle)
-        assert nfev == []
+        assert calls == []
         maximize_visibility(reference_three_cycle)
-        assert len(nfev) == visibility.N_STARTS == 32
-        assert sum(nfev) > 0
+        assert len(calls) == 1
+        n_starts, n_results, nfev = calls[0]
+        assert n_starts == n_results == visibility.N_STARTS == 32
+        assert nfev >= visibility.N_STARTS
+
+    def test_matches_bfgs_oracle(self, reference_two_cycle, reference_three_cycle):
+        # default_rng(4)'s first triple keeps one start creeping until the
+        # ascent's iteration cap; the Newton finish still certifies it.
+        capped = random_three_cycle(4)
+        forms, _ = _forms(capped)
+        nfev = visibility.minimize(forms, nonmarkov._fibonacci_sphere(visibility.N_STARTS)).nfev
+        assert nfev == visibility.N_STARTS * (visibility.ASCENT_MAX_ITER + 1)
+        cycles = [reference_two_cycle, reference_three_cycle, capped]
+        cycles += [random_three_cycle(7, draw) for draw in (0, 1)]
+        for cycle in cycles:
+            result = maximize_visibility(cycle)
+            value, direction, verdict, degenerate = bfgs_maximum(cycle)
+            assert result.value >= value - 1e-12
+            assert (result.verdict, result.degenerate) == (verdict, degenerate)
+            if not degenerate:
+                assert min(np.max(np.abs(result.direction - s * direction)) for s in (1, -1)) <= 1e-6
 
     def test_hessian_negative_semidefinite(self, reference_two_cycle, reference_three_cycle):
         for cycle in (reference_two_cycle, reference_three_cycle):
