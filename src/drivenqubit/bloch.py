@@ -131,11 +131,13 @@ class ControlStep:
 
 @dataclass(frozen=True)
 class Protocol:
-    """A periodic sequence of control steps; steps[0] acts first."""
+    """A periodic sequence of control steps; steps[0] acts first.  Any
+    iterable of steps is stored as a tuple, so protocols are hashable."""
 
     steps: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "steps", tuple(self.steps))
         if len(self.steps) < 1:
             raise DomainError("a protocol needs at least one step")
         if not all(isinstance(s, ControlStep) for s in self.steps):
@@ -143,7 +145,7 @@ class Protocol:
 
     @classmethod
     def from_steps(cls, steps) -> "Protocol":
-        return cls(tuple(steps))
+        return cls(steps)
 
     @property
     def period(self) -> int:
@@ -171,11 +173,15 @@ class TrigMatrix:
     terms: np.ndarray
 
     def __post_init__(self):
-        terms = np.array(self.terms, dtype=float)
+        terms = np.asarray(self.terms, dtype=float)
         if terms.ndim != 3 or terms.shape[1:] != (3, 3) or len(terms) % 2 == 0:
             raise DomainError(f"terms must have shape (2H+1, 3, 3), got {terms.shape}")
-        slots = np.flatnonzero(terms.reshape(len(terms), 9).any(axis=1))
-        top = (int(slots[-1]) + 1) // 2 if slots.size else 0
+        # A composed band rarely cancels at its top, so look there first.
+        if terms[-2:].any():
+            top = len(terms) // 2
+        else:
+            slots = np.flatnonzero(terms.reshape(len(terms), 9).any(axis=1))
+            top = (int(slots[-1]) + 1) // 2 if slots.size else 0
         object.__setattr__(self, "terms", _readonly(terms[: 2 * top + 1]))
 
     @classmethod
@@ -191,51 +197,78 @@ class TrigMatrix:
     def max_harmonic(self) -> int:
         return len(self.terms) // 2
 
+    @functools.cached_property
+    def _harmonics(self) -> tuple:
+        slots = np.flatnonzero(self.terms.reshape(len(self.terms), 9).any(axis=1))
+        return tuple(np.unique((slots + 1) // 2).tolist())
+
+    @functools.cached_property
+    def _pairs(self) -> np.ndarray:
+        return _readonly(_cos_sin_pairs(self.terms))
+
     def harmonics(self):
         """Sorted non-negative harmonics carrying a nonzero coefficient."""
-        slots = np.flatnonzero(self.terms.reshape(len(self.terms), 9).any(axis=1))
-        return np.unique((slots + 1) // 2).tolist()
+        return list(self._harmonics)
 
     def evaluate(self, theta):
         """Sum the series at a phase, or at every phase of an array.
 
         Returns shape ``np.shape(theta) + (3, 3)``.
         """
-        return _harmonic_sum(self.terms, theta, np.ones(self.max_harmonic + 1))
+        theta = np.asarray(theta, dtype=float)
+        flat = theta.reshape(-1)
+        ones = np.ones(self.max_harmonic + 1)
+        out = np.empty((flat.size, 3, 3))
+        block = max(1, _SUM_BLOCK_TERMS // len(self.terms))
+        for lo in range(0, flat.size, block):
+            out[lo : lo + block] = _running_sum(_coefficient_rows(flat[lo : lo + block], ones), self.terms)
+        return out.reshape(theta.shape + (3, 3))
 
     def __repr__(self):
         return f"TrigMatrix(max_harmonic={self.max_harmonic}, terms={len(self.harmonics())})"
 
 
-# Phases per block of a harmonic sum times its number of terms: bounds the
-# (block, 2H+1, 3, 3) running-sum buffers to about 0.3 MB.
+# Phases per block of ``TrigMatrix.evaluate`` times the number of terms:
+# bounds the (block, 2H+1, 3, 3) running-sum buffers to about 0.3 MB.
 _SUM_BLOCK_TERMS = 2**11
 
 
-def _harmonic_sum(terms: np.ndarray, theta, damping: np.ndarray) -> np.ndarray:
-    """sum_h damping[h] * (cos(h theta) C_h + sin(h theta) S_h) at each phase.
+def _coefficient_rows(theta, damping: np.ndarray) -> np.ndarray:
+    """Rows ``[d_0, d_1 cos(theta), d_1 sin(theta), ..., d_H cos(H theta),
+    d_H sin(H theta)]`` of a phase or a flat array of phases, shape
+    ``np.shape(theta) + (2H+1,)``.  Element j does not depend on H, so the
+    row built for a deep series serves every shallower one as a prefix."""
+    angle = np.multiply.outer(theta, np.arange(1, len(damping)))
+    coef = np.empty(angle.shape[:-1] + (2 * len(damping) - 1,))
+    coef[..., 0] = damping[0]
+    coef[..., 1::2] = damping[1:] * np.cos(angle)
+    coef[..., 2::2] = damping[1:] * np.sin(angle)
+    return coef
+
+
+def _running_sum(coef: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """``sum_j coef[..., j] * terms[j]``, shape ``coef.shape[:-1] + (3, 3)``.
 
     The terms are added one by one in increasing harmonic order, cosine
     before sine, starting from zero: a running sum along the harmonic axis,
     never a reordered reduction.  Every phase of an array therefore gets
     the bits of a scalar call.
     """
-    theta = np.asarray(theta, dtype=float)
-    flat = theta.reshape(-1)
-    harmonic = np.arange(1, len(damping))
-    out = np.empty((flat.size, 3, 3))
-    block = max(1, _SUM_BLOCK_TERMS // len(terms))
-    for lo in range(0, flat.size, block):
-        angle = np.multiply.outer(flat[lo : lo + block], harmonic)
-        coef = np.empty((len(angle), len(terms)))
-        coef[:, 0] = damping[0]
-        coef[:, 1::2] = damping[1:] * np.cos(angle)
-        coef[:, 2::2] = damping[1:] * np.sin(angle)
-        parts = coef[:, :, None, None] * terms
-        # The first addition is to zero, so a -0.0 term ends as 0.0.
-        parts[:, 0] += 0.0
-        out[lo : lo + block] = np.cumsum(parts, axis=1)[:, -1]
-    return out.reshape(theta.shape + (3, 3))
+    parts = coef[..., None, None] * terms
+    # The first addition is to zero, so a -0.0 term ends as 0.0.
+    parts[..., 0, :, :] += 0.0
+    return np.cumsum(parts, axis=-3)[..., -1, :, :]
+
+
+def _check_contractions(ms: np.ndarray) -> None:
+    """Raise ``DomainError`` unless every map of the stack ``(n, 3, 3)`` is
+    a contraction up to ``CONTRACTION_GUARD_TOL``; the message gives the
+    1-based position of the first that is not.  One batched SVD."""
+    smax = np.linalg.svd(ms, compute_uv=False)[:, 0]
+    bad = np.flatnonzero(smax > 1.0 + CONTRACTION_GUARD_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"largest singular value {smax[i]} of map {i + 1} exceeds 1: not a contraction")
 
 
 @dataclass(frozen=True)
@@ -253,9 +286,7 @@ class BlochMap:
         mat = np.asarray(self.m, dtype=float)
         if mat.shape != (3, 3):
             raise DomainError(f"Bloch map must be 3x3, got shape {mat.shape}")
-        smax = float(np.linalg.svd(mat, compute_uv=False)[0])
-        if smax > 1.0 + CONTRACTION_GUARD_TOL:
-            raise DomainError(f"largest singular value {smax} exceeds 1: not a contraction")
+        _check_contractions(mat[None])
         object.__setattr__(self, "m", _readonly(mat))
 
     def apply(self, a: BlochVector) -> BlochVector:
@@ -315,11 +346,11 @@ def step_matrix(step: ControlStep, order: str = ORDER_PHASE_AFTER) -> TrigMatrix
     return trig_compose(rot, phase)
 
 
-def _cos_sin_pairs(a: TrigMatrix) -> np.ndarray:
+def _cos_sin_pairs(terms: np.ndarray) -> np.ndarray:
     """Coefficients ``[[C_0, 0], [C_1, S_1], ..., [C_H, S_H]]``, shape (H+1, 2, 3, 3)."""
-    pairs = np.zeros((a.max_harmonic + 1, 2, 3, 3))
-    pairs[0, 0] = a.terms[0]
-    pairs.reshape(-1, 3, 3)[2:] = a.terms[1:]
+    pairs = np.zeros((len(terms) // 2 + 1, 2, 3, 3))
+    pairs[0, 0] = terms[0]
+    pairs.reshape(-1, 3, 3)[2:] = terms[1:]
     return pairs
 
 
@@ -353,11 +384,13 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     """
     hb = b.max_harmonic
     # Every block V of b, transposed and stacked: band @ U^T holds (U V)^T.
-    band = _cos_sin_pairs(b).transpose(1, 0, 3, 2).reshape(-1, 3)
-    ab = _cos_sin_pairs(a)
+    band = _cos_sin_pairs(b.terms).transpose(1, 0, 3, 2).reshape(-1, 3)
+    # The narrow first factor is usually a cached step matrix, so its pair
+    # band and harmonics are kept on the instance.
+    ab = a._pairs
     cos = np.zeros((a.max_harmonic + hb + 1, 3, 3))
     sin = np.zeros_like(cos)
-    for h in a.harmonics():
+    for h in a._harmonics:
         prod = band @ ab[h].transpose(0, 2, 1)
         prod *= 0.5
         (cc, cs), (sc, ss) = prod.reshape(2, 2, hb + 1, 3, 3)
@@ -400,7 +433,7 @@ def _damping(s: float, max_harmonic: int) -> np.ndarray:
     return np.array([1.0] + [math.exp(-0.5 * (h * s) ** 2) for h in range(1, max_harmonic + 1)])
 
 
-def gaussian_average(a: TrigMatrix, sp: Spectrum, damping: np.ndarray | None = None) -> BlochMap:
+def gaussian_average(a: TrigMatrix, sp: Spectrum) -> BlochMap:
     """Average the harmonic series over the environment phase distribution.
 
     For a Gaussian phase each harmonic term acquires the moment damping
@@ -413,13 +446,9 @@ def gaussian_average(a: TrigMatrix, sp: Spectrum, damping: np.ndarray | None = N
     formula is exact for every s: integer harmonics have the same moments
     under the wrapped and the unwrapped normal, since
     ``exp(i h (theta + 2 pi m)) = exp(i h theta)``.
-
-    ``damping``, when given, is ``_damping(sp.s, H)`` for some
-    ``H >= a.max_harmonic``, so that a sequence of products shares one.
     """
-    if damping is None:
-        damping = _damping(sp.s, a.max_harmonic)
-    return BlochMap(_harmonic_sum(a.terms, sp.theta_bar, damping[: a.max_harmonic + 1]))
+    row = _coefficient_rows(sp.theta_bar, _damping(sp.s, a.max_harmonic))
+    return BlochMap(_running_sum(row, a.terms))
 
 
 def product_chain(p: Protocol, order: str = ORDER_PHASE_AFTER):
@@ -451,18 +480,28 @@ def _top_harmonic_bound(p: Protocol, n: int, order: str) -> int:
     return periods * sum(tops) + sum(tops[:rest])
 
 
-def averaged_maps(p: Protocol, sp: Spectrum, n: int, order: str = ORDER_PHASE_AFTER) -> list:
-    """Spectral averages ``[E[P_1], ..., E[P_n]]`` of the exact products.
+def averaged_maps(p: Protocol, sp: Spectrum, n: int, order: str = ORDER_PHASE_AFTER) -> np.ndarray:
+    """Spectral averages ``E[P_1], ..., E[P_n]`` of the exact products,
+    stacked read-only with shape ``(n, 3, 3)``.
 
     The environment phase is shared by all steps, so ``E[P_m]`` is *not*
-    the m-th power of the averaged one-step map.
+    the m-th power of the averaged one-step map.  The chain is streamed,
+    one product at a time.  One coefficient row, built for the deepest
+    product, serves them all: map m is the running sum of its prefix times
+    the terms of ``P_m``, with the bits of ``gaussian_average(P_m, sp).m``.
+    One batched SVD checks every map, as ``BlochMap`` checks one; the
+    error names the step m of the first map that is not a contraction.
     """
     if n != int(n) or n < 0:
         raise DomainError(f"n must be a non-negative integer, got {n}")
     n = int(n)
-    damping = _damping(sp.s, _top_harmonic_bound(p, n, order))
-    chain = itertools.islice(product_chain(p, order), 1, n + 1)
-    return [gaussian_average(tm, sp, damping) for tm in chain]
+    row = _coefficient_rows(sp.theta_bar, _damping(sp.s, _top_harmonic_bound(p, n, order)))
+    out = np.empty((n, 3, 3))
+    for i, tm in enumerate(itertools.islice(product_chain(p, order), 1, n + 1)):
+        out[i] = _running_sum(row[: len(tm.terms)], tm.terms)
+    _check_contractions(out)
+    out.setflags(write=False)
+    return out
 
 
 def propagate(
@@ -477,7 +516,7 @@ def propagate(
     Element m applies the spectral average of the full m-step product to
     the initial vector (see ``averaged_maps``).
     """
-    return [a0] + [m.apply(a0) for m in averaged_maps(p, sp, n, order)]
+    return [a0] + [BlochVector.from_array(a) for a in averaged_maps(p, sp, n, order) @ a0.as_array()]
 
 
 def spectrum_from_physical(lambda0: float, fwhm: float, delta_L_over_lambda: float) -> Spectrum:

@@ -75,10 +75,9 @@ def pair_distances(
 ) -> np.ndarray:
     """Trace distance of the jointly evolved pair after 0..n steps; both
     states share each averaged map."""
-    d = [trace_distance(pair.a_plus, pair.a_minus)]
-    for m in averaged_maps(p, sp, n, order):
-        d.append(trace_distance(m.apply(pair.a_plus), m.apply(pair.a_minus)))
-    return np.array(d)
+    ms = averaged_maps(p, sp, n, order)
+    diff = ms @ pair.a_plus.as_array() - ms @ pair.a_minus.as_array()
+    return np.concatenate([[trace_distance(pair.a_plus, pair.a_minus)], 0.5 * np.sqrt(np.vecdot(diff, diff))])
 
 
 def blp_accumulate(

@@ -25,6 +25,8 @@ from drivenqubit import (
     step_matrix,
     trig_compose,
 )
+from drivenqubit import bloch
+from drivenqubit.bloch import averaged_maps
 
 
 def z_rotation(angle):
@@ -280,6 +282,22 @@ class TestProtocolProduct:
         with pytest.raises(DomainError):
             protocol_product(two_controls, -1)
 
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_composes_through_module_name(self, three_controls, monkeypatch, n):
+        # The benchmark's tracer counts composes and term pairs by replacing
+        # bloch.trig_compose, so every compose of the chain must look it up.
+        protocol_product(three_controls, three_controls.period)  # warm the step cache
+        pairs = []
+
+        def counting(a, b, compose=bloch.trig_compose):
+            pairs.append(len(a.harmonics()) * len(b.harmonics()))
+            return compose(a, b)
+
+        monkeypatch.setattr(bloch, "trig_compose", counting)
+        protocol_product(three_controls, n)
+        assert len(pairs) == n
+        assert all(pairs)
+
 
 class TestPropagate:
     def test_zero_vector_stays_zero(self, two_controls, calibrated_spectrum):
@@ -304,6 +322,21 @@ class TestPropagate:
         # The two visited points are genuinely distinct.
         gap = np.linalg.norm(cycle[0].as_array() - cycle[1].as_array())
         assert gap > 0.2
+
+    def test_zero_steps(self, two_controls, calibrated_spectrum):
+        a0 = BlochVector(0.3, -0.2, 0.5)
+        assert averaged_maps(two_controls, calibrated_spectrum, 0).shape == (0, 3, 3)
+        assert propagate(two_controls, calibrated_spectrum, 0, a0) == [a0]
+
+    def test_stacked_guard_names_first_expanding_step(self, monkeypatch):
+        # Step 1 has k = 0, so map 1 is a rotation whatever the damping;
+        # amplified harmonics make a later map expand.
+        p = Protocol.from_steps([ControlStep(0.5, 0), ControlStep(0.3, 1)])
+        sp = Spectrum(0.4, 0.5)
+        assert averaged_maps(p, sp, 6).shape == (6, 3, 3)
+        monkeypatch.setattr(bloch, "_damping", lambda s, top: np.array([1.0] + [3.0] * top))
+        with pytest.raises(DomainError, match=r"of map 2 exceeds 1"):
+            averaged_maps(p, sp, 6)
 
 
 class TestSpectrumFromPhysical:
@@ -370,6 +403,14 @@ class TestDomainTypes:
     def test_protocol_needs_steps(self):
         with pytest.raises(DomainError):
             Protocol.from_steps([])
+
+    def test_protocol_from_list_is_immutable(self):
+        steps = [ControlStep(0.5, 1)]
+        p = Protocol(steps)
+        steps.append(ControlStep(0.5, 2))
+        assert p.steps == (ControlStep(0.5, 1),)
+        assert p == Protocol.from_steps([ControlStep(0.5, 1)])
+        assert hash(p) == hash(Protocol.from_steps([ControlStep(0.5, 1)]))
 
     def test_trig_matrix_rejects_zero_harmonic_sine(self):
         # An even-length stack [C0, S0, ...] would hold a sine at h = 0.

@@ -27,6 +27,8 @@ from drivenqubit import (
 from drivenqubit import cli
 from drivenqubit.cli import MAX_STEPS, main
 
+from conftest import recorded_ops
+
 # Hashes of the preset CLI outputs pinned by the benchmark references.
 PRESET_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli_presets.json"
 
@@ -445,3 +447,24 @@ class TestPresetBytes:
         assert pinned
         for name, digest in pinned.items():
             assert hashlib.sha256((Path(op["out"]) / name).read_bytes()).hexdigest() == digest, name
+
+
+class TestDeepChainBytes:
+    # TestPresetBytes stops at 50 steps; these recorded runs go up to 394.
+    @pytest.mark.parametrize(
+        "op", recorded_ops("long_horizon", lambda op: op["id"].endswith(".v0")), ids=lambda op: op["id"]
+    )
+    def test_outputs_match_recorded_text(self, op, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        config = Path(op["config_path"])
+        config.parent.mkdir(parents=True)
+        config.write_text(json.dumps(op["config"], indent=2) + "\n")
+        assert main(list(op["argv"])) == op["expect"]["exit"]
+        files = op["expect"]["files"]
+        texts = {name: f["csv"] for name, f in files.items() if "csv" in f}
+        assert texts
+        for name, text in texts.items():
+            assert (Path(op["out"]) / name).read_text() == text, name
+        for name, f in files.items():
+            if "sha256" in f:
+                assert hashlib.sha256((Path(op["out"]) / name).read_bytes()).hexdigest() == f["sha256"], name

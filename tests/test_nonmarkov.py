@@ -109,6 +109,11 @@ class TestPairDistances:
         propagate(three_controls, calibrated_spectrum, 20, pair.a_plus)
         assert per_pair == len(calls) == three_controls.period + 20
 
+    def test_zero_steps(self, two_controls, calibrated_spectrum):
+        pair = StatePair(BlochVector(0.6, 0.3, -0.2), BlochVector(0.0, 0.0, 1.0))
+        d = pair_distances(two_controls, calibrated_spectrum, pair, 0)
+        assert d.tolist() == [trace_distance(pair.a_plus, pair.a_minus)]
+
 
 class TestBlpAccumulate:
     def test_unitary_dynamics_has_no_backflow(self, two_controls):

@@ -218,9 +218,12 @@ def test_averaged_maps_are_unital_contractions(p, order, n, sp):
 
 @given(protocols, orders, depths, spectra)
 def test_shared_damping_matches_own_average_bitwise(p, order, n, sp):
-    # averaged_maps slices one damping array, built for the deepest product.
-    for m, bm in enumerate(averaged_maps(p, sp, n, order), start=1):
-        assert bm.m.tobytes() == gaussian_average(protocol_product(p, m, order), sp).m.tobytes()
+    # averaged_maps takes prefixes of one coefficient row, built for the
+    # deepest product.
+    stack = averaged_maps(p, sp, n, order)
+    assert stack.shape == (n, 3, 3) and not stack.flags.writeable
+    for m, row in enumerate(stack, start=1):
+        assert row.tobytes() == gaussian_average(protocol_product(p, m, order), sp).m.tobytes()
 
 
 @given(protocols, orders, depths, st.floats(-10.0, 10.0))
