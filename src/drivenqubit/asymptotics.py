@@ -26,8 +26,8 @@ node-by-node loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -156,7 +156,8 @@ def cesaro_mean(w: np.ndarray) -> np.ndarray:
     """Brute-force Cesaro mean (1/N) sum_{n<N} W^n with N = 2^CESARO_DOUBLINGS.
 
     Uses the doubling identity S_{2N} = S_N + W^N S_N, so the cost is
-    logarithmic in N.  Serves as the iteration oracle for abel_limit.
+    logarithmic in N.  A stack of matrices (n, 3, 3) gives each one's mean.
+    Serves as the iteration oracle for abel_limit.
     """
     s = np.eye(3)
     p = np.asarray(w, dtype=float)
@@ -168,27 +169,27 @@ def cesaro_mean(w: np.ndarray) -> np.ndarray:
     return s / n
 
 
-@lru_cache(maxsize=None)
-def _panel_rule(order: int):
-    return np.polynomial.legendre.leggauss(order)
+# Gauss-Legendre rule of one quadrature panel on [-1, 1].
+_PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_PANEL_ORDER)
 
 
 def _quad_nodes(sp: Spectrum, n_nodes: int):
     """Composite Gauss-Legendre nodes and normalized spectral weights, or
-    None when every weight underflows (a window of a few subnormal widths)."""
-    x, w = _panel_rule(QUAD_PANEL_ORDER)
+    None when every weight underflows (a window of a few subnormal widths).
+    A window too wide for a float (s >= 2.25e307) is the uniform one."""
     panels = max(1, n_nodes // QUAD_PANEL_ORDER)
-    if sp.is_uniform:
+    half = GAUSSIAN_WINDOW_SIGMAS * sp.s
+    uniform = math.isinf(half)
+    if uniform:
         lo, hi = 0.0, 2.0 * np.pi
     else:
-        half = GAUSSIAN_WINDOW_SIGMAS * sp.s
         lo, hi = sp.theta_bar - half, sp.theta_bar + half
     edges = np.linspace(lo, hi, panels + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     half_widths = 0.5 * np.diff(edges)
-    nodes = (centers[:, None] + half_widths[:, None] * x[None, :]).ravel()
-    weights = (half_widths[:, None] * w[None, :]).ravel()
-    if not sp.is_uniform:
+    nodes = (centers[:, None] + half_widths[:, None] * _PANEL_NODES[None, :]).ravel()
+    weights = (half_widths[:, None] * _PANEL_WEIGHTS[None, :]).ravel()
+    if not uniform:
         weights = weights * np.exp(-0.5 * ((nodes - sp.theta_bar) / sp.s) ** 2)
     total = np.sum(weights)
     return (nodes, weights / total) if total > 0.0 else None

@@ -38,6 +38,9 @@ PURITY_TOL = 1e-12
 CONTRACTION_GUARD_TOL = 1e-9
 # Largest phase multiplier: one step's harmonic band then takes about 150 MB.
 MAX_PHASE_MULTIPLIER = 2**20
+# Bound on |theta_bar|, exclusive: from 2^52 on one ulp of theta_bar is at
+# least 1 rad, so it carries no phase.
+MAX_THETA_BAR = 2.0**52
 
 # Step-operator orderings within one operation unit.  ORDER_PHASE_AFTER
 # applies the polarization rotation first and the environment phase second;
@@ -103,8 +106,8 @@ class Spectrum:
     s: float
 
     def __post_init__(self):
-        if not math.isfinite(self.theta_bar):
-            raise DomainError(f"theta_bar must be finite, got {self.theta_bar}")
+        if not abs(self.theta_bar) < MAX_THETA_BAR:
+            raise DomainError(f"theta_bar must be finite with |theta_bar| < 2^52, got {self.theta_bar}")
         if math.isnan(self.s) or self.s < 0.0:
             raise DomainError(f"spectral width s must be >= 0, got {self.s}")
 
@@ -429,8 +432,10 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
 
 
 def _damping(s: float, max_harmonic: int) -> np.ndarray:
-    """Moment damping ``exp(-h^2 s^2 / 2)`` of the harmonics 0..max_harmonic."""
-    return np.array([1.0] + [math.exp(-0.5 * (h * s) ** 2) for h in range(1, max_harmonic + 1)])
+    """Moment damping ``exp(-h^2 s^2 / 2)`` of the harmonics 0..max_harmonic.
+    It is 0.0 from h s = 38.61 on, so h s is clamped at 40 before squaring,
+    which would overflow past 1.3e154."""
+    return np.array([1.0] + [math.exp(-0.5 * min(h * s, 40.0) ** 2) for h in range(1, max_harmonic + 1)])
 
 
 def gaussian_average(a: TrigMatrix, sp: Spectrum) -> BlochMap:

@@ -263,6 +263,14 @@ class TestAsymptoticMap:
             want = asymptotic_map(two_controls, Spectrum(theta_bar, 0.0), K).m
             assert got.tobytes() == want.tobytes()
 
+    def test_overflowing_window_is_uniform_limit(self, two_controls):
+        # 8 s overflows from s = 2.25e307 on; the window is then the uniform
+        # one (a NaN window would fall back to the sharp map, with warnings).
+        for K in range(2):
+            got = asymptotic_map(two_controls, Spectrum(0.7, 1e308), K).m
+            want = asymptotic_map(two_controls, Spectrum(0.7, math.inf), K).m
+            assert got.tobytes() == want.tobytes()
+
     def test_subnormal_widths_converge_to_point_value(self, two_controls):
         # The smallest widths s = m * 5e-324 resolve to a few distinct nodes:
         # every one converges, without a NaN weight, to the sharp map.

@@ -328,6 +328,14 @@ class TestPropagate:
         assert averaged_maps(two_controls, calibrated_spectrum, 0).shape == (0, 3, 3)
         assert propagate(two_controls, calibrated_spectrum, 0, a0) == [a0]
 
+    @pytest.mark.parametrize("s", [1e200, 1e308])
+    def test_huge_width_is_uniform_limit(self, three_controls, s):
+        # (h s)^2 would overflow past s = 1.3e154; every harmonic is damped
+        # to 0.0 as in the uniform limit.
+        a0 = BlochVector(0.3, -0.2, 0.5)
+        got = propagate(three_controls, Spectrum(0.7, s), 9, a0)
+        assert got == propagate(three_controls, Spectrum(0.7, math.inf), 9, a0)
+
     def test_stacked_guard_names_first_expanding_step(self, monkeypatch):
         # Step 1 has k = 0, so map 1 is a rotation whatever the damping;
         # amplified harmonics make a later map expand.
@@ -393,6 +401,13 @@ class TestDomainTypes:
         Spectrum(0.0, math.inf)
         with pytest.raises(DomainError):
             Spectrum(0.0, -0.1)
+
+    def test_spectrum_mean_phase_bound(self):
+        # From 2^52 on one ulp of theta_bar is at least 1 rad.
+        assert Spectrum(-(2.0**52 - 1.0), 0.4).theta_bar == -(2.0**52 - 1.0)
+        for theta_bar in (2.0**52, -(2.0**52), 1e308, math.inf, math.nan):
+            with pytest.raises(DomainError, match="theta_bar"):
+                Spectrum(theta_bar, 0.4)
 
     def test_control_step_ranges(self):
         with pytest.raises(DomainError):

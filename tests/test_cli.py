@@ -24,7 +24,7 @@ from drivenqubit import (
     run,
     spectrum_from_physical,
 )
-from drivenqubit import cli
+from drivenqubit import bloch, cli
 from drivenqubit.cli import MAX_STEPS, main
 
 from conftest import recorded_ops
@@ -376,6 +376,22 @@ class TestMainEntry:
         assert main(["simulate", "--preset", "two_controls", "--out", str(tmp_path / "o")]) == 3
         assert "numerical error: out of memory" in capsys.readouterr().err
 
+    def test_huge_spectral_width(self, tmp_path, capsys):
+        # (h s)^2 would overflow past s = 1.3e154: simulate runs the uniform
+        # limit, and the steady-map quadrature stops at its node cap.
+        argv = ["--preset", "two_controls", "--spectrum-s", "1e200", "--out", str(tmp_path)]
+        assert main(["simulate", *argv]) == 0
+        assert main(["asymptotics", *argv]) == 3
+        assert "within 65536 nodes" in capsys.readouterr().err
+
+    def test_phaseless_mean_phase_exit_code(self, tmp_path, capsys):
+        # h theta_bar would overflow to a NaN period map.
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(config_dict(tmp_path / "out", spectrum={"theta_bar": 1e308, "s": 0.4})))
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "configuration error: spectrum: theta_bar " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -447,6 +463,71 @@ class TestPresetBytes:
         assert pinned
         for name, digest in pinned.items():
             assert hashlib.sha256((Path(op["out"]) / name).read_bytes()).hexdigest() == digest, name
+
+
+# sha256 of verify.json and of stdout, recorded with checks that evaluated
+# one phase at a time: the batched checks must print the same digits.  The last three runs take each branch of the
+# quadrature check: sharp, uniform, and a wide Gauss-Hermite rule.
+VERIFY_DIGESTS = {
+    ("two_controls", "eq2b", None): (
+        "8a05ecf63612962691f5ff8966937036e34220d145e2c697575755c34ef2e92f",
+        "53d3c10557bdda87835f3bf76e4d437c280d3f68245b029d0fd726f55f515d2e",
+    ),
+    ("two_controls", "eq4a", None): (
+        "49a8da454e6baa201099741077d988037abffd3289f6cf8dea43b0bd44684e7f",
+        "c435aac1713451515279943605ebe10ab2bc7ae95a4d253fa2388c27095180b1",
+    ),
+    ("three_controls", "eq2b", None): (
+        "3a21c879efab2a05b20758f7b66335dd0f51ed683a3521cc68c17500f7fc5851",
+        "ae4fedb7a8c82b9a937002ec11b52b71cbf64faee06c352c7b5be0f7542c820c",
+    ),
+    ("three_controls", "eq4a", None): (
+        "ca27f972b711043c7d960d9a60b3aa59d9923b336c67a8c471f76921d9fa202f",
+        "54d40438bfb760c6b29f51197e9492474f965b6602953970a112dbc5ed5765fb",
+    ),
+    ("two_controls", "eq2b", "0"): (
+        "e4768f78af0fe87f92bc59a892dedd8c6595a3f76839905647668bb33effc9bc",
+        "0dd9cd53957667ca4232fe36c2cbee3996264180181a22282108b3a43eb849bd",
+    ),
+    ("two_controls", "eq2b", "inf"): (
+        "5ae0cc91860e0237d59c260df1b8c7fbdbca8235053e200c4334759c05888f61",
+        "cc637526b9d258a885ce5702e1a038845d993cdc959d7a4694c99a41c88e1fdb",
+    ),
+    ("two_controls", "eq2b", "12"): (
+        "c07037a74e2255a1b78303aab41ef0dbb05dfacc76f32b9406686db7bd054ef4",
+        "45462c0abfda3d0c4734249260ef482129832785a99082bd2ff4c4e1a8b3ed6b",
+    ),
+}
+
+
+def verify_argv(name, order, s, out) -> list:
+    argv = ["verify", "--preset", name, "--order", order, "--out", str(out)]
+    return argv if s is None else argv + ["--spectrum-s", s]
+
+
+class TestVerifyBytes:
+    @pytest.mark.parametrize("key", VERIFY_DIGESTS, ids=lambda key: ".".join(map(str, key)))
+    def test_report_and_stdout_match_pinned_hashes(self, key, tmp_path, capsys):
+        assert main(verify_argv(*key, tmp_path)) == 0
+        report, stdout = VERIFY_DIGESTS[key]
+        assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == report
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout
+
+    @pytest.mark.parametrize("order", ["eq2b", "eq4a"])
+    @pytest.mark.parametrize("name", ["two_controls", "three_controls"])
+    def test_each_check_evaluates_its_phases_at_once(self, name, order, tmp_path, monkeypatch, capsys):
+        # Point-by-point checks took 385 (two_controls) and 401 calls.
+        calls = 0
+        evaluate = bloch.TrigMatrix.evaluate
+
+        def counted(self, theta):
+            nonlocal calls
+            calls += 1
+            return evaluate(self, theta)
+
+        monkeypatch.setattr(bloch.TrigMatrix, "evaluate", counted)
+        assert main(verify_argv(name, order, None, tmp_path)) == 0
+        assert 0 < calls <= 40
 
 
 class TestDeepChainBytes:
