@@ -17,15 +17,19 @@ long-iteration propagation; the products themselves keep a residual
 oscillatory error that decays only like 1/sqrt(m) through stationary
 points of the rotation angle.
 
-All functions are pure.  Each quadrature refinement runs in blocks of
-nodes: the axis projectors of a block are extracted in one batched pass,
-and the weighted terms are added as one running sum in node order, carried
-from block to block, so results are reproducible bit for bit and equal a
-node-by-node loop.
+All functions are pure.  The steady maps of all phases refine in
+lockstep, each phase retiring at the refinement where it converges.  Each
+refinement runs in blocks of nodes: one harmonic-major cos/sin table per
+block serves the period and prefix series of every phase, the axis
+projectors of a block are extracted in one batched pass, and the weighted
+terms are added as one running sum in node order, carried from block to
+block.  So results are reproducible bit for bit, equal a node-by-node loop,
+and do not depend on which other phases are computed alongside.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +42,10 @@ from .bloch import (
     Protocol,
     Spectrum,
     TrigMatrix,
+    _coefficient_rows,
+    _running_sum,
+    _SUM_BLOCK_TERMS,
+    product_chain,
     propagate,
     protocol_product,
 )
@@ -63,9 +71,6 @@ GAUSSIAN_WINDOW_SIGMAS = 8.0
 RESOLVENT_DET_TOL = 1e-12
 CESARO_DOUBLINGS = 24
 CONVERGENCE_TOL = 1e-2
-# Quadrature nodes reduced per block: bounds the (block, 3, 3) buffers to
-# about 0.15 MB each.
-_QUAD_BLOCK = 2**11
 
 
 def _det3(m: np.ndarray):
@@ -195,11 +200,11 @@ def _quad_nodes(sp: Spectrum, n_nodes: int):
     return (nodes, weights / total) if total > 0.0 else None
 
 
-def _steady_projectors(period: TrigMatrix, theta: np.ndarray) -> np.ndarray:
-    """Axis projectors of the period maps at an array of phases, extended by
-    continuity where W = I: there the mean of the projectors at
+def _steady_projectors(period: TrigMatrix, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Axis projectors of the period maps ``w`` at an array of phases,
+    extended by continuity where W = I: there the mean of the projectors at
     theta -/+ CONTINUITY_NUDGE, and the identity if the map stays I there."""
-    p, identity = _axis_projectors(period.evaluate(theta))
+    p, identity = _axis_projectors(w)
     if identity.any():
         t = theta[identity]
         side, _ = _axis_projectors(
@@ -207,6 +212,67 @@ def _steady_projectors(period: TrigMatrix, theta: np.ndarray) -> np.ndarray:
         )
         p[identity] = 0.5 * (side[: len(t)] + side[len(t) :])
     return p
+
+
+def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
+    """Steady-cycle maps at the given integer phases, computed in lockstep.
+
+    Each refinement runs in blocks of nodes; one harmonic-major coefficient
+    row per block, built for the deepest series, serves the period and
+    prefix series of every phase as a prefix.  A phase retires at the
+    first refinement where it has converged; at the node cap the first
+    phase still refining raises ConvergenceError.
+    """
+    prefixes = list(itertools.islice(product_chain(p, order), max(phases) + 1))
+    series = [
+        (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order), prefixes[K])
+        for K in phases
+    ]
+    top = max(len(tm.terms) for pair in series for tm in pair)
+    ones = np.ones(top // 2 + 1)
+    block = max(1, _SUM_BLOCK_TERMS // top)
+
+    def node_values(theta, active):
+        """Projector times prefix at each phase of theta, per active phase."""
+        coef = _coefficient_rows(theta, ones)
+        for j in active:
+            period, prefix = series[j]
+            proj = _steady_projectors(period, theta, _running_sum(coef, period.terms))
+            yield proj @ _running_sum(coef, prefix.terms)
+
+    def integrals(nodes, weights, active):
+        acc = np.zeros((len(active), 3, 3))
+        for lo in range(0, len(nodes), block):
+            w = weights[lo : lo + block, None, None]
+            for i, x in enumerate(node_values(nodes[lo : lo + block], active)):
+                parts = w * x
+                # A running sum in node order, carried from the previous block.
+                parts[0] += acc[i]
+                acc[i] = np.add.reduce(parts, axis=0)
+        return acc
+
+    maps = np.empty((len(series), 3, 3))
+    active = np.arange(len(series))
+    half = GAUSSIAN_WINDOW_SIGMAS * sp.s
+    if sp.theta_bar - half != sp.theta_bar + half:
+        n_nodes, diff = QUAD_MIN_NODES, np.full(len(series), np.inf)
+        while active.size and (rule := _quad_nodes(sp, n_nodes)) is not None:
+            cur = integrals(*rule, active)
+            if n_nodes > QUAD_MIN_NODES:
+                diff[active] = np.max(np.abs(cur - maps[active]), axis=(1, 2))
+            maps[active] = cur
+            active = active[~(diff[active] < QUAD_TOL)]
+            if active.size and n_nodes >= QUAD_MAX_NODES:
+                j = active[0]
+                raise ConvergenceError(
+                    f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
+                    f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e})"
+                )
+            n_nodes *= 2
+    # The window rounds to one float, or a refinement's weights all underflow.
+    for j, x in zip(active, node_values(np.array([sp.theta_bar]), active)):
+        maps[j] = x[0]
+    return [BlochMap(m) for m in maps]
 
 
 def asymptotic_map(
@@ -224,38 +290,7 @@ def asymptotic_map(
     """
     if not 0 <= K < p.period:
         raise DomainError(f"phase {K} outside [0, {p.period})")
-    period = protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order)
-    prefix = protocol_product(p, K, order)
-
-    def integral(nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        acc = np.zeros((3, 3))
-        for lo in range(0, len(nodes), _QUAD_BLOCK):
-            theta = nodes[lo : lo + _QUAD_BLOCK]
-            proj = _steady_projectors(period, theta)
-            parts = weights[lo : lo + _QUAD_BLOCK, None, None] * (proj @ prefix.evaluate(theta))
-            # A running sum in node order, carried from the previous block.
-            parts[0] += acc
-            acc = np.cumsum(parts, axis=0)[-1]
-        return acc
-
-    half = GAUSSIAN_WINDOW_SIGMAS * sp.s
-    if sp.theta_bar - half != sp.theta_bar + half:
-        n_nodes, prev, diff = QUAD_MIN_NODES, None, np.inf
-        while (rule := _quad_nodes(sp, n_nodes)) is not None:
-            cur = integral(*rule)
-            if prev is not None:
-                diff = float(np.max(np.abs(cur - prev)))
-                if diff < QUAD_TOL:
-                    return BlochMap(cur)
-            if n_nodes >= QUAD_MAX_NODES:
-                raise ConvergenceError(
-                    f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
-                    f"nodes (period {p.period}, phase {K}, s = {sp.s}, last change {diff:.3e})"
-                )
-            prev, n_nodes = cur, 2 * n_nodes
-    # The window rounds to one float, or a refinement's weights all underflow.
-    proj = _steady_projectors(period, np.array([sp.theta_bar]))[0]
-    return BlochMap(proj @ prefix.evaluate(sp.theta_bar))
+    return _steady_maps(p, sp, [K], order)[0]
 
 
 @dataclass(frozen=True)
@@ -280,10 +315,10 @@ class AsymptoticCycle:
 def asymptotic_cycle(
     p: Protocol, sp: Spectrum, order: str = ORDER_PHASE_AFTER
 ) -> AsymptoticCycle:
-    """All T steady-cycle maps of a protocol."""
-    return AsymptoticCycle.from_maps(
-        asymptotic_map(p, sp, K, order) for K in range(p.period)
-    )
+    """All T steady-cycle maps of a protocol, refined in lockstep: each map
+    has the bits of ``asymptotic_map`` at its phase, and the first phase
+    that hits the node cap raises its ConvergenceError."""
+    return AsymptoticCycle.from_maps(_steady_maps(p, sp, range(p.period), order))
 
 
 def limit_cycle(

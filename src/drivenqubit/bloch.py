@@ -231,36 +231,42 @@ class TrigMatrix:
         return f"TrigMatrix(max_harmonic={self.max_harmonic}, terms={len(self.harmonics())})"
 
 
-# Phases per block of ``TrigMatrix.evaluate`` times the number of terms:
-# bounds the (block, 2H+1, 3, 3) running-sum buffers to about 0.3 MB.
-_SUM_BLOCK_TERMS = 2**11
+# Phases per block of ``TrigMatrix.evaluate`` (and nodes per block of the
+# steady maps) times the number of terms: bounds the harmonic-major
+# (2H+1, 9, block) products of ``_running_sum`` to about 0.6 MB.
+_SUM_BLOCK_TERMS = 2**13
 
 
 def _coefficient_rows(theta, damping: np.ndarray) -> np.ndarray:
-    """Rows ``[d_0, d_1 cos(theta), d_1 sin(theta), ..., d_H cos(H theta),
-    d_H sin(H theta)]`` of a phase or a flat array of phases, shape
-    ``np.shape(theta) + (2H+1,)``.  Element j does not depend on H, so the
-    row built for a deep series serves every shallower one as a prefix."""
-    angle = np.multiply.outer(theta, np.arange(1, len(damping)))
-    coef = np.empty(angle.shape[:-1] + (2 * len(damping) - 1,))
-    coef[..., 0] = damping[0]
-    coef[..., 1::2] = damping[1:] * np.cos(angle)
-    coef[..., 2::2] = damping[1:] * np.sin(angle)
+    """Harmonic-major rows ``[d_0, d_1 cos(theta), d_1 sin(theta), ...,
+    d_H cos(H theta), d_H sin(H theta)]`` of a phase or an array of phases,
+    shape ``(2H+1,) + np.shape(theta)``.  Element j does not depend on H, so
+    the rows built for a deep series serve every shallower one as a prefix."""
+    theta = np.asarray(theta, dtype=float)
+    angle = np.multiply.outer(np.arange(1, len(damping)), theta)
+    scale = damping[1:].reshape((-1,) + (1,) * theta.ndim)
+    coef = np.empty((2 * len(damping) - 1,) + theta.shape)
+    coef[0] = damping[0]
+    coef[1::2] = scale * np.cos(angle)
+    coef[2::2] = scale * np.sin(angle)
     return coef
 
 
 def _running_sum(coef: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """``sum_j coef[..., j] * terms[j]``, shape ``coef.shape[:-1] + (3, 3)``.
+    """``sum_j coef[j] * terms[j]`` over the first ``len(terms)`` rows of
+    ``coef``, shape ``coef.shape[1:] + (3, 3)``.
 
     The terms are added one by one in increasing harmonic order, cosine
-    before sine, starting from zero: a running sum along the harmonic axis,
-    never a reordered reduction.  Every phase of an array therefore gets
-    the bits of a scalar call.
+    before sine, starting from zero: the reduction axis j is the outermost
+    axis of the ``(J, 9, phases)`` products, so numpy adds whole slices in
+    order j = 0, 1, ... (a pairwise sum happens only along the innermost
+    axis).  Every phase of an array therefore gets the bits of a scalar call.
     """
-    parts = coef[..., None, None] * terms
+    J = len(terms)
+    parts = terms.reshape(J, 9, 1) * coef[:J].reshape(J, 1, -1)
     # The first addition is to zero, so a -0.0 term ends as 0.0.
-    parts[..., 0, :, :] += 0.0
-    return np.cumsum(parts, axis=-3)[..., -1, :, :]
+    parts[0] += 0.0
+    return np.add.reduce(parts, axis=0).T.reshape(coef.shape[1:] + (3, 3))
 
 
 def _check_contractions(ms: np.ndarray) -> None:
@@ -503,7 +509,7 @@ def averaged_maps(p: Protocol, sp: Spectrum, n: int, order: str = ORDER_PHASE_AF
     row = _coefficient_rows(sp.theta_bar, _damping(sp.s, _top_harmonic_bound(p, n, order)))
     out = np.empty((n, 3, 3))
     for i, tm in enumerate(itertools.islice(product_chain(p, order), 1, n + 1)):
-        out[i] = _running_sum(row[: len(tm.terms)], tm.terms)
+        out[i] = _running_sum(row, tm.terms)
     _check_contractions(out)
     out.setflags(write=False)
     return out

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from drivenqubit import (
     Protocol,
     Spectrum,
     abel_limit,
+    asymptotic_cycle,
     asymptotic_map,
     cesaro_mean,
     convergence_profile,
@@ -26,6 +28,7 @@ from drivenqubit import (
     step_matrix,
     resolvent,
 )
+from drivenqubit import asymptotics, bloch
 from conftest import random_rotation
 
 
@@ -279,6 +282,49 @@ class TestAsymptoticMap:
             for K in range(2):
                 got = asymptotic_map(two_controls, Spectrum(0.0, m * 5e-324), K).m
                 assert np.max(np.abs(got - sharp[K])) < 1e-15
+
+
+class TestLockstepCycle:
+    def test_one_coefficient_row_per_node_block(self, three_controls, calibrated_spectrum, monkeypatch):
+        # Every phase's period and prefix series read the rows of one shared
+        # table: each node of each refinement enters exactly one row, where a
+        # phase-by-phase quadrature builds 2 T rows per block.
+        rows, refinements = [], []
+        build_rows, quad_nodes = bloch._coefficient_rows, asymptotics._quad_nodes
+
+        def counted_rows(theta, damping):
+            rows.append(np.size(theta))
+            return build_rows(theta, damping)
+
+        def counted_nodes(sp, n_nodes):
+            rule = quad_nodes(sp, n_nodes)
+            refinements.append(len(rule[0]))
+            return rule
+
+        # asymptotics binds the name at import, so both modules are patched.
+        for module in (bloch, asymptotics):
+            monkeypatch.setattr(module, "_coefficient_rows", counted_rows)
+        monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
+        asymptotic_cycle(three_controls, calibrated_spectrum)
+        top = len(protocol_product(three_controls, three_controls.period).terms)
+        block = bloch._SUM_BLOCK_TERMS // top
+        assert len(refinements) > 1
+        assert rows == [min(block, n - lo) for n in refinements for lo in range(0, n, block)]
+
+    def test_peak_memory_is_a_few_blocks(self):
+        # 16,384 nodes at 2 H + 1 = 9 terms: blocks of 910 nodes keep the
+        # (terms, 9, nodes) products at 0.6 MB and the peak at 1.25 MB; blocks
+        # of 2^14 or 2^15 terms x nodes would peak at 2.1 or 3.9 MB.
+        p = Protocol.from_steps([ControlStep(0.3, 0), ControlStep(0.5, 4)])
+        sp = Spectrum(0.0, 8.253)
+        asymptotic_cycle(p, sp)  # numpy's one-off first-call allocations
+        tracemalloc.start()
+        try:
+            asymptotic_cycle(p, sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20
 
 
 class TestLimitCycle:

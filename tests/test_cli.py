@@ -384,6 +384,24 @@ class TestMainEntry:
         assert main(["asymptotics", *argv]) == 3
         assert "within 65536 nodes" in capsys.readouterr().err
 
+    def test_verify_at_overflowing_width(self, tmp_path, capsys):
+        # sqrt(2) s x overflows the Gauss-Hermite phases; every harmonic
+        # h >= 1 is damped to 0.0, so the check reads the harmonic-0 term.
+        argv = ["verify", "--preset", "two_controls", "--spectrum-s", "1e308", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "ok   harmonic average vs quadrature (uniform limit: harmonic-0 term, max dev 0.000e+00)" in out
+        assert "FAIL" not in out
+
+    def test_harmonic_average_check_at_huge_width(self):
+        # At s = 1e200 the nodes scatter far beyond one period; the steady
+        # maps stop verify later at their node cap, so read the check alone.
+        base = preset("two_controls")
+        config = dataclasses.replace(base, spectrum=Spectrum(base.spectrum.theta_bar, 1e200))
+        name, ok, detail = next(c for c in cli._verification_checks(config) if c[0] == "harmonic average vs quadrature")
+        assert ok, detail
+        assert detail == "uniform limit: harmonic-0 term, max dev 0.000e+00"
+
     def test_phaseless_mean_phase_exit_code(self, tmp_path, capsys):
         # h theta_bar would overflow to a NaN period map.
         path = tmp_path / "far.json"

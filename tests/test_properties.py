@@ -378,7 +378,7 @@ def test_steady_map_matches_node_loop_bytewise(p, order, phase, sp):
         # A half turn at every phase: every node takes the eigh fallback.
         ([ControlStep(0.7, 0)], Spectrum(0.4, 0.3)),
         ([ControlStep(0.7, 0)], Spectrum(0.4, math.inf)),
-        # The last refinements span two blocks (4,096 nodes).
+        # The last refinements span several blocks (4,096 nodes).
         ([ControlStep(0.5, 3), ControlStep(0.5, 2)], Spectrum(0.4, 8.25)),
     ],
 )
@@ -386,6 +386,49 @@ def test_steady_map_fallbacks_and_blocks_match_node_loop(steps, sp, order):
     p = Protocol.from_steps(steps)
     for K in range(p.period):
         assert_steady_map_matches_reference(p, sp, K, order)
+
+
+def maps_or_message(maps):
+    """The bytes of each map, or the message of the ConvergenceError raised."""
+    try:
+        return [m.m.tobytes() for m in maps()]
+    except ConvergenceError as error:
+        return str(error)
+
+
+def assert_lockstep_matches_phase_by_phase(p, sp, order):
+    lockstep = maps_or_message(lambda: asymptotic_cycle(p, sp, order).maps)
+    by_phase = maps_or_message(lambda: [asymptotic_map(p, sp, K, order) for K in range(p.period)])
+    assert lockstep == by_phase
+
+
+@given(protocols, orders, steady_spectra)
+def test_lockstep_cycle_matches_phase_by_phase_maps(p, order, sp):
+    assert_lockstep_matches_phase_by_phase(p, sp, order)
+
+
+@pytest.mark.parametrize(
+    "steps, sp, cap, failing",
+    [
+        # Every phase hits the node cap; phase 0 raises.
+        ([ControlStep(0.3875, 4), ControlStep(0.3815, 2)], Spectrum(-0.707, 4.597), None, 0),
+        # Phases 0, 1, 2 converge at 512, 1,024 and 1,024 nodes: at a cap of
+        # 512 phase 0 retires at the cap and phase 1 raises.
+        ([ControlStep(0.862, 3), ControlStep(0.371, 0), ControlStep(0.852, 2)], Spectrum(-2.09, 0.44), 512, 1),
+        ([ControlStep(0.862, 3), ControlStep(0.371, 0), ControlStep(0.852, 2)], Spectrum(-2.09, 0.44), None, None),
+    ],
+    ids=["all-capped", "phase-1-capped", "converged"],
+)
+def test_lockstep_cycle_raises_first_capped_phase(steps, sp, cap, failing, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", cap)
+    p = Protocol.from_steps(steps)
+    assert_lockstep_matches_phase_by_phase(p, sp, "eq2b")
+    if failing is None:
+        asymptotic_cycle(p, sp)
+    else:
+        with pytest.raises(ConvergenceError, match=f"phase {failing},"):
+            asymptotic_cycle(p, sp)
 
 
 @pytest.mark.parametrize("sp", [Spectrum(0.0045, 1.0), Spectrum(0.0, 0.25)])
