@@ -43,8 +43,8 @@ from .bloch import (
     Spectrum,
     TrigMatrix,
     _coefficient_rows,
+    _node_block,
     _running_sum,
-    _SUM_BLOCK_TERMS,
     product_chain,
     propagate,
     protocol_product,
@@ -228,13 +228,12 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
         (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order), prefixes[K])
         for K in phases
     ]
-    top = max(len(tm.terms) for pair in series for tm in pair)
-    ones = np.ones(top // 2 + 1)
-    block = max(1, _SUM_BLOCK_TERMS // top)
+    pairs = max(len(tm.terms) for pair in series for tm in pair)
+    block = _node_block(pairs)
 
     def node_values(theta, active):
         """Projector times prefix at each phase of theta, per active phase."""
-        coef = _coefficient_rows(theta, ones)
+        coef = _coefficient_rows(theta, np.ones(pairs))
         for j in active:
             period, prefix = series[j]
             proj = _steady_projectors(period, theta, _running_sum(coef, period.terms))

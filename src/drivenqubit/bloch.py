@@ -7,7 +7,7 @@ plate phases are integer multiples ``k * theta`` of a common base-unit phase
 ``theta``, so the n-step evolution at fixed ``theta`` is a product of
 rotation matrices whose entries are finite harmonic series in ``theta``.
 This module keeps that representation exact: a series is one dense band
-of 3x3 coefficients per harmonic, composition is a convolution of bands,
+of 3x3 cosine/sine coefficient pairs, composition is a convolution of bands,
 and averaging over a Gaussian environment spectrum reduces to closed-form
 damping ``exp(-h^2 s^2 / 2)`` of each harmonic.  The averaged n-step map
 is the spectral average of the *whole* n-step product, which is what makes
@@ -55,7 +55,8 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+    # C order, so the copy of a transposed view reshapes without copying.
+    a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
 
@@ -167,30 +168,31 @@ class TrigMatrix:
 
         A(theta) = C_0 + sum_{h=1..H}  C_h cos(h theta) + S_h sin(h theta)
 
-    with real 3x3 coefficients stored densely in one read-only stack
-    ``terms = [C_0, C_1, S_1, ..., C_H, S_H]`` of shape ``(2H+1, 3, 3)``,
-    trimmed so that H is the highest harmonic with a nonzero coefficient.
-    Instances are immutable.
+    with real 3x3 coefficients stored densely in one read-only stack of
+    cosine/sine pairs, ``terms[h] = (C_h, S_h)``, of shape
+    ``(H+1, 2, 3, 3)``.  The sine ``S_0`` of harmonic 0 is zero, and the
+    stack is trimmed so that H is the highest harmonic with a nonzero
+    coefficient.  Instances are immutable.
     """
 
     terms: np.ndarray
 
     def __post_init__(self):
         terms = np.asarray(self.terms, dtype=float)
-        if terms.ndim != 3 or terms.shape[1:] != (3, 3) or len(terms) % 2 == 0:
-            raise DomainError(f"terms must have shape (2H+1, 3, 3), got {terms.shape}")
-        # A composed band rarely cancels at its top, so look there first.
-        if terms[-2:].any():
-            top = len(terms) // 2
-        else:
-            slots = np.flatnonzero(terms.reshape(len(terms), 9).any(axis=1))
-            top = (int(slots[-1]) + 1) // 2 if slots.size else 0
-        object.__setattr__(self, "terms", _readonly(terms[: 2 * top + 1]))
+        if terms.ndim != 4 or terms.shape[1:] != (2, 3, 3) or not len(terms):
+            raise DomainError(f"terms must have shape (H+1, 2, 3, 3), got {terms.shape}")
+        if np.count_nonzero(terms[0, 1]):
+            raise DomainError("the sine S_0 of harmonic 0 must be zero")
+        # A composed band rarely cancels at its top, so this loop is short.
+        pairs = len(terms)
+        while pairs > 1 and not np.count_nonzero(terms[pairs - 1]):
+            pairs -= 1
+        object.__setattr__(self, "terms", _readonly(terms[:pairs]))
 
     @classmethod
     def constant(cls, matrix) -> "TrigMatrix":
         """Phase-independent matrix (harmonic 0 only)."""
-        return cls(np.asarray(matrix, dtype=float)[None])
+        return cls(np.stack([matrix, np.zeros_like(matrix)])[None])
 
     @classmethod
     def identity(cls) -> "TrigMatrix":
@@ -198,16 +200,11 @@ class TrigMatrix:
 
     @property
     def max_harmonic(self) -> int:
-        return len(self.terms) // 2
+        return len(self.terms) - 1
 
     @functools.cached_property
     def _harmonics(self) -> tuple:
-        slots = np.flatnonzero(self.terms.reshape(len(self.terms), 9).any(axis=1))
-        return tuple(np.unique((slots + 1) // 2).tolist())
-
-    @functools.cached_property
-    def _pairs(self) -> np.ndarray:
-        return _readonly(_cos_sin_pairs(self.terms))
+        return tuple(np.flatnonzero(self.terms.reshape(len(self.terms), 18).any(axis=1)).tolist())
 
     def harmonics(self):
         """Sorted non-negative harmonics carrying a nonzero coefficient."""
@@ -220,53 +217,60 @@ class TrigMatrix:
         """
         theta = np.asarray(theta, dtype=float)
         flat = theta.reshape(-1)
-        ones = np.ones(self.max_harmonic + 1)
+        ones = np.ones(len(self.terms))
         out = np.empty((flat.size, 3, 3))
-        block = max(1, _SUM_BLOCK_TERMS // len(self.terms))
+        block = _node_block(len(self.terms))
         for lo in range(0, flat.size, block):
             out[lo : lo + block] = _running_sum(_coefficient_rows(flat[lo : lo + block], ones), self.terms)
         return out.reshape(theta.shape + (3, 3))
 
     def __repr__(self):
-        return f"TrigMatrix(max_harmonic={self.max_harmonic}, terms={len(self.harmonics())})"
+        return f"TrigMatrix(max_harmonic={self.max_harmonic}, harmonics={len(self._harmonics)})"
 
 
 # Phases per block of ``TrigMatrix.evaluate`` (and nodes per block of the
-# steady maps) times the number of terms: bounds the harmonic-major
-# (2H+1, 9, block) products of ``_running_sum`` to about 0.6 MB.
+# steady maps) times the 2H+1 slots of a series that can be nonzero: bounds the
+# (2H+2, 9, block) products of ``_running_sum`` to about 0.6 MB.
 _SUM_BLOCK_TERMS = 2**13
 
 
+def _node_block(pairs: int) -> int:
+    """Phases or nodes per block for series of ``pairs`` = H+1 harmonics."""
+    return max(1, _SUM_BLOCK_TERMS // (2 * pairs - 1))
+
+
 def _coefficient_rows(theta, damping: np.ndarray) -> np.ndarray:
-    """Harmonic-major rows ``[d_0, d_1 cos(theta), d_1 sin(theta), ...,
-    d_H cos(H theta), d_H sin(H theta)]`` of a phase or an array of phases,
-    shape ``(2H+1,) + np.shape(theta)``.  Element j does not depend on H, so
-    the rows built for a deep series serve every shallower one as a prefix."""
+    """Rows ``[[d_0, 0], [d_1 cos(theta), d_1 sin(theta)], ...,
+    [d_H cos(H theta), d_H sin(H theta)]]`` of a phase or an array of
+    phases, shape ``(H+1, 2) + np.shape(theta)``, slot for slot with
+    ``TrigMatrix.terms``.  Row h does not depend on H, so the rows built for
+    a deep series serve every shallower one as a prefix."""
     theta = np.asarray(theta, dtype=float)
-    angle = np.multiply.outer(np.arange(1, len(damping)), theta)
-    scale = damping[1:].reshape((-1,) + (1,) * theta.ndim)
-    coef = np.empty((2 * len(damping) - 1,) + theta.shape)
-    coef[0] = damping[0]
-    coef[1::2] = scale * np.cos(angle)
-    coef[2::2] = scale * np.sin(angle)
+    angle = np.multiply.outer(np.arange(len(damping)), theta)
+    scale = damping.reshape((-1,) + (1,) * theta.ndim)
+    coef = np.empty((len(damping), 2) + theta.shape)
+    np.multiply(scale, np.cos(angle), out=coef[:, 0])
+    np.multiply(scale, np.sin(angle), out=coef[:, 1])
     return coef
 
 
 def _running_sum(coef: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """``sum_j coef[j] * terms[j]`` over the first ``len(terms)`` rows of
-    ``coef``, shape ``coef.shape[1:] + (3, 3)``.
+    """``sum_h coef[h, 0] * C_h + coef[h, 1] * S_h`` over the first
+    ``len(terms)`` rows of ``coef``, shape ``coef.shape[2:] + (3, 3)``.
 
-    The terms are added one by one in increasing harmonic order, cosine
-    before sine, starting from zero: the reduction axis j is the outermost
-    axis of the ``(J, 9, phases)`` products, so numpy adds whole slices in
-    order j = 0, 1, ... (a pairwise sum happens only along the innermost
-    axis).  Every phase of an array therefore gets the bits of a scalar call.
+    The 2(H+1) slots are added one by one in increasing harmonic order,
+    cosine before sine, starting from zero: the reduction axis j is the
+    outermost axis of the ``(2H+2, 9, phases)`` products, so numpy adds
+    whole slices in order j = 0, 1, ... (a pairwise sum happens only along
+    the innermost axis).  Every phase of an array therefore gets the bits of
+    a scalar call.  The slot of the zero ``S_0`` adds +-0.0 to a sum that
+    is never -0.0, which changes nothing.
     """
-    J = len(terms)
-    parts = terms.reshape(J, 9, 1) * coef[:J].reshape(J, 1, -1)
+    J = 2 * len(terms)
+    parts = terms.reshape(J, 9, 1) * coef[: len(terms)].reshape(J, 1, -1)
     # The first addition is to zero, so a -0.0 term ends as 0.0.
     parts[0] += 0.0
-    return np.add.reduce(parts, axis=0).T.reshape(coef.shape[1:] + (3, 3))
+    return np.add.reduce(parts, axis=0).T.reshape(coef.shape[2:] + (3, 3))
 
 
 def _check_contractions(ms: np.ndarray) -> None:
@@ -330,10 +334,10 @@ def quartz_rotation(k: int) -> TrigMatrix:
     k = int(k)
     if k == 0:
         return TrigMatrix.identity()
-    terms = np.zeros((2 * k + 1, 3, 3))
-    terms[0] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
-    terms[2 * k - 1] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
-    terms[2 * k] = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    terms = np.zeros((k + 1, 2, 3, 3))
+    terms[0, 0] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    terms[k, 0] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]]
+    terms[k, 1] = [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
     return TrigMatrix(terms)
 
 
@@ -355,14 +359,6 @@ def step_matrix(step: ControlStep, order: str = ORDER_PHASE_AFTER) -> TrigMatrix
     return trig_compose(rot, phase)
 
 
-def _cos_sin_pairs(terms: np.ndarray) -> np.ndarray:
-    """Coefficients ``[[C_0, 0], [C_1, S_1], ..., [C_H, S_H]]``, shape (H+1, 2, 3, 3)."""
-    pairs = np.zeros((len(terms) // 2 + 1, 2, 3, 3))
-    pairs[0, 0] = terms[0]
-    pairs.reshape(-1, 3, 3)[2:] = terms[1:]
-    return pairs
-
-
 def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     """Harmonic series of the pointwise product a(theta) @ b(theta).
 
@@ -380,7 +376,8 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     pair at h + g, and the pairs g > h at g - h.  Work is O(H_a H_b) and
     memory O(H_a + H_b); deep products should pass the narrow factor first.
     Blocks are kept transposed, ``(C_h V)^T = V^T C_h^T``, so that each
-    family is one contiguous run of 3x3 blocks.
+    family is one contiguous run of 3x3 blocks, and both bands are read
+    as stored.
 
     Products are reproducible bit for bit: every output coefficient adds its
     parts one at a time in (h, g) pair order, as ``pairwise_compose`` in the
@@ -393,14 +390,14 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     """
     hb = b.max_harmonic
     # Every block V of b, transposed and stacked: band @ U^T holds (U V)^T.
-    band = _cos_sin_pairs(b.terms).transpose(1, 0, 3, 2).reshape(-1, 3)
-    # The narrow first factor is usually a cached step matrix, so its pair
-    # band and harmonics are kept on the instance.
-    ab = a._pairs
-    cos = np.zeros((a.max_harmonic + hb + 1, 3, 3))
-    sin = np.zeros_like(cos)
+    band = b.terms.transpose(1, 0, 3, 2).reshape(-1, 3)
+    # Transposed cosine and sine accumulators, each one contiguous band; the
+    # narrow first factor is usually a cached step matrix, so its harmonics
+    # are kept on the instance.
+    out = np.zeros((2, a.max_harmonic + hb + 1, 3, 3))
+    cos, sin = out
     for h in a._harmonics:
-        prod = band @ ab[h].transpose(0, 2, 1)
+        prod = band @ a.terms[h].transpose(0, 2, 1)
         prod *= 0.5
         (cc, cs), (sc, ss) = prod.reshape(2, 2, hb + 1, 3, 3)
         if h == 0:
@@ -412,7 +409,7 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
             sin[run] += cs
             continue
         # Pairs g <= h at h - g, so g runs down; the sine at harmonic 0 is
-        # never read.
+        # set to zero at the end.
         lo = max(0, h - hb)
         run, g = slice(lo, h + 1), slice(h - lo, None, -1)
         cos[run] += cc[g]
@@ -430,11 +427,8 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
             cos[run] += ss[g]
             sin[run] -= sc[g]
             sin[run] += cs[g]
-    terms = np.empty((2 * len(cos) - 1, 3, 3))
-    terms[0] = cos[0].T
-    terms[1::2] = cos[1:].transpose(0, 2, 1)
-    terms[2::2] = sin[1:].transpose(0, 2, 1)
-    return TrigMatrix(terms)
+    sin[0] = 0.0
+    return TrigMatrix(out.transpose(1, 0, 3, 2))
 
 
 def _damping(s: float, max_harmonic: int) -> np.ndarray:

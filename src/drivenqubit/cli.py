@@ -49,7 +49,9 @@ from .bloch import (
     trig_compose,
 )
 from .errors import CalibrationError, ConfigError, ConvergenceError, DomainError, PoleError
-from .nonmarkov import StatePair, asymptotic_blp_rate, pair_distances, trace_distance, trace_distance_povm
+from .nonmarkov import (
+    StatePair, _backflow_sum, asymptotic_blp_rate, pair_distances, trace_distance, trace_distance_povm
+)
 from .visibility import SphereAngles, maximize_visibility
 
 EXIT_OK = 0
@@ -487,9 +489,8 @@ def _run_nonmarkov(config: RunConfig, out: Path):
         [(i, float(v)) for i, v in enumerate(d)],
     )
     cycle = asymptotic_cycle(config.protocol, config.spectrum, config.order)
-    increments = np.diff(d)
     payload = {
-        "blp_total": float(np.sum(np.maximum(0.0, increments))),
+        "blp_total": _backflow_sum(d),
         "per_cycle_rate": asymptotic_blp_rate(cycle, pair),
         "n_steps": config.n_steps,
         "period": cycle.period,
@@ -572,7 +573,7 @@ def _verification_checks(config: RunConfig):
     # The uniform limit, or s >= 38.61, where every harmonic h >= 1 is
     # damped to 0.0 and the average is exactly the harmonic-0 term.
     if _damping(sp.s, 1)[1] == 0.0:
-        quad = tm.terms[0]
+        quad = tm.terms[0, 0]
         detail = "uniform limit: harmonic-0 term"
     elif sp.s == 0.0:
         quad = tm.evaluate(sp.theta_bar)

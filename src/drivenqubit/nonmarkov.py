@@ -90,7 +90,11 @@ def blp_accumulate(
     """Sum of the positive trace-distance increments over the first n steps."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    d = pair_distances(p, sp, pair, n, order)
+    return _backflow_sum(pair_distances(p, sp, pair, n, order))
+
+
+def _backflow_sum(d: np.ndarray) -> float:
+    """Sum of the positive increments of a trace-distance sequence."""
     return float(np.sum(np.maximum(0.0, np.diff(d))))
 
 

@@ -306,8 +306,8 @@ class TestLockstepCycle:
             monkeypatch.setattr(module, "_coefficient_rows", counted_rows)
         monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
         asymptotic_cycle(three_controls, calibrated_spectrum)
-        top = len(protocol_product(three_controls, three_controls.period).terms)
-        block = bloch._SUM_BLOCK_TERMS // top
+        top = protocol_product(three_controls, three_controls.period).max_harmonic
+        block = bloch._SUM_BLOCK_TERMS // (2 * top + 1)
         assert len(refinements) > 1
         assert rows == [min(block, n - lo) for n in refinements for lo in range(0, n, block)]
 

@@ -88,11 +88,12 @@ class TestQuartzRotation:
     def test_harmonic_population(self):
         tm = quartz_rotation(3)
         assert tm.harmonics() == [0, 3]
-        # Stack layout [C0, C1, S1, C2, S2, C3, S3]; harmonics 1 and 2 are empty.
-        want = np.zeros((7, 3, 3))
-        want[0, 2, 2] = 1.0
-        want[5] = np.diag([1.0, 1.0, 0.0])
-        want[6, 0, 1], want[6, 1, 0] = -1.0, 1.0
+        # Pair layout [(C0, S0), (C1, S1), (C2, S2), (C3, S3)]; harmonics 1
+        # and 2 are empty.
+        want = np.zeros((4, 2, 3, 3))
+        want[0, 0, 2, 2] = 1.0
+        want[3, 0] = np.diag([1.0, 1.0, 0.0])
+        want[3, 1, 0, 1], want[3, 1, 1, 0] = -1.0, 1.0
         assert np.array_equal(tm.terms, want)
         assert not tm.terms.flags.writeable
 
@@ -115,11 +116,11 @@ class TestStepMatrix:
         tm = step_matrix(ControlStep(eta=eta, k=k), order="eq4a")
         assert tm.max_harmonic == k
         # Entry (0, 0) is b cos(k theta) and entry (0, 2) the constant a:
-        # every other slot of the two series is exactly zero.
-        assert np.flatnonzero(tm.terms[:, 0, 0]).tolist() == [2 * k - 1]
-        assert np.flatnonzero(tm.terms[:, 0, 2]).tolist() == [0]
-        assert tm.terms[2 * k - 1, 0, 0] == pytest.approx(b)
-        assert tm.terms[0, 0, 2] == pytest.approx(a)
+        # every other (harmonic, cos/sin) slot of the two series is exactly zero.
+        assert np.argwhere(tm.terms[..., 0, 0]).tolist() == [[k, 0]]
+        assert np.argwhere(tm.terms[..., 0, 2]).tolist() == [[0, 0]]
+        assert tm.terms[k, 0, 0, 0] == pytest.approx(b)
+        assert tm.terms[0, 0, 0, 2] == pytest.approx(a)
 
     def test_matches_two_factor_product(self):
         theta = 0.3
@@ -169,9 +170,10 @@ class TestTrigCompose:
         b = protocol_product(three_controls, 7)
         assert trig_compose(a, b).max_harmonic <= a.max_harmonic + b.max_harmonic
 
-    # sha256 of the terms of deep products, in both step orders.  The
-    # bitwise property tests draw products of at most 8 steps; these pin
-    # the addition order of every coefficient of bands up to 581 terms.
+    # sha256 of the terms of deep products, in both step orders, read in
+    # the interleaved order [C0, C1, S1, ..., CH, SH].  The bitwise property
+    # tests draw products of at most 8 steps; these pin the addition order of
+    # every coefficient of bands up to 581 terms.
     @pytest.mark.parametrize(
         "steps, n, order, digest",
         [
@@ -186,15 +188,19 @@ class TestTrigCompose:
     )
     def test_deep_products_keep_their_bytes(self, steps, n, order, digest):
         p = Protocol.from_steps([ControlStep(eta=eta, k=k) for k, eta in steps])
-        terms = protocol_product(p, n, order).terms
-        assert hashlib.sha256(terms.tobytes()).hexdigest() == digest
+        t = protocol_product(p, n, order).terms
+        assert t[0, 1].tobytes() == bytes(72)
+        interleaved = np.concatenate([t[:1, 0], t[1:].reshape(-1, 3, 3)])
+        assert hashlib.sha256(interleaved.tobytes()).hexdigest() == digest
 
     def test_peak_memory_is_a_few_bands(self):
         # Two 1,000-harmonic factors: a table of all harmonic pairs would
         # take hundreds of MB, the kernel a few copies of the output band.
         rng = np.random.default_rng(7)
-        a, b = (TrigMatrix(rng.standard_normal((2001, 3, 3))) for _ in range(2))
-        trig_compose(TrigMatrix(a.terms[:3]), b)  # numpy's one-off first-call allocations
+        bands = rng.standard_normal((2, 1001, 2, 3, 3))
+        bands[:, 0, 1] = 0.0
+        a, b = (TrigMatrix(t) for t in bands)
+        trig_compose(TrigMatrix(a.terms[:2]), b)  # numpy's one-off first-call allocations
         tracemalloc.start()
         try:
             out = trig_compose(a, b)
@@ -202,7 +208,9 @@ class TestTrigCompose:
         finally:
             tracemalloc.stop()
         assert out.max_harmonic == 2000
-        assert peak < 8 * out.terms.nbytes
+        # The output band: its 2 H + 1 blocks that may be nonzero.
+        band = out.terms.nbytes - out.terms[0, 1].nbytes
+        assert peak < 8 * band
 
 
 class TestTrigEvaluate:
@@ -380,14 +388,14 @@ class TestMemoryEffect:
         uniform = Spectrum(0.0, math.inf)
         a = step_matrix(two_controls.steps[0])
         # Per step: dropping h >= 1 before averaging changes nothing.
-        truncated = TrigMatrix.constant(a.terms[0])
+        truncated = TrigMatrix.constant(a.terms[0, 0])
         assert_allclose(
             gaussian_average(a, uniform).m, gaussian_average(truncated, uniform).m, atol=1e-15
         )
         # Across steps with a shared harmonic it matters: the (h, h) cross
         # terms of the product feed back into harmonic 0.
         product_then_average = gaussian_average(trig_compose(a, a), uniform).m
-        average_then_product = a.terms[0] @ a.terms[0]
+        average_then_product = a.terms[0, 0] @ a.terms[0, 0]
         assert np.max(np.abs(product_then_average - average_then_product)) > 1e-3
 
 
@@ -428,11 +436,27 @@ class TestDomainTypes:
         assert hash(p) == hash(Protocol.from_steps([ControlStep(0.5, 1)]))
 
     def test_trig_matrix_rejects_zero_harmonic_sine(self):
-        # An even-length stack [C0, S0, ...] would hold a sine at h = 0.
-        with pytest.raises(DomainError):
-            TrigMatrix(np.stack([np.zeros((3, 3)), np.eye(3)]))
-        with pytest.raises(DomainError):
-            TrigMatrix(np.eye(3))
+        # sin(0 theta) = 0, so a nonzero S_0 has no meaning.
+        terms = np.zeros((2, 2, 3, 3))
+        terms[1, 0] = np.eye(3)
+        assert TrigMatrix(terms).max_harmonic == 1
+        for value in (1.0, -5e-324, math.nan):
+            terms[0, 1, 2, 0] = value
+            with pytest.raises(DomainError, match="S_0"):
+                TrigMatrix(terms)
+        terms[0, 1, 2, 0] = -0.0
+        assert TrigMatrix(terms).max_harmonic == 1
+
+    def test_trig_matrix_takes_only_the_pair_layout(self):
+        assert TrigMatrix(np.zeros((1, 2, 3, 3))).harmonics() == []
+        assert TrigMatrix(np.zeros((5, 2, 3, 3))).terms.shape == (1, 2, 3, 3)
+        # The interleaved stack [C0, C1, S1], a bare matrix, wrong trailing
+        # shapes and an empty stack.
+        for shape in ((3, 3, 3), (3, 3), (2, 3, 3, 3), (2, 2, 3, 2), (2, 2, 9), (1, 1, 2, 3, 3), (0, 2, 3, 3)):
+            with pytest.raises(DomainError, match="shape"):
+                TrigMatrix(np.zeros(shape))
+        with pytest.raises(DomainError, match="shape"):
+            TrigMatrix.constant(np.eye(2))
 
     def test_bloch_map_rejects_expansion(self):
         with pytest.raises(DomainError):

@@ -79,10 +79,10 @@ def true_degree(tm) -> int:
 def pairwise_compose(a, b):
     """Reference product: each harmonic pair (h, g) of a and b in turn adds
     its product-to-sum parts at |h - g| and h + g."""
-    ca = [a.terms[0]] + list(a.terms[1::2])
-    sa = [np.zeros((3, 3))] + list(a.terms[2::2])
-    cb = [b.terms[0]] + list(b.terms[1::2])
-    sb = [np.zeros((3, 3))] + list(b.terms[2::2])
+    ca = list(a.terms[:, 0])
+    sa = [np.zeros((3, 3))] + list(a.terms[1:, 1])
+    cb = list(b.terms[:, 0])
+    sb = [np.zeros((3, 3))] + list(b.terms[1:, 1])
     top = a.max_harmonic + b.max_harmonic
     cos = np.zeros((top + 1, 3, 3))
     sin = np.zeros((top + 1, 3, 3))
@@ -99,9 +99,8 @@ def pairwise_compose(a, b):
             sin[lo] += sgn * sc
             sin[hi] += cs
             sin[lo] -= sgn * cs
-    terms = np.zeros((2 * top + 1, 3, 3))
-    terms[0], terms[1::2], terms[2::2] = cos[0], cos[1:], sin[1:]
-    return TrigMatrix(terms)
+    sin[0] = 0.0
+    return TrigMatrix(np.stack([cos, sin], axis=1))
 
 
 @given(protocols, orders, st.integers(0, 8), st.integers(0, 8))
@@ -237,9 +236,9 @@ def loop_sum(tm, theta, s=0.0):
     out = np.zeros((3, 3))
     for h in range(tm.max_harmonic + 1):
         d = math.exp(-0.5 * (h * s) ** 2) if h else 1.0
-        out += d * math.cos(h * theta) * tm.terms[max(2 * h - 1, 0)]
+        out += d * math.cos(h * theta) * tm.terms[h, 0]
         if h:
-            out += d * math.sin(h * theta) * tm.terms[2 * h]
+            out += d * math.sin(h * theta) * tm.terms[h, 1]
     return out
 
 
@@ -258,10 +257,22 @@ def test_average_matches_loop_reference_bitwise(p, order, n, sp):
     assert np.array_equal(gaussian_average(tm, sp).m, loop_sum(tm, sp.theta_bar, sp.s))
 
 
+@given(protocols, orders, depths, depths)
+def test_bands_keep_a_zero_sine_0_and_a_nonzero_top(p, order, n1, n2):
+    chain = list(itertools.islice(product_chain(p, order), max(n1, n2) + 1))
+    a, b = chain[n1], chain[n2]
+    step, zero = step_matrix(p.steps[0], order), TrigMatrix.constant(np.zeros((3, 3)))
+    composed = [trig_compose(x, y) for x, y in ((a, b), (b, a), (step, a), (a, step), (zero, a), (a, zero))]
+    for tm in chain + composed:
+        assert tm.terms[0, 1].tobytes() == bytes(72)
+        assert tm.terms[-1].any() or (tm.terms.shape == (1, 2, 3, 3) and not tm.terms.any())
+    assert composed[-1].max_harmonic == 0 and not composed[-1].terms.any()
+
+
 @given(protocols, orders, depths)
 def test_max_harmonic_is_highest_stored_harmonic(p, order, n):
     tm = protocol_product(p, n, order)
-    assert tm.terms.shape == (2 * tm.max_harmonic + 1, 3, 3)
+    assert tm.terms.shape == (tm.max_harmonic + 1, 2, 3, 3)
     assert tm.max_harmonic == (tm.harmonics() or [0])[-1]
     assert true_degree(tm) <= tm.max_harmonic
 

@@ -1,0 +1,56 @@
+"""The per-layer tracer of the benchmark harness against the package.
+
+``bench/tracing.py`` wraps package functions by name and feeds counters
+from the arguments and results of ``trig_compose``.  Loaded here by file
+path, it must find every name it wraps and restore each afterwards, and
+its kernel-work counters must keep the values recorded for one steady cycle.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from drivenqubit import TrigMatrix, asymptotic_cycle, bloch
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(tracing):
+    """Every binding the tracer may replace, by owner and name."""
+    out = {(mod.__name__, key): value for mod in tracing.MODULES for key, value in vars(mod).items()}
+    out["TrigMatrix", "evaluate"] = TrigMatrix.evaluate
+    return out
+
+
+def test_tracer_wraps_and_restores_every_name(tracing, two_controls, calibrated_spectrum):
+    before = bindings(tracing)
+    # Cached step matrices would skip their compose calls.
+    bloch.step_matrix.cache_clear()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        during = bindings(tracing)
+        asymptotic_cycle(two_controls, calibrated_spectrum)
+    finally:
+        tracer.uninstall()
+    wrapped = {key for key, value in during.items() if value is not before[key]}
+    names = {attr for _, attr in tracing.LAYER_FUNCTIONS.values()} | {"evaluate", "minimize"}
+    assert {attr for _, attr in wrapped} == names
+    assert during.keys() == before.keys()
+    after = bindings(tracing)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    counts = tracer.snapshot()
+    # Two step matrices, the one-step prefix and two period products.
+    assert counts["bloch.trig_compose.calls"] == 7
+    assert counts["bloch.trig_compose.term_pairs"] == 18
+    assert counts["bloch.band_max"] == 5
