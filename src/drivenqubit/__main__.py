@@ -1,0 +1,5 @@
+"""``python -m drivenqubit``: the command line of ``drivenqubit.cli``."""
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -30,7 +30,6 @@ and do not depend on which other phases are computed alongside.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,16 +178,16 @@ _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(QUAD_PANEL_ORDER)
 
 
 def _quad_nodes(sp: Spectrum, n_nodes: int):
-    """Composite Gauss-Legendre nodes and normalized spectral weights, or
-    None when every weight underflows (a window of a few subnormal widths).
-    A window too wide for a float (s >= 2.25e307) is the uniform one."""
+    """Composite Gauss-Legendre nodes and normalized weights: uniform over
+    one period if ``sp.is_uniform``, else Gaussian over theta_bar -/+ 8 s.
+    None for a point value: the window rounds to one float (s = 0, tiny s),
+    or every weight underflows (s of one or two subnormals)."""
     panels = max(1, n_nodes // QUAD_PANEL_ORDER)
+    uniform = sp.is_uniform
     half = GAUSSIAN_WINDOW_SIGMAS * sp.s
-    uniform = math.isinf(half)
-    if uniform:
-        lo, hi = 0.0, 2.0 * np.pi
-    else:
-        lo, hi = sp.theta_bar - half, sp.theta_bar + half
+    lo, hi = (0.0, 2.0 * np.pi) if uniform else (sp.theta_bar - half, sp.theta_bar + half)
+    if lo == hi:
+        return None
     edges = np.linspace(lo, hi, panels + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     half_widths = 0.5 * np.diff(edges)
@@ -219,9 +218,10 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
 
     Each refinement runs in blocks of nodes; one harmonic-major coefficient
     row per block, built for the deepest series, serves the period and
-    prefix series of every phase as a prefix.  A phase retires at the
-    first refinement where it has converged; at the node cap the first
-    phase still refining raises ConvergenceError.
+    prefix series of every phase as a prefix.  The nodes come from
+    ``_quad_nodes`` alone; where it gives none, the maps are point values.
+    A phase retires at the first refinement where it has converged; at the
+    node cap the first phase still refining raises ConvergenceError.
     """
     prefixes = list(itertools.islice(product_chain(p, order), max(phases) + 1))
     series = [
@@ -252,23 +252,21 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
 
     maps = np.empty((len(series), 3, 3))
     active = np.arange(len(series))
-    half = GAUSSIAN_WINDOW_SIGMAS * sp.s
-    if sp.theta_bar - half != sp.theta_bar + half:
-        n_nodes, diff = QUAD_MIN_NODES, np.full(len(series), np.inf)
-        while active.size and (rule := _quad_nodes(sp, n_nodes)) is not None:
-            cur = integrals(*rule, active)
-            if n_nodes > QUAD_MIN_NODES:
-                diff[active] = np.max(np.abs(cur - maps[active]), axis=(1, 2))
-            maps[active] = cur
-            active = active[~(diff[active] < QUAD_TOL)]
-            if active.size and n_nodes >= QUAD_MAX_NODES:
-                j = active[0]
-                raise ConvergenceError(
-                    f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
-                    f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e})"
-                )
-            n_nodes *= 2
-    # The window rounds to one float, or a refinement's weights all underflow.
+    n_nodes, diff = QUAD_MIN_NODES, np.full(len(series), np.inf)
+    while active.size and (rule := _quad_nodes(sp, n_nodes)) is not None:
+        cur = integrals(*rule, active)
+        if n_nodes > QUAD_MIN_NODES:
+            diff[active] = np.max(np.abs(cur - maps[active]), axis=(1, 2))
+        maps[active] = cur
+        active = active[~(diff[active] < QUAD_TOL)]
+        if active.size and n_nodes >= QUAD_MAX_NODES:
+            j = active[0]
+            raise ConvergenceError(
+                f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
+                f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e})"
+            )
+        n_nodes *= 2
+    # The spectral integral is a point value (see _quad_nodes).
     for j, x in zip(active, node_values(np.array([sp.theta_bar]), active)):
         maps[j] = x[0]
     return [BlochMap(m) for m in maps]
@@ -284,8 +282,8 @@ def asymptotic_map(
     prefix.  The quadrature doubles its node count until two successive
     refinements agree to 1e-10 entrywise (the integrand is piecewise
     analytic, so this is quick), else raises ConvergenceError at the cap.
-    A window that rounds to one float (s = 0, or tiny s), or whose weights
-    all underflow (s of one or two subnormals), is a point value.
+    The uniform limit (``sp.is_uniform``) integrates over one period, free
+    of theta_bar; at s = 0 or tiny s the map is a point value.
     """
     if not 0 <= K < p.period:
         raise DomainError(f"phase {K} outside [0, {p.period})")

@@ -101,6 +101,8 @@ class Spectrum:
     ``s`` its standard deviation, both in radians.  ``s = 0`` means a
     perfectly sharp (unitary) environment, ``s = inf`` is the admitted
     sentinel for the fully dephased limit where the phase is uniform.
+    From s* = 38.6039692027113 on every harmonic h >= 1 is damped to 0.0,
+    so every layer treats such a spectrum as uniform (``is_uniform``).
     """
 
     theta_bar: float
@@ -114,7 +116,7 @@ class Spectrum:
 
     @property
     def is_uniform(self) -> bool:
-        return math.isinf(self.s)
+        return _damping(self.s, 1)[1] == 0.0
 
 
 @dataclass(frozen=True)
@@ -433,8 +435,8 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
 
 def _damping(s: float, max_harmonic: int) -> np.ndarray:
     """Moment damping ``exp(-h^2 s^2 / 2)`` of the harmonics 0..max_harmonic.
-    It is 0.0 from h s = 38.61 on, so h s is clamped at 40 before squaring,
-    which would overflow past 1.3e154."""
+    It is 0.0 from h s = s* on (``Spectrum.is_uniform``), so h s is clamped
+    at 40 before squaring, which would overflow past 1.3e154."""
     return np.array([1.0] + [math.exp(-0.5 * min(h * s, 40.0) ** 2) for h in range(1, max_harmonic + 1)])
 
 

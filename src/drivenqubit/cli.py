@@ -40,7 +40,6 @@ from .bloch import (
     ControlStep,
     Protocol,
     Spectrum,
-    _damping,
     averaged_maps,
     gaussian_average,
     product_chain,
@@ -570,9 +569,9 @@ def _verification_checks(config: RunConfig):
     yield "products stay special orthogonal", worst < 1e-10, f"max dev {worst:.3e}"
 
     tm = products[3 * p.period]
-    # The uniform limit, or s >= 38.61, where every harmonic h >= 1 is
-    # damped to 0.0 and the average is exactly the harmonic-0 term.
-    if _damping(sp.s, 1)[1] == 0.0:
+    # The uniform limit, where every harmonic h >= 1 is damped to 0.0 and
+    # the average is exactly the harmonic-0 term.
+    if sp.is_uniform:
         quad = tm.terms[0, 0]
         detail = "uniform limit: harmonic-0 term"
     elif sp.s == 0.0:

@@ -21,6 +21,10 @@ from drivenqubit import (
 # frozen here so the module suites do not re-run the bisection.
 CALIBRATED_S = 0.4002315521240235
 
+# s*: the smallest width whose harmonic-1 damping exp(-s^2 / 2) rounds to
+# 0.0, where every layer switches to the uniform limit.
+UNIFORM_S = 38.6039692027113
+
 # Optimizer results recorded by the benchmark references (read only).
 REFS = Path(__file__).resolve().parents[1] / "bench" / "refs"
 

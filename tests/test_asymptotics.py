@@ -267,8 +267,8 @@ class TestAsymptoticMap:
             assert got.tobytes() == want.tobytes()
 
     def test_overflowing_window_is_uniform_limit(self, two_controls):
-        # 8 s overflows from s = 2.25e307 on; the window is then the uniform
-        # one (a NaN window would fall back to the sharp map, with warnings).
+        # From s* on the nodes span one period with uniform weights; here
+        # 8 s overflows, and a NaN window would give the sharp map.
         for K in range(2):
             got = asymptotic_map(two_controls, Spectrum(0.7, 1e308), K).m
             want = asymptotic_map(two_controls, Spectrum(0.7, math.inf), K).m
@@ -285,7 +285,7 @@ class TestAsymptoticMap:
 
 
 class TestLockstepCycle:
-    def test_one_coefficient_row_per_node_block(self, three_controls, calibrated_spectrum, monkeypatch):
+    def test_one_coefficient_row_per_node_block(self, two_controls, three_controls, calibrated_spectrum, monkeypatch):
         # Every phase's period and prefix series read the rows of one shared
         # table: each node of each refinement enters exactly one row, where a
         # phase-by-phase quadrature builds 2 T rows per block.
@@ -305,11 +305,16 @@ class TestLockstepCycle:
         for module in (bloch, asymptotics):
             monkeypatch.setattr(module, "_coefficient_rows", counted_rows)
         monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
-        asymptotic_cycle(three_controls, calibrated_spectrum)
-        top = protocol_product(three_controls, three_controls.period).max_harmonic
-        block = bloch._SUM_BLOCK_TERMS // (2 * top + 1)
-        assert len(refinements) > 1
-        assert rows == [min(block, n - lo) for n in refinements for lo in range(0, n, block)]
+        # Within one block of 630 nodes, and 4,096 nodes in blocks of 744.
+        for protocol, sp in [(three_controls, calibrated_spectrum), (two_controls, Spectrum(0.0, 8.25))]:
+            rows.clear()
+            refinements.clear()
+            asymptotic_cycle(protocol, sp)
+            top = protocol_product(protocol, protocol.period).max_harmonic
+            block = bloch._SUM_BLOCK_TERMS // (2 * top + 1)
+            assert len(refinements) > 1
+            assert rows == [min(block, n - lo) for n in refinements for lo in range(0, n, block)]
+        assert max(refinements) > 4 * block
 
     def test_peak_memory_is_a_few_blocks(self):
         # 16,384 nodes at 2 H + 1 = 9 terms: blocks of 910 nodes keep the

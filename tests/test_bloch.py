@@ -28,6 +28,8 @@ from drivenqubit import (
 from drivenqubit import bloch
 from drivenqubit.bloch import averaged_maps
 
+from conftest import UNIFORM_S
+
 
 def z_rotation(angle):
     c, s = math.cos(angle), math.sin(angle)
@@ -409,6 +411,15 @@ class TestDomainTypes:
         Spectrum(0.0, math.inf)
         with pytest.raises(DomainError):
             Spectrum(0.0, -0.1)
+
+    def test_uniform_limit_starts_where_harmonic_1_underflows(self):
+        assert not Spectrum(0.0, np.nextafter(UNIFORM_S, 0.0)).is_uniform
+        for s in (UNIFORM_S, 1e308, math.inf):
+            assert Spectrum(0.0, s).is_uniform
+        ulps = UNIFORM_S + np.spacing(UNIFORM_S) * np.arange(-50, 51)
+        for s in np.concatenate([np.linspace(38.0, 39.0, 1001), ulps]):
+            damped = math.exp(-0.5 * s * s) == 0.0
+            assert Spectrum(0.0, s).is_uniform == (bloch._damping(s, 1)[1] == 0.0) == damped
 
     def test_spectrum_mean_phase_bound(self):
         # From 2^52 on one ulp of theta_bar is at least 1 rad.

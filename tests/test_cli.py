@@ -39,6 +39,12 @@ def preset_ops() -> list:
     return [op for template in templates for variant in template["variants"] for op in variant]
 
 
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+
+
 def read_output(out_dir, name: str) -> str:
     return (Path(out_dir) / name).read_text()
 
@@ -376,13 +382,19 @@ class TestMainEntry:
         assert main(["simulate", "--preset", "two_controls", "--out", str(tmp_path / "o")]) == 3
         assert "numerical error: out of memory" in capsys.readouterr().err
 
-    def test_huge_spectral_width(self, tmp_path, capsys):
-        # (h s)^2 would overflow past s = 1.3e154: simulate runs the uniform
-        # limit, and the steady-map quadrature stops at its node cap.
-        argv = ["--preset", "two_controls", "--spectrum-s", "1e200", "--out", str(tmp_path)]
-        assert main(["simulate", *argv]) == 0
-        assert main(["asymptotics", *argv]) == 3
-        assert "within 65536 nodes" in capsys.readouterr().err
+    @pytest.mark.parametrize("s", ["1e3", "1e200", "2.3e307"])
+    @pytest.mark.parametrize("name", ["two_controls", "three_controls"])
+    @pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+    def test_huge_spectral_width(self, tmp_path, subcommand, name, s):
+        # From s* = 38.604 on every layer takes the uniform limit, so every
+        # data file equals the s = inf run.
+        def outputs(width):
+            out = tmp_path / width
+            assert main([subcommand, "--preset", name, "--spectrum-s", width, "--out", str(out)]) == 0
+            return {f.name: f.read_bytes() for f in out.iterdir() if f.name != "effective_config.json"}
+
+        got = outputs(s)
+        assert got and got == outputs("inf")
 
     def test_verify_at_overflowing_width(self, tmp_path, capsys):
         # sqrt(2) s x overflows the Gauss-Hermite phases; every harmonic
@@ -393,14 +405,17 @@ class TestMainEntry:
         assert "ok   harmonic average vs quadrature (uniform limit: harmonic-0 term, max dev 0.000e+00)" in out
         assert "FAIL" not in out
 
-    def test_harmonic_average_check_at_huge_width(self):
-        # At s = 1e200 the nodes scatter far beyond one period; the steady
-        # maps stop verify later at their node cap, so read the check alone.
+    def test_harmonic_average_check_at_huge_width(self, tmp_path, capsys):
+        # At s = 1e200 Gauss-Hermite nodes would scatter far beyond one
+        # period; the check reads the harmonic-0 term, and the whole verify,
+        # steady maps included, passes in the uniform limit.
         base = preset("two_controls")
         config = dataclasses.replace(base, spectrum=Spectrum(base.spectrum.theta_bar, 1e200))
         name, ok, detail = next(c for c in cli._verification_checks(config) if c[0] == "harmonic average vs quadrature")
         assert ok, detail
         assert detail == "uniform limit: harmonic-0 term, max dev 0.000e+00"
+        assert main(["verify", "--preset", "two_controls", "--spectrum-s", "1e200", "--out", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_phaseless_mean_phase_exit_code(self, tmp_path, capsys):
         # h theta_bar would overflow to a NaN period map.
@@ -459,15 +474,20 @@ class TestColdStart:
             "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
             "print(json.dumps([codes, scipy]))\n"
         )
-        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
         codes, scipy_modules = json.loads(proc.stdout.splitlines()[-1])
         assert codes == [0] * len(runs)
         assert scipy_modules == []
+
+    def test_package_runs_as_module(self, tmp_path):
+        # python -m drivenqubit.cli would warn that the package, which
+        # imports .cli, already loaded it; the package's __main__ does not.
+        argv = [sys.executable, "-m", "drivenqubit", "simulate", "--preset", "two_controls", "--steps", "1"]
+        proc = subprocess.run(argv, cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 class TestPresetBytes:

@@ -45,7 +45,7 @@ from drivenqubit import (
 from drivenqubit import asymptotics, bloch, nonmarkov, visibility
 from drivenqubit.bloch import averaged_maps
 
-from conftest import random_ball_point
+from conftest import UNIFORM_S, random_ball_point
 
 
 def protocols_with(etas):
@@ -365,7 +365,7 @@ steady_spectra = st.builds(
     Spectrum,
     theta_bar=st.floats(-math.pi, math.pi),
     s=st.one_of(
-        st.sampled_from([0.0, math.inf]), st.floats(0.01, 0.5), st.floats(0.5, 25.0)
+        st.sampled_from([0.0, math.inf]), st.floats(0.01, 0.5), st.floats(0.5, 25.0), st.floats(UNIFORM_S, 1e300)
     ),
 )
 
@@ -416,6 +416,20 @@ def assert_lockstep_matches_phase_by_phase(p, sp, order):
 @given(protocols, orders, steady_spectra)
 def test_lockstep_cycle_matches_phase_by_phase_maps(p, order, sp):
     assert_lockstep_matches_phase_by_phase(p, sp, order)
+
+
+@given(
+    protocols,
+    orders,
+    st.floats(-(2.0**52), 2.0**52, exclude_min=True, exclude_max=True),
+    st.floats(math.log(UNIFORM_S), math.log(1e307)).map(lambda x: min(max(math.exp(x), UNIFORM_S), 1e307)),
+)
+def test_uniform_limit_cycle_is_the_infinite_width_cycle(p, order, theta_bar, s):
+    # From s* on every harmonic h >= 1 is damped to 0.0: the steady maps
+    # integrate over one period, whatever the mean phase.
+    got = maps_or_message(lambda: asymptotic_cycle(p, Spectrum(theta_bar, s), order).maps)
+    want = maps_or_message(lambda: asymptotic_cycle(p, Spectrum(0.0, math.inf), order).maps)
+    assert got == (want if isinstance(want, list) else want.replace("s = inf", f"s = {s}"))
 
 
 @pytest.mark.parametrize(
