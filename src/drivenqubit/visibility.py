@@ -60,7 +60,10 @@ class SphereAngles:
     @classmethod
     def from_vector(cls, v) -> "SphereAngles":
         v = np.asarray(v, dtype=float)
-        v = v / np.linalg.norm(v)
+        norm = np.linalg.norm(v)
+        if not 0.0 < norm < np.inf:
+            raise DomainError("direction must be a nonzero finite vector")
+        v = v / norm
         theta = float(np.arccos(np.clip(v[2], -1.0, 1.0)))
         phi = float(np.arctan2(v[1], v[0])) % (2.0 * np.pi)
         if phi >= 2.0 * np.pi:

@@ -25,7 +25,7 @@ from drivenqubit import (
     step_matrix,
     trig_compose,
 )
-from drivenqubit import bloch
+from drivenqubit import bloch, cli
 from drivenqubit.bloch import averaged_maps
 
 from conftest import UNIFORM_S
@@ -264,6 +264,15 @@ class TestGaussianAverage:
         tm = protocol_product(two_controls, n_steps)
         quad = gauss_hermite_average(tm, sp, nodes)
         assert np.max(np.abs(gaussian_average(tm, sp).m - quad)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "n_steps,sp,nodes",
+        [(4, Spectrum(0.0, 0.4), 256), (16, Spectrum(-0.7, 1.0), 2048), (9, Spectrum(1.3, 3.0), 4096)],
+    )
+    def test_trapezoid_rule_matches_gauss_hermite(self, three_controls, n_steps, sp, nodes):
+        # verify's quadrature against this module's independent oracle.
+        tm = protocol_product(three_controls, n_steps)
+        assert np.max(np.abs(cli._trapezoid_average(tm, sp) - gauss_hermite_average(tm, sp, nodes))) < 1e-12
 
     def test_sharp_spectrum_is_point_evaluation(self, two_controls):
         tm = protocol_product(two_controls, 5)

@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from drivenqubit import (
@@ -397,8 +399,8 @@ class TestMainEntry:
         assert got and got == outputs("inf")
 
     def test_verify_at_overflowing_width(self, tmp_path, capsys):
-        # sqrt(2) s x overflows the Gauss-Hermite phases; every harmonic
-        # h >= 1 is damped to 0.0, so the check reads the harmonic-0 term.
+        # Every harmonic h >= 1 is damped to 0.0, so the check reads the
+        # harmonic-0 term and lays out no quadrature nodes.
         argv = ["verify", "--preset", "two_controls", "--spectrum-s", "1e308", "--out", str(tmp_path)]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -406,7 +408,7 @@ class TestMainEntry:
         assert "FAIL" not in out
 
     def test_harmonic_average_check_at_huge_width(self, tmp_path, capsys):
-        # At s = 1e200 Gauss-Hermite nodes would scatter far beyond one
+        # At s = 1e200 quadrature nodes s x would scatter far beyond one
         # period; the check reads the harmonic-0 term, and the whole verify,
         # steady maps included, passes in the uniform limit.
         base = preset("two_controls")
@@ -416,6 +418,26 @@ class TestMainEntry:
         assert detail == "uniform limit: harmonic-0 term, max dev 0.000e+00"
         assert main(["verify", "--preset", "two_controls", "--spectrum-s", "1e200", "--out", str(tmp_path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
+
+    def test_trapezoid_rule_at_subnormal_width(self):
+        # The step is in units of s, so s = 5e-324 neither overflows it nor
+        # warns; every node rounds to theta_bar or next to it.
+        tm = bloch.protocol_product(preset("three_controls").protocol, 9)
+        for theta_bar in (0.0, 2.1):
+            sp = Spectrum(theta_bar, 5e-324)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = cli._trapezoid_average(tm, sp)
+            assert np.isfinite(got).all()
+            assert np.max(np.abs(got - tm.evaluate(theta_bar))) < 1e-14
+
+    @pytest.mark.parametrize("name", ["two_controls", "three_controls"])
+    def test_harmonic_average_check_fails_on_wrong_width(self, tmp_path, capsys, monkeypatch, name):
+        # A closed form that averages at 1.001 s must not pass the check.
+        average = cli.gaussian_average
+        monkeypatch.setattr(cli, "gaussian_average", lambda tm, sp: average(tm, Spectrum(sp.theta_bar, 1.001 * sp.s)))
+        assert main(["verify", "--preset", name, "--out", str(tmp_path)]) == 4
+        assert "FAIL harmonic average vs quadrature (trapezoid rule, max dev " in capsys.readouterr().out
 
     def test_phaseless_mean_phase_exit_code(self, tmp_path, capsys):
         # h theta_bar would overflow to a NaN period map.
@@ -458,14 +480,14 @@ class TestMainEntry:
 class TestColdStart:
     def test_subcommands_do_not_import_scipy(self, tmp_path):
         # scipy takes longer to import than the rest of the package, and
-        # only verify uses it.
+        # the package needs it nowhere, verify's quadrature check included.
         runs = [
             [cmd, "--preset", name, "--out", str(tmp_path / f"{cmd}-{name}")]
-            for cmd in ("simulate", "asymptotics", "nonmarkov")
+            for cmd in cli.SUBCOMMANDS
             for name in ("two_controls", "three_controls")
-        ] + [["visibility", "--preset", "two_controls", "--out", str(tmp_path / "visibility")]] + [
-            ["visibility", "--preset", "three_controls", "--order", order, "--out", str(tmp_path / f"vis3-{order}")]
-            for order in ("eq2b", "eq4a")
+        ] + [
+            ["visibility", "--preset", "three_controls", "--order", "eq4a", "--out", str(tmp_path / "vis3-eq4a")],
+            ["verify", "--preset", "two_controls", "--spectrum-s", "12", "--out", str(tmp_path / "verify-12")],
         ]
         script = (
             "import json, sys\n"
@@ -503,25 +525,26 @@ class TestPresetBytes:
             assert hashlib.sha256((Path(op["out"]) / name).read_bytes()).hexdigest() == digest, name
 
 
-# sha256 of verify.json and of stdout, recorded with checks that evaluated
-# one phase at a time: the batched checks must print the same digits.  The last three runs take each branch of the
-# quadrature check: sharp, uniform, and a wide Gauss-Hermite rule.
+# sha256 of verify.json and of stdout.  The s = 0 and inf pairs were recorded
+# with checks that evaluated one phase at a time, and the batched checks
+# print the same digits.  The last three runs take each branch of the
+# quadrature check: sharp, uniform, and a wide trapezoid rule.
 VERIFY_DIGESTS = {
     ("two_controls", "eq2b", None): (
-        "8a05ecf63612962691f5ff8966937036e34220d145e2c697575755c34ef2e92f",
-        "53d3c10557bdda87835f3bf76e4d437c280d3f68245b029d0fd726f55f515d2e",
+        "119a5a259205d171355810733fbeb490a8c8be922170f0cbb1de6534b7f1bf1d",
+        "f695407d2f5b2b66dd2927fd591638a9f3929a316bbaec07c876a05802e8fc4e",
     ),
     ("two_controls", "eq4a", None): (
-        "49a8da454e6baa201099741077d988037abffd3289f6cf8dea43b0bd44684e7f",
-        "c435aac1713451515279943605ebe10ab2bc7ae95a4d253fa2388c27095180b1",
+        "617a6c4dd18cfb157551740a2b6087a7958cd387eacb142dcd28fbbd68259198",
+        "9ed72412796129131597a4d0065195b0e1d1ded7eaf0c954df5130a16c6c76e9",
     ),
     ("three_controls", "eq2b", None): (
-        "3a21c879efab2a05b20758f7b66335dd0f51ed683a3521cc68c17500f7fc5851",
-        "ae4fedb7a8c82b9a937002ec11b52b71cbf64faee06c352c7b5be0f7542c820c",
+        "41b121eb43486b944b1dfa59424d50c150ae7f25bb89c48e2e6a81ce5cbfb35e",
+        "916783276a360085db3aa6f2f1ba603fcab742f8c612e63c2fdcb2622d0acd78",
     ),
     ("three_controls", "eq4a", None): (
-        "ca27f972b711043c7d960d9a60b3aa59d9923b336c67a8c471f76921d9fa202f",
-        "54d40438bfb760c6b29f51197e9492474f965b6602953970a112dbc5ed5765fb",
+        "5f552608b883e8b3f798f8d9deac349d733a5b2e9cd326247e2b6deb2a4b00c8",
+        "b09373d972e86e50c59bfa629120e8751e52195f532801dfb185b81b1511a596",
     ),
     ("two_controls", "eq2b", "0"): (
         "e4768f78af0fe87f92bc59a892dedd8c6595a3f76839905647668bb33effc9bc",
@@ -532,8 +555,8 @@ VERIFY_DIGESTS = {
         "cc637526b9d258a885ce5702e1a038845d993cdc959d7a4694c99a41c88e1fdb",
     ),
     ("two_controls", "eq2b", "12"): (
-        "c07037a74e2255a1b78303aab41ef0dbb05dfacc76f32b9406686db7bd054ef4",
-        "45462c0abfda3d0c4734249260ef482129832785a99082bd2ff4c4e1a8b3ed6b",
+        "e304915dd0303f7feb14188d246a743bee3d0fb76836832c1c519c8650d85408",
+        "2ae03466800b6c3a2f4109adfb417081be5dd7d97f05b8bbdcede5502a0a9775",
     ),
 }
 

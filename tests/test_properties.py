@@ -42,7 +42,7 @@ from drivenqubit import (
     trace_distance,
     trig_compose,
 )
-from drivenqubit import asymptotics, bloch, nonmarkov, visibility
+from drivenqubit import asymptotics, bloch, cli, nonmarkov, visibility
 from drivenqubit.bloch import averaged_maps
 
 from conftest import UNIFORM_S, random_ball_point
@@ -255,6 +255,20 @@ def test_array_evaluate_matches_scalar_calls_bitwise(p, order, n, thetas):
 def test_average_matches_loop_reference_bitwise(p, order, n, sp):
     tm = protocol_product(p, n, order)
     assert np.array_equal(gaussian_average(tm, sp).m, loop_sum(tm, sp.theta_bar, sp.s))
+
+
+@given(
+    protocols,
+    orders,
+    st.integers(0, 15),
+    st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    st.floats(math.log(1e-9), math.log(UNIFORM_S), exclude_max=True).map(math.exp).filter(lambda s: s < UNIFORM_S),
+)
+def test_trapezoid_rule_matches_closed_form_average(p, order, n, theta_bar, s):
+    # verify's quadrature oracle, below the uniform limit where it runs.
+    tm = protocol_product(p, n, order)
+    sp = Spectrum(theta_bar, s)
+    assert np.max(np.abs(cli._trapezoid_average(tm, sp) - gaussian_average(tm, sp).m)) < 1e-13
 
 
 @given(protocols, orders, depths, depths)

@@ -112,6 +112,15 @@ class TestSphereAngles:
         with pytest.raises(DomainError):
             SphereAngles(1.0, 2.0 * math.pi)
 
+    @pytest.mark.parametrize(
+        "v", [[0.0, 0.0, 0.0], [math.nan, 0.0, 1.0], [0.0, math.inf, 0.0], [-math.inf, math.inf, 1.0]]
+    )
+    def test_direction_must_be_nonzero_and_finite(self, v):
+        # Dividing by a zero or non-finite norm would warn and then fail on
+        # theta = nan with a message about theta.
+        with pytest.raises(DomainError, match="direction must be a nonzero finite vector"):
+            SphereAngles.from_vector(v)
+
 
 class TestVolumeTwo:
     def test_y_direction_is_dark(self, reference_two_cycle):
