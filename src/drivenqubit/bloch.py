@@ -55,7 +55,10 @@ _FWHM_TO_SIGMA = 2.0 * math.sqrt(2.0 * math.log(2.0))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    # C order, so the copy of a transposed view reshapes without copying.
+    """Read-only C-ordered float copy of ``a``.  ``TrigMatrix`` copies its
+    band this way, so its ``terms`` is a read-only pair-major view of one
+    contiguous band, as a composed series' is of the compose's own band:
+    the next compose reads either without a copy."""
     a = np.array(a, dtype=float, order="C")
     a.setflags(write=False)
     return a
@@ -162,6 +165,16 @@ class Protocol:
         return self.steps[i % self.period]
 
 
+def _nonzero_pairs(terms: np.ndarray) -> int:
+    """H+1 for the highest harmonic H with a nonzero pair in the pair-major
+    ``terms``; 1 if there is none."""
+    # A composed band rarely cancels at its top, so this loop is short.
+    pairs = len(terms)
+    while pairs > 1 and not np.count_nonzero(terms[pairs - 1]):
+        pairs -= 1
+    return pairs
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class TrigMatrix:
     """3x3 matrix whose entries are finite harmonic series in the phase.
@@ -170,11 +183,14 @@ class TrigMatrix:
 
         A(theta) = C_0 + sum_{h=1..H}  C_h cos(h theta) + S_h sin(h theta)
 
-    with real 3x3 coefficients stored densely in one read-only stack of
-    cosine/sine pairs, ``terms[h] = (C_h, S_h)``, of shape
-    ``(H+1, 2, 3, 3)``.  The sine ``S_0`` of harmonic 0 is zero, and the
-    stack is trimmed so that H is the highest harmonic with a nonzero
-    coefficient.  Instances are immutable.
+    with real 3x3 coefficients stored densely as cosine/sine pairs,
+    ``terms[h] = (C_h, S_h)``, of shape ``(H+1, 2, 3, 3)``.  ``terms`` is a
+    read-only pair-major view ``band.transpose(1, 0, 3, 2)`` of one
+    contiguous band: the H+1 cosine blocks then the H+1 sine blocks, each
+    transposed.  A composed series keeps the compose's own accumulator as
+    that band, and the next compose reads it without a copy.  The sine
+    ``S_0`` of harmonic 0 is zero, and the band is trimmed so that H is the
+    highest harmonic with a nonzero coefficient.  Instances are immutable.
     """
 
     terms: np.ndarray
@@ -185,11 +201,9 @@ class TrigMatrix:
             raise DomainError(f"terms must have shape (H+1, 2, 3, 3), got {terms.shape}")
         if np.count_nonzero(terms[0, 1]):
             raise DomainError("the sine S_0 of harmonic 0 must be zero")
-        # A composed band rarely cancels at its top, so this loop is short.
-        pairs = len(terms)
-        while pairs > 1 and not np.count_nonzero(terms[pairs - 1]):
-            pairs -= 1
-        object.__setattr__(self, "terms", _readonly(terms[:pairs]))
+        pairs = _nonzero_pairs(terms)
+        band = _readonly(terms[:pairs].transpose(1, 0, 3, 2))
+        object.__setattr__(self, "terms", band.transpose(1, 0, 3, 2))
 
     @classmethod
     def constant(cls, matrix) -> "TrigMatrix":
@@ -206,7 +220,7 @@ class TrigMatrix:
 
     @functools.cached_property
     def _harmonics(self) -> tuple:
-        return tuple(np.flatnonzero(self.terms.reshape(len(self.terms), 18).any(axis=1)).tolist())
+        return tuple(np.flatnonzero(self.terms.any(axis=(1, 2, 3))).tolist())
 
     def harmonics(self):
         """Sorted non-negative harmonics carrying a nonzero coefficient."""
@@ -378,8 +392,10 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     pair at h + g, and the pairs g > h at g - h.  Work is O(H_a H_b) and
     memory O(H_a + H_b); deep products should pass the narrow factor first.
     Blocks are kept transposed, ``(C_h V)^T = V^T C_h^T``, so that each
-    family is one contiguous run of 3x3 blocks, and both bands are read
-    as stored.
+    family is one contiguous run of 3x3 blocks.  The accumulator is the
+    cosine band then the sine band, the storage layout of ``TrigMatrix``:
+    it becomes the product's storage, and both factors' bands are read as
+    stored, with no copy.
 
     Products are reproducible bit for bit: every output coefficient adds its
     parts one at a time in (h, g) pair order, as ``pairwise_compose`` in the
@@ -399,17 +415,17 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
     out = np.zeros((2, a.max_harmonic + hb + 1, 3, 3))
     cos, sin = out
     for h in a._harmonics:
+        if h == 0:
+            # S_0 = 0, so C_0 alone gives cc and cs of every pair (0, g):
+            # one cosine/sine pair-run, which adds twice at g.
+            run = (band @ a.terms[0, 0].T).reshape(2, hb + 1, 3, 3)
+            run *= 0.5
+            out[:, : hb + 1] += run
+            out[:, : hb + 1] += run
+            continue
         prod = band @ a.terms[h].transpose(0, 2, 1)
         prod *= 0.5
         (cc, cs), (sc, ss) = prod.reshape(2, 2, hb + 1, 3, 3)
-        if h == 0:
-            # S_0 = 0: each pair (0, g) adds cc and cs twice at g.
-            run = slice(0, hb + 1)
-            cos[run] += cc
-            cos[run] += cc
-            sin[run] += cs
-            sin[run] += cs
-            continue
         # Pairs g <= h at h - g, so g runs down; the sine at harmonic 0 is
         # set to zero at the end.
         lo = max(0, h - hb)
@@ -430,7 +446,15 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
             sin[run] -= sc[g]
             sin[run] += cs[g]
     sin[0] = 0.0
-    return TrigMatrix(out.transpose(1, 0, 3, 2))
+    pairs = _nonzero_pairs(out.transpose(1, 0, 3, 2))
+    if pairs < out.shape[1]:
+        out = np.ascontiguousarray(out[:, :pairs])  # trimming costs a copy
+    # Hand the band over as the product's storage, past the constructor's
+    # copy and checks, which it meets by construction.
+    out.setflags(write=False)
+    product = object.__new__(TrigMatrix)
+    object.__setattr__(product, "terms", out.transpose(1, 0, 3, 2))
+    return product
 
 
 def _damping(s: float, max_harmonic: int) -> np.ndarray:

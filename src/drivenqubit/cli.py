@@ -411,12 +411,6 @@ def calibrate(config: RunConfig, anchor: float = CALIBRATION_ANCHOR) -> Calibrat
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
-
-
 def _round_floats(obj):
     """Clamp every float to 9 significant digits for deterministic output."""
     if isinstance(obj, float):
@@ -437,9 +431,10 @@ def _write_json(path: Path, payload: dict, round_floats: bool = True):
 
 
 def _write_csv(path: Path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    """Floats at 9 significant digits, anything else as ``str``.  Each
+    column keeps the type of its first row, so one format serves all rows."""
+    fmt = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0])
+    lines = [",".join(header)] + [fmt % row for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -60,7 +60,13 @@ class SphereAngles:
     @classmethod
     def from_vector(cls, v) -> "SphereAngles":
         v = np.asarray(v, dtype=float)
-        norm = np.linalg.norm(v)
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(v)
+        if norm in (0.0, np.inf) and np.isfinite(v).all() and v.any():
+            # |v| under- or overflowed: measure v in units of its largest
+            # component.  Every other vector keeps the bits of v / |v|.
+            v = v / np.abs(v).max()
+            norm = np.linalg.norm(v)
         if not 0.0 < norm < np.inf:
             raise DomainError("direction must be a nonzero finite vector")
         v = v / norm

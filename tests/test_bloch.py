@@ -214,6 +214,27 @@ class TestTrigCompose:
         band = out.terms.nbytes - out.terms[0, 1].nbytes
         assert peak < 8 * band
 
+    def test_step_compose_copies_no_band(self):
+        # A step against a 1,000-harmonic product holds four bands at its
+        # peak: the accumulator, which becomes the product's storage, one
+        # band of products for harmonic 0 and two for harmonic 1.  Copying
+        # the deep factor's band to read it, or the accumulator to store
+        # it, would take a band each.
+        rng = np.random.default_rng(7)
+        terms = rng.standard_normal((1001, 2, 3, 3))
+        terms[0, 1] = 0.0
+        deep = TrigMatrix(terms)
+        step = step_matrix(ControlStep(eta=0.3, k=1))
+        trig_compose(step, TrigMatrix(deep.terms[:2]))  # numpy's one-off first-call allocations
+        tracemalloc.start()
+        try:
+            out = trig_compose(step, deep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.max_harmonic == 1001
+        assert peak < 5 * out.terms.nbytes
+
 
 class TestTrigEvaluate:
     def test_unit_harmonic_at_zero(self):

@@ -31,6 +31,7 @@ from drivenqubit import (
     asymptotic_blp_rate,
     asymptotic_cycle,
     asymptotic_map,
+    c_rotation,
     gaussian_average,
     maximize_visibility,
     optimal_pair_search,
@@ -140,6 +141,47 @@ def test_compose_replays_pairs_bitwise_wide(steps, n1, n2, order):
     a, b = protocol_product(p, n1, order), protocol_product(p, n2, order)
     for x, y in ((a, b), (b, a)):
         assert np.array_equal(trig_compose(x, y).terms, pairwise_compose(x, y).terms)
+
+
+def assert_compose_replays_pairs_bytewise(x, y):
+    got = trig_compose(x, y).terms
+    assert got.tobytes() == pairwise_compose(x, y).terms.tobytes()
+    # Every sum starts at +0.0, so no coefficient is -0.0.
+    assert not np.signbit(got[got == 0.0]).any()
+
+
+@pytest.mark.parametrize("order", STEP_ORDERS)
+def test_constant_first_factor_replays_pairs_bytewise(order):
+    # Harmonic 0 alone takes the pair-run path; -0.0 and subnormal entries
+    # among the constants.
+    rng = np.random.default_rng(11)
+    signed = rng.standard_normal((3, 3))
+    signed[0, 1], signed[2, 0], signed[1, 2] = -0.0, 5e-324, -5e-324
+    p = Protocol.from_steps([ControlStep(0.3, 2), ControlStep(0.5, 3)])
+    deep = protocol_product(p, 20, order)
+    constants = [TrigMatrix.constant(m) for m in (signed, np.zeros((3, 3)), -np.eye(3))]
+    constants.append(step_matrix(ControlStep(0.5, 0), order))
+    for c in constants:
+        assert c.max_harmonic == 0
+        for y in (deep, step_matrix(p.steps[1], order), constants[0], c):
+            assert_compose_replays_pairs_bytewise(c, y)
+
+
+@pytest.mark.parametrize("order", STEP_ORDERS)
+def test_signed_zero_and_subnormal_chains_replay_pairs_bytewise(order):
+    # eta = 5e-324 gives a = 4.4e-162, whose squares are subnormal; eta =
+    # 1 - 2^-53 gives b = -1 + 2^-52.  A composed series holds no -0.0, but
+    # the bare rotation of eta = 1/2 does (-b = -0.0).
+    p = Protocol.from_steps([ControlStep(5e-324, 2), ControlStep(0.5, 0), ControlStep(1.0 - 2.0**-53, 3)])
+    rotations = [TrigMatrix.constant(c_rotation(s.eta)) for s in p.steps]
+    assert np.signbit(rotations[1].terms[0, 0, 2, 2]) and rotations[1].terms[0, 0, 2, 2] == 0.0
+    subnormal = False
+    for n, tm in enumerate(itertools.islice(product_chain(p, order), 41)):
+        subnormal |= bool(((tm.terms != 0.0) & (np.abs(tm.terms) < np.finfo(float).tiny)).any())
+        for factor in (step_matrix(p.step(n), order), rotations[n % p.period]):
+            assert_compose_replays_pairs_bytewise(factor, tm)
+            assert_compose_replays_pairs_bytewise(tm, factor)
+    assert subnormal
 
 
 @given(protocols, orders, st.integers(0, 300))
@@ -271,16 +313,35 @@ def test_trapezoid_rule_matches_closed_form_average(p, order, n, theta_bar, s):
     assert np.max(np.abs(cli._trapezoid_average(tm, sp) - gaussian_average(tm, sp).m)) < 1e-13
 
 
-@given(protocols, orders, depths, depths)
-def test_bands_keep_a_zero_sine_0_and_a_nonzero_top(p, order, n1, n2):
+def chain_and_composed(p, order, n1, n2):
+    """The chain to depth max(n1, n2), and products of its members, a step
+    and the zero series in both orders; the last one is zero."""
     chain = list(itertools.islice(product_chain(p, order), max(n1, n2) + 1))
     a, b = chain[n1], chain[n2]
     step, zero = step_matrix(p.steps[0], order), TrigMatrix.constant(np.zeros((3, 3)))
-    composed = [trig_compose(x, y) for x, y in ((a, b), (b, a), (step, a), (a, step), (zero, a), (a, zero))]
+    return chain, [trig_compose(x, y) for x, y in ((a, b), (b, a), (step, a), (a, step), (zero, a), (a, zero))]
+
+
+@given(protocols, orders, depths, depths)
+def test_bands_keep_a_zero_sine_0_and_a_nonzero_top(p, order, n1, n2):
+    chain, composed = chain_and_composed(p, order, n1, n2)
     for tm in chain + composed:
         assert tm.terms[0, 1].tobytes() == bytes(72)
         assert tm.terms[-1].any() or (tm.terms.shape == (1, 2, 3, 3) and not tm.terms.any())
     assert composed[-1].max_harmonic == 0 and not composed[-1].terms.any()
+
+
+@given(protocols, orders, depths, depths)
+def test_terms_are_a_read_only_view_of_one_band(p, order, n1, n2):
+    # A product keeps the compose's accumulator, the cosine band then the
+    # sine band of transposed blocks, and the next compose reads it as is.
+    chain, composed = chain_and_composed(p, order, n1, n2)
+    for tm in chain + composed:
+        assert tm.terms.transpose(1, 0, 3, 2).flags.c_contiguous
+        assert not tm.terms.flags.writeable
+        assert tm.terms.base is not None and not tm.terms.base.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            tm.terms[-1, 0, 0, 0] = 1.0
 
 
 @given(protocols, orders, depths)

@@ -121,6 +121,24 @@ class TestSphereAngles:
         with pytest.raises(DomainError, match="direction must be a nonzero finite vector"):
             SphereAngles.from_vector(v)
 
+    @pytest.mark.parametrize(
+        "v, theta, phi",
+        [
+            ([1e200, 1e200, 0.0], math.pi / 2, math.pi / 4),
+            ([1e-200, 1e-200, 0.0], math.pi / 2, math.pi / 4),
+            ([5e-324, 0.0, 0.0], math.pi / 2, 0.0),
+            ([1.7e308] * 3, math.acos(1.0 / math.sqrt(3.0)), math.pi / 4),
+        ],
+        ids=["norm-overflows", "norm-underflows", "subnormal", "near-max"],
+    )
+    def test_direction_whose_norm_under_or_overflows(self, v, theta, phi):
+        # |v| rounds to 0 or inf although v is nonzero and finite.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sa = SphereAngles.from_vector(v)
+        assert sa.theta == pytest.approx(theta, rel=1e-15)
+        assert sa.phi == pytest.approx(phi, rel=1e-15, abs=0.0)
+
 
 class TestVolumeTwo:
     def test_y_direction_is_dark(self, reference_two_cycle):
