@@ -73,8 +73,7 @@ from .visibility import (
     SphereAngles,
     VisibilityMaximum,
     maximize_visibility,
-    volume_three,
-    volume_two,
+    volume,
 )
 
 __version__ = "0.1.0"

@@ -45,7 +45,6 @@ from .bloch import (
     _node_block,
     _running_sum,
     product_chain,
-    propagate,
     protocol_product,
 )
 from .errors import ConvergenceError, DomainError, PoleError
@@ -318,11 +317,9 @@ def asymptotic_cycle(
     return AsymptoticCycle.from_maps(_steady_maps(p, sp, range(p.period), order))
 
 
-def limit_cycle(
-    p: Protocol, sp: Spectrum, a0: BlochVector, order: str = ORDER_PHASE_AFTER
-) -> list:
-    """The T states visited asymptotically by an initial Bloch vector."""
-    return [m.apply(a0) for m in asymptotic_cycle(p, sp, order).maps]
+def limit_cycle(cycle: AsymptoticCycle, a0: BlochVector) -> list:
+    """The T states of the cycle visited asymptotically by an initial Bloch vector."""
+    return [m.apply(a0) for m in cycle.maps]
 
 
 @dataclass(frozen=True)
@@ -334,26 +331,21 @@ class ConvergenceProfile:
     tolerance: float
 
 
-def convergence_profile(
-    p: Protocol,
-    sp: Spectrum,
-    a0: BlochVector,
-    K: int,
-    m_max: int,
-    order: str = ORDER_PHASE_AFTER,
-) -> ConvergenceProfile:
-    """Euclidean distance of a_{mT+K} from the phase-K steady point, m <= m_max.
+def convergence_profile(cycle: AsymptoticCycle, trajectory: list, K: int) -> ConvergenceProfile:
+    """Euclidean distance of a_{mT+K} from the phase-K steady point of the
+    trajectory's initial vector a_0, for every m with mT + K in the trajectory
+    (a ``propagate`` run of the cycle's protocol, spectrum and step order).
 
     The profile is flagged converged when its final entry drops below
     CONVERGENCE_TOL; with a sharp spectrum (s = 0) there is no dephasing and the
     distances need not decay at all.
     """
-    if m_max < 0:
-        raise DomainError(f"m_max must be >= 0, got {m_max}")
-    target = asymptotic_map(p, sp, K, order).apply(a0).as_array()
-    traj = propagate(p, sp, m_max * p.period + K, a0, order)
+    if not 0 <= K < cycle.period:
+        raise DomainError(f"phase {K} outside [0, {cycle.period})")
+    if K >= len(trajectory):
+        raise DomainError(f"phase {K} lies past a trajectory of {len(trajectory)} states")
+    target = cycle.maps[K].apply(trajectory[0]).as_array()
     distances = tuple(
-        float(np.linalg.norm(traj[m * p.period + K].as_array() - target))
-        for m in range(m_max + 1)
+        float(np.linalg.norm(a.as_array() - target)) for a in trajectory[K :: cycle.period]
     )
     return ConvergenceProfile(distances, distances[-1] < CONVERGENCE_TOL, CONVERGENCE_TOL)

@@ -31,6 +31,7 @@ from .asymptotics import (
     asymptotic_map,
     cesaro_mean,
     convergence_profile,
+    limit_cycle,
     resolvent,
 )
 from .bloch import (
@@ -49,7 +50,7 @@ from .bloch import (
 )
 from .errors import CalibrationError, ConfigError, ConvergenceError, DomainError, PoleError
 from .nonmarkov import (
-    StatePair, _backflow_sum, asymptotic_blp_rate, pair_distances, trace_distance, trace_distance_povm
+    StatePair, asymptotic_blp_rate, blp_accumulate, pair_distances, trace_distance, trace_distance_povm
 )
 from .visibility import SphereAngles, maximize_visibility
 
@@ -451,16 +452,15 @@ def _run_simulate(config: RunConfig, out: Path):
 
 def _run_asymptotics(config: RunConfig, out: Path):
     cycle = asymptotic_cycle(config.protocol, config.spectrum, config.order)
-    states = [m.apply(config.initial_state) for m in cycle.maps]
-    m_max = max(1, config.n_steps // config.protocol.period)
-    profile = convergence_profile(
-        config.protocol, config.spectrum, config.initial_state, 0, m_max, config.order
-    )
+    a0 = config.initial_state
+    m_max = max(1, config.n_steps // cycle.period)
+    traj = propagate(config.protocol, config.spectrum, m_max * cycle.period, a0, config.order)
+    profile = convergence_profile(cycle, traj, 0)
     payload = {
         "period": cycle.period,
         "maps": [m.m.tolist() for m in cycle.maps],
         "y_eigenvalues": list(cycle.y_eigenvalues),
-        "limit_cycle": [[a.ax, a.ay, a.az] for a in states],
+        "limit_cycle": [[a.ax, a.ay, a.az] for a in limit_cycle(cycle, a0)],
         "convergence": {
             "phase": 0,
             "distances": list(profile.distances),
@@ -483,7 +483,7 @@ def _run_nonmarkov(config: RunConfig, out: Path):
     )
     cycle = asymptotic_cycle(config.protocol, config.spectrum, config.order)
     payload = {
-        "blp_total": _backflow_sum(d),
+        "blp_total": blp_accumulate(d),
         "per_cycle_rate": asymptotic_blp_rate(cycle, pair),
         "n_steps": config.n_steps,
         "period": cycle.period,
@@ -518,7 +518,7 @@ def _trapezoid_average(tm, sp: Spectrum) -> np.ndarray:
     x = step * np.arange(-j, j + 1)
     w = np.exp(-0.5 * x * x)
     # A running sum in node order.
-    return np.cumsum((w / w.sum())[:, None, None] * tm.evaluate(sp.theta_bar + sp.s * x), axis=0)[-1]
+    return np.add.reduce((w / w.sum())[:, None, None] * tm.evaluate(sp.theta_bar + sp.s * x), axis=0)
 
 
 def _max_dev(a, b) -> float:

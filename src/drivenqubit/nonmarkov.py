@@ -80,21 +80,12 @@ def pair_distances(
     return np.concatenate([[trace_distance(pair.a_plus, pair.a_minus)], 0.5 * np.sqrt(np.vecdot(diff, diff))])
 
 
-def blp_accumulate(
-    p: Protocol,
-    sp: Spectrum,
-    pair: StatePair,
-    n: int,
-    order: str = ORDER_PHASE_AFTER,
-) -> float:
-    """Sum of the positive trace-distance increments over the first n steps."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    return _backflow_sum(pair_distances(p, sp, pair, n, order))
-
-
-def _backflow_sum(d: np.ndarray) -> float:
-    """Sum of the positive increments of a trace-distance sequence."""
+def blp_accumulate(d) -> float:
+    """Sum of the positive increments of a non-empty trace-distance sequence,
+    such as ``pair_distances``; one entry (no step) gives 0.0."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1 or not d.size:
+        raise DomainError(f"expected a non-empty 1-D distance sequence, got shape {d.shape}")
     return float(np.sum(np.maximum(0.0, np.diff(d))))
 
 

@@ -99,22 +99,9 @@ def _value(forms: np.ndarray, c: float, u: np.ndarray) -> float:
     return c * float(np.linalg.norm(u @ forms @ u))
 
 
-def volume_two(cycle, a: SphereAngles) -> float:
-    """Squared distance between the two cycle points reached from ``a``."""
-    if cycle.period != 2:
-        raise DomainError(f"volume_two needs a period-2 cycle, got {cycle.period}")
-    return _value(*_forms(cycle), a.unit_vector())
-
-
-def volume_three(cycle, a: SphereAngles) -> float:
-    """Area spanned by the three cycle points reached from ``a``.
-
-    Half the norm of the cyclic cross-product sum: the area of the
-    triangle with the three asymptotic states as vertices (half the
-    parallelogram spanned by its edge vectors).
-    """
-    if cycle.period != 3:
-        raise DomainError(f"volume_three needs a period-3 cycle, got {cycle.period}")
+def volume(cycle, a: SphereAngles) -> float:
+    """Visibility of the cycle points reached from ``a``: their squared
+    distance for period 2, the area of their triangle for period 3."""
     return _value(*_forms(cycle), a.unit_vector())
 
 

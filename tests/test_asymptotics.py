@@ -24,6 +24,7 @@ from drivenqubit import (
     convergence_profile,
     gaussian_average,
     limit_cycle,
+    propagate,
     protocol_product,
     step_matrix,
     resolvent,
@@ -333,9 +334,18 @@ class TestLockstepCycle:
 
 
 class TestLimitCycle:
-    def test_zero_input(self, two_controls, calibrated_spectrum):
-        for a in limit_cycle(two_controls, calibrated_spectrum, BlochVector(0, 0, 0)):
+    def test_zero_input(self, two_cycle):
+        states = limit_cycle(two_cycle, BlochVector(0, 0, 0))
+        assert len(states) == 2
+        for a in states:
             assert a.norm() == 0.0
+
+    def test_reads_the_cycle_maps(self, three_cycle):
+        a0 = BlochVector(0.2, 0.5, -0.4)
+        states = limit_cycle(three_cycle, a0)
+        assert [a.as_array().tolist() for a in states] == [
+            (m.m @ a0.as_array()).tolist() for m in three_cycle.maps
+        ]
 
     def test_y_polarized_input_is_cycle_fixed_point(self, two_cycle):
         ey = BlochVector(0, 1, 0)
@@ -351,26 +361,52 @@ class TestLimitCycle:
         assert norms[1] < norms[0] < norms[2]
 
 
+def profile_of(p, sp, a0, K, m_max):
+    """Convergence profile of a0 at phase K over m = 0..m_max periods."""
+    return convergence_profile(asymptotic_cycle(p, sp), propagate(p, sp, m_max * p.period + K, a0), K)
+
+
 class TestConvergenceProfile:
     def test_unitary_dynamics_does_not_converge(self, two_controls):
-        profile = convergence_profile(
-            two_controls, Spectrum(0.0, 0.0), BlochVector(0, 0, 1), 0, 20
-        )
+        profile = profile_of(two_controls, Spectrum(0.0, 0.0), BlochVector(0, 0, 1), 0, 20)
+        assert len(profile.distances) == 21
         assert not profile.converged
         assert profile.distances[-1] > 0.1
 
     def test_two_control_transient(self, two_controls, calibrated_spectrum):
-        profile = convergence_profile(
-            two_controls, calibrated_spectrum, BlochVector(0, 0, 1), 0, 25
-        )
+        profile = profile_of(two_controls, calibrated_spectrum, BlochVector(0, 0, 1), 0, 25)
+        assert len(profile.distances) == 26
         assert profile.converged
         assert all(d < 0.01 for d in profile.distances[15:])
 
     def test_sign_flip_invariance(self, three_controls, calibrated_spectrum):
         a0 = BlochVector(0.2, 0.5, -0.4)
-        up = convergence_profile(three_controls, calibrated_spectrum, a0, 1, 10)
-        down = convergence_profile(three_controls, calibrated_spectrum, -a0, 1, 10)
+        up = profile_of(three_controls, calibrated_spectrum, a0, 1, 10)
+        down = profile_of(three_controls, calibrated_spectrum, -a0, 1, 10)
+        assert len(up.distances) == len(down.distances) == 11
         assert_allclose(up.distances, down.distances, atol=1e-14)
+
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    def test_distances_from_each_phase_map(self, three_controls, calibrated_spectrum, order):
+        # The profile reads the computed cycle: the bits of asymptotic_map at
+        # each phase, and the norm of each trajectory point's difference.
+        a0 = BlochVector(0.2, 0.5, -0.4)
+        cycle = asymptotic_cycle(three_controls, calibrated_spectrum, order)
+        traj = propagate(three_controls, calibrated_spectrum, 20, a0, order)
+        for K in range(3):
+            target = asymptotic_map(three_controls, calibrated_spectrum, K, order).apply(a0).as_array()
+            expected = [float(np.linalg.norm(a.as_array() - target)) for a in traj[K::3]]
+            assert list(convergence_profile(cycle, traj, K).distances) == expected
+
+    def test_phase_outside_the_period_or_past_the_trajectory(self, three_cycle, three_controls, calibrated_spectrum):
+        traj = propagate(three_controls, calibrated_spectrum, 1, BlochVector(0, 0, 1))
+        for K in (3, -1):
+            with pytest.raises(DomainError, match="outside"):
+                convergence_profile(three_cycle, traj, K)
+        # Two states reach phase 1 but not phase 2.
+        assert len(convergence_profile(three_cycle, traj, 1).distances) == 1
+        with pytest.raises(DomainError, match="past"):
+            convergence_profile(three_cycle, traj, 2)
 
 
 class TestRandomProtocolOracle:

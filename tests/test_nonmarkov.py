@@ -118,13 +118,16 @@ class TestPairDistances:
 class TestBlpAccumulate:
     def test_unitary_dynamics_has_no_backflow(self, two_controls):
         pair = StatePair.antipodal(EY)
-        assert blp_accumulate(two_controls, Spectrum(0.0, 0.0), pair, 20) < 1e-12
+        assert blp_accumulate(pair_distances(two_controls, Spectrum(0.0, 0.0), pair, 20)) < 1e-12
 
     def test_three_control_growth_is_unbounded(self, three_controls, calibrated_spectrum):
         pair = StatePair.antipodal(EY)
         d = pair_distances(three_controls, calibrated_spectrum, pair, 180)
         increments = np.maximum(0.0, np.diff(d))
         blp = np.cumsum(increments)
+        # The accumulated measure after n steps reads the first n + 1 distances.
+        for n in (30, 90, 180):
+            assert blp_accumulate(d[: n + 1]) == float(np.sum(increments[:n]))
         b10, b30, b60 = blp[10 * 3 - 1], blp[30 * 3 - 1], blp[60 * 3 - 1]
         assert b10 < b30 < b60
         # Linear growth: the per-cycle slope stabilizes.
@@ -136,9 +139,18 @@ class TestBlpAccumulate:
         rate = asymptotic_blp_rate(two_cycle, StatePair.antipodal(EY))
         assert rate < 1e-6
 
-    def test_requires_at_least_one_step(self, two_controls, calibrated_spectrum):
-        with pytest.raises(DomainError):
-            blp_accumulate(two_controls, calibrated_spectrum, StatePair.antipodal(EY), 0)
+    def test_rejects_empty_sequence(self):
+        for d in ([], np.zeros((0,))):
+            with pytest.raises(DomainError, match="non-empty 1-D"):
+                blp_accumulate(d)
+
+    def test_rejects_two_dimensional_input(self):
+        with pytest.raises(DomainError, match="non-empty 1-D"):
+            blp_accumulate(np.zeros((3, 2)))
+
+    def test_zero_steps_has_no_backflow(self, two_controls, calibrated_spectrum):
+        d = pair_distances(two_controls, calibrated_spectrum, StatePair.antipodal(EY), 0)
+        assert blp_accumulate(d) == 0.0
 
 
 class TestAsymptoticRate:

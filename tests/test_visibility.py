@@ -18,8 +18,7 @@ from drivenqubit import (
     Spectrum,
     asymptotic_cycle,
     maximize_visibility,
-    volume_three,
-    volume_two,
+    volume,
 )
 from drivenqubit import nonmarkov, visibility
 from drivenqubit.cli import main
@@ -142,7 +141,7 @@ class TestSphereAngles:
 
 class TestVolumeTwo:
     def test_y_direction_is_dark(self, reference_two_cycle):
-        assert volume_two(reference_two_cycle, SphereAngles(math.pi / 2, math.pi / 2)) < 1e-12
+        assert volume(reference_two_cycle, SphereAngles(math.pi / 2, math.pi / 2)) < 1e-12
 
     def test_closed_form_maximum(self, reference_two_cycle):
         value, direction = closed_form_maximum(reference_two_cycle)
@@ -151,7 +150,7 @@ class TestVolumeTwo:
         want = np.array([0.241461, 0.0, 0.145020])
         want /= np.linalg.norm(want)
         assert abs(np.dot(direction, want)) == pytest.approx(1.0, abs=1e-9)
-        got = volume_two(reference_two_cycle, SphereAngles.from_vector(direction))
+        got = volume(reference_two_cycle, SphereAngles.from_vector(direction))
         assert got == pytest.approx(value, abs=1e-12)
 
     def test_antipodal_invariance(self, reference_two_cycle):
@@ -159,13 +158,16 @@ class TestVolumeTwo:
         for _ in range(20):
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
-            f_plus = volume_two(reference_two_cycle, SphereAngles.from_vector(v))
-            f_minus = volume_two(reference_two_cycle, SphereAngles.from_vector(-v))
+            f_plus = volume(reference_two_cycle, SphereAngles.from_vector(v))
+            f_minus = volume(reference_two_cycle, SphereAngles.from_vector(-v))
             assert f_plus == pytest.approx(f_minus, abs=1e-14)
 
-    def test_wrong_period_rejected(self, reference_three_cycle):
-        with pytest.raises(DomainError):
-            volume_two(reference_three_cycle, SphereAngles(0.5, 0.5))
+    def test_period_three_cycle_is_its_triangle_area(self, reference_three_cycle):
+        # One name serves both periods: a period-3 cycle is not rejected.
+        a = SphereAngles(0.5, 0.5)
+        x0, x1, x2 = (m.m @ a.unit_vector() for m in reference_three_cycle.maps)
+        assert volume(reference_three_cycle, a) == pytest.approx(heron_area(x0, x1, x2), abs=1e-12)
+        assert heron_area(x0, x1, x2) > 1e-3
 
     def test_xz_restriction_has_rank_one(self, reference_two_cycle):
         d = reference_two_cycle.maps[0].m - reference_two_cycle.maps[1].m
@@ -185,10 +187,10 @@ class TestVolumeThree:
         for _ in range(10):
             v = rng.normal(size=3)
             sa = SphereAngles.from_vector(v)
-            assert volume_three(cycle, sa) < 1e-14
+            assert volume(cycle, sa) < 1e-14
 
     def test_y_direction_is_dark(self, reference_three_cycle):
-        assert volume_three(reference_three_cycle, SphereAngles(math.pi / 2, math.pi / 2)) < 1e-12
+        assert volume(reference_three_cycle, SphereAngles(math.pi / 2, math.pi / 2)) < 1e-12
 
     def test_heron_oracle(self, reference_three_cycle):
         # Half the cyclic cross-product sum is the area of the triangle
@@ -199,12 +201,14 @@ class TestVolumeThree:
             v = rng.normal(size=3)
             v /= np.linalg.norm(v)
             x0, x1, x2 = (m @ v for m in mats)
-            got = volume_three(reference_three_cycle, SphereAngles.from_vector(v))
+            got = volume(reference_three_cycle, SphereAngles.from_vector(v))
             assert got == pytest.approx(heron_area(x0, x1, x2), abs=1e-12)
 
-    def test_wrong_period_rejected(self, reference_two_cycle):
-        with pytest.raises(DomainError):
-            volume_three(reference_two_cycle, SphereAngles(0.5, 0.5))
+    def test_wrong_period_rejected(self):
+        for period in (1, 4):
+            cycle = AsymptoticCycle.from_maps(BlochMap(0.5 * np.eye(3)) for _ in range(period))
+            with pytest.raises(DomainError, match="periods 2 and 3"):
+                volume(cycle, SphereAngles(0.5, 0.5))
 
 
 class TestMaximizeVisibility:
@@ -267,7 +271,7 @@ class TestMaximizeVisibility:
         for _ in range(10**4):
             v = rng.normal(size=3)
             best = max(
-                best, volume_three(reference_three_cycle, SphereAngles.from_vector(v))
+                best, volume(reference_three_cycle, SphereAngles.from_vector(v))
             )
         assert result.value >= best - 1e-12
 
