@@ -71,51 +71,86 @@ CESARO_DOUBLINGS = 24
 CONVERGENCE_TOL = 1e-2
 
 
-def _det3(m: np.ndarray):
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def _adjugate3(m: np.ndarray) -> np.ndarray:
-    out = np.empty_like(m)
-    out[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    out[0, 1] = m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2]
-    out[0, 2] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    out[1, 0] = m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2]
-    out[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    out[1, 2] = m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]
-    out[2, 0] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    out[2, 1] = m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1]
-    out[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise a * b.  Complex entries take the textbook formula with one
+    rounding per real product, as numpy's complex scalars do: numpy's SIMD
+    complex array loop fuses multiply-adds and can differ in the last bit."""
+    if a.dtype.kind != "c":
+        return a * b
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
     return out
 
 
-def resolvent(w: np.ndarray, z: complex) -> np.ndarray:
+def _minors(m: np.ndarray, i, j, k, l) -> np.ndarray:
+    """The 2x2 minors m[i, j] m[k, l] - m[i, l] m[k, j] of a stack (..., 3, 3)
+    for broadcast index arrays i, j, k, l."""
+    return _mul(m[..., i, j], m[..., k, l]) - _mul(m[..., i, l], m[..., k, j])
+
+
+def _det3(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (..., 3, 3), expanded along row 0."""
+    t = _mul(m[..., 0, :], _minors(m, 1, np.array([1, 0, 0]), 2, np.array([2, 2, 1])))
+    return t[..., 0] - t[..., 1] + t[..., 2]
+
+
+def _adjugate3(m: np.ndarray) -> np.ndarray:
+    """Adjugates of a stack (..., 3, 3): entry (r, c) is the minor
+    m[c+1, r+1] m[c+2, r+2] - m[c+1, r+2] m[c+2, r+1], indices mod 3."""
+    r, c = np.arange(3)[:, None], np.arange(3)
+    return _minors(m, (c + 1) % 3, (r + 1) % 3, (c + 2) % 3, (r + 2) % 3)
+
+
+def _first(bad: np.ndarray):
+    """Index of the first True entry of a 1-D mask, or None."""
+    where = np.flatnonzero(bad)
+    return int(where[0]) if where.size else None
+
+
+def _matrix_stack(w: np.ndarray) -> np.ndarray:
+    """A 3x3 matrix or a stack (..., 3, 3) as a flat stack (n, 3, 3); raises
+    DomainError for another shape or a non-finite entry, before any arithmetic."""
+    if w.ndim < 2 or w.shape[-2:] != (3, 3):
+        raise DomainError(f"expected a 3x3 matrix or a stack of them, got shape {w.shape}")
+    stack = w.reshape(-1, 3, 3)
+    if (i := _first(~np.isfinite(stack).all(axis=(1, 2)))) is not None:
+        raise DomainError(f"matrix {i} has a non-finite entry")
+    return stack
+
+
+def resolvent(w: np.ndarray, z) -> np.ndarray:
     """(I - z W)^-1 computed from the adjugate/determinant form.
 
-    Raises PoleError when z sits at (or numerically too close to) a
-    reciprocal eigenvalue of W, where the determinant vanishes.
+    W is a 3x3 matrix or a stack (..., 3, 3), and z a number or an array
+    broadcast against the stack's leading axes; each matrix gets the bits of
+    its own single call.  Raises DomainError for a non-finite W or z, and
+    PoleError when z sits at (or numerically too close to) a reciprocal
+    eigenvalue of W, where the determinant vanishes.  The messages name the
+    first offending matrix or z by its flat index.
     """
     w = np.asarray(w, dtype=float)
-    m = np.eye(3, dtype=complex) - complex(z) * w
+    z = np.asarray(z, dtype=complex)
+    _matrix_stack(w)
+    if (i := _first(~np.isfinite(z.ravel()))) is not None:
+        raise DomainError(f"z[{i}] = {z.ravel()[i]} is not finite")
+    z = np.broadcast_to(z, np.broadcast_shapes(w.shape[:-2], z.shape))
+    m = (np.eye(3, dtype=complex) - z[..., None, None] * w).reshape(-1, 3, 3)
     det = _det3(m)
-    if abs(det) < RESOLVENT_DET_TOL:
-        raise PoleError(f"resolvent pole: |det(I - zW)| = {abs(det):.3e} at z = {z}")
-    return _adjugate3(m) / det
+    if (i := _first(np.abs(det) < RESOLVENT_DET_TOL)) is not None:
+        raise PoleError(f"resolvent pole of matrix {i}: |det(I - zW)| = {abs(det[i]):.3e} at z = {z.ravel()[i]}")
+    return (_adjugate3(m) / det[:, None, None]).reshape(z.shape + (3, 3))
 
 
 def _check_rotation(w: np.ndarray):
-    if w.shape != (3, 3):
-        raise DomainError(f"expected a 3x3 matrix, got shape {w.shape}")
-    defect = float(np.max(np.abs(w.T @ w - np.eye(3))))
-    if defect > ORTHOGONALITY_TOL:
-        raise DomainError(f"matrix is not orthogonal: max |W^T W - I| = {defect:.3e}")
+    """DomainError unless every matrix of the stack (n, 3, 3) is a proper
+    rotation; the message names the first matrix that fails the test."""
+    defect = np.max(np.abs(w.mT @ w - np.eye(3)), axis=(1, 2))
+    if (i := _first(defect > ORTHOGONALITY_TOL)) is not None:
+        raise DomainError(f"matrix {i} is not orthogonal: max |W^T W - I| = {defect[i]:.3e}")
     det = _det3(w)
-    if abs(det - 1.0) > ORTHOGONALITY_TOL:
-        raise DomainError(f"matrix is not a proper rotation: det = {det}")
+    if (i := _first(np.abs(det - 1.0) > ORTHOGONALITY_TOL)) is not None:
+        raise DomainError(f"matrix {i} is not a proper rotation: det = {det[i]}")
 
 
 def _axis_projectors(w: np.ndarray):
@@ -149,10 +184,15 @@ def abel_limit(w: np.ndarray) -> np.ndarray:
     For a rotation by a nonzero angle about a unit axis u this is the
     spectral projector u u^T onto the eigenvalue-1 eigenspace; for W = I
     (trace > 1 and antisymmetric part below 1e-13) it is the identity.
+    W is a 3x3 matrix or a stack (..., 3, 3), whose every matrix gets the
+    bits of its own single call.  Raises DomainError, naming the first
+    offending matrix, for a non-finite entry or a matrix that is not a
+    proper rotation.
     """
     w = np.asarray(w, dtype=float)
-    _check_rotation(w)
-    return _axis_projectors(w[None])[0][0]
+    stack = _matrix_stack(w)
+    _check_rotation(stack)
+    return _axis_projectors(stack)[0].reshape(w.shape)
 
 
 def cesaro_mean(w: np.ndarray) -> np.ndarray:
@@ -217,10 +257,13 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
 
     Each refinement runs in blocks of nodes; one harmonic-major coefficient
     row per block, built for the deepest series, serves the period and
-    prefix series of every phase as a prefix.  The nodes come from
-    ``_quad_nodes`` alone; where it gives none, the maps are point values.
-    A phase retires at the first refinement where it has converged; at the
-    node cap the first phase still refining raises ConvergenceError.
+    prefix series of every phase as a prefix.  Phase 0's prefix is P_0 = I,
+    so its node values are the projectors themselves, with no prefix sum or
+    product (``+ 0.0`` gives the +0.0 zeros that the product with I gives).
+    The nodes come from ``_quad_nodes`` alone; where it gives none, the maps
+    are point values.  A phase retires at the first refinement where it has
+    converged; at the node cap the first phase still refining raises
+    ConvergenceError.
     """
     prefixes = list(itertools.islice(product_chain(p, order), max(phases) + 1))
     series = [
@@ -236,7 +279,7 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
         for j in active:
             period, prefix = series[j]
             proj = _steady_projectors(period, theta, _running_sum(coef, period.terms))
-            yield proj @ _running_sum(coef, prefix.terms)
+            yield proj + 0.0 if phases[j] == 0 else proj @ _running_sum(coef, prefix.terms)
 
     def integrals(nodes, weights, active):
         acc = np.zeros((len(active), 3, 3))

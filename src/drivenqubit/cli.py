@@ -49,9 +49,7 @@ from .bloch import (
     trig_compose,
 )
 from .errors import CalibrationError, ConfigError, ConvergenceError, DomainError, PoleError
-from .nonmarkov import (
-    StatePair, asymptotic_blp_rate, blp_accumulate, pair_distances, trace_distance, trace_distance_povm
-)
+from .nonmarkov import StatePair, asymptotic_blp_rate, blp_accumulate, pair_distances
 from .visibility import SphereAngles, maximize_visibility
 
 EXIT_OK = 0
@@ -527,10 +525,12 @@ def _max_dev(a, b) -> float:
 
 
 def _residue(w: np.ndarray) -> np.ndarray:
-    """Residue of the resolvent at z = 1, Richardson-extrapolated from
-    (1 - z) (I - z W)^-1 at z = 1 - 1e-7 and 1 - 1e-8."""
-    v7 = 1e-7 * resolvent(w, 1.0 - 1e-7)
-    v8 = 1e-8 * resolvent(w, 1.0 - 1e-8)
+    """Residues of the resolvents of a stack (n, 3, 3) at z = 1,
+    Richardson-extrapolated from (1 - z) (I - z W)^-1 at z = 1 - 1e-7 and
+    1 - 1e-8."""
+    r = resolvent(w[:, None], [1.0 - 1e-7, 1.0 - 1e-8])
+    v7 = 1e-7 * r[:, 0]
+    v8 = 1e-8 * r[:, 1]
     return np.real((10.0 * v8 - v7) / 9.0)
 
 
@@ -575,7 +575,7 @@ def _verification_checks(config: RunConfig):
     gap = np.abs(np.trace(probe, axis1=1, axis2=2) - 3.0)
     keep = gap >= 1e-3
     kept = probe[keep]
-    proj = np.array([abel_limit(w) for w in kept]).reshape(-1, 3, 3)
+    proj = abel_limit(kept)
     worst = max(_max_dev(proj @ proj, proj), _max_dev(proj @ kept, proj), _max_dev(kept @ proj, proj))
     # The Cesaro sum converges like 1/(N * spectral gap); keep to
     # comfortably non-degenerate rotations.
@@ -585,10 +585,10 @@ def _verification_checks(config: RunConfig):
     yield "Abel limit vs Cesaro iteration", cesaro_worst < 1e-5, f"max dev {cesaro_worst:.3e}"
 
     head = probe[:5]
-    worst = max(
-        _max_dev((eye - z * w) @ resolvent(w, z), eye) for w in head for z in (0.3 + 0.4j, -0.5 + 0.2j, 0.9)
-    )
-    residue_worst = max((_max_dev(_residue(w), abel_limit(w)) for w in head[gap[:5] > 1e-1]), default=0.0)
+    z = np.array([0.3 + 0.4j, -0.5 + 0.2j, 0.9])
+    worst = _max_dev((eye - z[:, None, None] * head[:, None]) @ resolvent(head[:, None], z), eye)
+    turned = head[gap[:5] > 1e-1]
+    residue_worst = _max_dev(_residue(turned), abel_limit(turned))
     yield "resolvent inverse identity", worst < 1e-12, f"max dev {worst:.3e}"
     yield "residue at z=1 vs Abel limit", residue_worst < 1e-6, f"max dev {residue_worst:.3e}"
 
@@ -597,20 +597,7 @@ def _verification_checks(config: RunConfig):
     worst = float(np.max(np.linalg.svd(np.concatenate([averaged, steady]), compute_uv=False)))
     yield "averaged maps contract", worst <= 1.0 + 1e-12, f"max singular value {worst:.12f}"
 
-    worst_excess = -1.0
-    aligned_dev = 0.0
-    for _ in range(50):
-        x = BlochVector.from_array(_random_ball_point(rng))
-        y = BlochVector.from_array(_random_ball_point(rng))
-        d = trace_distance(x, y)
-        u = rng.normal(size=3)
-        f = BlochVector.from_array(u / np.linalg.norm(u) * rng.uniform(0.0, 1.0))
-        worst_excess = max(worst_excess, trace_distance_povm(x, y, f) - d)
-        if d > 1e-12:
-            aligned = BlochVector.from_array(
-                (x.as_array() - y.as_array()) / (2.0 * d)
-            )
-            aligned_dev = max(aligned_dev, abs(trace_distance_povm(x, y, aligned) - d))
+    worst_excess, aligned_dev = _measurement_bound(rng, 50)
     yield (
         "measurement bound on distinguishability",
         worst_excess <= 1e-14 and aligned_dev <= 1e-14,
@@ -618,9 +605,28 @@ def _verification_checks(config: RunConfig):
     )
 
 
-def _random_ball_point(rng) -> np.ndarray:
-    v = rng.normal(size=3)
-    return v / np.linalg.norm(v) * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+def _measurement_bound(rng, n: int):
+    """Over n random states x, y in the unit ball and effects f with
+    |f| <= 1: the largest excess of f . (x - y) / 2 over the trace distance
+    (-1.0 floor), and the largest deviation from it of the effect aligned
+    with x - y.  Per sample the draws run x, y, f, each a normal direction
+    then a uniform radius; the values are evaluated in one pass."""
+    draws = [(rng.normal(size=3), rng.uniform(0.0, 1.0)) for _ in range(3 * n)]
+    directions = np.array([v for v, _ in draws]).reshape(n, 3, 3)
+    # x and y are uniform in the ball.  Python's float power: numpy's array
+    # power may round differently.
+    radii = np.array([r if i % 3 == 2 else r ** (1.0 / 3.0) for i, (_, r) in enumerate(draws)])
+    # np.linalg.norm's bits: the square root of a dot product.
+    unit = directions / np.sqrt(np.vecdot(directions, directions))[..., None]
+    x, y, f = (unit * radii.reshape(n, 3, 1)).transpose(1, 0, 2)
+    diff = x - y
+    # trace_distance and trace_distance_povm's bits: dot products with x - y.
+    d = 0.5 * np.sqrt(np.vecdot(diff, diff))
+    worst_excess = float(np.max(0.5 * np.vecdot(f, diff) - d, initial=-1.0))
+    diff, d = diff[d > 1e-12], d[d > 1e-12]
+    aligned = diff / (2.0 * d[:, None])
+    aligned_dev = float(np.max(np.abs(0.5 * np.vecdot(aligned, diff) - d), initial=0.0))
+    return worst_excess, aligned_dev
 
 
 def _run_verify(config: RunConfig, out: Path) -> int:

@@ -106,6 +106,87 @@ class TestAbelLimit:
             assert np.max(np.abs(extrapolated - abel_limit(w))) < 1e-6
 
 
+def axis_rotation(u, angle):
+    """Rodrigues' rotation by angle about the unit axis u."""
+    k = np.array([[0, -u[2], u[1]], [u[2], 0, -u[0]], [-u[1], u[0], 0]])
+    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
+
+
+def rotation_stack(rng):
+    """Random rotations with the identity, exact half turns, half turns
+    within 1e-9 of pi (the eigh branch) and small angles among them."""
+    ws = [random_rotation(rng, min_angle=0.0)[0] for _ in range(20)]
+    ws += [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
+    for angle in (math.pi, math.pi - 1e-9, math.pi + 5e-10, 1e-3, 1e-6):
+        u = rng.normal(size=3)
+        ws.append(axis_rotation(u / np.linalg.norm(u), angle))
+    return np.array(ws)[rng.permutation(len(ws))]
+
+
+class TestStacks:
+    # Each matrix of a stack keeps the bits of its single call.
+    def test_abel_limit_stack_matches_single_calls(self):
+        ws = rotation_stack(np.random.default_rng(30))
+        single = np.array([abel_limit(w) for w in ws])
+        assert abel_limit(ws).tobytes() == single.tobytes()
+        assert abel_limit(ws.reshape(4, 7, 3, 3)).tobytes() == single.tobytes()
+        assert abel_limit(ws[:1]).tobytes() == single[:1].tobytes()
+
+    def test_resolvent_stack_matches_single_calls(self):
+        rng = np.random.default_rng(31)
+        ws = np.array([random_rotation(rng)[0] for _ in range(12)])
+        ws[3] = np.diag([1.0, -1.0, -1.0])
+        z = np.concatenate([rng.uniform(-0.9, 0.9, 3) + 1j * rng.uniform(-0.9, 0.9, 3), [0.9, -0.5, 1.0 - 1e-7]])
+        single = np.array([[resolvent(w, zi) for zi in z] for w in ws])
+        assert resolvent(ws[:, None], z).tobytes() == single.tobytes()
+        # One z for the whole stack, and one z per matrix.
+        assert resolvent(ws, z[0]).tobytes() == single[:, 0].tobytes()
+        assert resolvent(ws, z[np.arange(12) % 6]).tobytes() == single[np.arange(12), np.arange(12) % 6].tobytes()
+
+    def test_empty_stack(self):
+        assert abel_limit(np.empty((0, 3, 3))).shape == (0, 3, 3)
+        assert resolvent(np.empty((0, 3, 3)), 0.5).shape == (0, 3, 3)
+        assert resolvent(np.empty((0, 1, 3, 3)), [0.5, 0.3j]).shape == (0, 2, 3, 3)
+
+    def test_one_non_rotation_names_its_index(self):
+        ws = rotation_stack(np.random.default_rng(32))
+        bad = ws.copy()
+        bad[5] *= 1.1
+        with pytest.raises(DomainError, match="matrix 5 is not orthogonal"):
+            abel_limit(bad)
+        bad = ws.copy()
+        bad[9] = np.diag([1.0, 1.0, -1.0])
+        with pytest.raises(DomainError, match="matrix 9 is not a proper rotation"):
+            abel_limit(bad)
+
+    def test_one_pole_names_its_index(self):
+        rng = np.random.default_rng(33)
+        ws = np.array([random_rotation(rng)[0] for _ in range(6)])
+        z = np.full(6, 0.5)
+        z[4] = 1.0
+        with pytest.raises(PoleError, match="matrix 4:"):
+            resolvent(ws, z)
+        with pytest.raises(PoleError, match="matrix 2:"):
+            resolvent(ws[:, None], [0.5, -0.5j, 1.0])
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: abel_limit(np.full((3, 3), np.nan)), "matrix 0 has a non-finite entry"),
+            (lambda: abel_limit(np.diag([np.inf, 1.0, 1.0])), "matrix 0 has a non-finite entry"),
+            (lambda: abel_limit(np.stack([np.eye(3), np.eye(3), np.diag([1.0, np.nan, 1.0])])), "matrix 2 has"),
+            (lambda: resolvent(np.full((3, 3), np.nan), 0.5), "matrix 0 has a non-finite entry"),
+            (lambda: resolvent(np.eye(3), float("nan")), r"z\[0\] = \(nan\+0j\) is not finite"),
+            (lambda: resolvent(np.eye(3), [0.5, complex(0.2, math.inf)]), r"z\[1\] = .* is not finite"),
+        ],
+        ids=["abel-nan", "abel-inf", "abel-stack-nan", "resolvent-nan-w", "resolvent-nan-z", "resolvent-inf-z"],
+    )
+    def test_non_finite_input_raises_before_arithmetic(self, call, message):
+        # The suite turns RuntimeWarnings into errors: the check comes first.
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
 def rotated(p, k):
     """The schedule of p started at step k: steps[k:] + steps[:k]."""
     return Protocol(p.steps[k:] + p.steps[:k])

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -14,6 +15,7 @@ import pytest
 
 from drivenqubit import (
     CALIBRATION_ANCHOR,
+    BlochVector,
     CalibrationError,
     ConfigError,
     SphereAngles,
@@ -25,11 +27,13 @@ from drivenqubit import (
     preset,
     run,
     spectrum_from_physical,
+    trace_distance,
+    trace_distance_povm,
 )
 from drivenqubit import asymptotics, bloch, cli
 from drivenqubit.cli import MAX_STEPS, main
 
-from conftest import recorded_ops
+from conftest import random_ball_point, recorded_ops
 
 # Hashes of the preset CLI outputs pinned by the benchmark references.
 PRESET_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli_presets.json"
@@ -620,6 +624,65 @@ class TestVerifyBytes:
         monkeypatch.setattr(bloch.TrigMatrix, "evaluate", counted)
         assert main(verify_argv(name, order, None, tmp_path)) == 0
         assert 0 < calls <= 40
+
+    @pytest.mark.parametrize("order", ["eq2b", "eq4a"])
+    @pytest.mark.parametrize("name", ["two_controls", "three_controls"])
+    def test_oracles_take_stacks(self, name, order, tmp_path, monkeypatch, capsys):
+        # Matrix by matrix, verify made 45 abel_limit and 25 resolvent calls.
+        calls = {"abel_limit": 0, "resolvent": 0}
+
+        def counting(fn):
+            def wrapper(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for fn in (cli.abel_limit, cli.resolvent):
+            monkeypatch.setattr(cli, fn.__name__, counting(fn))
+        assert main(verify_argv(name, order, None, tmp_path)) == 0
+        assert 0 < calls["abel_limit"] <= 3 and 0 < calls["resolvent"] <= 3
+
+    @pytest.mark.parametrize("order", ["eq2b", "eq4a"])
+    @pytest.mark.parametrize("name", ["two_controls", "three_controls"])
+    def test_measurement_bound_matches_sample_loop(self, name, order, tmp_path, monkeypatch, capsys):
+        # The generator as verify's measurement check finds it, and its values.
+        seen = []
+        bound = cli._measurement_bound
+
+        def recorded(rng, n):
+            seen.append((copy.deepcopy(rng), n, bound(rng, n)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(cli, "_measurement_bound", recorded)
+        assert main(verify_argv(name, order, None, tmp_path)) == 0
+        [(rng, n, got)] = seen
+        assert n == 50
+        assert [v.hex() for v in got] == [v.hex() for v in measurement_bound_loop(rng, n)]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_measurement_bound_matches_sample_loop_on_fresh_draws(self, seed):
+        got = cli._measurement_bound(np.random.default_rng(seed), 50)
+        want = measurement_bound_loop(np.random.default_rng(seed), 50)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def measurement_bound_loop(rng, n):
+    """The sample-by-sample loop that verify's measurement check replaced:
+    (max excess, aligned dev) through BlochVector and the trace distances."""
+    worst_excess = -1.0
+    aligned_dev = 0.0
+    for _ in range(n):
+        x = BlochVector.from_array(random_ball_point(rng))
+        y = BlochVector.from_array(random_ball_point(rng))
+        d = trace_distance(x, y)
+        u = rng.normal(size=3)
+        f = BlochVector.from_array(u / np.linalg.norm(u) * rng.uniform(0.0, 1.0))
+        worst_excess = max(worst_excess, trace_distance_povm(x, y, f) - d)
+        if d > 1e-12:
+            aligned = BlochVector.from_array((x.as_array() - y.as_array()) / (2.0 * d))
+            aligned_dev = max(aligned_dev, abs(trace_distance_povm(x, y, aligned) - d))
+    return worst_excess, aligned_dev
 
 
 class TestDeepChainBytes:

@@ -474,6 +474,26 @@ def test_steady_map_fallbacks_and_blocks_match_node_loop(steps, sp, order):
         assert_steady_map_matches_reference(p, sp, K, order)
 
 
+@pytest.mark.parametrize("order", STEP_ORDERS)
+@pytest.mark.parametrize("s", [0.0, 5e-324, math.inf])
+@pytest.mark.parametrize(
+    "steps",
+    [[ControlStep(0.0, 1)], [ControlStep(1.0, 1)], [ControlStep(0.0, 3), ControlStep(1.0, 2)]],
+    ids=["x-half-turn", "z-turn", "mixed"],
+)
+def test_phase_zero_maps_keep_the_identity_prefix_zeros(steps, s, order):
+    # Phase 0 skips the product with its prefix P_0 = I.  Its projectors
+    # have zero entries, some -0.0, which the product turns into +0.0.  At
+    # a point value (s = 0 and 5e-324 here) the map is that node value, so
+    # the signs show in the bytes; the quadrature's running sum starts at
+    # +0.0 (s = inf) and hides them.
+    p = Protocol.from_steps(steps)
+    sp = Spectrum(0.4, s)
+    cycle = asymptotic_cycle(p, sp, order)
+    for K in range(p.period):
+        assert cycle.maps[K].m.tobytes() == steady_map_reference(p, sp, K, order).tobytes()
+
+
 def maps_or_message(maps):
     """The bytes of each map, or the message of the ConvergenceError raised."""
     try:
