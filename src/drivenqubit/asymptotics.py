@@ -67,39 +67,11 @@ QUAD_MAX_NODES = 2**16
 QUAD_TOL = 1e-10
 GAUSSIAN_WINDOW_SIGMAS = 8.0
 RESOLVENT_DET_TOL = 1e-12
+# Bound on |z| max|W|: det(I - zW) sums triple products, which stay finite
+# for entries up to about 3e102.
+RESOLVENT_MAX_SCALE = 1e100
 CESARO_DOUBLINGS = 24
 CONVERGENCE_TOL = 1e-2
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise a * b.  Complex entries take the textbook formula with one
-    rounding per real product, as numpy's complex scalars do: numpy's SIMD
-    complex array loop fuses multiply-adds and can differ in the last bit."""
-    if a.dtype.kind != "c":
-        return a * b
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _minors(m: np.ndarray, i, j, k, l) -> np.ndarray:
-    """The 2x2 minors m[i, j] m[k, l] - m[i, l] m[k, j] of a stack (..., 3, 3)
-    for broadcast index arrays i, j, k, l."""
-    return _mul(m[..., i, j], m[..., k, l]) - _mul(m[..., i, l], m[..., k, j])
-
-
-def _det3(m: np.ndarray) -> np.ndarray:
-    """Determinants of a stack (..., 3, 3), expanded along row 0."""
-    t = _mul(m[..., 0, :], _minors(m, 1, np.array([1, 0, 0]), 2, np.array([2, 2, 1])))
-    return t[..., 0] - t[..., 1] + t[..., 2]
-
-
-def _adjugate3(m: np.ndarray) -> np.ndarray:
-    """Adjugates of a stack (..., 3, 3): entry (r, c) is the minor
-    m[c+1, r+1] m[c+2, r+2] - m[c+1, r+2] m[c+2, r+1], indices mod 3."""
-    r, c = np.arange(3)[:, None], np.arange(3)
-    return _minors(m, (c + 1) % 3, (r + 1) % 3, (c + 2) % 3, (r + 2) % 3)
 
 
 def _first(bad: np.ndarray):
@@ -120,14 +92,15 @@ def _matrix_stack(w: np.ndarray) -> np.ndarray:
 
 
 def resolvent(w: np.ndarray, z) -> np.ndarray:
-    """(I - z W)^-1 computed from the adjugate/determinant form.
+    """(I - z W)^-1 by numpy.linalg (LAPACK's LU factorisation).
 
     W is a 3x3 matrix or a stack (..., 3, 3), and z a number or an array
-    broadcast against the stack's leading axes; each matrix gets the bits of
-    its own single call.  Raises DomainError for a non-finite W or z, and
-    PoleError when z sits at (or numerically too close to) a reciprocal
-    eigenvalue of W, where the determinant vanishes.  The messages name the
-    first offending matrix or z by its flat index.
+    broadcast against the stack's leading axes; numpy's linalg calls LAPACK
+    once per matrix, so each matrix gets the bits of its own single call.
+    Raises DomainError for a non-finite W or z, or for |z| max|W| above
+    RESOLVENT_MAX_SCALE, and PoleError when z sits at (or numerically too
+    close to) a reciprocal eigenvalue of W, where the determinant vanishes.
+    The messages name the first offending matrix or z by its flat index.
     """
     w = np.asarray(w, dtype=float)
     z = np.asarray(z, dtype=complex)
@@ -135,20 +108,30 @@ def resolvent(w: np.ndarray, z) -> np.ndarray:
     if (i := _first(~np.isfinite(z.ravel()))) is not None:
         raise DomainError(f"z[{i}] = {z.ravel()[i]} is not finite")
     z = np.broadcast_to(z, np.broadcast_shapes(w.shape[:-2], z.shape))
-    m = (np.eye(3, dtype=complex) - z[..., None, None] * w).reshape(-1, 3, 3)
-    det = _det3(m)
+    # A product past the float range is inf, which the bound rejects.
+    with np.errstate(over="ignore"):
+        scale = np.ravel(np.abs(z) * np.max(np.abs(w), axis=(-2, -1)))
+    if (i := _first(scale > RESOLVENT_MAX_SCALE)) is not None:
+        raise DomainError(f"matrix {i}: |z| max|W| = {scale[i]:.3e} exceeds {RESOLVENT_MAX_SCALE:.0e}")
+    m = np.eye(3, dtype=complex) - z[..., None, None] * w
+    det = np.ravel(np.linalg.det(m))
     if (i := _first(np.abs(det) < RESOLVENT_DET_TOL)) is not None:
         raise PoleError(f"resolvent pole of matrix {i}: |det(I - zW)| = {abs(det[i]):.3e} at z = {z.ravel()[i]}")
-    return (_adjugate3(m) / det[:, None, None]).reshape(z.shape + (3, 3))
+    return np.linalg.inv(m)
 
 
 def _check_rotation(w: np.ndarray):
     """DomainError unless every matrix of the stack (n, 3, 3) is a proper
-    rotation; the message names the first matrix that fails the test."""
+    rotation; the message names the first matrix that fails the test.  No
+    entry of a rotation exceeds 1 in size, so larger ones are rejected
+    before W^T W can overflow."""
+    size = np.max(np.abs(w), axis=(1, 2))
+    if (i := _first(size > 1.0 + ORTHOGONALITY_TOL)) is not None:
+        raise DomainError(f"matrix {i} is not orthogonal: max |W_ij| = {size[i]:.3e} > 1")
     defect = np.max(np.abs(w.mT @ w - np.eye(3)), axis=(1, 2))
     if (i := _first(defect > ORTHOGONALITY_TOL)) is not None:
         raise DomainError(f"matrix {i} is not orthogonal: max |W^T W - I| = {defect[i]:.3e}")
-    det = _det3(w)
+    det = np.linalg.det(w)
     if (i := _first(np.abs(det - 1.0) > ORTHOGONALITY_TOL)) is not None:
         raise DomainError(f"matrix {i} is not a proper rotation: det = {det[i]}")
 

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -185,6 +186,34 @@ class TestStacks:
         # The suite turns RuntimeWarnings into errors: the check comes first.
         with pytest.raises(DomainError, match=message):
             call()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: abel_limit(np.full((3, 3), 1e200)), r"matrix 0 is not orthogonal: max \|W_ij\| = 1.000e\+200"),
+            (lambda: abel_limit(np.stack([np.eye(3), np.full((3, 3), 1e200)])), "matrix 1 is not orthogonal"),
+            # This I - zW rounds to a singular matrix, whose LAPACK det is
+            # 0: a false pole unless the bound comes first.
+            (lambda: resolvent(np.full((3, 3), 1e200), 0.5), r"matrix 0: \|z\| max\|W\| = 5.000e\+199"),
+            (lambda: resolvent(np.eye(3), 1e300), r"matrix 0: \|z\| max\|W\| = 1.000e\+300"),
+            (lambda: resolvent(np.stack([np.eye(3)] * 4), [0.5, 0.2j, 1e300, 0.1]), "matrix 2:"),
+            (lambda: resolvent(np.full((3, 3), 1e300), 1e300), r"max\|W\| = inf"),
+        ],
+        ids=["abel-huge", "abel-stack-huge", "resolvent-huge-w", "resolvent-huge-z", "resolvent-stack-huge-z", "resolvent-overflow"],
+    )
+    def test_huge_input_raises_before_arithmetic(self, call, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    def test_large_input_inside_the_bound(self):
+        w = random_rotation(np.random.default_rng(34))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = resolvent(np.stack([w, np.eye(3)]), 1e99)
+        assert np.max(np.abs((np.eye(3) - 1e99 * w) @ r[0] - np.eye(3))) < 1e-15
+        assert np.max(np.abs((1.0 - 1e99) * r[1] - np.eye(3))) < 1e-15
 
 
 def rotated(p, k):
