@@ -343,9 +343,9 @@ def asymptotic_cycle(
     return AsymptoticCycle.from_maps(_steady_maps(p, sp, range(p.period), order))
 
 
-def limit_cycle(cycle: AsymptoticCycle, a0: BlochVector) -> list:
-    """The T states of the cycle visited asymptotically by an initial Bloch vector."""
-    return [m.apply(a0) for m in cycle.maps]
+def limit_cycle(cycle: AsymptoticCycle, a0: BlochVector) -> np.ndarray:
+    """The T states ``M_K a0`` visited asymptotically by an initial Bloch vector, shape (T, 3)."""
+    return np.stack([m.m for m in cycle.maps]) @ a0.as_array()
 
 
 @dataclass(frozen=True)
@@ -357,10 +357,10 @@ class ConvergenceProfile:
     tolerance: float
 
 
-def convergence_profile(cycle: AsymptoticCycle, trajectory: list, K: int) -> ConvergenceProfile:
-    """Euclidean distance of a_{mT+K} from the phase-K steady point of the
-    trajectory's initial vector a_0, for every m with mT + K in the trajectory
-    (a ``propagate`` run of the cycle's protocol, spectrum and step order).
+def convergence_profile(cycle: AsymptoticCycle, trajectory: np.ndarray, K: int) -> ConvergenceProfile:
+    """Euclidean distance of a_{mT+K} from the phase-K steady point M_K a_0,
+    for every m with mT + K in the trajectory: a ``propagate`` array
+    (n + 1, 3) of the cycle's protocol, spectrum and step order.
 
     The profile is flagged converged when its final entry drops below
     CONVERGENCE_TOL; with a sharp spectrum (s = 0) there is no dephasing and the
@@ -370,8 +370,7 @@ def convergence_profile(cycle: AsymptoticCycle, trajectory: list, K: int) -> Con
         raise DomainError(f"phase {K} outside [0, {cycle.period})")
     if K >= len(trajectory):
         raise DomainError(f"phase {K} lies past a trajectory of {len(trajectory)} states")
-    target = cycle.maps[K].apply(trajectory[0]).as_array()
-    distances = tuple(
-        float(np.linalg.norm(a.as_array() - target)) for a in trajectory[K :: cycle.period]
-    )
+    d = trajectory[K :: cycle.period] - cycle.maps[K].m @ trajectory[0]
+    # np.linalg.norm's bits: the square root of a dot product.
+    distances = tuple(np.sqrt(np.vecdot(d, d)).tolist())
     return ConvergenceProfile(distances, distances[-1] < CONVERGENCE_TOL, CONVERGENCE_TOL)

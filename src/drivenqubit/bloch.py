@@ -85,13 +85,6 @@ class BlochVector:
     def as_array(self) -> np.ndarray:
         return np.array([self.ax, self.ay, self.az])
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-    def purity(self) -> float:
-        """tr(rho^2) of the represented state."""
-        return 0.5 * (1.0 + self.ax**2 + self.ay**2 + self.az**2)
-
     def __neg__(self) -> "BlochVector":
         return BlochVector(-self.ax, -self.ay, -self.az)
 
@@ -149,8 +142,9 @@ class Protocol:
         object.__setattr__(self, "steps", tuple(self.steps))
         if len(self.steps) < 1:
             raise DomainError("a protocol needs at least one step")
-        if not all(isinstance(s, ControlStep) for s in self.steps):
-            raise DomainError("protocol steps must be ControlStep instances")
+        for i, s in enumerate(self.steps):
+            if not isinstance(s, ControlStep):
+                raise DomainError(f"protocol step {i} must be a ControlStep, got {s!r}")
 
     @classmethod
     def from_steps(cls, steps) -> "Protocol":
@@ -541,13 +535,15 @@ def propagate(
     n: int,
     a0: BlochVector,
     order: str = ORDER_PHASE_AFTER,
-) -> list:
-    """Bloch trajectory [a_0, a_1, ..., a_n] under the averaged dynamics.
-
-    Element m applies the spectral average of the full m-step product to
-    the initial vector (see ``averaged_maps``).
+) -> np.ndarray:
+    """Bloch trajectory under the averaged dynamics, read-only with shape
+    ``(n + 1, 3)``: row 0 is ``a0``, and row m applies the spectral average
+    of the full m-step product to it (see ``averaged_maps``).
     """
-    return [a0] + [BlochVector.from_array(a) for a in averaged_maps(p, sp, n, order) @ a0.as_array()]
+    a = a0.as_array()
+    out = np.vstack([a, averaged_maps(p, sp, n, order) @ a])
+    out.setflags(write=False)
+    return out
 
 
 def spectrum_from_physical(lambda0: float, fwhm: float, delta_L_over_lambda: float) -> Spectrum:

@@ -205,10 +205,10 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _number(mapping: dict, key: str, context: str) -> float:
-    """Required field ``context.key`` as a float; a boolean is not a number."""
+    """Required field ``context.key`` as a float; only a JSON number, not a bool, is one."""
     value = _require(mapping, key, context)
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError, ValueError, OverflowError):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        with contextlib.suppress(OverflowError):
             return float(value)
     raise ConfigError(f"{context}.{key} must be a number, got {value!r}")
 
@@ -436,13 +436,11 @@ def _write_csv(path: Path, header, rows):
 
 
 def _run_simulate(config: RunConfig, out: Path):
-    traj = propagate(
-        config.protocol, config.spectrum, config.n_steps, config.initial_state, config.order
-    )
-    rows = [
-        (step, a.ax, a.ay, a.az, a.purity())
-        for step, a in enumerate(traj)
-    ]
+    traj = propagate(config.protocol, config.spectrum, config.n_steps, config.initial_state, config.order)
+    x, y, z = traj.T
+    # tr(rho^2), summed in the order 1, x^2, y^2, z^2.
+    table = np.column_stack([traj, 0.5 * (1.0 + x**2 + y**2 + z**2)]).tolist()
+    rows = [(step, *row) for step, row in enumerate(table)]
     _write_csv(out / "trajectory.csv", ("step", "ax", "ay", "az", "purity"), rows)
 
 
@@ -456,7 +454,7 @@ def _run_asymptotics(config: RunConfig, out: Path):
         "period": cycle.period,
         "maps": [m.m.tolist() for m in cycle.maps],
         "y_eigenvalues": list(cycle.y_eigenvalues),
-        "limit_cycle": [[a.ax, a.ay, a.az] for a in limit_cycle(cycle, a0)],
+        "limit_cycle": limit_cycle(cycle, a0).tolist(),
         "convergence": {
             "phase": 0,
             "distances": list(profile.distances),

@@ -19,8 +19,7 @@ import numpy as np
 from .bloch import ORDER_PHASE_AFTER, BlochVector, Protocol, Spectrum, averaged_maps
 from .errors import DomainError
 
-# Antipodal-pair tolerance and the resolution of the search grid.
-ANTIPODAL_TOL = 1e-12
+# Resolution of the search grid.
 SEARCH_GRID_POINTS = 32
 # scipy's non-adaptive Nelder-Mead: reflection, expansion, contraction and
 # shrink coefficients, and the initial-simplex steps (relative, and absolute
@@ -39,16 +38,6 @@ class StatePair:
     @classmethod
     def antipodal(cls, a: BlochVector) -> "StatePair":
         return cls(a, -a)
-
-    @property
-    def is_antipodal(self) -> bool:
-        return bool(
-            np.max(np.abs(self.a_plus.as_array() + self.a_minus.as_array()))
-            <= ANTIPODAL_TOL
-        )
-
-    def swapped(self) -> "StatePair":
-        return StatePair(self.a_minus, self.a_plus)
 
 
 def trace_distance(x: BlochVector, y: BlochVector) -> float:
@@ -73,11 +62,13 @@ def pair_distances(
     n: int,
     order: str = ORDER_PHASE_AFTER,
 ) -> np.ndarray:
-    """Trace distance of the jointly evolved pair after 0..n steps; both
-    states share each averaged map."""
+    """Trace distance of the jointly evolved pair after 0..n steps, shape
+    ``(n + 1,)``; both states share each averaged map."""
     ms = averaged_maps(p, sp, n, order)
-    diff = ms @ pair.a_plus.as_array() - ms @ pair.a_minus.as_array()
-    return np.concatenate([[trace_distance(pair.a_plus, pair.a_minus)], 0.5 * np.sqrt(np.vecdot(diff, diff))])
+    plus, minus = pair.a_plus.as_array(), pair.a_minus.as_array()
+    diff = np.vstack([plus - minus, ms @ plus - ms @ minus])
+    # trace_distance's bits: half the square root of a dot product.
+    return 0.5 * np.sqrt(np.vecdot(diff, diff))
 
 
 def blp_accumulate(d) -> float:

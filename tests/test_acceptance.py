@@ -368,16 +368,18 @@ def test_trajectory_oscillation_smoke(two_preset, three_preset, calibration):
 
     a0 = BlochVector(0.0, 0.0, 1.0)
     traj2 = propagate(two_preset.protocol, calibration.spectrum, 50, a0)
+    assert traj2.shape == (51, 3)
     cycle2 = [m.apply(a0).as_array() for m in asymptotic_cycle(
         two_preset.protocol, calibration.spectrum).maps]
     for n in range(30, 51):
-        assert np.linalg.norm(traj2[n].as_array() - cycle2[n % 2]) < 0.05
+        assert np.linalg.norm(traj2[n] - cycle2[n % 2]) < 0.05
     assert np.linalg.norm(cycle2[0] - cycle2[1]) > 0.2
 
     traj3 = propagate(three_preset.protocol, calibration.spectrum, 50, a0)
+    assert traj3.shape == (51, 3)
     cycle3 = [m.apply(a0).as_array() for m in asymptotic_cycle(
         three_preset.protocol, calibration.spectrum).maps]
     for n in range(30, 51):
-        assert np.linalg.norm(traj3[n].as_array() - cycle3[n % 3]) < 0.1
+        assert np.linalg.norm(traj3[n] - cycle3[n % 3]) < 0.1
     gaps = [np.linalg.norm(cycle3[i] - cycle3[(i + 1) % 3]) for i in range(3)]
     assert min(gaps) > 0.1

@@ -179,8 +179,10 @@ class TestStacks:
             (lambda: resolvent(np.full((3, 3), np.nan), 0.5), "matrix 0 has a non-finite entry"),
             (lambda: resolvent(np.eye(3), float("nan")), r"z\[0\] = \(nan\+0j\) is not finite"),
             (lambda: resolvent(np.eye(3), [0.5, complex(0.2, math.inf)]), r"z\[1\] = .* is not finite"),
+            (lambda: abel_limit(np.zeros((3, 2))), r"expected a 3x3 matrix or a stack of them, got shape \(3, 2\)"),
         ],
-        ids=["abel-nan", "abel-inf", "abel-stack-nan", "resolvent-nan-w", "resolvent-nan-z", "resolvent-inf-z"],
+        ids=["abel-nan", "abel-inf", "abel-stack-nan", "resolvent-nan-w", "resolvent-nan-z", "resolvent-inf-z",
+             "abel-shape"],
     )
     def test_non_finite_input_raises_before_arithmetic(self, call, message):
         # The suite turns RuntimeWarnings into errors: the check comes first.
@@ -446,16 +448,13 @@ class TestLockstepCycle:
 class TestLimitCycle:
     def test_zero_input(self, two_cycle):
         states = limit_cycle(two_cycle, BlochVector(0, 0, 0))
-        assert len(states) == 2
-        for a in states:
-            assert a.norm() == 0.0
+        assert np.array_equal(states, np.zeros((2, 3)))
 
     def test_reads_the_cycle_maps(self, three_cycle):
         a0 = BlochVector(0.2, 0.5, -0.4)
         states = limit_cycle(three_cycle, a0)
-        assert [a.as_array().tolist() for a in states] == [
-            (m.m @ a0.as_array()).tolist() for m in three_cycle.maps
-        ]
+        assert states.shape == (3, 3)
+        assert states.tobytes() == np.array([m.m @ a0.as_array() for m in three_cycle.maps]).tobytes()
 
     def test_y_polarized_input_is_cycle_fixed_point(self, two_cycle):
         ey = BlochVector(0, 1, 0)
@@ -467,7 +466,7 @@ class TestLimitCycle:
 
     def test_three_control_norm_ordering(self, three_cycle):
         a = BlochVector(1 / math.sqrt(2), 0, 1 / math.sqrt(2))
-        norms = [m.apply(a).norm() for m in three_cycle.maps]
+        norms = np.linalg.norm(limit_cycle(three_cycle, a), axis=1)
         assert norms[1] < norms[0] < norms[2]
 
 
@@ -505,8 +504,8 @@ class TestConvergenceProfile:
         traj = propagate(three_controls, calibrated_spectrum, 20, a0, order)
         for K in range(3):
             target = asymptotic_map(three_controls, calibrated_spectrum, K, order).apply(a0).as_array()
-            expected = [float(np.linalg.norm(a.as_array() - target)) for a in traj[K::3]]
-            assert list(convergence_profile(cycle, traj, K).distances) == expected
+            expected = np.array([np.linalg.norm(a - target) for a in traj[K::3]])
+            assert np.array(convergence_profile(cycle, traj, K).distances).tobytes() == expected.tobytes()
 
     def test_phase_outside_the_period_or_past_the_trajectory(self, three_cycle, three_controls, calibrated_spectrum):
         traj = propagate(three_controls, calibrated_spectrum, 1, BlochVector(0, 0, 1))

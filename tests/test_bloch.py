@@ -343,31 +343,33 @@ class TestProtocolProduct:
 class TestPropagate:
     def test_zero_vector_stays_zero(self, two_controls, calibrated_spectrum):
         traj = propagate(two_controls, calibrated_spectrum, 8, BlochVector(0, 0, 0))
-        for a in traj:
-            assert a.norm() == 0.0
+        assert np.array_equal(traj, np.zeros((9, 3)))
 
     def test_linearity_under_sign_flip(self, three_controls, calibrated_spectrum):
         a0 = BlochVector(0.3, -0.2, 0.5)
         plus = propagate(three_controls, calibrated_spectrum, 12, a0)
         minus = propagate(three_controls, calibrated_spectrum, 12, -a0)
-        for a, b in zip(plus, minus):
-            assert_allclose(a.as_array(), -b.as_array(), atol=1e-15)
+        assert plus.shape == minus.shape == (13, 3)
+        assert_allclose(plus, -minus, atol=1e-15)
 
     def test_tail_alternates_between_cycle_points(self, two_controls, calibrated_spectrum):
         a0 = BlochVector(0, 0, 1)
         traj = propagate(two_controls, calibrated_spectrum, 50, a0)
         cycle = limit_cycle(asymptotic_cycle(two_controls, calibrated_spectrum), a0)
         for n in range(40, 51):
-            dist = np.linalg.norm(traj[n].as_array() - cycle[n % 2].as_array())
+            dist = np.linalg.norm(traj[n] - cycle[n % 2])
             assert dist < 5e-3
         # The two visited points are genuinely distinct.
-        gap = np.linalg.norm(cycle[0].as_array() - cycle[1].as_array())
+        gap = np.linalg.norm(cycle[0] - cycle[1])
         assert gap > 0.2
 
     def test_zero_steps(self, two_controls, calibrated_spectrum):
         a0 = BlochVector(0.3, -0.2, 0.5)
         assert averaged_maps(two_controls, calibrated_spectrum, 0).shape == (0, 3, 3)
-        assert propagate(two_controls, calibrated_spectrum, 0, a0) == [a0]
+        traj = propagate(two_controls, calibrated_spectrum, 0, a0)
+        assert traj.shape == (1, 3)
+        assert traj.tobytes() == a0.as_array().tobytes()
+        assert not traj.flags.writeable
 
     @pytest.mark.parametrize("s", [1e200, 1e308])
     def test_huge_width_is_uniform_limit(self, three_controls, s):
@@ -375,7 +377,9 @@ class TestPropagate:
         # to 0.0 as in the uniform limit.
         a0 = BlochVector(0.3, -0.2, 0.5)
         got = propagate(three_controls, Spectrum(0.7, s), 9, a0)
-        assert got == propagate(three_controls, Spectrum(0.7, math.inf), 9, a0)
+        want = propagate(three_controls, Spectrum(0.7, math.inf), 9, a0)
+        assert got.shape == want.shape == (10, 3)
+        assert got.tobytes() == want.tobytes()
 
     def test_stacked_guard_names_first_expanding_step(self, monkeypatch):
         # Step 1 has k = 0, so map 1 is a rotation whatever the damping;
@@ -499,6 +503,22 @@ class TestDomainTypes:
                 TrigMatrix(np.zeros(shape))
         with pytest.raises(DomainError, match="shape"):
             TrigMatrix.constant(np.eye(2))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: Protocol([ControlStep(0.5, 1), (0.5, 2)]), r"protocol step 1 must be a ControlStep, got \(0.5, 2\)"),
+            (lambda: BlochMap(np.zeros((3, 2))), r"Bloch map must be 3x3, got shape \(3, 2\)"),
+            (
+                lambda: averaged_maps(Protocol([ControlStep(0.5, 1)]), Spectrum(0.0, 0.4), -1),
+                "n must be a non-negative integer, got -1",
+            ),
+        ],
+        ids=["protocol-step-type", "bloch-map-shape", "averaged-maps-negative-n"],
+    )
+    def test_malformed_input_is_named(self, call, message):
+        with pytest.raises(DomainError, match=message):
+            call()
 
     def test_bloch_map_rejects_expansion(self):
         with pytest.raises(DomainError):

@@ -18,6 +18,8 @@ from drivenqubit import (
     BlochVector,
     CalibrationError,
     ConfigError,
+    ConvergenceError,
+    PoleError,
     SphereAngles,
     Spectrum,
     asymptotic_map,
@@ -345,9 +347,19 @@ class TestMainEntry:
             (("protocol", "steps", 0, "k"), 10**30, "protocol.steps[0]"),
             (("outputs", "dir"), [1], "outputs.dir"),
             (("initial_state",), 5, "initial_state"),
+            # A number written as a JSON string is not a number.
+            (("protocol", "steps", 0, "eta"), "0.5", "protocol.steps[0].eta"),
+            (("protocol", "base_unit_wavelengths"), "40", "protocol.base_unit_wavelengths"),
+            (("spectrum", "s"), " 1e3 ", "spectrum.s"),
+            (("protocol", "steps"), [], "protocol.steps"),
+            (("initial_state",), {"theta": 4.0, "phi": 0.0}, "initial_state: theta"),
+            (("initial_state",), {"theta": 1.0, "phi": 7.0}, "initial_state: phi"),
+            (("order",), "x", "order"),
+            (("outputs",), 5, "outputs"),
         ],
         ids=["eta-str", "eta-null", "eta-bool", "s-overflow", "base-str", "theta_bar-str", "spectrum-int", "step-int",
-             "k-float", "k-bool", "k-oversized", "dir-list", "state-int"],
+             "k-float", "k-bool", "k-oversized", "dir-list", "state-int", "eta-numeric-str", "base-numeric-str",
+             "s-padded-str", "steps-empty", "theta-range", "phi-range", "order-token", "outputs-int"],
     )
     def test_wrong_field_type_exit_code(self, tmp_path, capsys, monkeypatch, keys, value, field):
         raw = config_dict(tmp_path / "out")
@@ -395,13 +407,41 @@ class TestMainEntry:
         assert "configuration error: n_steps " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "error, message",
+        [
+            (MemoryError("cannot allocate the harmonic band"), "numerical error: out of memory: cannot allocate"),
+            (ConvergenceError("steady-map quadrature did not converge"), "numerical error: steady-map quadrature"),
+            (PoleError("resolvent pole of matrix 0"), "numerical error: resolvent pole of matrix 0"),
+        ],
+        ids=["MemoryError", "ConvergenceError", "PoleError"],
+    )
+    def test_out_of_memory_exit_code(self, tmp_path, monkeypatch, capsys, error, message):
         def exhausted(*args, **kwargs):
-            raise MemoryError("cannot allocate the harmonic band")
+            raise error
 
         monkeypatch.setattr(cli, "propagate", exhausted)
         assert main(["simulate", "--preset", "two_controls", "--out", str(tmp_path / "o")]) == 3
-        assert "numerical error: out of memory" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(message)
+
+    def test_output_path_taken_by_a_file_exit_code(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        assert main(["simulate", "--preset", "two_controls", "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("i/o error:")
+        assert taken.read_text() == "keep"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1, 2]", "configuration root must be an object"), ("{protocol", "config file {path} is not valid JSON")],
+        ids=["root-array", "not-json"],
+    )
+    def test_unusable_config_file_exit_code(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: " + message.format(path=path))
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("s", ["1e3", "1e200", "2.3e307"])
     @pytest.mark.parametrize("name", ["two_controls", "three_controls"])
