@@ -12,6 +12,7 @@ maximization over initial pure states.
 from .asymptotics import (
     AsymptoticCycle,
     ConvergenceProfile,
+    SteadyFold,
     abel_limit,
     asymptotic_cycle,
     asymptotic_map,
@@ -19,6 +20,8 @@ from .asymptotics import (
     convergence_profile,
     limit_cycle,
     resolvent,
+    steady_fold,
+    trig_roots,
 )
 from .bloch import (
     ORDER_PHASE_AFTER,

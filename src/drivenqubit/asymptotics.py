@@ -25,11 +25,25 @@ projectors of a block are extracted in one batched pass, and the weighted
 terms are added as one running sum in node order, carried from block to
 block.  So results are reproducible bit for bit, equal a node-by-node loop,
 and do not depend on which other phases are computed alongside.
+
+The integrand is 2 pi-periodic, so the spectral average is also a periodic
+trapezoid sum over one period with the exact wrapped-normal weights
+``(1 + 2 sum_h exp(-h^2 s^2 / 2) cos h(theta - theta_bar)) / N``.  On that
+grid the node values do not depend on s; only the weights do.  The fold
+(``steady_fold``) takes their cosine coefficients about theta_bar from one
+FFT, so the map at any width is one dot product with the damping row.  Its
+node count is fixed a priori by the strip where the integrand is analytic:
+the projector is a trigonometric polynomial over d(theta) = 3 - tr W(theta),
+whose roots off the unit circle (``trig_roots``) set the strip's half-width
+rho, and the trapezoid rule errs like exp(-rho N) (Trefethen & Weideman,
+SIAM Rev. 56, 2014).  Calibration reads every bisection width from one
+fold, and the window hands a phase that reaches its node cap to the fold.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +56,9 @@ from .bloch import (
     Spectrum,
     TrigMatrix,
     _coefficient_rows,
+    _damping,
     _node_block,
+    _nonzero_pairs,
     _running_sum,
     product_chain,
     protocol_product,
@@ -66,6 +82,15 @@ QUAD_MIN_NODES = 64
 QUAD_MAX_NODES = 2**16
 QUAD_TOL = 1e-10
 GAUSSIAN_WINDOW_SIGMAS = 8.0
+# The fold's a-priori error target, and its weights' top harmonic H* =
+# ceil(FOLD_TAIL / s): past h s = sqrt(80) the damping is below e^-40.
+FOLD_TOL = 1e-13
+FOLD_TAIL = math.sqrt(80.0)
+# Identity points are double roots of 3 - tr W on the unit circle; rounding
+# moves them off it by about the square root of the coefficients' error
+# relative to the trace (seen up to 6e-7), so roots within this |log|z|| of
+# the circle are taken to lie on it.
+ON_CIRCLE_TOL = 1e-5
 RESOLVENT_DET_TOL = 1e-12
 # Bound on |z| max|W|: det(I - zW) sums triple products, which stay finite
 # for entries up to about 3e102.
@@ -235,41 +260,48 @@ def _steady_projectors(period: TrigMatrix, theta: np.ndarray, w: np.ndarray) -> 
     return p
 
 
+def _phase_series(p: Protocol, phases, order: str) -> list:
+    """(period product of the schedule rotated by K, K-step prefix) per phase K."""
+    prefixes = list(itertools.islice(product_chain(p, order), max(phases) + 1))
+    return [
+        (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order), prefixes[K])
+        for K in phases
+    ]
+
+
+def _node_values(coef: np.ndarray, theta: np.ndarray, period: TrigMatrix, prefix: TrigMatrix, K: int) -> np.ndarray:
+    """Projector times prefix at each phase of theta, from coefficient rows
+    ``coef`` at least as deep as either series.  Phase 0's prefix is
+    P_0 = I, so its values are the projectors themselves, with no prefix sum
+    or product (``+ 0.0`` gives the +0.0 zeros that the product with I gives)."""
+    proj = _steady_projectors(period, theta, _running_sum(coef, period.terms))
+    return proj + 0.0 if K == 0 else proj @ _running_sum(coef, prefix.terms)
+
+
 def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
     """Steady-cycle maps at the given integer phases, computed in lockstep.
 
     Each refinement runs in blocks of nodes; one harmonic-major coefficient
     row per block, built for the deepest series, serves the period and
-    prefix series of every phase as a prefix.  Phase 0's prefix is P_0 = I,
-    so its node values are the projectors themselves, with no prefix sum or
-    product (``+ 0.0`` gives the +0.0 zeros that the product with I gives).
-    The nodes come from ``_quad_nodes`` alone; where it gives none, the maps
-    are point values.  A phase retires at the first refinement where it has
-    converged; at the node cap the first phase still refining raises
-    ConvergenceError.
+    prefix series of every phase as a prefix.  The nodes come from
+    ``_quad_nodes`` alone; where it gives none, the maps are point values.
+    A phase retires at the first refinement where it has converged.  A phase
+    still refining at the node cap takes its fold's map at s; where the fold
+    does not fit under the cap or fails its guard, the first such phase
+    raises ConvergenceError.
     """
-    prefixes = list(itertools.islice(product_chain(p, order), max(phases) + 1))
-    series = [
-        (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order), prefixes[K])
-        for K in phases
-    ]
+    series = _phase_series(p, phases, order)
     pairs = max(len(tm.terms) for pair in series for tm in pair)
     block = _node_block(pairs)
-
-    def node_values(theta, active):
-        """Projector times prefix at each phase of theta, per active phase."""
-        coef = _coefficient_rows(theta, np.ones(pairs))
-        for j in active:
-            period, prefix = series[j]
-            proj = _steady_projectors(period, theta, _running_sum(coef, period.terms))
-            yield proj + 0.0 if phases[j] == 0 else proj @ _running_sum(coef, prefix.terms)
 
     def integrals(nodes, weights, active):
         acc = np.zeros((len(active), 3, 3))
         for lo in range(0, len(nodes), block):
             w = weights[lo : lo + block, None, None]
-            for i, x in enumerate(node_values(nodes[lo : lo + block], active)):
-                parts = w * x
+            theta = nodes[lo : lo + block]
+            coef = _coefficient_rows(theta, np.ones(pairs))
+            for i, j in enumerate(active):
+                parts = w * _node_values(coef, theta, *series[j], phases[j])
                 # A running sum in node order, carried from the previous block.
                 parts[0] += acc[i]
                 acc[i] = np.add.reduce(parts, axis=0)
@@ -285,16 +317,144 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
         maps[active] = cur
         active = active[~(diff[active] < QUAD_TOL)]
         if active.size and n_nodes >= QUAD_MAX_NODES:
-            j = active[0]
-            raise ConvergenceError(
-                f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
-                f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e})"
-            )
+            for j in active:
+                try:
+                    maps[j] = _fold(*series[j], phases[j], sp.theta_bar, sp.s).map_at(sp.s)
+                except ConvergenceError as exc:
+                    raise ConvergenceError(
+                        f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
+                        f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e}); {exc}"
+                    ) from None
+            active = active[:0]
         n_nodes *= 2
     # The spectral integral is a point value (see _quad_nodes).
-    for j, x in zip(active, node_values(np.array([sp.theta_bar]), active)):
-        maps[j] = x[0]
+    theta = np.array([sp.theta_bar])
+    for j in active:
+        maps[j] = _node_values(_coefficient_rows(theta, np.ones(pairs)), theta, *series[j], phases[j])[0]
     return [BlochMap(m) for m in maps]
+
+
+def trig_roots(series) -> np.ndarray:
+    """Roots in z = e^(i theta) of a scalar trigonometric polynomial.
+
+    ``series[h] = (c_h, s_h)``, shape (H+1, 2), gives
+    ``p(theta) = c_0 + sum_h c_h cos(h theta) + s_h sin(h theta)``.  The
+    roots are the eigenvalues of the companion matrix of ``z^H p(z)``, of
+    degree 2H once the series is trimmed to its top nonzero harmonic: its
+    lowest and highest coefficients are then conjugate and nonzero, so no
+    root lies at z = 0.  A constant series has none.  Real roots of p lie on
+    the unit circle; the others come in pairs z, 1 / conj(z).
+    """
+    series = np.asarray(series, dtype=float)
+    series = series[: _nonzero_pairs(series)]
+    top = 0.5 * (series[1:, 0] - 1j * series[1:, 1])
+    return np.roots(np.concatenate([top[::-1], series[:1, 0], np.conj(top)]))
+
+
+def _strip_halfwidth(period: TrigMatrix) -> float:
+    """Smallest |log|z|| over the roots of d = 3 - tr W off the unit circle:
+    the half-width of the strip where the steady integrand is analytic (inf
+    if there is no such root)."""
+    d = -np.trace(period.terms, axis1=2, axis2=3)
+    d[0, 0] += 3.0
+    # Coefficients within rounding of d's largest would only add roots near
+    # 0 and infinity, or overflow the companion matrix.
+    d[np.abs(d) <= np.finfo(float).eps * np.max(np.abs(d))] = 0.0
+    with np.errstate(divide="ignore"):
+        depth = np.abs(np.log(np.abs(trig_roots(d))))
+    off = depth[depth > ON_CIRCLE_TOL]
+    return float(np.min(off)) if off.size else math.inf
+
+
+@dataclass(frozen=True, eq=False)
+class SteadyFold:
+    """One phase's steady integrand folded onto one period.
+
+    ``coefficients[h]`` is the h-th cosine coefficient about theta_bar
+    (doubled for h >= 1), h <= H*, so the steady map at any width s with
+    ``H* >= FOLD_TAIL / s`` is their sum weighted by the damping row
+    ``exp(-h^2 s^2 / 2)``.  ``nodes`` is the a-priori count N: the rule
+    runs on the 2N nodes ``theta_bar + 2 pi (j + 1/2) / (2N)``, and
+    ``guard_delta`` is the largest change of the map from the rule's
+    N-node half (the even nodes) at widths doubling from s_min.
+    ``strip_halfwidth`` is rho.
+    """
+
+    coefficients: np.ndarray
+    nodes: int
+    strip_halfwidth: float
+    guard_delta: float
+
+    def map_at(self, s: float) -> np.ndarray:
+        """The steady map at width s, shape (3, 3)."""
+        h_top = len(self.coefficients) - 1
+        return (_damping(s, h_top) @ self.coefficients.reshape(h_top + 1, 9)).reshape(3, 3)
+
+
+def _fold(period: TrigMatrix, prefix: TrigMatrix, K: int, theta_bar: float, s_min: float) -> SteadyFold:
+    """The fold of phase K's series about theta_bar for widths from s_min on.
+
+    N = ceil(ln(1/FOLD_TOL) / rho) + 2 H* + H_P, rounded up to a power of 2,
+    where H_P is the prefix's degree (0 at phase 0); without a strip
+    (rho = inf) the first term is the period's degree plus one.
+    Raises ConvergenceError, naming rho, N and the guard delta, when its 2N
+    nodes exceed QUAD_MAX_NODES or the guard exceeds QUAD_TOL.
+    """
+    rho = _strip_halfwidth(period)
+    h_top = math.ceil(min(FOLD_TAIL / s_min, QUAD_MAX_NODES))
+    # The integrand, Rodrigues' projector (a series of the period's degree
+    # over d) times the prefix, is a polynomial of both degrees where d is
+    # constant; else its coefficients fall like exp(-rho h) past the prefix's.
+    if rho < math.inf:
+        decay = math.ceil(min(math.log(1.0 / FOLD_TOL) / rho, QUAD_MAX_NODES))
+    else:
+        decay = period.max_harmonic + 1
+    need = decay + 2 * h_top + prefix.max_harmonic
+    n = 2 ** max(need - 1, 1).bit_length()
+    where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
+    if 2 * n > QUAD_MAX_NODES:
+        raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
+    offsets = np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
+    pairs = max(len(period.terms), len(prefix.terms))
+    block = _node_block(pairs)
+    values = np.empty((2 * n, 9))
+    for lo in range(0, 2 * n, block):
+        theta = theta_bar + offsets[lo : lo + block]
+        coef = _coefficient_rows(theta, np.ones(pairs))
+        values[lo : lo + block] = _node_values(coef, theta, period, prefix, K).reshape(-1, 9)
+    # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
+    # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
+    spectrum = np.fft.rfft(values, axis=0)
+    h = np.arange(h_top + 1)
+    shift = np.exp(-0.5j * np.pi * h / n)[:, None]
+    scale = np.where(h == 0, 1.0, 2.0)[:, None] / (2 * n)
+    coefficients = scale * np.real(shift * spectrum[h])
+    # The guard reads the change at widths doubling from s_min until the
+    # weights are uniform, so it covers every width the fold serves.
+    change = scale * np.real(shift * np.conj(spectrum[n - h]))
+    widths = [s_min * 2.0**k for k in range((h_top - 1).bit_length() + 1)]
+    guard = max(float(np.max(np.abs(_damping(s, h_top) @ change))) for s in widths)
+    if not guard <= QUAD_TOL:
+        raise ConvergenceError(f"{where} has guard delta {guard:.3e}, above {QUAD_TOL}")
+    return SteadyFold(coefficients.reshape(-1, 3, 3), n, rho, guard)
+
+
+def steady_fold(
+    p: Protocol, theta_bar: float, s_min: float, K: int = 0, order: str = ORDER_PHASE_AFTER
+) -> SteadyFold:
+    """The one-period fold of the steady integrand at phase K, for every
+    width s >= s_min about the mean phase theta_bar: one node pass whose
+    ``map_at(s)`` is the steady map at Spectrum(theta_bar, s).  It agrees
+    with ``asymptotic_map`` to the window's tolerance, and its own error
+    is about FOLD_TOL.  Raises DomainError for a phase outside the period,
+    s_min not positive or theta_bar out of range, and ConvergenceError when
+    the rule needs more than QUAD_MAX_NODES nodes or fails its guard."""
+    if not 0 <= K < p.period:
+        raise DomainError(f"phase {K} outside [0, {p.period})")
+    if not s_min > 0.0:
+        raise DomainError(f"the fold needs a smallest width s_min > 0, got {s_min}")
+    Spectrum(theta_bar, s_min)  # checks theta_bar
+    return _fold(*_phase_series(p, [K], order)[0], K, theta_bar, s_min)
 
 
 def asymptotic_map(
@@ -306,7 +466,9 @@ def asymptotic_map(
     schedule rotated by K (``steps[K:] + steps[:K]``) times the K-step
     prefix.  The quadrature doubles its node count until two successive
     refinements agree to 1e-10 entrywise (the integrand is piecewise
-    analytic, so this is quick), else raises ConvergenceError at the cap.
+    analytic, so this is quick).  At the cap the map is the fold's
+    (``steady_fold``), or ConvergenceError is raised where the fold does
+    not fit under the cap or fails its guard.
     The uniform limit (``sp.is_uniform``) integrates over one period, free
     of theta_bar; at s = 0 or tiny s the map is a point value.
     """
@@ -339,7 +501,8 @@ def asymptotic_cycle(
 ) -> AsymptoticCycle:
     """All T steady-cycle maps of a protocol, refined in lockstep: each map
     has the bits of ``asymptotic_map`` at its phase, and the first phase
-    that hits the node cap raises its ConvergenceError."""
+    that neither the window nor the fold resolves raises its
+    ConvergenceError."""
     return AsymptoticCycle.from_maps(_steady_maps(p, sp, range(p.period), order))
 
 

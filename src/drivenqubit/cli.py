@@ -28,11 +28,11 @@ import numpy as np
 from .asymptotics import (
     abel_limit,
     asymptotic_cycle,
-    asymptotic_map,
     cesaro_mean,
     convergence_profile,
     limit_cycle,
     resolvent,
+    steady_fold,
 )
 from .bloch import (
     ORDER_PHASE_AFTER,
@@ -322,7 +322,9 @@ def load_config(path) -> RunConfig:
 @dataclass(frozen=True)
 class CalibrationResult:
     """Fitted spectral width plus consistency residuals against the
-    reference cycle (when the protocol has one)."""
+    reference cycle (when the protocol has one), and the fold every
+    bisection width was read from: its node count N, strip half-width and
+    guard delta (see ``asymptotics.SteadyFold``)."""
 
     spectrum: Spectrum
     s: float
@@ -331,11 +333,16 @@ class CalibrationResult:
     residuals: tuple | None
     max_abs_residual: float | None
     n_evaluations: int
+    nodes: int
+    strip_halfwidth: float
+    guard_delta: float
 
     def table(self) -> str:
         lines = [
             f"fitted s = {self.s:.9g}",
             f"lambda_y = {self.lambda_y:.9g} (anchor {self.anchor:.9g})",
+            f"{self.n_evaluations} widths from one fold: N = {self.nodes}, "
+            f"strip half-width {self.strip_halfwidth:.4g}, guard delta {self.guard_delta:.3e}",
         ]
         if self.residuals is None:
             lines.append("no reference cycle for this protocol; no residual table")
@@ -352,19 +359,26 @@ def calibrate(config: RunConfig, anchor: float = CALIBRATION_ANCHOR) -> Calibrat
     """Fit the spectral width so the phase-0 y-channel contraction hits
     the anchor, by bisection on s over CALIBRATION_BRACKET to CALIBRATION_TOL.
 
+    Every width is read from one fold of the phase-0 steady integrand onto
+    one period (``asymptotics.steady_fold``), built once for the smallest
+    width of the bracket: lambda_y(s) is one dot product of its coefficients
+    with the damping row exp(-h^2 s^2 / 2).  Raises ConvergenceError where
+    the fold needs more nodes than the steady maps' cap or fails its guard.
+
     Intended for the two-unit benchmark protocol (any protocol whose
     steady cycle decouples the y axis works the same way).  Reports the
     fitted spectrum and, when the protocol has a reference cycle, the
-    residuals of all remaining entries as a consistency table.
+    residuals of all remaining entries of ``asymptotic_cycle`` at the fitted
+    width as a consistency table.
     """
     theta_bar = config.spectrum.theta_bar
     evaluations = 0
+    fold = steady_fold(config.protocol, theta_bar, CALIBRATION_BRACKET[0], 0, config.order)
 
     def lambda_y(s: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        sp = Spectrum(theta_bar, s)
-        return float(asymptotic_map(config.protocol, sp, 0, config.order).m[1, 1])
+        return float(fold.map_at(s)[1, 1])
 
     lo, hi = CALIBRATION_BRACKET
     f_lo = lambda_y(lo) - anchor
@@ -407,6 +421,9 @@ def calibrate(config: RunConfig, anchor: float = CALIBRATION_ANCHOR) -> Calibrat
         residuals=residuals,
         max_abs_residual=max_res,
         n_evaluations=evaluations,
+        nodes=fold.nodes,
+        strip_halfwidth=fold.strip_halfwidth,
+        guard_delta=fold.guard_delta,
     )
 
 

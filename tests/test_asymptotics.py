@@ -29,6 +29,8 @@ from drivenqubit import (
     protocol_product,
     step_matrix,
     resolvent,
+    steady_fold,
+    trig_roots,
 )
 from drivenqubit import asymptotics, bloch
 from conftest import random_rotation
@@ -443,6 +445,135 @@ class TestLockstepCycle:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * 2**20
+
+
+# The two cycles that hit the window's node cap: (eta, k) steps, spectrum and rho.
+CAPPED_CYCLES = [
+    pytest.param([(0.9357, 0), (0.5, 1), (0.1672, 3), (1.0, 3), (0.0, 0)], Spectrum(0.0917, 38.6), 0.0394, id="period-5-s38.6"),
+    pytest.param([(0.3875, 4), (0.3815, 2)], Spectrum(-0.707, 4.597), 3.05e-3, id="period-2-s4.597"),
+]
+
+
+def strip_depths(period):
+    """|log|z|| of every root of d = 3 - tr W, sorted."""
+    d = -np.trace(period.terms, axis1=2, axis2=3)
+    d[0, 0] += 3.0
+    return np.sort(np.abs(np.log(np.abs(trig_roots(d)))))
+
+
+class TestTrigRoots:
+    @pytest.mark.parametrize("a", [1.01, 1.5, 3.0, 40.0])
+    @pytest.mark.parametrize("shift", [0.0, 0.8])
+    def test_shifted_cosine_has_the_arccosh_strip(self, a, shift):
+        # a - cos(theta - shift) vanishes at theta = shift -/+ i arccosh(a).
+        roots = trig_roots([[a, 0.0], [-math.cos(shift), -math.sin(shift)]])
+        assert_allclose(np.sort(np.abs(np.log(np.abs(roots)))), [math.acosh(a)] * 2, rtol=1e-12)
+        assert_allclose(np.angle(roots), [shift] * 2, atol=1e-12)
+
+    def test_constant_series_has_no_roots(self):
+        # Trailing zero harmonics are trimmed, so no root lands at z = 0
+        # (whose log would warn, an error here).
+        for series in ([[2.0, 0.0]], [[2.0, 0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]):
+            assert trig_roots(series).size == 0
+        roots = np.sort(np.abs(trig_roots([[1.5, 0.0], [-1.0, 0.0], [0.0, 0.0]])))
+        assert_allclose(roots, [1.5 - math.sqrt(1.25), 1.5 + math.sqrt(1.25)], rtol=1e-14)
+
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    @pytest.mark.parametrize(
+        "steps, rho, on_circle",
+        [([(0.5, 3), (0.5, 2)], 0.4415038, 2), ([(0.5, 3), (0.5, 2), (0.5, 1)], 0.2240102, 0)],
+        ids=["two_controls", "three_controls"],
+    )
+    def test_preset_strips(self, steps, rho, on_circle, order):
+        # two_controls turns through the identity at one phase: a double
+        # root of 3 - tr W on the circle, which rounding splits by about 5e-10.
+        p = Protocol([ControlStep(eta, k) for eta, k in steps])
+        depths = strip_depths(protocol_product(p, p.period, order))
+        assert np.count_nonzero(depths < asymptotics.ON_CIRCLE_TOL) == on_circle
+        assert np.all(depths[on_circle:] > 0.2)
+        fold = steady_fold(p, 0.0, 0.05, 0, order)
+        assert fold.strip_halfwidth == pytest.approx(rho, abs=1e-7)
+        assert fold.nodes == 512
+
+
+class TestSteadyFold:
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    def test_matches_the_window_at_every_width(self, two_controls, three_controls, order):
+        # One node pass per phase serves all 40 widths; measured at most
+        # 3.7e-15 from the window's maps.
+        for p in (two_controls, three_controls):
+            folds = [steady_fold(p, 0.0, 0.05, K, order) for K in range(p.period)]
+            for s in np.linspace(0.05, 1.5, 40):
+                cycle = asymptotic_cycle(p, Spectrum(0.0, s), order)
+                for fold, m in zip(folds, cycle.maps):
+                    assert np.max(np.abs(fold.map_at(s) - m.m)) <= 1e-12
+
+    def test_off_centre_mean_phase(self, three_controls):
+        # The coefficients are taken about theta_bar, whatever it is.
+        for theta_bar in (0.7, -2.3):
+            folds = [steady_fold(three_controls, theta_bar, 0.2, K) for K in range(3)]
+            for s in (0.2, 0.9, 4.0, 50.0):
+                cycle = asymptotic_cycle(three_controls, Spectrum(theta_bar, s))
+                for fold, m in zip(folds, cycle.maps):
+                    assert np.max(np.abs(fold.map_at(s) - m.m)) <= 1e-12
+
+    def test_constant_trace_takes_its_nodes_from_the_weights(self):
+        # k = 0 steps give a phase-free period map: no root, rho = inf, and
+        # N = 2 H* = 2 ceil(sqrt(80) / 0.5) = 36, rounded up to 64.
+        p = Protocol([ControlStep(0.3, 0), ControlStep(0.6, 0)])
+        for K in range(2):
+            fold = steady_fold(p, 0.4, 0.5, K)
+            assert fold.strip_halfwidth == math.inf
+            assert fold.nodes == 64
+            assert_allclose(fold.map_at(0.5), asymptotic_map(p, Spectrum(0.4, 0.5), K).m, atol=1e-14)
+
+    def test_domain(self, two_controls):
+        for K in (-1, 2):
+            with pytest.raises(DomainError, match="phase"):
+                steady_fold(two_controls, 0.0, 0.5, K)
+        for s_min in (0.0, -1.0, math.nan):
+            with pytest.raises(DomainError, match="s_min"):
+                steady_fold(two_controls, 0.0, s_min)
+        with pytest.raises(DomainError, match="theta_bar"):
+            steady_fold(two_controls, math.inf, 0.5)
+
+    @pytest.mark.parametrize("steps, sp, rho", CAPPED_CYCLES)
+    def test_window_at_its_cap_takes_the_fold(self, steps, sp, rho):
+        # Both cycles raised ConvergenceError at the window's 65,536 nodes.
+        # Every phase's map is its own fold's, so it does not depend on the
+        # phases computed alongside; one phase alone shows it end to end.
+        p = Protocol([ControlStep(eta, k) for eta, k in steps])
+        cycle = asymptotic_cycle(p, sp, "eq2b")
+        for K, m in enumerate(cycle.maps):
+            fold = steady_fold(p, sp.theta_bar, sp.s, K, "eq2b")
+            assert fold.strip_halfwidth == pytest.approx(rho, rel=0.01)
+            assert fold.guard_delta <= asymptotics.QUAD_TOL
+            assert m.m.tobytes() == fold.map_at(sp.s).tobytes()
+        assert cycle.maps[0].m.tobytes() == asymptotic_map(p, sp, 0, "eq2b").m.tobytes()
+
+    @pytest.mark.parametrize("steps, sp, rho", CAPPED_CYCLES)
+    def test_rescued_maps_hold_on_twice_the_nodes(self, steps, sp, rho, monkeypatch):
+        # A fold on twice the nodes, an interleaved grid, agrees.
+        p = Protocol([ControlStep(eta, k) for eta, k in steps])
+        coarse = steady_fold(p, sp.theta_bar, sp.s, 0, "eq2b")
+        monkeypatch.setattr(asymptotics, "FOLD_TOL", asymptotics.FOLD_TOL**2)
+        fine = steady_fold(p, sp.theta_bar, sp.s, 0, "eq2b")
+        assert fine.nodes == 2 * coarse.nodes
+        assert np.max(np.abs(fine.map_at(sp.s) - coarse.map_at(sp.s))) <= 1e-13
+
+    def test_cap_error_names_strip_nodes_and_guard(self, monkeypatch):
+        p = Protocol([ControlStep(0.3875, 4), ControlStep(0.3815, 2)])
+        monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", 2**14)
+        with pytest.raises(ConvergenceError, match=r"strip half-width 3.05\de-03, N = 16384\) needs 32768 nodes"):
+            asymptotic_cycle(p, Spectrum(-0.707, 4.597), "eq2b")
+
+    def test_failed_guard_raises(self, two_controls, calibrated_spectrum, monkeypatch):
+        # Nothing meets a zero tolerance: the window runs to its cap, and the
+        # fold's guard, a sum of rounding-level changes, exceeds it.
+        monkeypatch.setattr(asymptotics, "QUAD_TOL", 0.0)
+        monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", 2**10)
+        with pytest.raises(ConvergenceError, match=r"last change \S+\); the one-period fold .* guard delta \S+ above 0.0"):
+            asymptotic_map(two_controls, calibrated_spectrum, 0)
 
 
 class TestLimitCycle:

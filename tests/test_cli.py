@@ -18,8 +18,10 @@ from drivenqubit import (
     BlochVector,
     CalibrationError,
     ConfigError,
+    ControlStep,
     ConvergenceError,
     PoleError,
+    Protocol,
     SphereAngles,
     Spectrum,
     asymptotic_map,
@@ -35,7 +37,7 @@ from drivenqubit import (
 from drivenqubit import asymptotics, bloch, cli
 from drivenqubit.cli import MAX_STEPS, main
 
-from conftest import random_ball_point, recorded_ops
+from conftest import CALIBRATED_S, random_ball_point, recorded_ops
 
 # Hashes of the preset CLI outputs pinned by the benchmark references.
 PRESET_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "cli_presets.json"
@@ -174,7 +176,61 @@ class TestConfigParsing:
             config_from_dict(raw)
 
 
+def bisect_on_window(config, anchor=CALIBRATION_ANCHOR):
+    """calibrate's bisection with one adaptive ``asymptotic_map`` per width,
+    kept as the oracle of the fold's widths: (s, lambda_y, evaluations), or
+    None where the bracket has no sign change."""
+    widths = []
+
+    def f(s):
+        widths.append(s)
+        sp = Spectrum(config.spectrum.theta_bar, s)
+        return float(asymptotic_map(config.protocol, sp, 0, config.order).m[1, 1]) - anchor
+
+    lo, hi = cli.CALIBRATION_BRACKET
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo * f_hi > 0.0:
+        return None
+    while True:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if abs(f_mid) < cli.CALIBRATION_TOL:
+            return mid, f_mid + anchor, len(widths)
+        if f_lo * f_mid <= 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+
+
 class TestCalibrate:
+    @pytest.mark.parametrize("order", ["eq2b", "eq4a"])
+    def test_fitted_width_keeps_its_bits(self, two_config, order):
+        result = calibrate(dataclasses.replace(two_config, order=order))
+        assert result.s == CALIBRATED_S
+        assert result.n_evaluations == 19
+        assert abs(result.lambda_y - 0.11458804666813145) <= 1e-15
+        # One fold serves all 19 widths: N = 512 nodes for rho = 0.4415.
+        assert (result.nodes, round(result.strip_halfwidth, 4)) == (512, 0.4415)
+        assert result.guard_delta <= 1e-12
+        assert "19 widths from one fold: N = 512, strip half-width 0.4415, guard delta" in result.table()
+
+    def test_random_protocols_fit_the_window_bisection(self, two_config):
+        rng = np.random.default_rng(20261019)
+        fitted = 0
+        for _ in range(8):
+            steps = [ControlStep(float(rng.uniform()), int(rng.integers(0, 5))) for _ in range(rng.integers(1, 4))]
+            config = dataclasses.replace(two_config, protocol=Protocol(steps), order=str(rng.choice(["eq2b", "eq4a"])))
+            want = bisect_on_window(config)
+            if want is None:
+                with pytest.raises(CalibrationError, match="no sign change"):
+                    calibrate(config)
+                continue
+            got = calibrate(config)
+            assert (got.s, got.n_evaluations) == (want[0], want[2])
+            assert abs(got.lambda_y - want[1]) <= 1e-14
+            fitted += 1
+        assert fitted >= 3
+
     def test_two_control_anchor(self, two_config):
         result = calibrate(two_config)
         physical = spectrum_from_physical(800.0, 3.0, 40.0).s

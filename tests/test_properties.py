@@ -432,8 +432,14 @@ def assert_steady_map_matches_reference(p, sp, K, order):
     try:
         want = steady_map_reference(p, sp, K, order)
     except ConvergenceError:
-        with pytest.raises(ConvergenceError):
-            asymptotic_map(p, sp, K, order)
+        # Past the window's node cap the map is the fold's, where it fits.
+        try:
+            fold = asymptotics.steady_fold(p, sp.theta_bar, sp.s, K, order)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError, match="one-period fold"):
+                asymptotic_map(p, sp, K, order)
+            return
+        assert asymptotic_map(p, sp, K, order).m.tobytes() == fold.map_at(sp.s).tobytes()
         return
     assert asymptotic_map(p, sp, K, order).m.tobytes() == want.tobytes()
 
@@ -529,11 +535,31 @@ def test_uniform_limit_cycle_is_the_infinite_width_cycle(p, order, theta_bar, s)
     assert got == (want if isinstance(want, list) else want.replace("s = inf", f"s = {s}"))
 
 
+@given(protocols, orders, st.floats(-math.pi, math.pi), st.floats(0.05, 3.0), st.floats(1.0, 3.0))
+def test_fold_matches_the_window_where_it_converges(p, order, theta_bar, s_min, scale):
+    # One fold per phase serves every width from s_min on.  Wherever the
+    # window converges the two rules agree to its stopping tolerance, not
+    # to 1e-12: the window errs by 1.7e-11 on a [(0.5, 4)] cycle at s = 9.2,
+    # where a fold on four times the nodes moves by 2e-18, and a node near a
+    # half turn puts up to 3e-11 into the fold.
+    s = s_min * scale
+    try:
+        cycle = asymptotic_cycle(p, Spectrum(theta_bar, s), order)
+    except ConvergenceError:
+        reject()
+    for K, m in enumerate(cycle.maps):
+        fold = asymptotics.steady_fold(p, theta_bar, s_min, K, order)
+        assert fold.guard_delta <= asymptotics.QUAD_TOL
+        assert np.max(np.abs(fold.map_at(s) - m.m)) <= asymptotics.QUAD_TOL
+
+
 @pytest.mark.parametrize(
     "steps, sp, cap, failing",
     [
-        # Every phase hits the node cap; phase 0 raises.
-        ([ControlStep(0.3875, 4), ControlStep(0.3815, 2)], Spectrum(-0.707, 4.597), None, 0),
+        # Every phase hits the node cap, and the fold rescues none: its
+        # 2N = 32,768 nodes (strip half-width 3.05e-3) exceed a cap of
+        # 16,384, so phase 0 raises.  At the real cap the fold converges.
+        ([ControlStep(0.3875, 4), ControlStep(0.3815, 2)], Spectrum(-0.707, 4.597), 2**14, 0),
         # Phases 0, 1, 2 converge at 512, 1,024 and 1,024 nodes: at a cap of
         # 512 phase 0 retires at the cap and phase 1 raises.
         ([ControlStep(0.862, 3), ControlStep(0.371, 0), ControlStep(0.852, 2)], Spectrum(-2.09, 0.44), 512, 1),
