@@ -37,7 +37,12 @@ the projector is a trigonometric polynomial over d(theta) = 3 - tr W(theta),
 whose roots off the unit circle (``trig_roots``) set the strip's half-width
 rho, and the trapezoid rule errs like exp(-rho N) (Trefethen & Weideman,
 SIAM Rev. 56, 2014).  Calibration reads every bisection width from one
-fold, and the window hands a phase that reaches its node cap to the fold.
+fold.  Under a Gaussian window (0 < s < s*) the window hands a phase to its
+fold once it has spent 2N nodes without converging; sharp, point-value and
+uniform spectra keep the window, which in the uniform limit hands a phase
+over only at its node cap.  At the calibrated s neither preset gets that
+far: two_controls converges at 128 of its 2N = 256 nodes, three_controls
+at 512 of 512.
 """
 
 from __future__ import annotations
@@ -285,10 +290,15 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
     row per block, built for the deepest series, serves the period and
     prefix series of every phase as a prefix.  The nodes come from
     ``_quad_nodes`` alone; where it gives none, the maps are point values.
-    A phase retires at the first refinement where it has converged.  A phase
-    still refining at the node cap takes its fold's map at s; where the fold
-    does not fit under the cap or fails its guard, the first such phase
-    raises ConvergenceError.
+    A phase retires at the first refinement where it has converged.  Under
+    a Gaussian window (0 < s < s*) a phase not converged at a refinement of
+    n >= 2N nodes, N its fold's a-priori count at s, takes its fold's map at
+    s; the uniform limit hands a phase over only at the node cap.  A phase
+    whose fold raises stays with the window and is not folded again; at the
+    cap the first phase still refining raises ConvergenceError.  rho, which
+    N needs, is solved at most once per call, from the unshifted period
+    product, and only once some phase refines past the root-free bound
+    ``_fold_count(1, ...)`` of its N.
     """
     series = _phase_series(p, phases, order)
     pairs = max(len(tm.terms) for pair in series for tm in pair)
@@ -310,22 +320,36 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
     maps = np.empty((len(series), 3, 3))
     active = np.arange(len(series))
     n_nodes, diff = QUAD_MIN_NODES, np.full(len(series), np.inf)
+    gaussian = not sp.is_uniform
+    rho, failed = None, {}
     while active.size and (rule := _quad_nodes(sp, n_nodes)) is not None:
+        h_top = _fold_harmonics(sp)
         cur = integrals(*rule, active)
         if n_nodes > QUAD_MIN_NODES:
             diff[active] = np.max(np.abs(cur - maps[active]), axis=(1, 2))
         maps[active] = cur
         active = active[~(diff[active] < QUAD_TOL)]
-        if active.size and n_nodes >= QUAD_MAX_NODES:
-            for j in active:
-                try:
-                    maps[j] = _fold(*series[j], phases[j], sp.theta_bar, sp.s).map_at(sp.s)
-                except ConvergenceError as exc:
-                    raise ConvergenceError(
-                        f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
-                        f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e}); {exc}"
-                    ) from None
-            active = active[:0]
+        at_cap = n_nodes >= QUAD_MAX_NODES
+        folded = np.zeros(len(series), dtype=bool)
+        for j in active:
+            period, prefix = series[j]
+            # decay = 1 gives the smallest N of any strip: no root is solved below it.
+            due = at_cap or gaussian and n_nodes >= 2 * _fold_count(1, h_top, prefix)
+            if j not in failed and due:
+                if rho is None:
+                    rho = _strip_halfwidth(_unshifted_period(p, phases, series, order))
+                if at_cap or n_nodes >= 2 * _fold_count(_decay(rho, period), h_top, prefix):
+                    try:
+                        maps[j] = _fold(period, prefix, phases[j], sp, rho).map_at(sp.s)
+                        folded[j] = True
+                    except ConvergenceError as exc:
+                        failed[j] = exc
+            if at_cap and j in failed:
+                raise ConvergenceError(
+                    f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
+                    f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e}); {failed[j]}"
+                )
+        active = active[~folded[active]]
         n_nodes *= 2
     # The spectral integral is a point value (see _quad_nodes).
     theta = np.array([sp.theta_bar])
@@ -373,7 +397,8 @@ class SteadyFold:
     ``coefficients[h]`` is the h-th cosine coefficient about theta_bar
     (doubled for h >= 1), h <= H*, so the steady map at any width s with
     ``H* >= FOLD_TAIL / s`` is their sum weighted by the damping row
-    ``exp(-h^2 s^2 / 2)``.  ``nodes`` is the a-priori count N: the rule
+    ``exp(-h^2 s^2 / 2)``; a uniform-limit fold keeps only h = 0, taken on
+    a grid anchored at 0.  ``nodes`` is the a-priori count N: the rule
     runs on the 2N nodes ``theta_bar + 2 pi (j + 1/2) / (2N)``, and
     ``guard_delta`` is the largest change of the map from the rule's
     N-node half (the even nodes) at widths doubling from s_min.
@@ -391,26 +416,47 @@ class SteadyFold:
         return (_damping(s, h_top) @ self.coefficients.reshape(h_top + 1, 9)).reshape(3, 3)
 
 
-def _fold(period: TrigMatrix, prefix: TrigMatrix, K: int, theta_bar: float, s_min: float) -> SteadyFold:
-    """The fold of phase K's series about theta_bar for widths from s_min on.
+def _unshifted_period(p: Protocol, phases, series, order: str) -> TrigMatrix:
+    """The period product of the unshifted schedule: phase 0's series where
+    it is computed.  Every phase's period map is conjugate to it, so its
+    3 - tr W, and the strip half-width rho, serve every phase."""
+    return series[0][0] if phases[0] == 0 else protocol_product(p, p.period, order)
 
-    N = ceil(ln(1/FOLD_TOL) / rho) + 2 H* + H_P, rounded up to a power of 2,
-    where H_P is the prefix's degree (0 at phase 0); without a strip
-    (rho = inf) the first term is the period's degree plus one.
+
+def _fold_harmonics(sp: Spectrum) -> int:
+    """H*, the weights' top harmonic: ceil(FOLD_TAIL / s), and 0 in the
+    uniform limit, where every harmonic h >= 1 is damped to 0.0."""
+    return 0 if sp.is_uniform else math.ceil(min(FOLD_TAIL / sp.s, QUAD_MAX_NODES))
+
+
+def _decay(rho: float, period: TrigMatrix) -> int:
+    """Harmonics the integrand needs past the weights' and the prefix's:
+    Rodrigues' projector (a series of the period's degree over d) is a
+    polynomial of the period's degree where d is constant; else its
+    coefficients fall like exp(-rho h).  At least 1."""
+    if rho < math.inf:
+        return math.ceil(min(math.log(1.0 / FOLD_TOL) / rho, QUAD_MAX_NODES))
+    return period.max_harmonic + 1
+
+
+def _fold_count(decay: int, h_top: int, prefix: TrigMatrix) -> int:
+    """The fold's node count N = decay + 2 H* + H_P, rounded up to a power
+    of 2; H_P is the prefix's degree (0 at phase 0).  decay = 1 gives the
+    smallest N of any strip, a bound that needs no root."""
+    return 2 ** max(decay + 2 * h_top + prefix.max_harmonic - 1, 1).bit_length()
+
+
+def _fold(period: TrigMatrix, prefix: TrigMatrix, K: int, sp: Spectrum, rho: float) -> SteadyFold:
+    """The fold of phase K's series for widths from sp.s on, about
+    sp.theta_bar; in the uniform limit H* = 0 and the grid is anchored at
+    0, so every such fold is the s = inf fold.  rho is the protocol's
+    strip half-width, and N is ``_fold_count``.
     Raises ConvergenceError, naming rho, N and the guard delta, when its 2N
     nodes exceed QUAD_MAX_NODES or the guard exceeds QUAD_TOL.
     """
-    rho = _strip_halfwidth(period)
-    h_top = math.ceil(min(FOLD_TAIL / s_min, QUAD_MAX_NODES))
-    # The integrand, Rodrigues' projector (a series of the period's degree
-    # over d) times the prefix, is a polynomial of both degrees where d is
-    # constant; else its coefficients fall like exp(-rho h) past the prefix's.
-    if rho < math.inf:
-        decay = math.ceil(min(math.log(1.0 / FOLD_TOL) / rho, QUAD_MAX_NODES))
-    else:
-        decay = period.max_harmonic + 1
-    need = decay + 2 * h_top + prefix.max_harmonic
-    n = 2 ** max(need - 1, 1).bit_length()
+    h_top = _fold_harmonics(sp)
+    anchor = 0.0 if sp.is_uniform else sp.theta_bar
+    n = _fold_count(_decay(rho, period), h_top, prefix)
     where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
     if 2 * n > QUAD_MAX_NODES:
         raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
@@ -419,7 +465,7 @@ def _fold(period: TrigMatrix, prefix: TrigMatrix, K: int, theta_bar: float, s_mi
     block = _node_block(pairs)
     values = np.empty((2 * n, 9))
     for lo in range(0, 2 * n, block):
-        theta = theta_bar + offsets[lo : lo + block]
+        theta = anchor + offsets[lo : lo + block]
         coef = _coefficient_rows(theta, np.ones(pairs))
         values[lo : lo + block] = _node_values(coef, theta, period, prefix, K).reshape(-1, 9)
     # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
@@ -432,7 +478,7 @@ def _fold(period: TrigMatrix, prefix: TrigMatrix, K: int, theta_bar: float, s_mi
     # The guard reads the change at widths doubling from s_min until the
     # weights are uniform, so it covers every width the fold serves.
     change = scale * np.real(shift * np.conj(spectrum[n - h]))
-    widths = [s_min * 2.0**k for k in range((h_top - 1).bit_length() + 1)]
+    widths = [sp.s * 2.0**k for k in range((h_top - 1).bit_length() + 1)]
     guard = max(float(np.max(np.abs(_damping(s, h_top) @ change))) for s in widths)
     if not guard <= QUAD_TOL:
         raise ConvergenceError(f"{where} has guard delta {guard:.3e}, above {QUAD_TOL}")
@@ -453,8 +499,9 @@ def steady_fold(
         raise DomainError(f"phase {K} outside [0, {p.period})")
     if not s_min > 0.0:
         raise DomainError(f"the fold needs a smallest width s_min > 0, got {s_min}")
-    Spectrum(theta_bar, s_min)  # checks theta_bar
-    return _fold(*_phase_series(p, [K], order)[0], K, theta_bar, s_min)
+    sp = Spectrum(theta_bar, s_min)  # checks theta_bar
+    series = _phase_series(p, [K], order)
+    return _fold(*series[0], K, sp, _strip_halfwidth(_unshifted_period(p, [K], series, order)))
 
 
 def asymptotic_map(
@@ -465,12 +512,16 @@ def asymptotic_map(
     Spectral average of the axis projector of the one-period product of the
     schedule rotated by K (``steps[K:] + steps[:K]``) times the K-step
     prefix.  The quadrature doubles its node count until two successive
-    refinements agree to 1e-10 entrywise (the integrand is piecewise
-    analytic, so this is quick).  At the cap the map is the fold's
-    (``steady_fold``), or ConvergenceError is raised where the fold does
-    not fit under the cap or fails its guard.
-    The uniform limit (``sp.is_uniform``) integrates over one period, free
-    of theta_bar; at s = 0 or tiny s the map is a point value.
+    refinements agree to 1e-10 entrywise.  Under a Gaussian window
+    (0 < s < s*) a phase not converged at a refinement of 2N nodes or more,
+    N its fold's a-priori count at s, takes the bits of
+    ``steady_fold(p, sp.theta_bar, sp.s, K, order).map_at(sp.s)``; the
+    presets converge first at the calibrated s (two_controls at 128 of
+    2N = 256 nodes, three_controls at 512 of 512).  The uniform limit
+    (``sp.is_uniform``) integrates over one period, free of theta_bar, and
+    takes the fold only at the node cap; at s = 0 or tiny s the map is a
+    point value.  ConvergenceError is raised at the cap where the fold does
+    not fit under it or fails its guard.
     """
     if not 0 <= K < p.period:
         raise DomainError(f"phase {K} outside [0, {p.period})")
@@ -500,9 +551,12 @@ def asymptotic_cycle(
     p: Protocol, sp: Spectrum, order: str = ORDER_PHASE_AFTER
 ) -> AsymptoticCycle:
     """All T steady-cycle maps of a protocol, refined in lockstep: each map
-    has the bits of ``asymptotic_map`` at its phase, and the first phase
-    that neither the window nor the fold resolves raises its
-    ConvergenceError."""
+    has the bits of ``asymptotic_map`` at its phase, whether the window
+    gives it or, under a Gaussian window past 2N nodes, its fold.  The
+    strip half-width is solved at most once, from phase 0's period
+    product, and only once a phase refines past the smallest 2N of any
+    strip.  The first phase that neither the window nor the fold resolves
+    raises its ConvergenceError."""
     return AsymptoticCycle.from_maps(_steady_maps(p, sp, range(p.period), order))
 
 

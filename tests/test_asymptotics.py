@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tracemalloc
@@ -32,8 +33,8 @@ from drivenqubit import (
     steady_fold,
     trig_roots,
 )
-from drivenqubit import asymptotics, bloch
-from conftest import random_rotation
+from drivenqubit import asymptotics, bloch, cli
+from conftest import random_rotation, recorded_ops
 
 
 class TestResolvent:
@@ -400,10 +401,12 @@ class TestAsymptoticMap:
 
 
 class TestLockstepCycle:
-    def test_one_coefficient_row_per_node_block(self, two_controls, three_controls, calibrated_spectrum, monkeypatch):
+    def test_one_coefficient_row_per_node_block(self, three_controls, calibrated_spectrum, monkeypatch):
         # Every phase's period and prefix series read the rows of one shared
         # table: each node of each refinement enters exactly one row, where a
-        # phase-by-phase quadrature builds 2 T rows per block.
+        # phase-by-phase quadrature builds 2 T rows per block.  A phase the
+        # window hands to its fold adds the fold's 2N nodes, in blocks of
+        # the same size.
         rows, refinements = [], []
         build_rows, quad_nodes = bloch._coefficient_rows, asymptotics._quad_nodes
 
@@ -416,27 +419,35 @@ class TestLockstepCycle:
             refinements.append(len(rule[0]))
             return rule
 
-        # asymptotics binds the name at import, so both modules are patched.
-        for module in (bloch, asymptotics):
-            monkeypatch.setattr(module, "_coefficient_rows", counted_rows)
-        monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
-        # Within one block of 630 nodes, and 4,096 nodes in blocks of 744.
-        for protocol, sp in [(three_controls, calibrated_spectrum), (two_controls, Spectrum(0.0, 8.25))]:
+        capped = Protocol([ControlStep(0.3875, 4), ControlStep(0.3815, 2)])
+        # three_controls converges within one block of 630 nodes at 512 of
+        # its fold's 2N = 512.  The capped cycle refines to 32,768 nodes in
+        # blocks of 630, where both phases take their 2N = 32,768-node folds.
+        cases = [(three_controls, calibrated_spectrum, []), (capped, Spectrum(-0.707, 4.597), [2**15, 2**15])]
+        for protocol, sp, folds in cases:
+            # asymptotics binds the name at import, so both modules are patched.
+            for module in (bloch, asymptotics):
+                monkeypatch.setattr(module, "_coefficient_rows", counted_rows)
+            monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
             rows.clear()
             refinements.clear()
             asymptotic_cycle(protocol, sp)
+            monkeypatch.undo()
             top = protocol_product(protocol, protocol.period).max_harmonic
             block = bloch._SUM_BLOCK_TERMS // (2 * top + 1)
             assert len(refinements) > 1
-            assert rows == [min(block, n - lo) for n in refinements for lo in range(0, n, block)]
+            window = [min(block, n - lo) for n in refinements for lo in range(0, n, block)]
+            assert rows == window + [min(block, n - lo) for n in folds for lo in range(0, n, block)]
+            for K, n in enumerate(folds):
+                assert 2 * steady_fold(protocol, sp.theta_bar, sp.s, K).nodes == n == max(refinements)
         assert max(refinements) > 4 * block
 
     def test_peak_memory_is_a_few_blocks(self):
-        # 16,384 nodes at 2 H + 1 = 9 terms: blocks of 910 nodes keep the
-        # (terms, 9, nodes) products at 0.6 MB and the peak at 1.25 MB; blocks
-        # of 2^14 or 2^15 terms x nodes would peak at 2.1 or 3.9 MB.
-        p = Protocol.from_steps([ControlStep(0.3, 0), ControlStep(0.5, 4)])
-        sp = Spectrum(0.0, 8.253)
+        # The window refines to 16,384 nodes, short of its fold's 2N, at
+        # 2 H + 1 = 17 terms: blocks of 481 nodes keep the peak at 1.0 MB;
+        # blocks of 2^14 or 2^15 terms x nodes would peak at 1.8 or 3.2 MB.
+        p = Protocol.from_steps([ControlStep(0.743, 4), ControlStep(0.749, 4)])
+        sp = Spectrum(0.4, 0.186)
         asymptotic_cycle(p, sp)  # numpy's one-off first-call allocations
         tracemalloc.start()
         try:
@@ -574,6 +585,28 @@ class TestSteadyFold:
         monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", 2**10)
         with pytest.raises(ConvergenceError, match=r"last change \S+\); the one-period fold .* guard delta \S+ above 0.0"):
             asymptotic_map(two_controls, calibrated_spectrum, 0)
+
+
+class TestRecordedCycles:
+    # The benchmark's comparison of library results: every value within 1e-9.
+    @pytest.mark.parametrize(
+        "op", recorded_ops("steady_sweep", lambda op: op["kind"] == "cycle"), ids=lambda op: op["id"]
+    )
+    def test_steady_sweep_cycle(self, op):
+        p = Protocol([ControlStep(float(eta), int(k)) for k, eta in op["steps"]])
+        cycle = asymptotic_cycle(p, Spectrum(op["theta_bar"], op["s"]), op["order"])
+        expect = op["expect"]
+        assert_allclose([m.m for m in cycle.maps], expect["maps"], rtol=0.0, atol=1e-9)
+        assert_allclose(cycle.y_eigenvalues, expect["y_eigenvalues"], rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "op", recorded_ops("steady_sweep", lambda op: op["kind"] == "calibrate"), ids=lambda op: op["id"]
+    )
+    def test_steady_sweep_calibration(self, op):
+        result = cli.calibrate(dataclasses.replace(cli.preset(op["preset"]), order=op["order"]))
+        got = [result.s, result.lambda_y, result.max_abs_residual]
+        expect = op["expect"]
+        assert_allclose(got, [expect["s"], expect["lambda_y"], expect["max_abs_residual"]], rtol=0.0, atol=1e-9)
 
 
 class TestLimitCycle:

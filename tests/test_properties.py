@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, reject
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from drivenqubit import (
@@ -46,7 +46,7 @@ from drivenqubit import (
 from drivenqubit import asymptotics, bloch, cli, nonmarkov, visibility
 from drivenqubit.bloch import averaged_maps
 
-from conftest import UNIFORM_S, random_ball_point
+from conftest import CALIBRATED_S, UNIFORM_S, random_ball_point
 
 
 def protocols_with(etas):
@@ -400,8 +400,12 @@ def steady_projector_reference(period, theta, w, nudged=False):
     return 0.5 * (left + right)
 
 
-def steady_map_reference(p, sp, K, order):
-    """Reference steady map: one node at a time, added to a running sum."""
+def steady_map_reference(p, sp, K, order, fold_nodes=None):
+    """Reference window map: one node at a time, added to a running sum.
+
+    None where the phase is handed to its fold: not converged at a
+    refinement of at least 2 ``fold_nodes`` nodes (pass the fold's N under
+    a Gaussian window only)."""
     period = compose_loop(p.steps[K:] + p.steps[:K], order)
     prefix = compose_loop(p.steps[:K], order)
     half = asymptotics.GAUSSIAN_WINDOW_SIGMAS * sp.s
@@ -417,31 +421,90 @@ def steady_map_reference(p, sp, K, order):
             acc += weight * (steady_projector_reference(period, theta, w) @ x)
         return acc
 
-    n_nodes = asymptotics.QUAD_MIN_NODES
-    prev = integral(n_nodes)
-    while n_nodes < asymptotics.QUAD_MAX_NODES:
-        n_nodes *= 2
+    n_nodes, prev = asymptotics.QUAD_MIN_NODES, None
+    while True:
         cur = integral(n_nodes)
-        if float(np.max(np.abs(cur - prev))) < asymptotics.QUAD_TOL:
+        if prev is not None and float(np.max(np.abs(cur - prev))) < asymptotics.QUAD_TOL:
             return cur
-        prev = cur
-    raise ConvergenceError("reference quadrature hit the node cap")
+        if fold_nodes is not None and n_nodes >= 2 * fold_nodes:
+            return None
+        if n_nodes >= asymptotics.QUAD_MAX_NODES:
+            raise ConvergenceError("reference quadrature hit the node cap")
+        n_nodes, prev = 2 * n_nodes, cur
+
+
+def fold_reference(p, sp, K, order, n):
+    """The fold's rule summed node by node, with no FFT: the 2n nodes
+    ``theta_bar + 2 pi (j + 1/2) / 2n`` (anchored at 0 in the uniform limit),
+    each weighted by the truncated wrapped-normal density
+    ``(1 + 2 sum_{h <= H*} exp(-h^2 s^2 / 2) cos h(theta_j - theta_bar)) / 2n``."""
+    period = compose_loop(p.steps[K:] + p.steps[:K], order)
+    prefix = compose_loop(p.steps[:K], order)
+    uniform = sp.is_uniform
+    nodes = (0.0 if uniform else sp.theta_bar) + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
+    density = np.ones(2 * n)
+    for h in range(1, 1 if uniform else math.ceil(asymptotics.FOLD_TAIL / sp.s) + 1):
+        density += 2.0 * math.exp(-0.5 * (h * sp.s) ** 2) * np.cos(h * (nodes - sp.theta_bar))
+    acc = np.zeros((3, 3))
+    for theta, weight, w, x in zip(nodes, density / (2 * n), period.evaluate(nodes), prefix.evaluate(nodes)):
+        acc += weight * (steady_projector_reference(period, theta, w) @ x)
+    return acc
+
+
+def assert_fold_matches_reference(fold, p, sp, K, order):
+    want = fold_reference(p, sp, K, order, fold.nodes)
+    assert np.max(np.abs(fold.map_at(sp.s) - want)) <= 1e-13
 
 
 def assert_steady_map_matches_reference(p, sp, K, order):
+    """The window's map equals the node loop bit for bit; a phase handed to
+    its fold (under a Gaussian window once the window has spent 2N nodes,
+    else at the window's node cap) has the fold's bits, and the fold
+    matches its node-by-node oracle.  Without a fold the reference is the
+    whole window, so a map raises only where the window alone does."""
     try:
-        want = steady_map_reference(p, sp, K, order)
+        fold = asymptotics.steady_fold(p, sp.theta_bar, sp.s, K, order) if sp.s > 0.0 else None
     except ConvergenceError:
-        # Past the window's node cap the map is the fold's, where it fits.
-        try:
-            fold = asymptotics.steady_fold(p, sp.theta_bar, sp.s, K, order)
-        except ConvergenceError:
+        fold = None
+    gaussian = fold is not None and not sp.is_uniform
+    try:
+        want = steady_map_reference(p, sp, K, order, fold.nodes if gaussian else None)
+    except ConvergenceError:
+        if fold is None:
             with pytest.raises(ConvergenceError, match="one-period fold"):
                 asymptotic_map(p, sp, K, order)
             return
+        want = None
+    if want is None:
         assert asymptotic_map(p, sp, K, order).m.tobytes() == fold.map_at(sp.s).tobytes()
+        assert_fold_matches_reference(fold, p, sp, K, order)
         return
     assert asymptotic_map(p, sp, K, order).m.tobytes() == want.tobytes()
+
+
+# (eta, k) steps, spectrum and order: both presets at the calibrated width
+# and at 8.25, the first variant of each Gaussian steady_sweep template, and
+# the two cycles that hit the window's node cap (2N = 2,048 and 32,768).
+FOLD_ORACLE_CASES = [
+    pytest.param([(0.5, 3), (0.5, 2)], Spectrum(0.0, CALIBRATED_S), "eq2b", id="two_controls-calibrated"),
+    pytest.param([(0.5, 3), (0.5, 2), (0.5, 1)], Spectrum(0.0, CALIBRATED_S), "eq2b", id="three_controls-calibrated"),
+    pytest.param([(0.5, 3), (0.5, 2)], Spectrum(0.0, 8.25), "eq2b", id="two_controls-s8.25"),
+    pytest.param([(0.5, 3), (0.5, 2), (0.5, 1)], Spectrum(0.0, 8.25), "eq2b", id="three_controls-s8.25"),
+    pytest.param([(0.3, 0), (0.5, 4)], Spectrum(5.306289, 8.253), "eq2b", id="p2-s8.25"),
+    pytest.param([(0.7, 1), (0.0, 3), (0.7, 1), (0.0, 0)], Spectrum(2.20643, 4.311), "eq4a", id="p4-s4.31"),
+    pytest.param([(0.3, 4), (0.0, 3), (0.3, 3)], Spectrum(5.364735, 2.833), "eq2b", id="p3-s2.83"),
+    pytest.param([(0.5, 2)], Spectrum(2.426895, 21.67), "eq4a", id="p1-s21.7"),
+    pytest.param([(0.9357, 0), (0.5, 1), (0.1672, 3), (1.0, 3), (0.0, 0)], Spectrum(0.0917, 38.6), "eq2b", id="period-5-s38.6"),
+    pytest.param([(0.3875, 4), (0.3815, 2)], Spectrum(-0.707, 4.597), "eq2b", id="period-2-s4.597"),
+]
+
+
+@pytest.mark.parametrize("steps, sp, order", FOLD_ORACLE_CASES)
+def test_fold_matches_its_node_by_node_oracle(steps, sp, order):
+    p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
+    for K in range(p.period):
+        fold = asymptotics.steady_fold(p, sp.theta_bar, sp.s, K, order)
+        assert_fold_matches_reference(fold, p, sp, K, order)
 
 
 steady_spectra = st.builds(
@@ -472,8 +535,12 @@ def test_steady_map_matches_node_loop_bytewise(p, order, phase, sp):
         # A half turn at every phase: every node takes the eigh fallback.
         ([ControlStep(0.7, 0)], Spectrum(0.4, 0.3)),
         ([ControlStep(0.7, 0)], Spectrum(0.4, math.inf)),
-        # The last refinements span several blocks (4,096 nodes).
+        # The window spends 2N = 256 nodes unconverged and hands both
+        # phases to the fold (it converged at 4,096 nodes).
         ([ControlStep(0.5, 3), ControlStep(0.5, 2)], Spectrum(0.4, 8.25)),
+        # The window converges at 2,048 nodes, in blocks of 744, short of
+        # its fold's 2N.
+        ([ControlStep(0.605, 1), ControlStep(0.5, 4)], Spectrum(0.4, 0.48)),
     ],
 )
 def test_steady_map_fallbacks_and_blocks_match_node_loop(steps, sp, order):
@@ -521,18 +588,38 @@ def test_lockstep_cycle_matches_phase_by_phase_maps(p, order, sp):
     assert_lockstep_matches_phase_by_phase(p, sp, order)
 
 
-@given(
-    protocols,
-    orders,
-    st.floats(-(2.0**52), 2.0**52, exclude_min=True, exclude_max=True),
-    st.floats(math.log(UNIFORM_S), math.log(1e307)).map(lambda x: min(max(math.exp(x), UNIFORM_S), 1e307)),
+mean_phases = st.floats(-(2.0**52), 2.0**52, exclude_min=True, exclude_max=True)
+uniform_widths = st.floats(math.log(UNIFORM_S), math.log(1e307)).map(
+    lambda x: min(max(math.exp(x), UNIFORM_S), 1e307)
 )
+
+
+@given(protocols, orders, mean_phases, uniform_widths)
 def test_uniform_limit_cycle_is_the_infinite_width_cycle(p, order, theta_bar, s):
     # From s* on every harmonic h >= 1 is damped to 0.0: the steady maps
     # integrate over one period, whatever the mean phase.
     got = maps_or_message(lambda: asymptotic_cycle(p, Spectrum(theta_bar, s), order).maps)
     want = maps_or_message(lambda: asymptotic_cycle(p, Spectrum(0.0, math.inf), order).maps)
     assert got == (want if isinstance(want, list) else want.replace("s = inf", f"s = {s}"))
+
+
+def fold_or_message(p, theta_bar, s, K, order):
+    """The fold's node count and map bytes at s, or its ConvergenceError's message."""
+    try:
+        fold = asymptotics.steady_fold(p, theta_bar, s, K, order)
+    except ConvergenceError as error:
+        return str(error)
+    return fold.nodes, fold.map_at(s).tobytes()
+
+
+@example(Protocol.from_steps([ControlStep(0.0, 1)]), "eq2b", 1.0, 54.6, 0)
+@given(protocols, orders, mean_phases, uniform_widths, st.integers(0, 4))
+def test_uniform_limit_fold_is_the_infinite_width_fold(p, order, theta_bar, s, phase):
+    # The fold reads the same rule: from s* on it takes H* = 0 and a grid
+    # anchored at 0, so [(0.0, 1)] takes N = 2 at s = 54.6, as at s = inf,
+    # and its map does not move with theta_bar.
+    K = phase % p.period
+    assert fold_or_message(p, theta_bar, s, K, order) == fold_or_message(p, 0.0, math.inf, K, order)
 
 
 @given(protocols, orders, st.floats(-math.pi, math.pi), st.floats(0.05, 3.0), st.floats(1.0, 3.0))
@@ -587,8 +674,7 @@ def test_small_angle_period_maps_converge(sp):
     # quadrature then hits its node cap.
     p = Protocol.from_steps([ControlStep(6.103515625e-05, 1)] * 2)
     for K in range(p.period):
-        want = steady_map_reference(p, sp, K, "eq2b")
-        assert asymptotic_map(p, sp, K, "eq2b").m.tobytes() == want.tobytes()
+        assert_steady_map_matches_reference(p, sp, K, "eq2b")
 
 
 def protocols_of_period(period):
