@@ -21,11 +21,15 @@ from .errors import DomainError
 
 # Resolution of the search grid.
 SEARCH_GRID_POINTS = 32
-# scipy's non-adaptive Nelder-Mead: reflection, expansion, contraction and
-# shrink coefficients, and the initial-simplex steps (relative, and absolute
-# for a zero coordinate).
-NM_RHO, NM_CHI, NM_PSI, NM_SIGMA = 1, 2, 0.5, 0.5
-NM_NONZDELT, NM_ZDELT = 0.05, 0.00025
+# Values this close are equal up to rounding; a search that cannot tell them apart is degenerate.
+DEGENERACY_VALUE_TOL = 1e-9
+# scipy's non-adaptive Nelder-Mead (rho = 1, chi = 2, psi = sigma = 0.5):
+# candidate points ``a * xbar - b * worst``, rows (a, b) for the reflection,
+# expansion, outside and inside contraction (``a - (-b) * w`` has the bits of
+# scipy's ``a + b * w``), the shrink factor, and the initial-simplex steps
+# (relative, and absolute for a zero coordinate).
+NM_STEPS = np.array([[2, 1], [3, 2], [1.5, 0.5], [0.5, -0.5]])
+NM_SIGMA, NM_NONZDELT, NM_ZDELT = 0.5, 0.05, 0.00025
 
 
 @dataclass(frozen=True)
@@ -89,7 +93,8 @@ def _map_norms(ms: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _cycle_gain(d: np.ndarray) -> np.ndarray:
     """Sum of the positive increments along the last axis, wrap-around included."""
-    return np.maximum(0.0, np.concatenate([d[..., 1:], d[..., :1]], axis=-1) - d).sum(axis=-1)
+    step = np.take(d, range(1, d.shape[-1] + 1), axis=-1, mode="wrap")
+    return np.maximum(0.0, np.subtract(step, d, out=step), out=step).sum(axis=-1)
 
 
 def asymptotic_blp_rate(cycle, pair: StatePair) -> float:
@@ -107,17 +112,21 @@ def asymptotic_blp_rate(cycle, pair: StatePair) -> float:
 @dataclass(frozen=True)
 class OptimalPairResult:
     """Best antipodal pair found, its per-cycle backflow rate, and the
-    size of its purity oscillation over the cycle."""
+    size of its purity oscillation over the cycle.  ``degenerate``: the rate
+    is rounding noise, so the search path alone picks the direction."""
 
     pair: StatePair
     rate: float
     purity_swing: float
+    degenerate: bool
 
 
 def _angles_to_unit(angles: np.ndarray) -> np.ndarray:
     """Unit vectors of spherical angles (theta, phi) along the last axis."""
-    th, ph = angles[..., 0], angles[..., 1]
-    return np.stack([np.cos(ph) * np.sin(th), np.sin(ph) * np.sin(th), np.cos(th)], axis=-1)
+    sin, cos = np.sin(angles), np.cos(angles)
+    u = np.empty(angles.shape[:-1] + (3,))
+    u[..., 0], u[..., 1], u[..., 2] = cos[..., 1] * sin[..., 0], sin[..., 1] * sin[..., 0], cos[..., 0]
+    return u
 
 
 def _fibonacci_sphere(n: int) -> np.ndarray:
@@ -132,7 +141,9 @@ def _fibonacci_sphere(n: int) -> np.ndarray:
 @dataclass(frozen=True)
 class MultiStartResult:
     """Best point ``x`` and its value ``fun`` per start of a lockstep
-    multi-start minimization, and the evaluations ``nfev`` over all starts."""
+    multi-start minimization, and the evaluations ``nfev`` over all starts:
+    the evaluations each start's own run would make, not the candidate
+    points a batched step evaluates and discards."""
 
     x: np.ndarray
     fun: np.ndarray
@@ -146,93 +157,82 @@ def minimize(fun, starts, *, xatol: float, fatol: float, maxiter: int, maxfev: i
     bit for bit: the same initial simplex, vertex formulas, branch tests,
     sort and convergence test, and the same ``maxiter``/``maxfev`` caps,
     including its abort when ``maxfev`` runs out partway through an
-    iteration.  ``fun`` maps an (m, n) array of points to their m values;
-    each group of evaluations in an iteration is one call.  The benchmark's
-    tracer counts evaluations by wrapping this name and reading ``nfev``.
+    iteration.  ``fun`` maps an (m, n) array of points to their m values.
+    An iteration makes one call for the four candidate points of every
+    live start (reflection, expansion, outside and inside contraction) and
+    one more for the starts that shrink; ``nfev`` counts only the
+    evaluations scipy makes.  A start that converges or reaches a cap
+    leaves the batch.  The benchmark's tracer counts evaluations by
+    wrapping this name and reading ``nfev``.
     """
     x0 = np.asarray(starts, dtype=float)
     n_starts, n = x0.shape
-    sim = np.repeat(x0[:, None, :], n + 1, axis=1)
+    # One row per vertex: the point, then its value.
+    sim = np.full((n_starts, n + 1, n + 1), np.inf)
+    sim[..., :n] = x0[:, None]
     for k in range(n):
         y = sim[:, k + 1, k]
         sim[:, k + 1, k] = np.where(y != 0, (1 + NM_NONZDELT) * y, NM_ZDELT)
-    fsim = np.full((n_starts, n + 1), np.inf)
     first = min(n + 1, maxfev)
-    fsim[:, :first] = fun(sim[:, :first].reshape(-1, n)).reshape(n_starts, first)
-    nfev = np.full(n_starts, first)
-    iterations = np.ones(n_starts, dtype=int)
+    sim[:, :first, n] = fun(sim[:, :first, :n].reshape(-1, n)).reshape(n_starts, first)
+    nfev, rows = np.full(n_starts, first), np.arange(n_starts)
     # scipy sorts the initial simplex twice; an unstable sort may permute ties again.
     for _ in range(2):
-        _sort_simplices(sim, fsim, np.arange(n_starts))
-    converged = np.zeros(n_starts, dtype=bool)
-    while True:
-        rows = np.flatnonzero(~converged & (nfev < maxfev) & (iterations < maxiter))
-        if not len(rows):
-            break
-        s, f = sim[rows], fsim[rows]
-        done = (np.max(np.abs(s[:, 1:] - s[:, :1]), axis=(1, 2)) <= xatol) & (
-            np.max(np.abs(f[:, :1] - f[:, 1:]), axis=1) <= fatol
-        )
-        converged[rows[done]] = True
-        rows, s, f = rows[~done], s[~done], f[~done]
+        sim = sim[rows[:, None], np.argsort(sim[..., n], axis=1)]
+    final, final_nfev, live = np.empty_like(sim), np.empty_like(nfev), rows
 
-        xbar = np.add.reduce(s[:, :-1], 1) / n
-        worst = s[:, -1]
-        xr = (1 + NM_RHO) * xbar - NM_RHO * worst
-        fxr = fun(xr)
-        nfev[rows] += 1
+    def retire(gone):
+        """Write out the finished starts; the live ones and their row indices."""
+        final[live[gone]], final_nfev[live[gone]], keep = sim[gone], nfev[gone], ~gone
+        return sim[keep], nfev[keep], live[keep], np.arange(np.count_nonzero(keep))
+
+    sim, nfev, live, rows = retire(nfev >= maxfev)
+    # scipy's max |v_j - v_0| <= xatol and max |f_0 - f_j| <= fatol, entry by entry (NaN fails both).
+    tol = np.append(np.full(n, xatol), fatol)
+    iterations = 1
+    while len(live) and iterations < maxiter:
+        converged = np.logical_and.reduce(np.abs(sim[:, 1:] - sim[:, :1]) <= tol, axis=(1, 2))
+        if converged.any():
+            sim, nfev, live, rows = retire(converged)
+            continue
+
+        xbar = np.add.reduce(sim[:, :-1, :n], 1) / n
+        points = NM_STEPS[:, :1] * xbar[:, None] - NM_STEPS[:, 1:] * sim[:, -1:, :n]
+        trial = np.concatenate([points, fun(points.reshape(-1, n)).reshape(len(live), -1, 1)], axis=2)
+        f, fxr = sim[..., n], trial[:, 0, n]
         expand = fxr < f[:, 0]
-        accept_r = ~expand & (fxr < f[:, -2])
-        outside = ~expand & ~accept_r & (fxr < f[:, -1])
-        inside = ~expand & ~accept_r & ~outside
-        # One trial point per start beyond the reflection: expansion or a contraction.
-        trial = np.where(
-            expand[:, None],
-            (1 + NM_RHO * NM_CHI) * xbar - NM_RHO * NM_CHI * worst,
-            np.where(
-                outside[:, None],
-                (1 + NM_PSI * NM_RHO) * xbar - NM_PSI * NM_RHO * worst,
-                (1 - NM_PSI) * xbar + NM_PSI * worst,
-            ),
-        )
-        tried = ~accept_r & (nfev[rows] < maxfev)
-        ftrial = np.full(len(rows), np.nan)
-        ftrial[tried] = fun(trial[tried])
-        nfev[rows[tried]] += 1
+        accept = ~expand & (fxr < f[:, -2])
+        # The one candidate beyond the reflection that scipy evaluates, and
+        # whether it beats the reflection (the worst vertex when inside).
+        k = np.where(expand, 1, 3 - (fxr < f[:, -1]))
+        fk = trial[rows, k, n]
+        better = np.where(k == 3, fk < f[:, -1], np.where(expand, fk < fxr, fk <= fxr))
+        tried = ~accept & (nfev < maxfev - 1)
+        nfev += 1 + tried
+        # An abort before the candidate's evaluation leaves the simplex as it was.
+        take = np.where(tried & better, k, np.where(accept | (tried & expand), 0, -1))
+        sim[:, -1] = np.where(take[:, None] < 0, sim[:, -1], trial[rows, take])
 
-        take_trial = tried & (
-            (expand & (ftrial < fxr)) | (outside & (ftrial <= fxr)) | (inside & (ftrial < f[:, -1]))
-        )
-        take_r = accept_r | (tried & expand & ~take_trial)
-        s[take_r, -1], f[take_r, -1] = xr[take_r], fxr[take_r]
-        s[take_trial, -1], f[take_trial, -1] = trial[take_trial], ftrial[take_trial]
-
-        shrink = np.flatnonzero(tried & ~expand & ~take_trial)
+        shrink = np.flatnonzero(tried & ~better & ~expand)
         if len(shrink):
             # Vertex j moves once j - 1 evaluations succeeded, and is evaluated
             # if the budget allows: an abort leaves it moved with its old value.
-            budget = (maxfev - nfev[rows[shrink]])[:, None]
-            j = np.arange(1, n + 1)[None, :]
-            moved, evaluated = j <= budget + 1, j <= budget
-            best = s[shrink, :1]
-            shrunk = np.where(moved[..., None], best + NM_SIGMA * (s[shrink, 1:] - best), s[shrink, 1:])
-            fshrunk = f[shrink, 1:].copy()
-            fshrunk[evaluated] = fun(shrunk[evaluated])
-            s[shrink, 1:], f[shrink, 1:] = shrunk, fshrunk
-            nfev[rows[shrink]] += evaluated.sum(axis=1)
+            budget = np.minimum(maxfev - nfev[shrink], n)[:, None]
+            old, best, j = sim[shrink, 1:], sim[shrink, :1, :n], np.arange(n)
+            moved = best + NM_SIGMA * (old[..., :n] - best)
+            values = fun(moved.reshape(-1, n)).reshape(len(shrink), n)
+            sim[shrink, 1:, :n] = np.where((j <= budget)[..., None], moved, old[..., :n])
+            sim[shrink, 1:, n] = np.where(j < budget, values, old[..., n])
+            nfev[shrink] += budget[:, 0]
 
         # scipy does not count an aborted iteration, but then maxfev ends the run anyway.
-        iterations[rows] += 1
-        sim[rows], fsim[rows] = s, f
-        _sort_simplices(sim, fsim, rows)
-    return MultiStartResult(sim[:, 0], np.min(fsim, axis=1), int(np.sum(nfev)))
-
-
-def _sort_simplices(sim: np.ndarray, fsim: np.ndarray, rows: np.ndarray) -> None:
-    """Order the vertices of the given simplices by value, with the sort
-    scipy applies to one simplex."""
-    ind = np.argsort(fsim[rows], axis=1)
-    fsim[rows], sim[rows] = fsim[rows[:, None], ind], sim[rows[:, None], ind]
+        iterations += 1
+        sim = sim[rows[:, None], np.argsort(sim[..., n], axis=1)]
+        exhausted = nfev >= maxfev
+        if exhausted.any():
+            sim, nfev, live, rows = retire(exhausted)
+    retire(np.ones(len(live), dtype=bool))
+    return MultiStartResult(final[:, 0, :n], np.min(final[..., n], axis=1), int(np.sum(final_nfev)))
 
 
 def optimal_pair_search(cycle) -> OptimalPairResult:
@@ -241,9 +241,8 @@ def optimal_pair_search(cycle) -> OptimalPairResult:
     By linearity an antipodal pair stays antipodal, so the trace distance
     reduces to the evolved norm and the search runs over unit vectors
     only.  Multi-start: every point of a 32-point sphere grid is refined
-    locally in spherical angles by Nelder-Mead, all starts in lockstep with
-    one batched rate evaluation per group of trial points.  The objective
-    can be non-smooth where an increment changes sign, hence the
+    locally in spherical angles by ``minimize``'s lockstep Nelder-Mead.  The
+    objective can be non-smooth where an increment changes sign, hence the
     derivative-free refinement.  Ties go to the earliest start.
     """
     ms = np.stack([m.m for m in cycle.maps])
@@ -260,4 +259,5 @@ def optimal_pair_search(cycle) -> OptimalPairResult:
     best_u = best_u / np.linalg.norm(best_u)
     d = _map_norms(ms, best_u[None])[0]
     pair = StatePair.antipodal(BlochVector.from_array(best_u))
-    return OptimalPairResult(pair, best_rate, float(np.max(d) - np.min(d)))
+    degenerate = bool(best_rate <= DEGENERACY_VALUE_TOL)
+    return OptimalPairResult(pair, best_rate, float(np.max(d) - np.min(d)), degenerate)

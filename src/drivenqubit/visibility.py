@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .nonmarkov import MultiStartResult, _angles_to_unit, _fibonacci_sphere
+from .nonmarkov import DEGENERACY_VALUE_TOL, MultiStartResult, _angles_to_unit, _fibonacci_sphere
 
 NEG_DEFINITE = "negative_definite"
 NEG_SEMIDEFINITE = "negative_semidefinite"
@@ -35,7 +35,6 @@ INDEFINITE = "indefinite"
 
 STATIONARITY_TOL = 1e-9
 HESSIAN_EIG_TOL = 1e-8
-DEGENERACY_VALUE_TOL = 1e-9
 N_STARTS = 32
 ASCENT_RTOL = 1e-14
 ASCENT_MAX_ITER = 400

@@ -1,3 +1,4 @@
+import hashlib
 import linecache
 import sys
 
@@ -235,6 +236,39 @@ class TestReflectionSymmetry:
             assert trace_distance(m.apply(a), m.apply(b)) <= smax * trace_distance(a, b) + 1e-14
 
 
+# sha256 of the rate, the purity swing and the direction of each recorded
+# pair op, which the benchmark compares only to 1e-9 and 1e-6.
+PAIR_DIGESTS = {
+    "pair.p2-s8.25.v0": "98b5c54c4391c551a7c5418496bf41bcf55222142df7f90bed9edc8b2a11e2eb",
+    "pair.p2-s8.25.v1": "3be89a1407b3e4d16d8279d7db700d532456259ab2e285c4cc7c15fe5ff33acb",
+    "pair.p2-s8.25.v2": "2f0436474f3bdb6fb04729e15072581b9215e10a62b9db23161e4aa53eaaf92b",
+    "pair.p2-s8.25.v3": "741805dd9f646804cd06e82a2ab5d7239e80aa9835a8d1c98ebe8506a6b2a006",
+    "pair.p4-s4.31.v1": "dd590d1983cb663e9fabcf95ffaf7c876eddcb958bab352df5a3811e69f9e189",
+    "pair.p4-s4.31.v3": "dd072a7bf111bf13ba6644ab0f8e9ce085953bdbe0c593bc50ef3813b498c943",
+    "pair.p4-s4.31.v4": "e2b33726d8bb08b50da745d2391b5f2013f695804581810cfcddfc1e0bc36854",
+    "pair.p4-s4.31.v5": "58af5d550df41cb8faeb627ae5acb7ef3d2a221bf12f57d710be8a7bd488b4ab",
+    "pair.p3-s2.83.v0": "c60ae7fdcba551a10da744633dc7bbdcc236d348a79dc4d67a8f6bee51ad6ec2",
+    "pair.p3-s2.83.v1": "f406fae0ea7d912d9888343f7e3d46d5109df9bdb754ea5430a81af0e582a487",
+    "pair.p3-s2.83.v5": "b47655b2e2701771cefdd6122fe49dff10af6c953ac97e24e674a408b048716b",
+    "pair.p3-s2.83.v7": "102ae55abb13625bce8c74ab74db04d6e8823b1ea575f4aa0820aaf9bb1518c4",
+    "pair.p1-s21.7.v0": "58611db900db4d176e4f5dacffb940a74fd4c1f27f7d783859d56224799582fe",
+    "pair.p1-s21.7.v1": "58611db900db4d176e4f5dacffb940a74fd4c1f27f7d783859d56224799582fe",
+    "pair.p1-s21.7.v2": "58611db900db4d176e4f5dacffb940a74fd4c1f27f7d783859d56224799582fe",
+    "pair.p1-s21.7.v3": "58611db900db4d176e4f5dacffb940a74fd4c1f27f7d783859d56224799582fe",
+    "pair.p2-inf.v0": "fab47b97c1951eccf072cdf52a7cc60735998adf200a5ae53bb1230e7d865fb8",
+    "pair.p2-inf.v1": "fab47b97c1951eccf072cdf52a7cc60735998adf200a5ae53bb1230e7d865fb8",
+    "pair.p2-inf.v2": "fab47b97c1951eccf072cdf52a7cc60735998adf200a5ae53bb1230e7d865fb8",
+    "pair.p2-inf.v3": "fab47b97c1951eccf072cdf52a7cc60735998adf200a5ae53bb1230e7d865fb8",
+    "pair.p2-sharp.v1": "c0d258231e40e29dfb21e828eb155e631ccff940ab00c82af0526d61f22edb42",
+    "pair.p2-sharp.v3": "63f7374f07a7f3a62c0145cbde3aa024a3f9dcc388790c75e02c444b7f0cc074",
+    "pair.p2-sharp.v4": "ee4d7fa87fd41e880f64245aef5a6a04026a50eba131d7fc52a499fc0ccec0f8",
+    "pair.p2-sharp.v7": "e582e1827951712b2dca6afcbdde4c164511ad9ec034ceae859d8df26fdc6864",
+}
+# The 16 ops whose best rate is rounding noise (at most 5.6e-16; the other 8
+# are at least 0.17).
+DEGENERATE_PAIR_OPS = ("pair.p2-s8.25", "pair.p1-s21.7", "pair.p2-inf", "pair.p2-sharp")
+
+
 class TestRecordedPairs:
     @pytest.mark.parametrize(
         "op", recorded_ops("steady_sweep", lambda op: op["kind"] == "pair"), ids=lambda op: op["id"]
@@ -249,6 +283,10 @@ class TestRecordedPairs:
         assert abs(result.purity_swing - expect["purity_swing"]) <= 1e-9
         got, want = result.pair.a_plus.as_array(), np.asarray(expect["direction"])
         assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-6
+        # And bit for bit.
+        values = np.array([result.rate, result.purity_swing]).tobytes() + got.tobytes()
+        assert hashlib.sha256(values).hexdigest() == PAIR_DIGESTS[op["id"]]
+        assert result.degenerate == op["id"].startswith(DEGENERATE_PAIR_OPS)
 
 
 def kinked_bowl(x):
@@ -257,35 +295,41 @@ def kinked_bowl(x):
     return np.maximum(np.abs(x[:, 0] - 0.3) + (x[:, 1] - 0.7) ** 2, 0.01)
 
 
+def nan_bowl(x):
+    """The kinked bowl, NaN beyond x0 = 1.5."""
+    return np.where(x[:, 0] > 1.5, np.nan, kinked_bowl(x))
+
+
 # One start has a zero coordinate, which takes the absolute initial step.
 CAP_STARTS = np.array([[0.0, 0.0], [2.0, -1.0], [0.3, 5.0], [-3.0, 0.5], [1.0, 1.0], [0.31, 0.69]])
 TOLERANCES = {"xatol": 1e-12, "fatol": 1e-14}
 
 
-def scipy_runs(**caps):
+def scipy_runs(objective=kinked_bowl, starts=CAP_STARTS, **caps):
     """One scipy Nelder-Mead per start, and the step of every evaluation,
     read from the line of scipy's loop that asked for it."""
     runs, paths = [], []
-    for x0 in CAP_STARTS:
+    for x0 in starts:
         path = []
 
         def fun(x):
             caller = sys._getframe(2)  # scipy's loop, through its counting wrapper
             step = linecache.getline(caller.f_code.co_filename, caller.f_lineno).split("=")[0].strip()
             path.append(f"shrink{caller.f_locals['j']}" if step == "fsim[j]" else step)
-            return float(kinked_bowl(x[None])[0])
+            return float(objective(x[None])[0])
 
         runs.append(scipy.optimize.minimize(fun, x0, method="Nelder-Mead", options={**TOLERANCES, **caps}))
         paths.append(path)
     return runs, paths
 
 
-def assert_matches_scipy(**caps):
-    runs, _ = scipy_runs(**caps)
-    got = nonmarkov.minimize(kinked_bowl, CAP_STARTS, **TOLERANCES, **caps)
+def assert_matches_scipy(objective=kinked_bowl, starts=CAP_STARTS, **caps):
+    runs, _ = scipy_runs(objective, starts, **caps)
+    got = nonmarkov.minimize(objective, starts, **TOLERANCES, **caps)
     assert got.x.tobytes() == np.array([r.x for r in runs]).tobytes()
     assert got.fun.tobytes() == np.array([r.fun for r in runs]).tobytes()
     assert got.nfev == sum(r.nfev for r in runs)
+    return got
 
 
 class TestLockstepNelderMead:
@@ -305,3 +349,24 @@ class TestLockstepNelderMead:
     def test_maxiter_caps(self):
         for maxiter in range(1, 31):
             assert_matches_scipy(maxiter=maxiter, maxfev=8000)
+
+    @pytest.mark.parametrize("maxiter, maxfev", [(4000, 8000), (4000, 25), (12, 8000)])
+    def test_each_start_alone_matches_its_batch_row(self, maxiter, maxfev):
+        # Finished starts leave the batch: no start may depend on which
+        # others are still live.
+        caps = {**TOLERANCES, "maxiter": maxiter, "maxfev": maxfev}
+        batch = nonmarkov.minimize(kinked_bowl, CAP_STARTS, **caps)
+        alone = [nonmarkov.minimize(kinked_bowl, x0[None], **caps) for x0 in CAP_STARTS]
+        assert np.concatenate([r.x for r in alone]).tobytes() == batch.x.tobytes()
+        assert np.concatenate([r.fun for r in alone]).tobytes() == batch.fun.tobytes()
+        assert sum(r.nfev for r in alone) == batch.nfev
+
+    def test_nan_values_match_scipy(self):
+        # NaN fails every comparison, so scipy takes each else-branch.  The
+        # start (2, -1) lies where every value is NaN and ends at NaN on the
+        # maxfev cap; (-3, 0.5) evaluates one NaN candidate, and the added
+        # start (1.45, 0.2) begins with a NaN vertex.
+        starts = np.vstack([CAP_STARTS, [1.45, 0.2]])
+        got = assert_matches_scipy(nan_bowl, starts, maxiter=4000, maxfev=8000)
+        assert np.flatnonzero(np.isnan(got.fun)).tolist() == [1]
+        assert got.nfev == 8949 + 205

@@ -11,7 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from drivenqubit import TrigMatrix, asymptotic_cycle, bloch
+import numpy as np
+
+from drivenqubit import AsymptoticCycle, BlochMap, TrigMatrix, asymptotic_cycle, bloch, nonmarkov
+
+from conftest import recorded_ops
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -54,3 +58,18 @@ def test_tracer_wraps_and_restores_every_name(tracing, two_controls, calibrated_
     assert counts["bloch.trig_compose.calls"] == 7
     assert counts["bloch.trig_compose.term_pairs"] == 18
     assert counts["bloch.band_max"] == 5
+
+
+def test_pair_search_nfev_counts_scipy_evaluations(tracing):
+    # The lockstep search evaluates candidate points that scipy would not;
+    # the counter reads only scipy's evaluations: 6,325 over the 32 starts
+    # of this op's per-start scipy runs.
+    op = recorded_ops("steady_sweep", lambda op: op["id"] == "pair.p3-s2.83.v0")[0]
+    cycle = AsymptoticCycle.from_maps(BlochMap(np.array(m)) for m in op["maps"])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        nonmarkov.optimal_pair_search(cycle)
+    finally:
+        tracer.uninstall()
+    assert tracer.snapshot()["nonmarkov.optimal_pair_search.nfev"] == 6325
