@@ -37,18 +37,21 @@ the projector is a trigonometric polynomial over d(theta) = 3 - tr W(theta),
 whose roots off the unit circle (``trig_roots``) set the strip's half-width
 rho, and the trapezoid rule errs like exp(-rho N) (Trefethen & Weideman,
 SIAM Rev. 56, 2014).  Calibration reads every bisection width from one
-fold.  Under a Gaussian window (0 < s < s*) the window hands a phase to its
-fold once it has spent 2N nodes without converging; sharp, point-value and
-uniform spectra keep the window, which in the uniform limit hands a phase
-over only at its node cap.  At the calibrated s neither preset gets that
-far: two_controls converges at 128 of its 2N = 256 nodes, three_controls
-at 512 of 512.
+fold.  The hand-off: under a Gaussian window (0 < s < s*) a phase not
+converged at a refinement of n >= 2N nodes takes the bits of its fold's map
+at s; sharp, point-value and uniform spectra keep the window, which in the
+uniform limit hands a phase over only at the node cap.  rho is solved at
+most once per call, from P_T, and only past the smallest 2N of any strip.
+At the calibrated s neither preset gets that far: two_controls converges at
+128 of its 2N = 256 nodes, three_controls at 512 of 512.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +63,8 @@ from .bloch import (
     Protocol,
     Spectrum,
     TrigMatrix,
-    _coefficient_rows,
     _damping,
-    _node_block,
+    _node_blocks,
     _nonzero_pairs,
     _running_sum,
     product_chain,
@@ -265,13 +267,26 @@ def _steady_projectors(period: TrigMatrix, theta: np.ndarray, w: np.ndarray) -> 
     return p
 
 
-def _phase_series(p: Protocol, phases, order: str) -> list:
-    """(period product of the schedule rotated by K, K-step prefix) per phase K."""
-    prefixes = list(itertools.islice(product_chain(p, order), max(phases) + 1))
+def _check_phase(K, period: int) -> int:
+    """K as an int; DomainError unless it is an integer in [0, period)."""
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise DomainError(f"phase {K!r} is not an integer") from None
+    if not 0 <= K < period:
+        raise DomainError(f"phase {K} outside [0, {period})")
+    return K
+
+
+def _phase_series(p: Protocol, phases, order: str):
+    """(period product of the schedule rotated by K, K-step prefix) per
+    phase K, from one chain to P_T, and P_T: every phase's period map is
+    conjugate to it, so its rho serves every phase."""
+    chain = list(itertools.islice(product_chain(p, order), p.period + 1))
     return [
-        (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order), prefixes[K])
+        (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order) if K else chain[-1], chain[K])
         for K in phases
-    ]
+    ], chain[-1]
 
 
 def _node_values(coef: np.ndarray, theta: np.ndarray, period: TrigMatrix, prefix: TrigMatrix, K: int) -> np.ndarray:
@@ -284,32 +299,25 @@ def _node_values(coef: np.ndarray, theta: np.ndarray, period: TrigMatrix, prefix
 
 
 def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
-    """Steady-cycle maps at the given integer phases, computed in lockstep.
+    """Steady-cycle maps at the given integer phases, computed in lockstep
+    by the window, with the hand-off to the fold of the module docstring.
 
-    Each refinement runs in blocks of nodes; one harmonic-major coefficient
-    row per block, built for the deepest series, serves the period and
-    prefix series of every phase as a prefix.  The nodes come from
-    ``_quad_nodes`` alone; where it gives none, the maps are point values.
-    A phase retires at the first refinement where it has converged.  Under
-    a Gaussian window (0 < s < s*) a phase not converged at a refinement of
-    n >= 2N nodes, N its fold's a-priori count at s, takes its fold's map at
-    s; the uniform limit hands a phase over only at the node cap.  A phase
-    whose fold raises stays with the window and is not folded again; at the
-    cap the first phase still refining raises ConvergenceError.  rho, which
-    N needs, is solved at most once per call, from the unshifted period
-    product, and only once some phase refines past the root-free bound
-    ``_fold_count(1, ...)`` of its N.
+    Each refinement runs in node blocks (``_node_blocks``) whose coefficient
+    rows, built for the deepest series, serve the period and prefix series
+    of every phase.  The nodes come from ``_quad_nodes`` alone; where it
+    gives none, the maps are point values.  A phase whose fold raises stays
+    with the window and is not folded again; at the cap the first phase
+    still refining raises ConvergenceError.
     """
-    series = _phase_series(p, phases, order)
+    series, top = _phase_series(p, phases, order)
     pairs = max(len(tm.terms) for pair in series for tm in pair)
-    block = _node_block(pairs)
+    rho = functools.cache(lambda: _strip_halfwidth(top))
 
     def integrals(nodes, weights, active):
         acc = np.zeros((len(active), 3, 3))
-        for lo in range(0, len(nodes), block):
-            w = weights[lo : lo + block, None, None]
-            theta = nodes[lo : lo + block]
-            coef = _coefficient_rows(theta, np.ones(pairs))
+        for block, coef in _node_blocks(nodes, pairs):
+            w = weights[block, None, None]
+            theta = nodes[block]
             for i, j in enumerate(active):
                 parts = w * _node_values(coef, theta, *series[j], phases[j])
                 # A running sum in node order, carried from the previous block.
@@ -321,7 +329,7 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
     active = np.arange(len(series))
     n_nodes, diff = QUAD_MIN_NODES, np.full(len(series), np.inf)
     gaussian = not sp.is_uniform
-    rho, failed = None, {}
+    failed = {}
     while active.size and (rule := _quad_nodes(sp, n_nodes)) is not None:
         h_top = _fold_harmonics(sp)
         cur = integrals(*rule, active)
@@ -334,16 +342,13 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
         for j in active:
             period, prefix = series[j]
             # decay = 1 gives the smallest N of any strip: no root is solved below it.
-            due = at_cap or gaussian and n_nodes >= 2 * _fold_count(1, h_top, prefix)
-            if j not in failed and due:
-                if rho is None:
-                    rho = _strip_halfwidth(_unshifted_period(p, phases, series, order))
-                if at_cap or n_nodes >= 2 * _fold_count(_decay(rho, period), h_top, prefix):
-                    try:
-                        maps[j] = _fold(period, prefix, phases[j], sp, rho).map_at(sp.s)
-                        folded[j] = True
-                    except ConvergenceError as exc:
-                        failed[j] = exc
+            ready = gaussian and n_nodes >= 2 * _fold_count(1, h_top, prefix)
+            if j not in failed and (at_cap or ready and n_nodes >= 2 * _fold_count(_decay(rho(), period), h_top, prefix)):
+                try:
+                    maps[j] = _fold(period, prefix, phases[j], sp, rho()).map_at(sp.s)
+                    folded[j] = True
+                except ConvergenceError as exc:
+                    failed[j] = exc
             if at_cap and j in failed:
                 raise ConvergenceError(
                     f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
@@ -351,10 +356,9 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
                 )
         active = active[~folded[active]]
         n_nodes *= 2
-    # The spectral integral is a point value (see _quad_nodes).
-    theta = np.array([sp.theta_bar])
-    for j in active:
-        maps[j] = _node_values(_coefficient_rows(theta, np.ones(pairs)), theta, *series[j], phases[j])[0]
+    if active.size:
+        # The spectral integral is a point value (see _quad_nodes).
+        maps[active] = integrals(np.array([sp.theta_bar]), np.ones(1), active)
     return [BlochMap(m) for m in maps]
 
 
@@ -416,13 +420,6 @@ class SteadyFold:
         return (_damping(s, h_top) @ self.coefficients.reshape(h_top + 1, 9)).reshape(3, 3)
 
 
-def _unshifted_period(p: Protocol, phases, series, order: str) -> TrigMatrix:
-    """The period product of the unshifted schedule: phase 0's series where
-    it is computed.  Every phase's period map is conjugate to it, so its
-    3 - tr W, and the strip half-width rho, serve every phase."""
-    return series[0][0] if phases[0] == 0 else protocol_product(p, p.period, order)
-
-
 def _fold_harmonics(sp: Spectrum) -> int:
     """H*, the weights' top harmonic: ceil(FOLD_TAIL / s), and 0 in the
     uniform limit, where every harmonic h >= 1 is damped to 0.0."""
@@ -448,9 +445,10 @@ def _fold_count(decay: int, h_top: int, prefix: TrigMatrix) -> int:
 
 def _fold(period: TrigMatrix, prefix: TrigMatrix, K: int, sp: Spectrum, rho: float) -> SteadyFold:
     """The fold of phase K's series for widths from sp.s on, about
-    sp.theta_bar; in the uniform limit H* = 0 and the grid is anchored at
-    0, so every such fold is the s = inf fold.  rho is the protocol's
-    strip half-width, and N is ``_fold_count``.
+    sp.theta_bar: the window hands a phase to it by the rule of the module
+    docstring.  In the uniform limit H* = 0 and the grid is anchored at 0,
+    so every such fold is the s = inf fold.  rho is the protocol's strip
+    half-width, and N is ``_fold_count``.
     Raises ConvergenceError, naming rho, N and the guard delta, when its 2N
     nodes exceed QUAD_MAX_NODES or the guard exceeds QUAD_TOL.
     """
@@ -460,14 +458,10 @@ def _fold(period: TrigMatrix, prefix: TrigMatrix, K: int, sp: Spectrum, rho: flo
     where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
     if 2 * n > QUAD_MAX_NODES:
         raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
-    offsets = np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
-    pairs = max(len(period.terms), len(prefix.terms))
-    block = _node_block(pairs)
+    theta = anchor + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
     values = np.empty((2 * n, 9))
-    for lo in range(0, 2 * n, block):
-        theta = anchor + offsets[lo : lo + block]
-        coef = _coefficient_rows(theta, np.ones(pairs))
-        values[lo : lo + block] = _node_values(coef, theta, period, prefix, K).reshape(-1, 9)
+    for block, coef in _node_blocks(theta, max(len(period.terms), len(prefix.terms))):
+        values[block] = _node_values(coef, theta[block], period, prefix, K).reshape(-1, 9)
     # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
     # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
     spectrum = np.fft.rfft(values, axis=0)
@@ -492,16 +486,16 @@ def steady_fold(
     width s >= s_min about the mean phase theta_bar: one node pass whose
     ``map_at(s)`` is the steady map at Spectrum(theta_bar, s).  It agrees
     with ``asymptotic_map`` to the window's tolerance, and its own error
-    is about FOLD_TOL.  Raises DomainError for a phase outside the period,
-    s_min not positive or theta_bar out of range, and ConvergenceError when
-    the rule needs more than QUAD_MAX_NODES nodes or fails its guard."""
-    if not 0 <= K < p.period:
-        raise DomainError(f"phase {K} outside [0, {p.period})")
+    is about FOLD_TOL.  Raises DomainError for a phase that is not an
+    integer in [0, T), s_min not positive or theta_bar out of range, and
+    ConvergenceError when the rule needs more than QUAD_MAX_NODES nodes or
+    fails its guard."""
+    K = _check_phase(K, p.period)
     if not s_min > 0.0:
         raise DomainError(f"the fold needs a smallest width s_min > 0, got {s_min}")
     sp = Spectrum(theta_bar, s_min)  # checks theta_bar
-    series = _phase_series(p, [K], order)
-    return _fold(*series[0], K, sp, _strip_halfwidth(_unshifted_period(p, [K], series, order)))
+    series, top = _phase_series(p, [K], order)
+    return _fold(*series[0], K, sp, _strip_halfwidth(top))
 
 
 def asymptotic_map(
@@ -512,20 +506,13 @@ def asymptotic_map(
     Spectral average of the axis projector of the one-period product of the
     schedule rotated by K (``steps[K:] + steps[:K]``) times the K-step
     prefix.  The quadrature doubles its node count until two successive
-    refinements agree to 1e-10 entrywise.  Under a Gaussian window
-    (0 < s < s*) a phase not converged at a refinement of 2N nodes or more,
-    N its fold's a-priori count at s, takes the bits of
-    ``steady_fold(p, sp.theta_bar, sp.s, K, order).map_at(sp.s)``; the
-    presets converge first at the calibrated s (two_controls at 128 of
-    2N = 256 nodes, three_controls at 512 of 512).  The uniform limit
-    (``sp.is_uniform``) integrates over one period, free of theta_bar, and
-    takes the fold only at the node cap; at s = 0 or tiny s the map is a
-    point value.  ConvergenceError is raised at the cap where the fold does
-    not fit under it or fails its guard.
+    refinements agree to 1e-10 entrywise, or hands the phase to its fold by
+    the rule of the module docstring.  The uniform limit
+    (``sp.is_uniform``) integrates over one period, free of theta_bar; at
+    s = 0 or tiny s the map is a point value.  Raises DomainError unless K
+    is an integer in [0, T).
     """
-    if not 0 <= K < p.period:
-        raise DomainError(f"phase {K} outside [0, {p.period})")
-    return _steady_maps(p, sp, [K], order)[0]
+    return _steady_maps(p, sp, [_check_phase(K, p.period)], order)[0]
 
 
 @dataclass(frozen=True)
@@ -551,12 +538,9 @@ def asymptotic_cycle(
     p: Protocol, sp: Spectrum, order: str = ORDER_PHASE_AFTER
 ) -> AsymptoticCycle:
     """All T steady-cycle maps of a protocol, refined in lockstep: each map
-    has the bits of ``asymptotic_map`` at its phase, whether the window
-    gives it or, under a Gaussian window past 2N nodes, its fold.  The
-    strip half-width is solved at most once, from phase 0's period
-    product, and only once a phase refines past the smallest 2N of any
-    strip.  The first phase that neither the window nor the fold resolves
-    raises its ConvergenceError."""
+    has the bits of ``asymptotic_map`` at its phase, from the window or its
+    fold by the hand-off of the module docstring.  The first phase that
+    neither resolves raises its ConvergenceError."""
     return AsymptoticCycle.from_maps(_steady_maps(p, sp, range(p.period), order))
 
 
@@ -583,8 +567,7 @@ def convergence_profile(cycle: AsymptoticCycle, trajectory: np.ndarray, K: int) 
     CONVERGENCE_TOL; with a sharp spectrum (s = 0) there is no dephasing and the
     distances need not decay at all.
     """
-    if not 0 <= K < cycle.period:
-        raise DomainError(f"phase {K} outside [0, {cycle.period})")
+    K = _check_phase(K, cycle.period)
     if K >= len(trajectory):
         raise DomainError(f"phase {K} lies past a trajectory of {len(trajectory)} states")
     d = trajectory[K :: cycle.period] - cycle.maps[K].m @ trajectory[0]

@@ -227,26 +227,27 @@ class TrigMatrix:
         """
         theta = np.asarray(theta, dtype=float)
         flat = theta.reshape(-1)
-        ones = np.ones(len(self.terms))
         out = np.empty((flat.size, 3, 3))
-        block = _node_block(len(self.terms))
-        for lo in range(0, flat.size, block):
-            out[lo : lo + block] = _running_sum(_coefficient_rows(flat[lo : lo + block], ones), self.terms)
+        for block, coef in _node_blocks(flat, len(self.terms)):
+            out[block] = _running_sum(coef, self.terms)
         return out.reshape(theta.shape + (3, 3))
 
     def __repr__(self):
         return f"TrigMatrix(max_harmonic={self.max_harmonic}, harmonics={len(self._harmonics)})"
 
 
-# Phases per block of ``TrigMatrix.evaluate`` (and nodes per block of the
-# steady maps) times the 2H+1 slots of a series that can be nonzero: bounds the
+# Phases per block of ``_node_blocks`` (evaluate, the steady-map window and
+# the fold) times the 2H+1 slots of a series that can be nonzero: bounds the
 # (2H+2, 9, block) products of ``_running_sum`` to about 0.6 MB.
 _SUM_BLOCK_TERMS = 2**13
 
 
-def _node_block(pairs: int) -> int:
-    """Phases or nodes per block for series of ``pairs`` = H+1 harmonics."""
-    return max(1, _SUM_BLOCK_TERMS // (2 * pairs - 1))
+def _node_blocks(theta: np.ndarray, pairs: int):
+    """``(slice, undamped coefficient rows)`` per block of the 1-D phases
+    ``theta``, in order, for series of up to ``pairs`` = H+1 harmonics."""
+    size = max(1, _SUM_BLOCK_TERMS // (2 * pairs - 1))
+    for lo in range(0, len(theta), size):
+        yield slice(lo, lo + size), _coefficient_rows(theta[lo : lo + size], np.ones(pairs))
 
 
 def _coefficient_rows(theta, damping: np.ndarray) -> np.ndarray:

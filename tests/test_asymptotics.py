@@ -400,6 +400,32 @@ class TestAsymptoticMap:
                 assert np.max(np.abs(got - sharp[K])) < 1e-15
 
 
+class TestPhaseIndex:
+    # A phase is an integer in [0, T), T = 2 here: operator.index admits
+    # numpy integers and rejects floats (integral ones too), strings and None.
+    @pytest.mark.parametrize("K", [0.5, 1.0, "1", None, -1, 2])
+    def test_rejects_anything_but_a_phase_of_the_period(self, two_controls, calibrated_spectrum, two_cycle, K):
+        traj = propagate(two_controls, calibrated_spectrum, 4, BlochVector(0, 0, 1))
+        with pytest.raises(DomainError, match="phase"):
+            asymptotic_map(two_controls, calibrated_spectrum, K)
+        with pytest.raises(DomainError, match="phase"):
+            steady_fold(two_controls, 0.0, 0.4, K)
+        with pytest.raises(DomainError, match="phase"):
+            convergence_profile(two_cycle, traj, K)
+
+    def test_numpy_integer_is_the_int_phase(self, two_controls, calibrated_spectrum, two_cycle):
+        traj = propagate(two_controls, calibrated_spectrum, 4, BlochVector(0, 0, 1))
+
+        def results(K):
+            return (
+                asymptotic_map(two_controls, calibrated_spectrum, K).m.tobytes(),
+                steady_fold(two_controls, 0.0, 0.4, K).coefficients.tobytes(),
+                convergence_profile(two_cycle, traj, K),
+            )
+
+        assert results(np.int64(1)) == results(1)
+
+
 class TestLockstepCycle:
     def test_one_coefficient_row_per_node_block(self, three_controls, calibrated_spectrum, monkeypatch):
         # Every phase's period and prefix series read the rows of one shared
@@ -425,9 +451,8 @@ class TestLockstepCycle:
         # blocks of 630, where both phases take their 2N = 32,768-node folds.
         cases = [(three_controls, calibrated_spectrum, []), (capped, Spectrum(-0.707, 4.597), [2**15, 2**15])]
         for protocol, sp, folds in cases:
-            # asymptotics binds the name at import, so both modules are patched.
-            for module in (bloch, asymptotics):
-                monkeypatch.setattr(module, "_coefficient_rows", counted_rows)
+            # Every node block, of the window, the fold and evaluate, comes from bloch._node_blocks.
+            monkeypatch.setattr(bloch, "_coefficient_rows", counted_rows)
             monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
             rows.clear()
             refinements.clear()
@@ -537,6 +562,14 @@ class TestSteadyFold:
             assert fold.strip_halfwidth == math.inf
             assert fold.nodes == 64
             assert_allclose(fold.map_at(0.5), asymptotic_map(p, Spectrum(0.4, 0.5), K).m, atol=1e-14)
+
+    @pytest.mark.parametrize("steps", [[(0.5, 3), (0.5, 2), (0.5, 1)], [(0.7, 1), (0.0, 3), (0.7, 1), (0.0, 0)]])
+    def test_every_phase_reads_the_strip_of_the_unshifted_period(self, steps):
+        # rho comes from P_T of the one chain, whichever phase is folded.
+        p = Protocol([ControlStep(eta, k) for eta, k in steps])
+        rho = [steady_fold(p, 0.3, 0.5, K).strip_halfwidth for K in range(p.period)]
+        assert math.isfinite(rho[0])
+        assert rho == [rho[0]] * p.period
 
     def test_domain(self, two_controls):
         for K in (-1, 2):

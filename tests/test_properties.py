@@ -588,6 +588,42 @@ def test_lockstep_cycle_matches_phase_by_phase_maps(p, order, sp):
     assert_lockstep_matches_phase_by_phase(p, sp, order)
 
 
+# F = diag(1, -1, 1) commutes with every c_rotation and turns a z rotation
+# by k theta into one by -k theta, so P(-theta) = F P(theta) F for every
+# product; the spectrum at -theta_bar mirrors the one at theta_bar, so
+# M_K(-theta_bar) = F M_K(theta_bar) F at every width.
+REFLECTION = np.diag([1.0, -1.0, 1.0])
+reflection_widths = st.one_of(
+    st.sampled_from([0.0, 1e-18, math.inf]),
+    st.floats(1e-4, 0.05),
+    st.floats(math.log(0.05), math.log(30.0)).map(math.exp),
+)
+
+
+@given(protocols, orders, st.floats(-math.pi, math.pi), reflection_widths)
+def test_cycle_at_the_reflected_mean_phase_is_the_reflected_cycle(p, order, theta_bar, s):
+    try:
+        cycle = asymptotic_cycle(p, Spectrum(theta_bar, s), order)
+        mirrored = asymptotic_cycle(p, Spectrum(-theta_bar, s), order)
+    except ConvergenceError:
+        reject()
+    for m, r in zip(cycle.maps, mirrored.maps):
+        assert np.max(np.abs(r.m - REFLECTION @ m.m @ REFLECTION)) <= 1e-14
+
+
+@pytest.mark.parametrize("theta_bar", [0.3, 1.1])
+@pytest.mark.parametrize("steps", [[(0.5, 3), (0.5, 2)], [(0.5, 3), (0.5, 2), (0.5, 1)]], ids=["two", "three"])
+def test_optimizers_are_even_in_the_mean_phase(steps, theta_bar):
+    # F maps the sphere onto itself, so the reflected cycle has the same
+    # best pair rate and visibility maximum.
+    p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
+    cycles = [asymptotic_cycle(p, Spectrum(t, CALIBRATED_S)) for t in (theta_bar, -theta_bar)]
+    rates = [optimal_pair_search(c).rate for c in cycles]
+    values = [maximize_visibility(c).value for c in cycles]
+    assert rates[1] == pytest.approx(rates[0], rel=0, abs=1e-9)
+    assert values[1] == pytest.approx(values[0], rel=0, abs=1e-9)
+
+
 mean_phases = st.floats(-(2.0**52), 2.0**52, exclude_min=True, exclude_max=True)
 uniform_widths = st.floats(math.log(UNIFORM_S), math.log(1e307)).map(
     lambda x: min(max(math.exp(x), UNIFORM_S), 1e307)

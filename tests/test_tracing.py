@@ -54,9 +54,10 @@ def test_tracer_wraps_and_restores_every_name(tracing, two_controls, calibrated_
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
     counts = tracer.snapshot()
-    # Two step matrices, the one-step prefix and two period products.
-    assert counts["bloch.trig_compose.calls"] == 7
-    assert counts["bloch.trig_compose.term_pairs"] == 18
+    # Two step matrices, the chain to P_2, one rotated period.
+    assert counts["bloch.trig_compose.calls"] == 6
+    # The compose left out, step 0 after I, met 2 x 1 harmonic pairs.
+    assert counts["bloch.trig_compose.term_pairs"] == 16
     assert counts["bloch.band_max"] == 5
 
 
