@@ -31,15 +31,28 @@ trapezoid sum over one period with the exact wrapped-normal weights
 ``(1 + 2 sum_h exp(-h^2 s^2 / 2) cos h(theta - theta_bar)) / N``.  On that
 grid the node values do not depend on s; only the weights do.  The fold
 (``steady_fold``) takes their cosine coefficients about theta_bar from one
-FFT, so the map at any width is one dot product with the damping row.  Its
-node count is fixed a priori by the strip where the integrand is analytic:
-the projector is a trigonometric polynomial over d(theta) = 3 - tr W(theta),
-whose roots off the unit circle (``trig_roots``) set the strip's half-width
-rho, and the trapezoid rule errs like exp(-rho N) (Trefethen & Weideman,
-SIAM Rev. 56, 2014).  Calibration reads every bisection width from one
-fold.  The hand-off: under a Gaussian window (0 < s < s*) a phase not
+FFT, so the map at any width is one dot product with the damping row, which
+takes no exponential past h s = 38.7 (every later term is 0.0); a fold
+serves the widths whose weights stop at its top harmonic H*, and no others.
+Its node count is fixed a priori by the strip where the integrand is
+analytic: the projector is a trigonometric polynomial over d(theta) =
+3 - tr W(theta), whose roots off the unit circle (``trig_roots``) set the
+strip's half-width rho, and the trapezoid rule errs like exp(-rho N)
+(Trefethen & Weideman, SIAM Rev. 56, 2014).
+
+The fold reads one axis.  Phase K's rotated period is W_K = P_K P_T P_K^-1,
+so its projector is P_K Pi P_K^T and its integrand is P_K Pi, with Pi the
+axis projector of the one unshifted period product P_T (phase 0's integrand
+is Pi itself).  So one node pass evaluates P_T and Pi once per node for
+every phase that shares a node count; the window keeps the rotated form
+proj(W_K) P_K.  Calibration reads every bisection width from the phase-0
+fold and, for a protocol with a reference cycle, its residual table from
+the folds of all phases out of the same pass.
+
+The hand-off: under a Gaussian window (0 < s < s*) a phase not
 converged at a refinement of n >= 2N nodes takes the bits of its fold's map
-at s; sharp, point-value and uniform spectra keep the window, which in the
+at s, and the phases handed over at one refinement are folded together;
+sharp, point-value and uniform spectra keep the window, which in the
 uniform limit hands a phase over only at the node cap.  rho is solved at
 most once per call, from P_T, and only past the smallest 2N of any strip.
 At the calibrated s neither preset gets that far: two_controls converges at
@@ -278,24 +291,10 @@ def _check_phase(K, period: int) -> int:
     return K
 
 
-def _phase_series(p: Protocol, phases, order: str):
-    """(period product of the schedule rotated by K, K-step prefix) per
-    phase K, from one chain to P_T, and P_T: every phase's period map is
-    conjugate to it, so its rho serves every phase."""
-    chain = list(itertools.islice(product_chain(p, order), p.period + 1))
-    return [
-        (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order) if K else chain[-1], chain[K])
-        for K in phases
-    ], chain[-1]
-
-
-def _node_values(coef: np.ndarray, theta: np.ndarray, period: TrigMatrix, prefix: TrigMatrix, K: int) -> np.ndarray:
-    """Projector times prefix at each phase of theta, from coefficient rows
-    ``coef`` at least as deep as either series.  Phase 0's prefix is
-    P_0 = I, so its values are the projectors themselves, with no prefix sum
-    or product (``+ 0.0`` gives the +0.0 zeros that the product with I gives)."""
-    proj = _steady_projectors(period, theta, _running_sum(coef, period.terms))
-    return proj + 0.0 if K == 0 else proj @ _running_sum(coef, prefix.terms)
+def _chain(p: Protocol, order: str) -> list:
+    """The products P_0 = I, P_1, ..., P_T of one chain: P_K is phase K's
+    prefix, and every phase's period map is conjugate to P_T."""
+    return list(itertools.islice(product_chain(p, order), p.period + 1))
 
 
 def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
@@ -303,13 +302,19 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
     by the window, with the hand-off to the fold of the module docstring.
 
     Each refinement runs in node blocks (``_node_blocks``) whose coefficient
-    rows, built for the deepest series, serve the period and prefix series
-    of every phase.  The nodes come from ``_quad_nodes`` alone; where it
-    gives none, the maps are point values.  A phase whose fold raises stays
-    with the window and is not folded again; at the cap the first phase
-    still refining raises ConvergenceError.
+    rows, built for the deepest series, serve the rotated period and prefix
+    series of every phase.  The nodes come from ``_quad_nodes`` alone; where
+    it gives none, the maps are point values.  The phases handed off at one
+    refinement are folded together (``_folds``); a phase whose fold raises
+    stays with the window and is not folded again; at the cap the first
+    phase still refining raises ConvergenceError.
     """
-    series, top = _phase_series(p, phases, order)
+    chain = _chain(p, order)
+    top = chain[-1]
+    series = [
+        (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order) if K else top, chain[K])
+        for K in phases
+    ]
     pairs = max(len(tm.terms) for pair in series for tm in pair)
     rho = functools.cache(lambda: _strip_halfwidth(top))
 
@@ -319,7 +324,10 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
             w = weights[block, None, None]
             theta = nodes[block]
             for i, j in enumerate(active):
-                parts = w * _node_values(coef, theta, *series[j], phases[j])
+                period, prefix = series[j]
+                proj = _steady_projectors(period, theta, _running_sum(coef, period.terms))
+                # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
+                parts = w * (proj + 0.0 if phases[j] == 0 else proj @ _running_sum(coef, prefix.terms))
                 # A running sum in node order, carried from the previous block.
                 parts[0] += acc[i]
                 acc[i] = np.add.reduce(parts, axis=0)
@@ -331,29 +339,32 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
     gaussian = not sp.is_uniform
     failed = {}
     while active.size and (rule := _quad_nodes(sp, n_nodes)) is not None:
-        h_top = _fold_harmonics(sp)
+        h_top = _fold_harmonics(sp.s)
         cur = integrals(*rule, active)
         if n_nodes > QUAD_MIN_NODES:
             diff[active] = np.max(np.abs(cur - maps[active]), axis=(1, 2))
         maps[active] = cur
         active = active[~(diff[active] < QUAD_TOL)]
         at_cap = n_nodes >= QUAD_MAX_NODES
-        folded = np.zeros(len(series), dtype=bool)
+        due = []
         for j in active:
-            period, prefix = series[j]
+            prefix = series[j][1]
             # decay = 1 gives the smallest N of any strip: no root is solved below it.
             ready = gaussian and n_nodes >= 2 * _fold_count(1, h_top, prefix)
-            if j not in failed and (at_cap or ready and n_nodes >= 2 * _fold_count(_decay(rho(), period), h_top, prefix)):
-                try:
-                    maps[j] = _fold(period, prefix, phases[j], sp, rho()).map_at(sp.s)
-                    folded[j] = True
-                except ConvergenceError as exc:
-                    failed[j] = exc
-            if at_cap and j in failed:
-                raise ConvergenceError(
-                    f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
-                    f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e}); {failed[j]}"
-                )
+            if j not in failed and (at_cap or ready and n_nodes >= 2 * _fold_count(_decay(rho(), top), h_top, prefix)):
+                due.append(j)
+        folded = np.zeros(len(series), dtype=bool)
+        for j, fold in zip(due, _folds(chain, [phases[j] for j in due], sp, rho()) if due else []):
+            if isinstance(fold, ConvergenceError):
+                failed[j] = fold
+            else:
+                maps[j] = fold.map_at(sp.s)
+                folded[j] = True
+        if at_cap and (j := next((j for j in active if j in failed), None)) is not None:
+            raise ConvergenceError(
+                f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
+                f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e}); {failed[j]}"
+            )
         active = active[~folded[active]]
         n_nodes *= 2
     if active.size:
@@ -398,9 +409,11 @@ def _strip_halfwidth(period: TrigMatrix) -> float:
 class SteadyFold:
     """One phase's steady integrand folded onto one period.
 
-    ``coefficients[h]`` is the h-th cosine coefficient about theta_bar
-    (doubled for h >= 1), h <= H*, so the steady map at any width s with
-    ``H* >= FOLD_TAIL / s`` is their sum weighted by the damping row
+    The integrand is ``P_K(theta) Pi(theta)``, with Pi the axis projector of
+    the unshifted period product P_T (the one axis of every phase; phase 0
+    is Pi itself).  ``coefficients[h]`` is its h-th cosine coefficient about
+    theta_bar (doubled for h >= 1), h <= H*, so the steady map at any width
+    s with ``H* >= FOLD_TAIL / s`` is their sum weighted by the damping row
     ``exp(-h^2 s^2 / 2)``; a uniform-limit fold keeps only h = 0, taken on
     a grid anchored at 0.  ``nodes`` is the a-priori count N: the rule
     runs on the 2N nodes ``theta_bar + 2 pi (j + 1/2) / (2N)``, and
@@ -415,15 +428,20 @@ class SteadyFold:
     guard_delta: float
 
     def map_at(self, s: float) -> np.ndarray:
-        """The steady map at width s, shape (3, 3)."""
+        """The steady map at width s, shape (3, 3).  Raises DomainError
+        where the weights at s need a harmonic above H*: below
+        FOLD_TAIL / H*, or for a uniform-limit fold below s*."""
         h_top = len(self.coefficients) - 1
+        if not (s > 0.0 and _fold_harmonics(s) <= h_top):
+            served = f"widths s >= {FOLD_TAIL / h_top:.6g}" if h_top else "the uniform limit only"
+            raise DomainError(f"this fold's weights stop at harmonic {h_top}: it serves {served}, not s = {s}")
         return (_damping(s, h_top) @ self.coefficients.reshape(h_top + 1, 9)).reshape(3, 3)
 
 
-def _fold_harmonics(sp: Spectrum) -> int:
-    """H*, the weights' top harmonic: ceil(FOLD_TAIL / s), and 0 in the
-    uniform limit, where every harmonic h >= 1 is damped to 0.0."""
-    return 0 if sp.is_uniform else math.ceil(min(FOLD_TAIL / sp.s, QUAD_MAX_NODES))
+def _fold_harmonics(s: float) -> int:
+    """H*, the weights' top harmonic at a width s > 0: ceil(FOLD_TAIL / s),
+    and 0 in the uniform limit, where every harmonic h >= 1 is damped to 0.0."""
+    return 0 if _damping(s, 1)[1] == 0.0 else math.ceil(min(FOLD_TAIL / s, QUAD_MAX_NODES))
 
 
 def _decay(rho: float, period: TrigMatrix) -> int:
@@ -443,59 +461,87 @@ def _fold_count(decay: int, h_top: int, prefix: TrigMatrix) -> int:
     return 2 ** max(decay + 2 * h_top + prefix.max_harmonic - 1, 1).bit_length()
 
 
-def _fold(period: TrigMatrix, prefix: TrigMatrix, K: int, sp: Spectrum, rho: float) -> SteadyFold:
-    """The fold of phase K's series for widths from sp.s on, about
-    sp.theta_bar: the window hands a phase to it by the rule of the module
-    docstring.  In the uniform limit H* = 0 and the grid is anchored at 0,
-    so every such fold is the s = inf fold.  rho is the protocol's strip
-    half-width, and N is ``_fold_count``.
-    Raises ConvergenceError, naming rho, N and the guard delta, when its 2N
-    nodes exceed QUAD_MAX_NODES or the guard exceeds QUAD_TOL.
+def _folds(chain: list, phases, sp: Spectrum, rho: float) -> list:
+    """The folds of the given phases for widths from sp.s on, about
+    sp.theta_bar, each a SteadyFold or the ConvergenceError it raises:
+    naming rho, N and the guard delta, when its 2N nodes exceed
+    QUAD_MAX_NODES or the guard exceeds QUAD_TOL.  ``chain`` is P_0, ...,
+    P_T and rho the strip half-width of P_T.  In the uniform limit H* = 0
+    and the grid is anchored at 0, so every such fold is the s = inf fold.
+
+    A phase's N is ``_fold_count`` over rho, P_T's degree and its prefix's.
+    The phases that share an N share one node pass: per node block one
+    table of coefficient rows, P_T and its axis projectors Pi once, and
+    each phase's value ``P_K Pi``.  The FFT and the guard run per phase, so
+    a fold's bits do not depend on the phases folded alongside.
     """
-    h_top = _fold_harmonics(sp)
+    top = chain[-1]
+    h_top = _fold_harmonics(sp.s)
     anchor = 0.0 if sp.is_uniform else sp.theta_bar
-    n = _fold_count(_decay(rho, period), h_top, prefix)
-    where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
-    if 2 * n > QUAD_MAX_NODES:
-        raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
-    theta = anchor + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
-    values = np.empty((2 * n, 9))
-    for block, coef in _node_blocks(theta, max(len(period.terms), len(prefix.terms))):
-        values[block] = _node_values(coef, theta[block], period, prefix, K).reshape(-1, 9)
-    # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
-    # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
-    spectrum = np.fft.rfft(values, axis=0)
+    counts = [_fold_count(_decay(rho, top), h_top, chain[K]) for K in phases]
+    folds = [None] * len(phases)
     h = np.arange(h_top + 1)
-    shift = np.exp(-0.5j * np.pi * h / n)[:, None]
-    scale = np.where(h == 0, 1.0, 2.0)[:, None] / (2 * n)
-    coefficients = scale * np.real(shift * spectrum[h])
+    scale = np.where(h == 0, 1.0, 2.0)[:, None]
     # The guard reads the change at widths doubling from s_min until the
     # weights are uniform, so it covers every width the fold serves.
-    change = scale * np.real(shift * np.conj(spectrum[n - h]))
-    widths = [sp.s * 2.0**k for k in range((h_top - 1).bit_length() + 1)]
-    guard = max(float(np.max(np.abs(_damping(s, h_top) @ change))) for s in widths)
-    if not guard <= QUAD_TOL:
-        raise ConvergenceError(f"{where} has guard delta {guard:.3e}, above {QUAD_TOL}")
-    return SteadyFold(coefficients.reshape(-1, 3, 3), n, rho, guard)
+    rows = [_damping(sp.s * 2.0**k, h_top) for k in range((h_top - 1).bit_length() + 1)]
+    for n in set(counts):
+        group = [i for i, count in enumerate(counts) if count == n]
+        where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
+        if 2 * n > QUAD_MAX_NODES:
+            message = f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run"
+            for i in group:
+                folds[i] = ConvergenceError(message)
+            continue
+        theta = anchor + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
+        values = np.empty((len(group), 2 * n, 3, 3))
+        prefixes = [chain[phases[i]] for i in group]
+        for block, coef in _node_blocks(theta, max(len(tm.terms) for tm in [top, *prefixes])):
+            axis = _steady_projectors(top, theta[block], _running_sum(coef, top.terms))
+            for v, prefix, i in zip(values, prefixes, group):
+                # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
+                v[block] = axis + 0.0 if phases[i] == 0 else _running_sum(coef, prefix.terms) @ axis
+        # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
+        # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
+        shift = np.exp(-0.5j * np.pi * h / n)[:, None]
+        for v, i in zip(values, group):
+            spectrum = np.fft.rfft(v.reshape(2 * n, 9), axis=0)
+            coefficients = scale / (2 * n) * np.real(shift * spectrum[h])
+            change = scale / (2 * n) * np.real(shift * np.conj(spectrum[n - h]))
+            guard = max(float(np.max(np.abs(row @ change))) for row in rows)
+            folds[i] = (
+                SteadyFold(coefficients.reshape(-1, 3, 3), n, rho, guard)
+                if guard <= QUAD_TOL
+                else ConvergenceError(f"{where} has guard delta {guard:.3e}, above {QUAD_TOL}")
+            )
+    return folds
+
+
+def _steady_folds(p: Protocol, theta_bar: float, s_min: float, phases, order: str) -> list:
+    """``steady_fold`` at each of the given phases, folded together by
+    ``_folds``; raises the first phase's ConvergenceError."""
+    if not s_min > 0.0:
+        raise DomainError(f"the fold needs a smallest width s_min > 0, got {s_min}")
+    sp = Spectrum(theta_bar, s_min)  # checks theta_bar
+    chain = _chain(p, order)
+    folds = _folds(chain, phases, sp, _strip_halfwidth(chain[-1]))
+    if error := next((fold for fold in folds if isinstance(fold, ConvergenceError)), None):
+        raise error
+    return folds
 
 
 def steady_fold(
     p: Protocol, theta_bar: float, s_min: float, K: int = 0, order: str = ORDER_PHASE_AFTER
 ) -> SteadyFold:
     """The one-period fold of the steady integrand at phase K, for every
-    width s >= s_min about the mean phase theta_bar: one node pass whose
-    ``map_at(s)`` is the steady map at Spectrum(theta_bar, s).  It agrees
-    with ``asymptotic_map`` to the window's tolerance, and its own error
-    is about FOLD_TOL.  Raises DomainError for a phase that is not an
-    integer in [0, T), s_min not positive or theta_bar out of range, and
-    ConvergenceError when the rule needs more than QUAD_MAX_NODES nodes or
-    fails its guard."""
-    K = _check_phase(K, p.period)
-    if not s_min > 0.0:
-        raise DomainError(f"the fold needs a smallest width s_min > 0, got {s_min}")
-    sp = Spectrum(theta_bar, s_min)  # checks theta_bar
-    series, top = _phase_series(p, [K], order)
-    return _fold(*series[0], K, sp, _strip_halfwidth(top))
+    width s >= s_min about the mean phase theta_bar: one node pass over the
+    axis of the unshifted period product, whose ``map_at(s)`` is the steady
+    map at Spectrum(theta_bar, s).  It agrees with ``asymptotic_map`` to
+    the window's tolerance, and its own error is about FOLD_TOL.  Raises
+    DomainError for a phase that is not an integer in [0, T), s_min not
+    positive or theta_bar out of range, and ConvergenceError when the rule
+    needs more than QUAD_MAX_NODES nodes or fails its guard."""
+    return _steady_folds(p, theta_bar, s_min, [_check_phase(K, p.period)], order)[0]
 
 
 def asymptotic_map(

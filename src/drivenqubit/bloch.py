@@ -454,9 +454,14 @@ def trig_compose(a: TrigMatrix, b: TrigMatrix) -> TrigMatrix:
 
 def _damping(s: float, max_harmonic: int) -> np.ndarray:
     """Moment damping ``exp(-h^2 s^2 / 2)`` of the harmonics 0..max_harmonic.
-    It is 0.0 from h s = s* on (``Spectrum.is_uniform``), so h s is clamped
-    at 40 before squaring, which would overflow past 1.3e154."""
-    return np.array([1.0] + [math.exp(-0.5 * min(h * s, 40.0) ** 2) for h in range(1, max_harmonic + 1)])
+    It is 0.0 from h s = s* on (``Spectrum.is_uniform``), so the row takes
+    no exponential past h s = 38.7; that also keeps h s from reaching 1.3e154,
+    past which its square would overflow."""
+    row = np.zeros(max_harmonic + 1)
+    # exp(-38.7^2 / 2) is below the smallest subnormal: every later term is 0.0.
+    live = int(38.7 / s) if s * max_harmonic > 38.7 else max_harmonic
+    row[: live + 1] = [1.0] + [math.exp(-0.5 * (h * s) ** 2) for h in range(1, live + 1)]
+    return row
 
 
 def gaussian_average(a: TrigMatrix, sp: Spectrum) -> BlochMap:

@@ -26,13 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
+    _steady_folds,
     abel_limit,
     asymptotic_cycle,
     cesaro_mean,
     convergence_profile,
     limit_cycle,
     resolvent,
-    steady_fold,
 )
 from .bloch import (
     ORDER_PHASE_AFTER,
@@ -322,9 +322,10 @@ def load_config(path) -> RunConfig:
 @dataclass(frozen=True)
 class CalibrationResult:
     """Fitted spectral width plus consistency residuals against the
-    reference cycle (when the protocol has one), and the fold every
-    bisection width was read from: its node count N, strip half-width and
-    guard delta (see ``asymptotics.SteadyFold``)."""
+    reference cycle (when the protocol has one), read from the folds at the
+    fitted width, and the phase-0 fold every bisection width was read from:
+    its node count N, strip half-width and guard delta (see
+    ``asymptotics.SteadyFold``)."""
 
     spectrum: Spectrum
     s: float
@@ -362,18 +363,22 @@ def calibrate(config: RunConfig, anchor: float = CALIBRATION_ANCHOR) -> Calibrat
     Every width is read from one fold of the phase-0 steady integrand onto
     one period (``asymptotics.steady_fold``), built once for the smallest
     width of the bracket: lambda_y(s) is one dot product of its coefficients
-    with the damping row exp(-h^2 s^2 / 2).  Raises ConvergenceError where
-    the fold needs more nodes than the steady maps' cap or fails its guard.
+    with the damping row exp(-h^2 s^2 / 2).  When the protocol has a
+    reference cycle, the folds of all T phases come from the same node pass
+    over the axis of the period product, and their maps at the fitted width
+    give the residuals of all remaining entries as a consistency table.
+    Raises ConvergenceError where a fold needs more nodes than the steady
+    maps' cap or fails its guard.
 
     Intended for the two-unit benchmark protocol (any protocol whose
-    steady cycle decouples the y axis works the same way).  Reports the
-    fitted spectrum and, when the protocol has a reference cycle, the
-    residuals of all remaining entries of ``asymptotic_cycle`` at the fitted
-    width as a consistency table.
+    steady cycle decouples the y axis works the same way).
     """
     theta_bar = config.spectrum.theta_bar
     evaluations = 0
-    fold = steady_fold(config.protocol, theta_bar, CALIBRATION_BRACKET[0], 0, config.order)
+    reference = reference_maps_for(config.protocol)
+    phases = range(config.protocol.period) if reference is not None else [0]
+    folds = _steady_folds(config.protocol, theta_bar, CALIBRATION_BRACKET[0], phases, config.order)
+    fold = folds[0]
 
     def lambda_y(s: float) -> float:
         nonlocal evaluations
@@ -405,16 +410,13 @@ def calibrate(config: RunConfig, anchor: float = CALIBRATION_ANCHOR) -> Calibrat
             f"last residual {f_mid:.3e}"
         )
 
-    spectrum = Spectrum(theta_bar, mid)
-    reference = reference_maps_for(config.protocol)
     residuals = None
     max_res = None
     if reference is not None:
-        cycle = asymptotic_cycle(config.protocol, spectrum, config.order)
-        residuals = tuple(np.abs(m.m - ref) for m, ref in zip(cycle.maps, reference))
+        residuals = tuple(np.abs(f.map_at(mid) - ref) for f, ref in zip(folds, reference))
         max_res = float(max(np.max(r) for r in residuals))
     return CalibrationResult(
-        spectrum=spectrum,
+        spectrum=Spectrum(theta_bar, mid),
         s=mid,
         lambda_y=f_mid + anchor,
         anchor=anchor,

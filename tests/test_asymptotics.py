@@ -34,7 +34,7 @@ from drivenqubit import (
     trig_roots,
 )
 from drivenqubit import asymptotics, bloch, cli
-from conftest import random_rotation, recorded_ops
+from conftest import UNIFORM_S, random_rotation, recorded_ops
 
 
 class TestResolvent:
@@ -430,9 +430,10 @@ class TestLockstepCycle:
     def test_one_coefficient_row_per_node_block(self, three_controls, calibrated_spectrum, monkeypatch):
         # Every phase's period and prefix series read the rows of one shared
         # table: each node of each refinement enters exactly one row, where a
-        # phase-by-phase quadrature builds 2 T rows per block.  A phase the
-        # window hands to its fold adds the fold's 2N nodes, in blocks of
-        # the same size.
+        # phase-by-phase quadrature builds 2 T rows per block.  The phases
+        # the window hands to their folds at one refinement share one fold
+        # pass per node count N: 2N nodes, in blocks of the same size, not
+        # one pass per phase.
         rows, refinements = [], []
         build_rows, quad_nodes = bloch._coefficient_rows, asymptotics._quad_nodes
 
@@ -448,9 +449,10 @@ class TestLockstepCycle:
         capped = Protocol([ControlStep(0.3875, 4), ControlStep(0.3815, 2)])
         # three_controls converges within one block of 630 nodes at 512 of
         # its fold's 2N = 512.  The capped cycle refines to 32,768 nodes in
-        # blocks of 630, where both phases take their 2N = 32,768-node folds.
-        cases = [(three_controls, calibrated_spectrum, []), (capped, Spectrum(-0.707, 4.597), [2**15, 2**15])]
-        for protocol, sp, folds in cases:
+        # blocks of 630, where both phases take their 2N = 32,768-node folds
+        # from one pass.
+        cases = [(three_controls, calibrated_spectrum, [], []), (capped, Spectrum(-0.707, 4.597), [2**15, 2**15], [2**15])]
+        for protocol, sp, folds, passes in cases:
             # Every node block, of the window, the fold and evaluate, comes from bloch._node_blocks.
             monkeypatch.setattr(bloch, "_coefficient_rows", counted_rows)
             monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
@@ -462,7 +464,7 @@ class TestLockstepCycle:
             block = bloch._SUM_BLOCK_TERMS // (2 * top + 1)
             assert len(refinements) > 1
             window = [min(block, n - lo) for n in refinements for lo in range(0, n, block)]
-            assert rows == window + [min(block, n - lo) for n in folds for lo in range(0, n, block)]
+            assert rows == window + [min(block, n - lo) for n in passes for lo in range(0, n, block)]
             for K, n in enumerate(folds):
                 assert 2 * steady_fold(protocol, sp.theta_bar, sp.s, K).nodes == n == max(refinements)
         assert max(refinements) > 4 * block
@@ -580,6 +582,33 @@ class TestSteadyFold:
                 steady_fold(two_controls, 0.0, s_min)
         with pytest.raises(DomainError, match="theta_bar"):
             steady_fold(two_controls, math.inf, 0.5)
+
+    # Widths whose weights need a harmonic above the fold's H*: read through
+    # the truncated row they were 7.4e-7 (s = 0.1) and 1.2e-5 (s -> 0) off
+    # asymptotic_map for a fold built at s = 0.4, and 0.18 off at s = 1 for
+    # a uniform-limit fold.
+    @pytest.mark.parametrize(
+        "s_min, s, served",
+        [
+            (0.4, 0.1, r"harmonic 23: it serves widths s >= 0\.388881, not s = 0\.1"),
+            (0.4, 1e-9, "harmonic 23"),
+            (0.4, 0.0, "harmonic 23"),
+            (0.4, -1.0, "harmonic 23"),
+            (0.4, math.nan, "harmonic 23"),
+            (50.0, 1.0, "harmonic 0: it serves the uniform limit only, not s = 1.0"),
+        ],
+    )
+    def test_widths_below_the_fold_raise(self, two_controls, s_min, s, served):
+        fold = steady_fold(two_controls, 0.0, s_min)
+        with pytest.raises(DomainError, match=served):
+            fold.map_at(s)
+
+    def test_widths_the_fold_serves(self, two_controls):
+        fold = steady_fold(two_controls, 0.0, 0.4)
+        for s in (0.39, 0.4, 1.0, 38.6, math.inf):
+            assert_allclose(fold.map_at(s), asymptotic_map(two_controls, Spectrum(0.0, s), 0).m, atol=1e-12)
+        uniform = steady_fold(two_controls, 0.0, 50.0)
+        assert uniform.map_at(UNIFORM_S).tobytes() == uniform.map_at(math.inf).tobytes()
 
     @pytest.mark.parametrize("steps, sp, rho", CAPPED_CYCLES)
     def test_window_at_its_cap_takes_the_fold(self, steps, sp, rho):

@@ -24,6 +24,7 @@ from drivenqubit import (
     Protocol,
     SphereAngles,
     Spectrum,
+    asymptotic_cycle,
     asymptotic_map,
     calibrate,
     config_from_dict,
@@ -213,6 +214,25 @@ class TestCalibrate:
         assert (result.nodes, round(result.strip_halfwidth, 4)) == (512, 0.4415)
         assert result.guard_delta <= 1e-12
         assert "19 widths from one fold: N = 512, strip half-width 0.4415, guard delta" in result.table()
+
+    @pytest.mark.parametrize("order", ["eq2b", "eq4a"])
+    @pytest.mark.parametrize("name", ["two_controls", "three_controls"])
+    def test_residuals_come_from_the_folds(self, name, order, monkeypatch):
+        # The folds of every phase come from the phase-0 fold's node pass, so
+        # calibrate runs no asymptotic_cycle and no window at all; the table
+        # is within 1e-12 of the window's cycle at the fitted width.
+        config = dataclasses.replace(preset(name), order=order)
+        windows = []
+        monkeypatch.setattr(cli, "asymptotic_cycle", lambda *args: pytest.fail("calibrate ran asymptotic_cycle"))
+        monkeypatch.setattr(asymptotics, "_steady_maps", lambda *args: windows.append(args))
+        result = calibrate(config)
+        monkeypatch.undo()
+        assert windows == []
+        cycle = asymptotic_cycle(config.protocol, result.spectrum, order)
+        reference = cli.reference_maps_for(config.protocol)
+        assert len(result.residuals) == len(reference) == config.protocol.period
+        for got, m, ref in zip(result.residuals, cycle.maps, reference):
+            assert np.max(np.abs(got - np.abs(m.m - ref))) <= 1e-12
 
     def test_random_protocols_fit_the_window_bisection(self, two_config):
         rng = np.random.default_rng(20261019)
