@@ -49,14 +49,14 @@ proj(W_K) P_K.  Calibration reads every bisection width from the phase-0
 fold and, for a protocol with a reference cycle, its residual table from
 the folds of all phases out of the same pass.
 
-The hand-off: under a Gaussian window (0 < s < s*) a phase not
-converged at a refinement of n >= 2N nodes takes the bits of its fold's map
-at s, and the phases handed over at one refinement are folded together;
-sharp, point-value and uniform spectra keep the window, which in the
-uniform limit hands a phase over only at the node cap.  rho is solved at
-most once per call, from P_T, and only past the smallest 2N of any strip.
-At the calibrated s neither preset gets that far: two_controls converges at
-128 of its 2N = 256 nodes, three_controls at 512 of 512.
+The hand-off, one rule at every width: a phase the window has not
+finished at its first refinement of n >= 2N nodes, or at the node cap,
+takes the bits of its fold's map at s; the phases handed over at one
+refinement are folded together, and a fold that raises ends the call.  rho
+is solved at most once per call, from P_T, and only past the smallest 2N
+of any strip.  At the calibrated s neither preset gets that far:
+two_controls converges at 128 of its 2N = 256 nodes, three_controls at 512
+of 512.
 """
 
 from __future__ import annotations
@@ -304,10 +304,10 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
     Each refinement runs in node blocks (``_node_blocks``) whose coefficient
     rows, built for the deepest series, serve the rotated period and prefix
     series of every phase.  The nodes come from ``_quad_nodes`` alone; where
-    it gives none, the maps are point values.  The phases handed off at one
-    refinement are folded together (``_folds``); a phase whose fold raises
-    stays with the window and is not folded again; at the cap the first
-    phase still refining raises ConvergenceError.
+    it gives none, the maps are point values.  The phases handed over at
+    one refinement are folded together (``_folds``), and the first of them
+    whose fold raises ends the call: its ConvergenceError is raised again
+    with the phase, s and the window's last change.
     """
     chain = _chain(p, order)
     top = chain[-1]
@@ -336,8 +336,6 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
     maps = np.empty((len(series), 3, 3))
     active = np.arange(len(series))
     n_nodes, diff = QUAD_MIN_NODES, np.full(len(series), np.inf)
-    gaussian = not sp.is_uniform
-    failed = {}
     while active.size and (rule := _quad_nodes(sp, n_nodes)) is not None:
         h_top = _fold_harmonics(sp.s)
         cur = integrals(*rule, active)
@@ -346,26 +344,23 @@ def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
         maps[active] = cur
         active = active[~(diff[active] < QUAD_TOL)]
         at_cap = n_nodes >= QUAD_MAX_NODES
-        due = []
-        for j in active:
+        due = np.zeros(active.size, dtype=bool)
+        for i, j in enumerate(active):
             prefix = series[j][1]
             # decay = 1 gives the smallest N of any strip: no root is solved below it.
-            ready = gaussian and n_nodes >= 2 * _fold_count(1, h_top, prefix)
-            if j not in failed and (at_cap or ready and n_nodes >= 2 * _fold_count(_decay(rho(), top), h_top, prefix)):
-                due.append(j)
-        folded = np.zeros(len(series), dtype=bool)
-        for j, fold in zip(due, _folds(chain, [phases[j] for j in due], sp, rho()) if due else []):
-            if isinstance(fold, ConvergenceError):
-                failed[j] = fold
-            else:
-                maps[j] = fold.map_at(sp.s)
-                folded[j] = True
-        if at_cap and (j := next((j for j in active if j in failed), None)) is not None:
-            raise ConvergenceError(
-                f"steady-map quadrature did not reach {QUAD_TOL} within {QUAD_MAX_NODES} "
-                f"nodes (period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e}); {failed[j]}"
-            )
-        active = active[~folded[active]]
+            ready = n_nodes >= 2 * _fold_count(1, h_top, prefix)
+            due[i] = at_cap or ready and n_nodes >= 2 * _fold_count(_decay(rho(), top), h_top, prefix)
+        handed = active[due]
+        folds = _folds(chain, [phases[j] for j in handed], sp, rho()) if handed.size else None
+        for j in handed:
+            try:
+                maps[j] = next(folds).map_at(sp.s)
+            except ConvergenceError as error:
+                raise ConvergenceError(
+                    f"steady-map quadrature did not reach {QUAD_TOL} by {n_nodes} nodes "
+                    f"(period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e}); {error}"
+                ) from error
+        active = active[~due]
         n_nodes *= 2
     if active.size:
         # The spectral integral is a point value (see _quad_nodes).
@@ -461,13 +456,13 @@ def _fold_count(decay: int, h_top: int, prefix: TrigMatrix) -> int:
     return 2 ** max(decay + 2 * h_top + prefix.max_harmonic - 1, 1).bit_length()
 
 
-def _folds(chain: list, phases, sp: Spectrum, rho: float) -> list:
+def _folds(chain: list, phases, sp: Spectrum, rho: float):
     """The folds of the given phases for widths from sp.s on, about
-    sp.theta_bar, each a SteadyFold or the ConvergenceError it raises:
-    naming rho, N and the guard delta, when its 2N nodes exceed
-    QUAD_MAX_NODES or the guard exceeds QUAD_TOL.  ``chain`` is P_0, ...,
-    P_T and rho the strip half-width of P_T.  In the uniform limit H* = 0
-    and the grid is anchored at 0, so every such fold is the s = inf fold.
+    sp.theta_bar, yielded in phase order.  ``chain`` is P_0, ..., P_T and
+    rho the strip half-width of P_T.  In the uniform limit H* = 0 and the
+    grid is anchored at 0, so every such fold is the s = inf fold.  Raises
+    ConvergenceError at the first phase whose 2N nodes exceed QUAD_MAX_NODES
+    or whose guard exceeds QUAD_TOL, naming rho, N and the guard delta.
 
     A phase's N is ``_fold_count`` over rho, P_T's degree and its prefix's.
     The phases that share an N share one node pass: per node block one
@@ -486,13 +481,9 @@ def _folds(chain: list, phases, sp: Spectrum, rho: float) -> list:
     # weights are uniform, so it covers every width the fold serves.
     rows = [_damping(sp.s * 2.0**k, h_top) for k in range((h_top - 1).bit_length() + 1)]
     for n in set(counts):
-        group = [i for i, count in enumerate(counts) if count == n]
-        where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
         if 2 * n > QUAD_MAX_NODES:
-            message = f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run"
-            for i in group:
-                folds[i] = ConvergenceError(message)
             continue
+        group = [i for i, count in enumerate(counts) if count == n]
         theta = anchor + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
         values = np.empty((len(group), 2 * n, 3, 3))
         prefixes = [chain[phases[i]] for i in group]
@@ -509,25 +500,24 @@ def _folds(chain: list, phases, sp: Spectrum, rho: float) -> list:
             coefficients = scale / (2 * n) * np.real(shift * spectrum[h])
             change = scale / (2 * n) * np.real(shift * np.conj(spectrum[n - h]))
             guard = max(float(np.max(np.abs(row @ change))) for row in rows)
-            folds[i] = (
-                SteadyFold(coefficients.reshape(-1, 3, 3), n, rho, guard)
-                if guard <= QUAD_TOL
-                else ConvergenceError(f"{where} has guard delta {guard:.3e}, above {QUAD_TOL}")
-            )
-    return folds
+            folds[i] = SteadyFold(coefficients.reshape(-1, 3, 3), n, rho, guard)
+    for n, fold in zip(counts, folds):
+        where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
+        if fold is None:
+            raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
+        if not fold.guard_delta <= QUAD_TOL:
+            raise ConvergenceError(f"{where} has guard delta {fold.guard_delta:.3e}, above {QUAD_TOL}")
+        yield fold
 
 
 def _steady_folds(p: Protocol, theta_bar: float, s_min: float, phases, order: str) -> list:
     """``steady_fold`` at each of the given phases, folded together by
-    ``_folds``; raises the first phase's ConvergenceError."""
+    ``_folds``; raises the first failing phase's ConvergenceError."""
     if not s_min > 0.0:
         raise DomainError(f"the fold needs a smallest width s_min > 0, got {s_min}")
     sp = Spectrum(theta_bar, s_min)  # checks theta_bar
     chain = _chain(p, order)
-    folds = _folds(chain, phases, sp, _strip_halfwidth(chain[-1]))
-    if error := next((fold for fold in folds if isinstance(fold, ConvergenceError)), None):
-        raise error
-    return folds
+    return list(_folds(chain, phases, sp, _strip_halfwidth(chain[-1])))
 
 
 def steady_fold(
@@ -552,11 +542,12 @@ def asymptotic_map(
     Spectral average of the axis projector of the one-period product of the
     schedule rotated by K (``steps[K:] + steps[:K]``) times the K-step
     prefix.  The quadrature doubles its node count until two successive
-    refinements agree to 1e-10 entrywise, or hands the phase to its fold by
-    the rule of the module docstring.  The uniform limit
-    (``sp.is_uniform``) integrates over one period, free of theta_bar; at
-    s = 0 or tiny s the map is a point value.  Raises DomainError unless K
-    is an integer in [0, T).
+    refinements agree to 1e-10 entrywise; a phase not converged at its
+    first refinement of 2N nodes, at any width, takes its fold's map.  The
+    uniform limit (``sp.is_uniform``) integrates over one period, free of
+    theta_bar; at s = 0 or tiny s the map is a point value.  Raises
+    DomainError unless K is an integer in [0, T), and ConvergenceError
+    where the fold it is handed to raises.
     """
     return _steady_maps(p, sp, [_check_phase(K, p.period)], order)[0]
 
@@ -585,8 +576,8 @@ def asymptotic_cycle(
 ) -> AsymptoticCycle:
     """All T steady-cycle maps of a protocol, refined in lockstep: each map
     has the bits of ``asymptotic_map`` at its phase, from the window or its
-    fold by the hand-off of the module docstring.  The first phase that
-    neither resolves raises its ConvergenceError."""
+    fold by the hand-off of the module docstring.  The first fold that
+    raises ends the call with its ConvergenceError, naming its phase."""
     return AsymptoticCycle.from_maps(_steady_maps(p, sp, range(p.period), order))
 
 

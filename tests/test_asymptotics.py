@@ -641,12 +641,74 @@ class TestSteadyFold:
             asymptotic_cycle(p, Spectrum(-0.707, 4.597), "eq2b")
 
     def test_failed_guard_raises(self, two_controls, calibrated_spectrum, monkeypatch):
-        # Nothing meets a zero tolerance: the window runs to its cap, and the
-        # fold's guard, a sum of rounding-level changes, exceeds it.
+        # Nothing meets a zero tolerance: the window hands phase 0 to its
+        # fold at 2N = 256 nodes, at a Gaussian width and in the uniform
+        # limit alike, and the fold's guard, a sum of rounding-level
+        # changes, exceeds it.  The call ends there, short of the cap.
         monkeypatch.setattr(asymptotics, "QUAD_TOL", 0.0)
         monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", 2**10)
-        with pytest.raises(ConvergenceError, match=r"last change \S+\); the one-period fold .* guard delta \S+ above 0.0"):
-            asymptotic_map(two_controls, calibrated_spectrum, 0)
+        for sp in (calibrated_spectrum, Spectrum(0.0, math.inf)):
+            message = (
+                rf"did not reach 0.0 by 256 nodes \(period 2, phase 0, s = {re.escape(str(sp.s))}, last change \S+\); "
+                r"the one-period fold \(strip half-width 4.415e-01, N = 128\) has guard delta \S+, above 0.0$"
+            )
+            with pytest.raises(ConvergenceError, match=message):
+                asymptotic_map(two_controls, sp, 0)
+
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    def test_uniform_limit_hands_over_at_2n(self, two_controls, order, monkeypatch):
+        # At s = inf the window's changes stay above 1e-15 up to the cap, so
+        # at that tolerance it never finishes.  The rule of every width
+        # hands both phases to their folds (N = 128, guard 1.2e-16) at
+        # 2N = 256 nodes, not at the cap.
+        refinements = []
+        quad_nodes = asymptotics._quad_nodes
+
+        def counted_nodes(sp, n_nodes):
+            refinements.append(n_nodes)
+            return quad_nodes(sp, n_nodes)
+
+        monkeypatch.setattr(asymptotics, "QUAD_TOL", 1e-15)
+        monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
+        cycle = asymptotic_cycle(two_controls, Spectrum(0.7, math.inf), order)
+        assert refinements == [64, 128, 256]
+        for K, m in enumerate(cycle.maps):
+            fold = steady_fold(two_controls, 0.7, math.inf, K, order)
+            assert fold.nodes == 128
+            assert m.m.tobytes() == fold.map_at(math.inf).tobytes()
+
+
+# Near-equal-eta period-2 cycles at theta_bar = 0.3 whose strip half-width
+# (7.1e-4 and 8.5e-4) asks for a fold of 2N = 131,072 nodes, twice the cap.
+SMALL_STRIP_CYCLES = [
+    pytest.param([(0.8448432473003343, 3), (0.8460209740061696, 2)], "eq2b", id="eq2b-rho7.1e-4"),
+    pytest.param([(0.29496259510545375, 2), (0.29580399870435947, 2)], "eq4a", id="eq4a-rho8.5e-4"),
+]
+
+
+class TestSmallStrip:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=ConvergenceError,
+        reason="the window misses 1e-10 at 65,536 nodes, and the fold needs 131,072",
+    )
+    @pytest.mark.parametrize("s", [1.0, 5.0, 38.5])
+    @pytest.mark.parametrize("steps, order", SMALL_STRIP_CYCLES)
+    def test_gaussian_width_raises_in_the_domain(self, steps, order, s):
+        p = Protocol([ControlStep(eta, k) for eta, k in steps])
+        asymptotic_cycle(p, Spectrum(0.3, s), order)
+
+    @pytest.mark.parametrize("steps, order", SMALL_STRIP_CYCLES)
+    def test_uniform_limit_converges_in_the_window(self, steps, order, monkeypatch):
+        # The window finishes below the cap; a fold on 2N = 131,072 nodes,
+        # past the cap, agrees with it (measured 5.0e-14 and 2.4e-15).
+        p = Protocol([ControlStep(eta, k) for eta, k in steps])
+        cycle = asymptotic_cycle(p, Spectrum(0.3, math.inf), order)
+        monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", 2**18)
+        for K, m in enumerate(cycle.maps):
+            fold = steady_fold(p, 0.3, math.inf, K, order)
+            assert 2 * fold.nodes == 2**17
+            assert np.max(np.abs(fold.map_at(math.inf) - m.m)) <= 1e-13
 
 
 class TestRecordedCycles:

@@ -639,6 +639,33 @@ class TestColdStart:
         assert codes == [0] * len(runs)
         assert scipy_modules == []
 
+    def test_no_run_imports_numpy_ma(self, tmp_path):
+        # numpy's set routines (np.setdiff1d, np.isin, np.unique) import
+        # numpy.ma, about 1 MB of resident memory that no run needs.  The
+        # cycles are sharp, handed to their folds (s = 8.25) and uniform.
+        runs = [
+            [cmd, "--preset", name, "--out", str(tmp_path / f"{cmd}-{name}")]
+            for cmd in cli.SUBCOMMANDS
+            for name in ("two_controls", "three_controls")
+        ]
+        script = (
+            "import json, math, sys\n"
+            "import drivenqubit as dq\n"
+            "from drivenqubit.cli import calibrate, main, preset\n"
+            f"codes = [main(argv) for argv in {runs!r}]\n"
+            "two, three = preset('two_controls'), preset('three_controls')\n"
+            "cycles = [dq.asymptotic_cycle(two.protocol, dq.Spectrum(0.3, s)) for s in (0.0, 8.25, math.inf)]\n"
+            "calibrate(two)\n"
+            "dq.optimal_pair_search(cycles[1])\n"
+            "dq.maximize_visibility(dq.asymptotic_cycle(three.protocol, three.spectrum))\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), False]
+
     def test_package_runs_as_module(self, tmp_path):
         # python -m drivenqubit.cli would warn that the package, which
         # imports .cli, already loaded it; the package's __main__ does not.

@@ -10,6 +10,7 @@ conftest.py, so every run checks the same cases.
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -424,8 +425,8 @@ def steady_map_reference(p, sp, K, order, fold_nodes=None):
     """Reference window map: one node at a time, added to a running sum.
 
     None where the phase is handed to its fold: not converged at a
-    refinement of at least 2 ``fold_nodes`` nodes (pass the fold's N under
-    a Gaussian window only)."""
+    refinement of at least 2 ``fold_nodes`` nodes, the fold's N at any
+    width."""
     period = compose_loop(p.steps[K:] + p.steps[:K], order)
     prefix = compose_loop(p.steps[:K], order)
     half = asymptotics.GAUSSIAN_WINDOW_SIGMAS * sp.s
@@ -481,29 +482,30 @@ def assert_fold_matches_reference(fold, p, sp, K, order, rotated=False, tol=1e-1
 
 
 def assert_steady_map_matches_reference(p, sp, K, order):
-    """The window's map equals the node loop bit for bit; a phase handed to
-    its fold (under a Gaussian window once the window has spent 2N nodes,
-    else at the window's node cap) has the fold's bits, and the fold
-    matches its node-by-node oracle.  Without a fold the reference is the
-    whole window, so a map raises only where the window alone does."""
+    """The window's map equals the node loop bit for bit.  A phase the loop
+    has not finished at 2N nodes, N its fold's count at any width, is handed
+    to the fold: it has the fold's bits and the fold matches its node-by-node
+    oracle, or the fold raised and so does the map.  A fold that needs more
+    than the cap is named only at the cap, where the loop raises too."""
+    fold = nodes = None
+    if sp.s > 0.0:
+        try:
+            fold = asymptotics.steady_fold(p, sp.theta_bar, sp.s, K, order)
+            nodes = fold.nodes
+        except ConvergenceError as error:
+            nodes = int(re.search(r"N = (\d+)\)", str(error)).group(1))
     try:
-        fold = asymptotics.steady_fold(p, sp.theta_bar, sp.s, K, order) if sp.s > 0.0 else None
+        want = steady_map_reference(p, sp, K, order, nodes)
     except ConvergenceError:
-        fold = None
-    gaussian = fold is not None and not sp.is_uniform
-    try:
-        want = steady_map_reference(p, sp, K, order, fold.nodes if gaussian else None)
-    except ConvergenceError:
-        if fold is None:
-            with pytest.raises(ConvergenceError, match="one-period fold"):
-                asymptotic_map(p, sp, K, order)
-            return
         want = None
-    if want is None:
+    if want is not None:
+        assert asymptotic_map(p, sp, K, order).m.tobytes() == want.tobytes()
+    elif fold is None:
+        with pytest.raises(ConvergenceError, match=r"last change \S+\); the one-period fold \(strip half-width"):
+            asymptotic_map(p, sp, K, order)
+    else:
         assert asymptotic_map(p, sp, K, order).m.tobytes() == fold.map_at(sp.s).tobytes()
         assert_fold_matches_reference(fold, p, sp, K, order)
-        return
-    assert asymptotic_map(p, sp, K, order).m.tobytes() == want.tobytes()
 
 
 # (eta, k) steps, spectrum and order: both presets at the calibrated width
@@ -665,13 +667,18 @@ def test_phase_zero_maps_keep_the_identity_prefix_zeros(steps, s, order):
     # Phase 0 skips the product with its prefix P_0 = I.  Its projectors
     # have zero entries, some -0.0, which the product turns into +0.0.  At
     # a point value (s = 0 and 5e-324 here) the map is that node value, so
-    # the signs show in the bytes; the quadrature's running sum starts at
-    # +0.0 (s = inf) and hides them.
+    # the signs show in the bytes.  At s = inf the window's running sum
+    # starts at +0.0 and hides them, and a phase handed to its fold at 2N
+    # nodes has the fold's bits.
     p = Protocol.from_steps(steps)
     sp = Spectrum(0.4, s)
     cycle = asymptotic_cycle(p, sp, order)
     for K in range(p.period):
-        assert cycle.maps[K].m.tobytes() == steady_map_reference(p, sp, K, order).tobytes()
+        if math.isinf(s):
+            assert_steady_map_matches_reference(p, sp, K, order)
+            assert cycle.maps[K].m.tobytes() == asymptotic_map(p, sp, K, order).m.tobytes()
+        else:
+            assert cycle.maps[K].m.tobytes() == steady_map_reference(p, sp, K, order).tobytes()
 
 
 def maps_or_message(maps):
