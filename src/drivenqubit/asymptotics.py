@@ -89,9 +89,9 @@ ORTHOGONALITY_TOL = 1e-10
 # Rotations with trace > 1 and an antisymmetric part of squared norm (4 sin^2
 # angle) below this are the identity; any larger part still fixes the axis.
 IDENTITY_AXIS_NORM2_TOL = 1e-26
-# Crossover to the eigenvector-based axis extraction at a half turn: the
-# antisymmetric part (norm 2|sin angle|) keeps full relative accuracy down
-# to this norm, so the fallback is needed only essentially at angle = pi.
+# Crossover to Rodrigues' closed form at a half turn.  The form is exact at
+# every trace <= 1; this narrow mask only keeps the bits of the normalised
+# antisymmetric part (norm 2|sin angle|) on every other node.
 ANTISYMMETRIC_NORM_TOL = 1e-8
 # Phase offset used to define the integrand by continuity at isolated
 # points where the period map degenerates to the identity.
@@ -185,11 +185,12 @@ def _axis_projectors(w: np.ndarray):
     """Axis projectors of a stack of proper rotations, shape (n, 3, 3).
 
     Returns the projectors and the mask of identity maps (trace > 1, no
-    antisymmetric part), whose projector is I.  Each axis is the normalised
-    antisymmetric part, or at a half turn (trace <= 1, tiny antisymmetric
-    part) the top eigenvector of (W + I) / 2; each map gets one-map bits.
+    antisymmetric part), whose projector is I.  Each projector is u u^T, u the
+    normalised antisymmetric part, or at a half turn (trace <= 1, tiny
+    antisymmetric part) Rodrigues' closed form; each map gets one-map bits.
     """
-    small_angle = w[:, 0, 0] + w[:, 1, 1] + w[:, 2, 2] > 1.0
+    trace = w[:, 0, 0] + w[:, 1, 1] + w[:, 2, 2]
+    small_angle = trace > 1.0
     a = np.stack([w[:, 2, 1] - w[:, 1, 2], w[:, 0, 2] - w[:, 2, 0], w[:, 1, 0] - w[:, 0, 1]], -1)
     norm2 = np.vecdot(a, a)
     # np.linalg.norm's bits: the square root of a dot product.
@@ -197,11 +198,11 @@ def _axis_projectors(w: np.ndarray):
     identity = small_angle & (norm2 < IDENTITY_AXIS_NORM2_TOL)
     half_turn = ~small_angle & (norm < ANTISYMMETRIC_NORM_TOL)
     u = np.divide(a, norm[:, None], out=np.zeros_like(a), where=~(identity | half_turn)[:, None])
-    if half_turn.any():
-        # Essentially a half turn: W + I ~ 2 u u^T.
-        vals, vecs = np.linalg.eigh(0.5 * (w[half_turn] + np.eye(3)))
-        u[half_turn] = vecs[np.arange(len(vals)), :, np.argmax(vals, axis=1)]
     p = u[:, :, None] * u[:, None, :]
+    if half_turn.any():
+        # W + W^T = 2 cos(angle) I + (3 - tr W) u u^T; the denominator is about 4 here.
+        h, t = w[half_turn], trace[half_turn, None, None]
+        p[half_turn] = (h + h.mT - (t - 1.0) * np.eye(3)) / (3.0 - t)
     p[identity] = np.eye(3)
     return p, identity
 
@@ -211,7 +212,9 @@ def abel_limit(w: np.ndarray) -> np.ndarray:
 
     For a rotation by a nonzero angle about a unit axis u this is the
     spectral projector u u^T onto the eigenvalue-1 eigenspace; for W = I
-    (trace > 1 and antisymmetric part below 1e-13) it is the identity.
+    (trace > 1 and antisymmetric part below 1e-13) it is the identity.  At
+    a half turn (trace <= 1, antisymmetric part below 1e-8) it is Rodrigues'
+    closed form (W + W^T - (tr W - 1) I) / (3 - tr W), exact to rounding.
     W is a 3x3 matrix or a stack (..., 3, 3), whose every matrix gets the
     bits of its own single call.  Raises DomainError, naming the first
     offending matrix, for a non-finite entry or a matrix that is not a
@@ -465,49 +468,45 @@ def _folds(chain: list, phases, sp: Spectrum, rho: float):
     or whose guard exceeds QUAD_TOL, naming rho, N and the guard delta.
 
     A phase's N is ``_fold_count`` over rho, P_T's degree and its prefix's.
-    The phases that share an N share one node pass: per node block one
-    table of coefficient rows, P_T and its axis projectors Pi once, and
-    each phase's value ``P_K Pi``.  The FFT and the guard run per phase, so
-    a fold's bits do not depend on the phases folded alongside.
+    The phases that share an N share one node pass, run for the first of
+    them: per node block one table of coefficient rows, P_T and its axis
+    projectors Pi once, and each phase's value ``P_K Pi``.  The FFT and the
+    guard run per phase, so a fold's bits do not depend on the phases alongside.
     """
     top = chain[-1]
     h_top = _fold_harmonics(sp.s)
     anchor = 0.0 if sp.is_uniform else sp.theta_bar
     counts = [_fold_count(_decay(rho, top), h_top, chain[K]) for K in phases]
-    folds = [None] * len(phases)
     h = np.arange(h_top + 1)
     scale = np.where(h == 0, 1.0, 2.0)[:, None]
     # The guard reads the change at widths doubling from s_min until the
     # weights are uniform, so it covers every width the fold serves.
     rows = [_damping(sp.s * 2.0**k, h_top) for k in range((h_top - 1).bit_length() + 1)]
-    for n in set(counts):
+    passes = {}
+    for K, n in zip(phases, counts):
+        where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
         if 2 * n > QUAD_MAX_NODES:
-            continue
-        group = [i for i, count in enumerate(counts) if count == n]
-        theta = anchor + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
-        values = np.empty((len(group), 2 * n, 3, 3))
-        prefixes = [chain[phases[i]] for i in group]
-        for block, coef in _node_blocks(theta, max(len(tm.terms) for tm in [top, *prefixes])):
-            axis = _steady_projectors(top, theta[block], _running_sum(coef, top.terms))
-            for v, prefix, i in zip(values, prefixes, group):
-                # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
-                v[block] = axis + 0.0 if phases[i] == 0 else _running_sum(coef, prefix.terms) @ axis
+            raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
+        if n not in passes:
+            group = [k for k, count in zip(phases, counts) if count == n]
+            theta = anchor + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
+            values = np.empty((len(group), 2 * n, 3, 3))
+            for block, coef in _node_blocks(theta, max(len(tm.terms) for tm in [top] + [chain[k] for k in group])):
+                axis = _steady_projectors(top, theta[block], _running_sum(coef, top.terms))
+                for v, k in zip(values, group):
+                    # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
+                    v[block] = axis + 0.0 if k == 0 else _running_sum(coef, chain[k].terms) @ axis
+            passes[n] = iter(values)
         # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
         # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
         shift = np.exp(-0.5j * np.pi * h / n)[:, None]
-        for v, i in zip(values, group):
-            spectrum = np.fft.rfft(v.reshape(2 * n, 9), axis=0)
-            coefficients = scale / (2 * n) * np.real(shift * spectrum[h])
-            change = scale / (2 * n) * np.real(shift * np.conj(spectrum[n - h]))
-            guard = max(float(np.max(np.abs(row @ change))) for row in rows)
-            folds[i] = SteadyFold(coefficients.reshape(-1, 3, 3), n, rho, guard)
-    for n, fold in zip(counts, folds):
-        where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
-        if fold is None:
-            raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
-        if not fold.guard_delta <= QUAD_TOL:
-            raise ConvergenceError(f"{where} has guard delta {fold.guard_delta:.3e}, above {QUAD_TOL}")
-        yield fold
+        spectrum = np.fft.rfft(next(passes[n]).reshape(2 * n, 9), axis=0)
+        coefficients = scale / (2 * n) * np.real(shift * spectrum[h])
+        change = scale / (2 * n) * np.real(shift * np.conj(spectrum[n - h]))
+        guard = max(float(np.max(np.abs(row @ change))) for row in rows)
+        if not guard <= QUAD_TOL:
+            raise ConvergenceError(f"{where} has guard delta {guard:.3e}, above {QUAD_TOL}")
+        yield SteadyFold(coefficients.reshape(-1, 3, 3), n, rho, guard)
 
 
 def _steady_folds(p: Protocol, theta_bar: float, s_min: float, phases, order: str) -> list:

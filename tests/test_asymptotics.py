@@ -118,13 +118,52 @@ def axis_rotation(u, angle):
 
 def rotation_stack(rng):
     """Random rotations with the identity, exact half turns, half turns
-    within 1e-9 of pi (the eigh branch) and small angles among them."""
+    within 1e-9 of pi (Rodrigues' half-turn branch) and small angles among them."""
     ws = [random_rotation(rng, min_angle=0.0)[0] for _ in range(20)]
     ws += [np.eye(3), np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, -1.0, 1.0])]
     for angle in (math.pi, math.pi - 1e-9, math.pi + 5e-10, 1e-3, 1e-6):
         u = rng.normal(size=3)
         ws.append(axis_rotation(u / np.linalg.norm(u), angle))
     return np.array(ws)[rng.permutation(len(ws))]
+
+
+def random_axis(rng):
+    u = rng.normal(size=3)
+    return u / np.linalg.norm(u)
+
+
+class TestHalfTurn:
+    # Inside the half-turn mask the projector is Rodrigues' closed form
+    # (W + W^T - (tr W - 1) I) / (3 - tr W), exact to rounding.
+    def test_projector_is_exact_inside_the_mask(self):
+        rng = np.random.default_rng(40)
+        for u in [*np.eye(3), *(random_axis(rng) for _ in range(50))]:
+            for gap in (0.0, 5e-10, 1e-9, 4e-9):
+                w = axis_rotation(u, math.pi - gap)
+                assert np.max(np.abs(abel_limit(w) - np.outer(u, u))) <= 1e-15
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="above the mask the normalised antisymmetric part loses digits like 1e-16 / |a| (ROADMAP item 1)",
+    )
+    def test_projector_is_exact_just_above_the_mask(self):
+        rng = np.random.default_rng(41)
+        for u in (random_axis(rng) for _ in range(50)):
+            w = axis_rotation(u, math.pi - math.exp(rng.uniform(math.log(1e-8), math.log(1e-6))))
+            assert np.max(np.abs(abel_limit(w) - np.outer(u, u))) <= 1e-14
+
+    def test_no_eigensolve(self, monkeypatch):
+        # A half turn at every phase: every node takes the closed form.
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.eigh was called")
+
+        p = Protocol.from_steps([ControlStep(0.7, 0)])
+        axis = abel_limit(protocol_product(p, 1).evaluate(0.4))
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for s in (0.3, math.inf):
+            assert np.max(np.abs(asymptotic_cycle(p, Spectrum(0.4, s)).maps[0].m - axis)) <= 1e-15
+            assert np.max(np.abs(steady_fold(p, 0.4, s).map_at(s) - axis)) <= 1e-15
+        assert abel_limit(np.diag([1.0, -1.0, -1.0])).tobytes() == np.diag([1.0, 0.0, 0.0]).tobytes()
 
 
 class TestStacks:
@@ -639,6 +678,27 @@ class TestSteadyFold:
         monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", 2**14)
         with pytest.raises(ConvergenceError, match=r"strip half-width 3.05\de-03, N = 16384\) needs 32768 nodes"):
             asymptotic_cycle(p, Spectrum(-0.707, 4.597), "eq2b")
+
+    def test_a_raise_skips_the_node_passes_of_later_phases(self, monkeypatch):
+        # Phases 0 and 1 fold on N = 8 and 16 nodes, one node pass each, in
+        # phase order: phase 0's failed guard ends the call before phase 1's
+        # pass runs.
+        p = Protocol([ControlStep(0.5, 4), ControlStep(0.5, 0)])
+        passes = []
+        node_blocks = asymptotics._node_blocks
+
+        def counted(theta, pairs):
+            passes.append(len(theta))
+            return node_blocks(theta, pairs)
+
+        monkeypatch.setattr(asymptotics, "_node_blocks", counted)
+        assert [fold.nodes for fold in asymptotics._steady_folds(p, 0.3, 10.0, range(2), "eq2b")] == [8, 16]
+        assert passes == [16, 32]
+        passes.clear()
+        monkeypatch.setattr(asymptotics, "QUAD_TOL", -1.0)
+        with pytest.raises(ConvergenceError, match=r"N = 8\) has guard delta"):
+            asymptotics._steady_folds(p, 0.3, 10.0, range(2), "eq2b")
+        assert passes == [16]
 
     def test_failed_guard_raises(self, two_controls, calibrated_spectrum, monkeypatch):
         # Nothing meets a zero tolerance: the window hands phase 0 to its
