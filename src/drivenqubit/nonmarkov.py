@@ -23,6 +23,11 @@ from .errors import DomainError
 SEARCH_GRID_POINTS = 32
 # Values this close are equal up to rounding; a search that cannot tell them apart is degenerate.
 DEGENERACY_VALUE_TOL = 1e-9
+# Stop rule of the sphere ascents here and in ``visibility``: stop when no
+# start's value rises by more than ASCENT_RTOL relative, or after
+# ASCENT_MAX_ITER steps.
+ASCENT_RTOL = 1e-14
+ASCENT_MAX_ITER = 400
 # scipy's non-adaptive Nelder-Mead (rho = 1, chi = 2, psi = sigma = 0.5):
 # candidate points ``a * xbar - b * worst``, rows (a, b) for the reflection,
 # expansion, outside and inside contraction (``a - (-b) * w`` has the bits of
@@ -113,7 +118,8 @@ def asymptotic_blp_rate(cycle, pair: StatePair) -> float:
 class OptimalPairResult:
     """Best antipodal pair found, its per-cycle backflow rate, and the
     size of its purity oscillation over the cycle.  ``degenerate``: the rate
-    is rounding noise, so the search path alone picks the direction."""
+    is rounding noise, so every direction ties and the Nelder-Mead replay's
+    path alone picks the one returned."""
 
     pair: StatePair
     rate: float
@@ -235,17 +241,45 @@ def minimize(fun, starts, *, xatol: float, fatol: float, maxiter: int, maxfev: i
     return MultiStartResult(final[:, 0, :n], np.min(final[..., n], axis=1), int(np.sum(final_nfev)))
 
 
-def optimal_pair_search(cycle) -> OptimalPairResult:
-    """Antipodal initial pair maximizing the per-cycle backflow rate.
+def _eigen_ascent(ms: np.ndarray) -> np.ndarray:
+    """Unit vector of the highest per-cycle rate of the maps ``ms`` (T, 3, 3)
+    that a lockstep eigenvector ascent reaches from the 32 grid points and
+    the 3T eigenvectors of the Gram matrices ``A_j = M_j^T M_j``.
 
-    By linearity an antipodal pair stays antipodal, so the trace distance
-    reduces to the evolved norm and the search runs over unit vectors
-    only.  Multi-start: every point of a 32-point sphere grid is refined
-    locally in spherical angles by ``minimize``'s lockstep Nelder-Mead.  The
-    objective can be non-smooth where an increment changes sign, hence the
-    derivative-free refinement.  Ties go to the earliest start.
+    With the rise pattern ``s_j = [d_{j+1} > d_j]`` of ``d_j = |M_j u|``
+    fixed, the rate is ``sum_j c_j d_j`` with ``c_j = s_{j-1} - s_j``, and at
+    a maximizer ``(sum_j c_j A_j / d_j) u = lambda u``.  Each step takes
+    ``u`` to the top eigenvector of that matrix at the current ``u`` (terms
+    with ``d_j = 0`` dropped), signed towards the previous ``u``.  The step
+    need not rise, so each start keeps its best; the ascent stops when no
+    start's best rises by more than ``ASCENT_RTOL`` relative, or after
+    ``ASCENT_MAX_ITER`` steps.  Ties go to the earliest start.
     """
-    ms = np.stack([m.m for m in cycle.maps])
+    grams = np.swapaxes(ms, 1, 2) @ ms
+    eigenvectors = np.swapaxes(np.linalg.eigh(grams)[1], 1, 2).reshape(-1, 3)
+    u = np.vstack([_fibonacci_sphere(SEARCH_GRID_POINTS), eigenvectors])
+    best_u, best = u.copy(), np.full(len(u), -np.inf)  # the first evaluation counts as a rise
+    for iteration in range(ASCENT_MAX_ITER + 1):
+        d = _map_norms(ms, u)
+        rate = _cycle_gain(d)
+        rose = rate > best
+        best_u[rose] = u[rose]
+        previous, best = best, np.maximum(best, rate)
+        if iteration == ASCENT_MAX_ITER or not np.any(best - previous > ASCENT_RTOL * best):
+            break
+        rises = np.roll(d, -1, axis=1) > d
+        c = np.roll(rises, 1, axis=1) - rises.astype(float)
+        weights = np.divide(c, d, out=np.zeros_like(d), where=d > 0.0)
+        top = np.linalg.eigh(np.tensordot(weights, grams, 1))[1][..., -1]
+        u = top * np.where(np.vecdot(top, u) < 0.0, -1.0, 1.0)[:, None]
+    top = best_u[np.argmax(best)]
+    return top / np.linalg.norm(top)
+
+
+def _replay(ms: np.ndarray) -> OptimalPairResult:
+    """The Nelder-Mead pair search on the maps ``ms`` (T, 3, 3): every grid
+    point refined in spherical angles by ``minimize``, ties going to the
+    earliest start.  Its path alone picks a degenerate cycle's direction."""
 
     def neg_rates(angles: np.ndarray) -> np.ndarray:
         return -_cycle_gain(_map_norms(ms, _angles_to_unit(angles)))
@@ -261,3 +295,30 @@ def optimal_pair_search(cycle) -> OptimalPairResult:
     pair = StatePair.antipodal(BlochVector.from_array(best_u))
     degenerate = bool(best_rate <= DEGENERACY_VALUE_TOL)
     return OptimalPairResult(pair, best_rate, float(np.max(d) - np.min(d)), degenerate)
+
+
+def optimal_pair_search(cycle) -> OptimalPairResult:
+    """Antipodal initial pair maximizing the per-cycle backflow rate.
+
+    By linearity an antipodal pair stays antipodal, so the trace distance
+    reduces to the evolved norm and the search runs over unit vectors
+    only.  ``_eigen_ascent`` starts from every point of a 32-point sphere
+    grid and from the eigenvectors of each ``M_j^T M_j``; the rate and the
+    purity swing are read at its normalised best direction.  For
+    periods up to 3 the rate is ``max d_i - min d_j``, and by Brickman's
+    convexity theorem its maximizer is a top eigenvector of ``A_i - mu A_j``
+    for some ``mu >= 0``, so an eigenvector search is exact there.
+
+    When the best rate is rounding noise, as it always is at period 1, the
+    direction is arbitrary: the result is then the Nelder-Mead replay's
+    (``_replay``), whose path picks the direction.
+    """
+    ms = np.stack([m.m for m in cycle.maps])
+    if cycle.period > 1:
+        u = _eigen_ascent(ms)
+        d = _map_norms(ms, u[None])[0]
+        rate = float(_cycle_gain(d))
+        if rate > DEGENERACY_VALUE_TOL:
+            pair = StatePair.antipodal(BlochVector.from_array(u))
+            return OptimalPairResult(pair, rate, float(np.max(d) - np.min(d)), False)
+    return _replay(ms)

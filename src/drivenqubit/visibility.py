@@ -27,7 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .nonmarkov import DEGENERACY_VALUE_TOL, MultiStartResult, _angles_to_unit, _fibonacci_sphere
+from .nonmarkov import (
+    ASCENT_MAX_ITER,
+    ASCENT_RTOL,
+    DEGENERACY_VALUE_TOL,
+    MultiStartResult,
+    _angles_to_unit,
+    _fibonacci_sphere,
+)
 
 NEG_DEFINITE = "negative_definite"
 NEG_SEMIDEFINITE = "negative_semidefinite"
@@ -36,8 +43,6 @@ INDEFINITE = "indefinite"
 STATIONARITY_TOL = 1e-9
 HESSIAN_EIG_TOL = 1e-8
 N_STARTS = 32
-ASCENT_RTOL = 1e-14
-ASCENT_MAX_ITER = 400
 
 # _LEVI_CIVITA[k] is the matrix eps_k with (a x b)_k = a^T eps_k b.
 _LEVI_CIVITA = np.moveaxis(np.cross(np.eye(3)[:, None], np.eye(3)), -1, 0)

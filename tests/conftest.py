@@ -80,6 +80,13 @@ def random_rotation(rng, min_angle=0.3):
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k), u, angle
 
 
+def random_contraction(rng):
+    """Orthogonal times singular values in [0, 1) times orthogonal."""
+    left, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    right, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    return left @ np.diag(rng.uniform(0.0, 1.0, 3)) @ right
+
+
 def random_ball_point(rng):
     """Uniform random point of the closed unit ball."""
     v = rng.normal(size=3)

@@ -1,6 +1,11 @@
 import hashlib
+import json
 import linecache
+import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,16 +13,20 @@ import scipy.optimize
 from numpy.testing import assert_allclose
 
 from drivenqubit import (
+    STEP_ORDERS,
     AsymptoticCycle,
     BlochMap,
     BlochVector,
+    ControlStep,
     DomainError,
+    Protocol,
     Spectrum,
     StatePair,
     asymptotic_blp_rate,
     blp_accumulate,
     gaussian_average,
     optimal_pair_search,
+    asymptotic_cycle,
     pair_distances,
     propagate,
     protocol_product,
@@ -26,7 +35,7 @@ from drivenqubit import (
 )
 from drivenqubit import bloch, nonmarkov
 
-from conftest import random_ball_point, recorded_ops
+from conftest import random_ball_point, random_contraction, recorded_ops
 
 EY = BlochVector(0.0, 1.0, 0.0)
 
@@ -218,6 +227,95 @@ class TestOptimalPairSearch:
         assert result.rate - grid_best < 1e-6
 
 
+def cycle_of(maps):
+    return AsymptoticCycle.from_maps(BlochMap(np.asarray(m, dtype=float)) for m in maps)
+
+
+def result_bytes(result):
+    values = np.array([result.rate, result.purity_swing]).tobytes()
+    return values + result.pair.a_plus.as_array().tobytes() + bytes([result.degenerate])
+
+
+PROJECTOR_Z, PROJECTOR_X = np.diag([0.0, 0.0, 1.0]), np.diag([1.0, 0.0, 0.0])
+
+
+class TestEigenvectorAscent:
+    def test_maximum_on_an_eigenvector_start(self):
+        # All 32 grid starts converge to a stationary point in the xz plane
+        # at 0.4267972911156445; the maximum sits on e_y, an eigenvector of
+        # the Gram matrices M_j^T M_j.
+        steps = [(0.19055724815811337, 2), (0.21719484630772246, 4), (0.7691109901866398, 0),
+                 (0.47340258775716537, 0), (0.03255832664519298, 0)]
+        p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
+        cycle = asymptotic_cycle(p, Spectrum(-0.2698951010856008, 6.066024452455165), "eq2b")
+        result = optimal_pair_search(cycle)
+        assert result.rate >= 0.4271878537146996 - 1e-12
+        assert abs(result.pair.a_plus.ay) == pytest.approx(1.0, abs=1e-12)
+        assert not result.degenerate
+
+    @pytest.mark.parametrize(
+        "maps, rate",
+        [((PROJECTOR_Z, PROJECTOR_X), 1.0), ((PROJECTOR_Z, 0.5 * PROJECTOR_Z), 0.5), ((PROJECTOR_X, np.zeros((3, 3)), PROJECTOR_Z), 1.0)],
+        ids=["z-x", "z-half-z", "x-zero-z"],
+    )
+    def test_starts_in_a_kernel_give_finite_output(self, maps, rate):
+        # The Gram eigenvectors e_x, e_y, e_z are starts with M_j u = 0
+        # exactly; their terms are dropped, and RuntimeWarnings are errors.
+        ms = np.stack(maps)
+        starts = np.swapaxes(np.linalg.eigh(np.swapaxes(ms, 1, 2) @ ms)[1], 1, 2).reshape(-1, 3)
+        assert np.any(nonmarkov._map_norms(ms, starts) == 0.0)
+        result = optimal_pair_search(cycle_of(maps))
+        assert result.rate == pytest.approx(rate, abs=1e-12)
+        assert np.isfinite(result.pair.a_plus.as_array()).all() and np.isfinite(result.purity_swing)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [[(0.0, 1), (0.0, 2)], [(0.5, 1), (0.0, 0), (0.0, 2)], [(0.0, 1), (0.5, 0), (0.0, 1), (0.3, 0)]],
+    )
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    def test_rank_deficient_uniform_limit_maps(self, steps, order):
+        # Unit-free phase steps average to projectors at s = inf.
+        p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
+        cycle = asymptotic_cycle(p, Spectrum(0.3, math.inf), order)
+        assert min(np.linalg.matrix_rank(m.m) for m in cycle.maps) < 3
+        result = optimal_pair_search(cycle)
+        assert np.isfinite([result.rate, result.purity_swing, *result.pair.a_plus.as_array()]).all()
+        assert result.rate == pytest.approx(asymptotic_blp_rate(cycle, result.pair), abs=1e-15)
+
+    @pytest.mark.parametrize("period", range(1, 6))
+    def test_degenerate_cycles_return_the_replay_bytes(self, period):
+        # Equal maps have rate 0 everywhere; the replay's path picks the direction.
+        m = random_contraction(np.random.default_rng(440 + period))
+        ms = np.stack([m] * period)
+        result = optimal_pair_search(cycle_of(ms))
+        assert result.degenerate
+        assert result_bytes(result) == result_bytes(nonmarkov._replay(ms))
+
+    def test_non_degenerate_cycles_make_no_replay_call(self, three_cycle, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the replay ran")
+
+        monkeypatch.setattr(nonmarkov, "minimize", refuse)
+        assert not optimal_pair_search(three_cycle).degenerate
+
+    def test_search_loads_no_scipy(self):
+        script = (
+            "import json, sys\n"
+            "import numpy as np\n"
+            "from drivenqubit import AsymptoticCycle, BlochMap, optimal_pair_search\n"
+            "maps = [np.diag([0.9, 0.5, 0.2]), np.diag([0.3, 0.8, 0.6]), np.diag([0.4, 0.4, 0.4])]\n"
+            "flags = [optimal_pair_search(AsymptoticCycle.from_maps(BlochMap(m) for m in ms)).degenerate\n"
+            "         for ms in (maps, maps[:1] * 2)]\n"
+            "scipy = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print(json.dumps([flags, scipy]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[False, True], []]
+
+
 class TestReflectionSymmetry:
     def test_antipodal_pairs_stay_antipodal(self, three_controls, calibrated_spectrum):
         a0 = BlochVector.from_array(np.array([0.6, 0.3, -0.2]))
@@ -237,20 +335,21 @@ class TestReflectionSymmetry:
 
 
 # sha256 of the rate, the purity swing and the direction of each recorded
-# pair op, which the benchmark compares only to 1e-9 and 1e-6.
+# pair op, which the benchmark compares only to 1e-9 and 1e-6.  The p4 and
+# p3 ops are the eigenvector ascent's; the degenerate ones, the replay's.
 PAIR_DIGESTS = {
     "pair.p2-s8.25.v0": "98b5c54c4391c551a7c5418496bf41bcf55222142df7f90bed9edc8b2a11e2eb",
     "pair.p2-s8.25.v1": "3be89a1407b3e4d16d8279d7db700d532456259ab2e285c4cc7c15fe5ff33acb",
     "pair.p2-s8.25.v2": "2f0436474f3bdb6fb04729e15072581b9215e10a62b9db23161e4aa53eaaf92b",
     "pair.p2-s8.25.v3": "741805dd9f646804cd06e82a2ab5d7239e80aa9835a8d1c98ebe8506a6b2a006",
-    "pair.p4-s4.31.v1": "dd590d1983cb663e9fabcf95ffaf7c876eddcb958bab352df5a3811e69f9e189",
-    "pair.p4-s4.31.v3": "dd072a7bf111bf13ba6644ab0f8e9ce085953bdbe0c593bc50ef3813b498c943",
-    "pair.p4-s4.31.v4": "e2b33726d8bb08b50da745d2391b5f2013f695804581810cfcddfc1e0bc36854",
-    "pair.p4-s4.31.v5": "58af5d550df41cb8faeb627ae5acb7ef3d2a221bf12f57d710be8a7bd488b4ab",
-    "pair.p3-s2.83.v0": "c60ae7fdcba551a10da744633dc7bbdcc236d348a79dc4d67a8f6bee51ad6ec2",
-    "pair.p3-s2.83.v1": "f406fae0ea7d912d9888343f7e3d46d5109df9bdb754ea5430a81af0e582a487",
-    "pair.p3-s2.83.v5": "b47655b2e2701771cefdd6122fe49dff10af6c953ac97e24e674a408b048716b",
-    "pair.p3-s2.83.v7": "102ae55abb13625bce8c74ab74db04d6e8823b1ea575f4aa0820aaf9bb1518c4",
+    "pair.p4-s4.31.v1": "5e4cbba1fe058e84f3ea4d2f7606664f9aae5c1cd6d0b2bf67bb5c50492cb1f0",
+    "pair.p4-s4.31.v3": "5093ceaccf5e0cb98ee6cf55bc303010ceb25dd17cb5113755e67fa3c3e039a1",
+    "pair.p4-s4.31.v4": "a989bd1243f705c03dd41b8b90e0d1c53cead89a682750e85f892a4af698407a",
+    "pair.p4-s4.31.v5": "d8b9105478ca6f7b89612b262e568d8008894c1aadb53c6e119516bded713b20",
+    "pair.p3-s2.83.v0": "c3f28ed87a9b33aa46c6d044169f4395d819b90b9d7272685122f1defb94accb",
+    "pair.p3-s2.83.v1": "8604e1f20db8a620926270e96708562041c226c30736b97b9028944a8af6e7ca",
+    "pair.p3-s2.83.v5": "1db200c3bf09e40b0f91d932e4f1892a42ba28424106b004df64a1936812a18f",
+    "pair.p3-s2.83.v7": "28db427c933a9741504a8f66c8b13a05e1247eaede75be25f13b3e61e94773d1",
     "pair.p1-s21.7.v0": "58611db900db4d176e4f5dacffb940a74fd4c1f27f7d783859d56224799582fe",
     "pair.p1-s21.7.v1": "58611db900db4d176e4f5dacffb940a74fd4c1f27f7d783859d56224799582fe",
     "pair.p1-s21.7.v2": "58611db900db4d176e4f5dacffb940a74fd4c1f27f7d783859d56224799582fe",

@@ -48,7 +48,7 @@ from drivenqubit import (
 from drivenqubit import asymptotics, bloch, cli, nonmarkov, visibility
 from drivenqubit.bloch import averaged_maps
 
-from conftest import CALIBRATED_S, UNIFORM_S, random_ball_point
+from conftest import CALIBRATED_S, UNIFORM_S, random_ball_point, random_contraction
 
 
 def protocols_with(etas, min_period=1):
@@ -923,13 +923,6 @@ def pair_search_reference(cycle):
     return best_rate, float(np.max(d) - np.min(d)), best_u
 
 
-def random_contraction(rng):
-    """Orthogonal times singular values in [0, 1) times orthogonal."""
-    left, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    right, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-    return left @ np.diag(rng.uniform(0.0, 1.0, 3)) @ right
-
-
 def assert_pair_search_matches_reference(maps):
     cycle = AsymptoticCycle.from_maps(BlochMap(m) for m in maps)
     result = optimal_pair_search(cycle)
@@ -942,7 +935,22 @@ def assert_pair_search_matches_reference(maps):
 @pytest.mark.parametrize("period", range(1, 6))
 def test_pair_search_matches_scipy_loop_bytewise(period):
     rng = np.random.default_rng(400 + period)
-    assert_pair_search_matches_reference([random_contraction(rng) for _ in range(period)])
+    maps = [random_contraction(rng) for _ in range(period)]
+    if period == 1:
+        # The rate is 0 identically, so the result is the replay's.
+        assert_pair_search_matches_reference(maps)
+        return
+    # The eigenvector ascent finds scipy's maximum or better.  At T >= 4 the
+    # swing is first order in the direction, which Nelder-Mead leaves about
+    # 1e-8 off.
+    cycle = AsymptoticCycle.from_maps(BlochMap(m) for m in maps)
+    result = optimal_pair_search(cycle)
+    rate, swing, direction = pair_search_reference(cycle)
+    assert not result.degenerate
+    assert result.rate >= rate - 1e-12
+    got = result.pair.a_plus.as_array()
+    assert min(np.max(np.abs(got - direction)), np.max(np.abs(got + direction))) <= 1e-6
+    assert abs(result.purity_swing - swing) <= 1e-7
 
 
 @pytest.mark.parametrize("period", [2, 4])
@@ -951,6 +959,31 @@ def test_degenerate_pair_search_matches_scipy_loop_bytewise(period):
     # and the direction is set by the simplex path alone.
     m = random_contraction(np.random.default_rng(410 + period))
     assert_pair_search_matches_reference([m] * period)
+
+
+def random_steady_cycle(rng):
+    """A steady cycle of period 2-5 in either order, at a mean phase of 0,
+    pi or uniform, and a width of 0, inf or log-uniform in [0.1, 30]."""
+    steps = [ControlStep(float(rng.uniform()), int(rng.integers(0, 5))) for _ in range(rng.integers(2, 6))]
+    theta_bar = [0.0, math.pi, float(rng.uniform(-math.pi, math.pi))][rng.integers(3)]
+    s = [0.0, math.inf, float(math.exp(rng.uniform(math.log(0.1), math.log(30.0))))][rng.integers(3)]
+    return asymptotic_cycle(Protocol.from_steps(steps), Spectrum(theta_bar, s), STEP_ORDERS[rng.integers(2)])
+
+
+def test_pair_search_beats_the_replay_on_random_cycles():
+    # The Nelder-Mead replay is the oracle of the eigenvector ascent; a
+    # degenerate result is the replay's own.  30 cycles keep the test under 1 s.
+    rng = np.random.default_rng(450)
+    degenerate = 0
+    for _ in range(30):
+        cycle = random_steady_cycle(rng)
+        result = optimal_pair_search(cycle)
+        if result.degenerate:
+            degenerate += 1
+            continue
+        replay = nonmarkov._replay(np.stack([m.m for m in cycle.maps]))
+        assert result.rate >= replay.rate - 1e-12
+    assert 0 < degenerate < 30
 
 
 def blp_rate_reference(cycle, pair):
