@@ -23,10 +23,10 @@ from drivenqubit import (
     Spectrum,
     StatePair,
     asymptotic_blp_rate,
+    asymptotic_cycle,
     blp_accumulate,
     gaussian_average,
     optimal_pair_search,
-    asymptotic_cycle,
     pair_distances,
     propagate,
     protocol_product,
@@ -274,7 +274,7 @@ class TestEigenvectorAscent:
     )
     @pytest.mark.parametrize("order", STEP_ORDERS)
     def test_rank_deficient_uniform_limit_maps(self, steps, order):
-        # Unit-free phase steps average to projectors at s = inf.
+        # Steps with eta = 0 turn about z only, and their s = inf averages are projectors.
         p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
         cycle = asymptotic_cycle(p, Spectrum(0.3, math.inf), order)
         assert min(np.linalg.matrix_rank(m.m) for m in cycle.maps) < 3
