@@ -23,9 +23,9 @@ from .errors import DomainError
 SEARCH_GRID_POINTS = 32
 # Values this close are equal up to rounding; a search that cannot tell them apart is degenerate.
 DEGENERACY_VALUE_TOL = 1e-9
-# Stop rule of the sphere ascents here and in ``visibility``: stop when no
-# start's value rises by more than ASCENT_RTOL relative, or after
-# ASCENT_MAX_ITER steps.
+# Stop rule of ``_sphere_ascent``, which the pair search and ``visibility``
+# share: stop when no start's value rises by more than ASCENT_RTOL relative,
+# or after ASCENT_MAX_ITER steps.
 ASCENT_RTOL = 1e-14
 ASCENT_MAX_ITER = 400
 # scipy's non-adaptive Nelder-Mead (rho = 1, chi = 2, psi = sigma = 0.5):
@@ -241,45 +241,33 @@ def minimize(fun, starts, *, xatol: float, fatol: float, maxiter: int, maxfev: i
     return MultiStartResult(final[:, 0, :n], np.min(final[..., n], axis=1), int(np.sum(final_nfev)))
 
 
-def _eigen_ascent(ms: np.ndarray) -> np.ndarray:
-    """Unit vector of the highest per-cycle rate of the maps ``ms`` (T, 3, 3)
-    that a lockstep eigenvector ascent reaches from the 32 grid points and
-    the 3T eigenvectors of the Gram matrices ``A_j = M_j^T M_j``.
-
-    With the rise pattern ``s_j = [d_{j+1} > d_j]`` of ``d_j = |M_j u|``
-    fixed, the rate is ``sum_j c_j d_j`` with ``c_j = s_{j-1} - s_j``, and at
-    a maximizer ``(sum_j c_j A_j / d_j) u = lambda u``.  Each step takes
-    ``u`` to the top eigenvector of that matrix at the current ``u`` (terms
-    with ``d_j = 0`` dropped), signed towards the previous ``u``.  The step
-    need not rise, so each start keeps its best; the ascent stops when no
-    start's best rises by more than ``ASCENT_RTOL`` relative, or after
-    ``ASCENT_MAX_ITER`` steps.  Ties go to the earliest start.
-    """
-    grams = np.swapaxes(ms, 1, 2) @ ms
-    eigenvectors = np.swapaxes(np.linalg.eigh(grams)[1], 1, 2).reshape(-1, 3)
-    u = np.vstack([_fibonacci_sphere(SEARCH_GRID_POINTS), eigenvectors])
+def _sphere_ascent(starts, step) -> MultiStartResult:
+    """Lockstep eigenvector ascent on the unit sphere from every row of
+    ``starts``.  ``step(u)`` gives the values at the points ``u`` (n, 3) and
+    one symmetric matrix each, whose top eigenvector, signed towards ``u``,
+    is the next point.  A step need not rise, so each start keeps its best;
+    the ascent stops when no best rises by more than ``ASCENT_RTOL``
+    relative, or after ``ASCENT_MAX_ITER`` steps.  ``fun`` is the negated
+    best, and ``nfev`` counts one evaluation per start and step."""
+    u = np.array(starts, dtype=float)
     best_u, best = u.copy(), np.full(len(u), -np.inf)  # the first evaluation counts as a rise
     for iteration in range(ASCENT_MAX_ITER + 1):
-        d = _map_norms(ms, u)
-        rate = _cycle_gain(d)
-        rose = rate > best
+        value, matrices = step(u)
+        rose = value > best
         best_u[rose] = u[rose]
-        previous, best = best, np.maximum(best, rate)
+        previous, best = best, np.maximum(best, value)
         if iteration == ASCENT_MAX_ITER or not np.any(best - previous > ASCENT_RTOL * best):
             break
-        rises = np.roll(d, -1, axis=1) > d
-        c = np.roll(rises, 1, axis=1) - rises.astype(float)
-        weights = np.divide(c, d, out=np.zeros_like(d), where=d > 0.0)
-        top = np.linalg.eigh(np.tensordot(weights, grams, 1))[1][..., -1]
+        top = np.linalg.eigh(matrices)[1][..., -1]
         u = top * np.where(np.vecdot(top, u) < 0.0, -1.0, 1.0)[:, None]
-    top = best_u[np.argmax(best)]
-    return top / np.linalg.norm(top)
+    return MultiStartResult(best_u, -best, (iteration + 1) * len(u))
 
 
-def _replay(ms: np.ndarray) -> OptimalPairResult:
+def _replay(ms: np.ndarray) -> tuple:
     """The Nelder-Mead pair search on the maps ``ms`` (T, 3, 3): every grid
     point refined in spherical angles by ``minimize``, ties going to the
-    earliest start.  Its path alone picks a degenerate cycle's direction."""
+    earliest start.  Returns the best unit vector and its rate.  Its path
+    alone picks a degenerate cycle's direction."""
 
     def neg_rates(angles: np.ndarray) -> np.ndarray:
         return -_cycle_gain(_map_norms(ms, _angles_to_unit(angles)))
@@ -288,37 +276,49 @@ def _replay(ms: np.ndarray) -> OptimalPairResult:
     starts = np.stack([np.arccos(np.clip(grid[:, 2], -1.0, 1.0)), np.arctan2(grid[:, 1], grid[:, 0])], axis=1)
     res = minimize(neg_rates, starts, xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000)
     best = int(np.argmin(res.fun))
-    best_rate = -res.fun[best]
     best_u = _angles_to_unit(res.x[best])
-    best_u = best_u / np.linalg.norm(best_u)
-    d = _map_norms(ms, best_u[None])[0]
-    pair = StatePair.antipodal(BlochVector.from_array(best_u))
-    degenerate = bool(best_rate <= DEGENERACY_VALUE_TOL)
-    return OptimalPairResult(pair, best_rate, float(np.max(d) - np.min(d)), degenerate)
+    return best_u / np.linalg.norm(best_u), -res.fun[best]
 
 
 def optimal_pair_search(cycle) -> OptimalPairResult:
     """Antipodal initial pair maximizing the per-cycle backflow rate.
 
-    By linearity an antipodal pair stays antipodal, so the trace distance
-    reduces to the evolved norm and the search runs over unit vectors
-    only.  ``_eigen_ascent`` starts from every point of a 32-point sphere
-    grid and from the eigenvectors of each ``M_j^T M_j``; the rate and the
-    purity swing are read at its normalised best direction.  For
-    periods up to 3 the rate is ``max d_i - min d_j``, and by Brickman's
-    convexity theorem its maximizer is a top eigenvector of ``A_i - mu A_j``
-    for some ``mu >= 0``, so an eigenvector search is exact there.
+    By linearity an antipodal pair stays antipodal, so the search runs over
+    unit vectors.  With the rise pattern ``s_j = [d_{j+1} > d_j]`` of
+    ``d_j = |M_j u|`` fixed, the rate is ``sum_j c_j d_j`` with
+    ``c_j = s_{j-1} - s_j``, and at a maximizer
+    ``(sum_j c_j A_j / d_j) u = lambda u`` with ``A_j = M_j^T M_j``.  That
+    matrix (terms with ``d_j = 0`` dropped) is the step of ``_sphere_ascent``
+    from a 32-point sphere grid and the eigenvectors of every ``A_j``.  Ties
+    go to the earliest start; the rate and the purity swing are read at the
+    normalised best direction.  For periods up to 3 the rate is
+    ``max d_i - min d_j``, and by Brickman's convexity theorem its maximizer
+    is a top eigenvector of ``A_i - mu A_j`` for some ``mu >= 0``, so the
+    search is exact there.
 
-    When the best rate is rounding noise, as it always is at period 1, the
-    direction is arbitrary: the result is then the Nelder-Mead replay's
-    (``_replay``), whose path picks the direction.
+    When the best rate is rounding noise, as it always is at period 1, any
+    direction maximizes: the direction and rate are then the Nelder-Mead
+    replay's (``_replay``), whose path picks the direction.
     """
     ms = np.stack([m.m for m in cycle.maps])
+    rate = 0.0
     if cycle.period > 1:
-        u = _eigen_ascent(ms)
-        d = _map_norms(ms, u[None])[0]
-        rate = float(_cycle_gain(d))
-        if rate > DEGENERACY_VALUE_TOL:
-            pair = StatePair.antipodal(BlochVector.from_array(u))
-            return OptimalPairResult(pair, rate, float(np.max(d) - np.min(d)), False)
-    return _replay(ms)
+        grams = np.swapaxes(ms, 1, 2) @ ms
+
+        def step(u):
+            d = _map_norms(ms, u)
+            rises = np.roll(d, -1, axis=1) > d
+            c = np.roll(rises, 1, axis=1) - rises.astype(float)
+            weights = np.divide(c, d, out=np.zeros_like(d), where=d > 0.0)
+            return _cycle_gain(d), np.tensordot(weights, grams, 1)
+
+        eigenvectors = np.swapaxes(np.linalg.eigh(grams)[1], 1, 2).reshape(-1, 3)
+        res = _sphere_ascent(np.vstack([_fibonacci_sphere(SEARCH_GRID_POINTS), eigenvectors]), step)
+        u = res.x[np.argmin(res.fun)]
+        u = u / np.linalg.norm(u)
+        rate = float(_cycle_gain(_map_norms(ms, u[None])[0]))
+    if rate <= DEGENERACY_VALUE_TOL:
+        u, rate = _replay(ms)
+    d = _map_norms(ms, u[None])[0]
+    pair = StatePair.antipodal(BlochVector.from_array(u))
+    return OptimalPairResult(pair, rate, float(np.max(d) - np.min(d)), bool(rate <= DEGENERACY_VALUE_TOL))

@@ -28,12 +28,13 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .nonmarkov import (
-    ASCENT_MAX_ITER,
     ASCENT_RTOL,
     DEGENERACY_VALUE_TOL,
+    SEARCH_GRID_POINTS,
     MultiStartResult,
     _angles_to_unit,
     _fibonacci_sphere,
+    _sphere_ascent,
 )
 
 NEG_DEFINITE = "negative_definite"
@@ -42,7 +43,6 @@ INDEFINITE = "indefinite"
 
 STATIONARITY_TOL = 1e-9
 HESSIAN_EIG_TOL = 1e-8
-N_STARTS = 32
 
 # _LEVI_CIVITA[k] is the matrix eps_k with (a x b)_k = a^T eps_k b.
 _LEVI_CIVITA = np.moveaxis(np.cross(np.eye(3)[:, None], np.eye(3)), -1, 0)
@@ -147,28 +147,24 @@ def _sphere_derivatives(forms: np.ndarray, c: float, u: np.ndarray):
 
 
 def minimize(forms: np.ndarray, starts: np.ndarray) -> MultiStartResult:
-    """Minimize ``-|q(u)|`` over unit vectors from every row of ``starts``,
-    all starts in lockstep; ``nfev`` counts form evaluations.
+    """Minimize ``-|q(u)|`` over unit vectors from every row of ``starts``
+    with ``nonmarkov._sphere_ascent``; ``nfev`` counts form evaluations.
 
-    ``|q(u)| = max_{|n|=1} u^T (sum_k n_k Q_k) u``, so each iteration takes
-    ``n = q(u)/|q(u)|`` and then the top eigenvector of ``sum_k n_k Q_k``,
-    signed towards the previous ``u`` (which stays where ``q(u) = 0``), and
-    neither step can lower ``|q|`` (a relative of the shifted power method
-    for symmetric tensors).  Without a stop tolerance the values oscillate
-    at rounding level, so the ascent stops when no start's value rises by
-    more than ``ASCENT_RTOL`` relative, or after ``ASCENT_MAX_ITER`` steps.
+    ``|q(u)| = max_{|n|=1} u^T (sum_k n_k Q_k) u``, so each step takes
+    ``n = q(u)/|q(u)|`` (``n = 0`` where ``q(u) = 0``) and then the top
+    eigenvector of ``sum_k n_k Q_k``, and neither step can lower ``|q|`` (a
+    relative of the shifted power method for symmetric tensors).  Without a
+    stop tolerance the values oscillate at rounding level, so each start
+    keeps its best under the ascent's relative stop rule.
     """
-    u = np.array(starts, dtype=float)
-    value = np.full(len(u), -np.inf)  # the first evaluation counts as a rise
-    for iteration in range(ASCENT_MAX_ITER + 1):
+
+    def step(u):
         q = np.vecdot(u @ forms, u).T
-        value, previous = np.linalg.norm(q, axis=1), value
-        if iteration == ASCENT_MAX_ITER or not np.any(value - previous > ASCENT_RTOL * value):
-            break
-        moving = value > 0.0
-        top = np.linalg.eigh(np.tensordot(q[moving] / value[moving, None], forms, 1))[1][..., -1]
-        u[moving] = top * np.where(np.vecdot(top, u[moving]) < 0.0, -1.0, 1.0)[:, None]
-    return MultiStartResult(u, -value, (iteration + 1) * len(u))
+        value = np.linalg.norm(q, axis=1)
+        n = np.divide(q, value[:, None], out=np.zeros_like(q), where=value[:, None] > 0.0)
+        return value, np.tensordot(n, forms, 1)
+
+    return _sphere_ascent(starts, step)
 
 
 def maximize_visibility(cycle) -> VisibilityMaximum:
@@ -190,7 +186,7 @@ def maximize_visibility(cycle) -> VisibilityMaximum:
         best_u = vecs[:, -1]
         degenerate = bool(vals[-1] - vals[-2] <= DEGENERACY_VALUE_TOL)
     else:
-        res = minimize(forms, _fibonacci_sphere(N_STARTS))
+        res = minimize(forms, _fibonacci_sphere(SEARCH_GRID_POINTS))
         values = -c * res.fun
         best = np.max(values)
         best_u = res.x[np.argmax(values >= (1.0 - ASCENT_RTOL) * best)]

@@ -48,7 +48,7 @@ from drivenqubit import (
 from drivenqubit import asymptotics, bloch, cli, nonmarkov, visibility
 from drivenqubit.bloch import averaged_maps
 
-from conftest import CALIBRATED_S, UNIFORM_S, random_ball_point, random_contraction
+from conftest import CALIBRATED_S, UNIFORM_S, random_ball_point, random_contraction, recorded_ops
 
 
 def protocols_with(etas, min_period=1):
@@ -961,10 +961,11 @@ def test_degenerate_pair_search_matches_scipy_loop_bytewise(period):
     assert_pair_search_matches_reference([m] * period)
 
 
-def random_steady_cycle(rng):
-    """A steady cycle of period 2-5 in either order, at a mean phase of 0,
-    pi or uniform, and a width of 0, inf or log-uniform in [0.1, 30]."""
-    steps = [ControlStep(float(rng.uniform()), int(rng.integers(0, 5))) for _ in range(rng.integers(2, 6))]
+def random_steady_cycle(rng, periods=(2, 6)):
+    """A steady cycle of a period in ``range(*periods)`` (2-5 by default) in
+    either order, at a mean phase of 0, pi or uniform, and a width of 0, inf
+    or log-uniform in [0.1, 30]."""
+    steps = [ControlStep(float(rng.uniform()), int(rng.integers(0, 5))) for _ in range(rng.integers(*periods))]
     theta_bar = [0.0, math.pi, float(rng.uniform(-math.pi, math.pi))][rng.integers(3)]
     s = [0.0, math.inf, float(math.exp(rng.uniform(math.log(0.1), math.log(30.0))))][rng.integers(3)]
     return asymptotic_cycle(Protocol.from_steps(steps), Spectrum(theta_bar, s), STEP_ORDERS[rng.integers(2)])
@@ -981,9 +982,147 @@ def test_pair_search_beats_the_replay_on_random_cycles():
         if result.degenerate:
             degenerate += 1
             continue
-        replay = nonmarkov._replay(np.stack([m.m for m in cycle.maps]))
-        assert result.rate >= replay.rate - 1e-12
+        _, replay_rate = nonmarkov._replay(np.stack([m.m for m in cycle.maps]))
+        assert result.rate >= replay_rate - 1e-12
     assert 0 < degenerate < 24
+
+
+def pair_ascent_reference(ms):
+    """The pair search's eigenvector ascent as its own loop, as it ran before
+    it shared ``nonmarkov._sphere_ascent`` with visibility: the rate and the
+    bytes of the result it returned when the rate was above the degeneracy
+    tolerance."""
+    grams = np.swapaxes(ms, 1, 2) @ ms
+    eigenvectors = np.swapaxes(np.linalg.eigh(grams)[1], 1, 2).reshape(-1, 3)
+    u = np.vstack([nonmarkov._fibonacci_sphere(nonmarkov.SEARCH_GRID_POINTS), eigenvectors])
+    best_u, best = u.copy(), np.full(len(u), -np.inf)
+    for iteration in range(nonmarkov.ASCENT_MAX_ITER + 1):
+        d = nonmarkov._map_norms(ms, u)
+        rate = nonmarkov._cycle_gain(d)
+        rose = rate > best
+        best_u[rose] = u[rose]
+        previous, best = best, np.maximum(best, rate)
+        if iteration == nonmarkov.ASCENT_MAX_ITER or not np.any(best - previous > nonmarkov.ASCENT_RTOL * best):
+            break
+        rises = np.roll(d, -1, axis=1) > d
+        c = np.roll(rises, 1, axis=1) - rises.astype(float)
+        weights = np.divide(c, d, out=np.zeros_like(d), where=d > 0.0)
+        top = np.linalg.eigh(np.tensordot(weights, grams, 1))[1][..., -1]
+        u = top * np.where(np.vecdot(top, u) < 0.0, -1.0, 1.0)[:, None]
+    top = best_u[np.argmax(best)]
+    top = top / np.linalg.norm(top)
+    d = nonmarkov._map_norms(ms, top[None])[0]
+    rate = float(nonmarkov._cycle_gain(d))
+    return rate, np.array([rate, np.max(d) - np.min(d)]).tobytes() + top.tobytes()
+
+
+def visibility_ascent_reference(forms, starts):
+    """``visibility.minimize`` as its own loop, as it ran before it shared
+    ``nonmarkov._sphere_ascent``: each start reports its last point and
+    value, the stop rule reads the last two values, and a start where
+    ``q(u) = 0`` stays where it is."""
+    u = np.array(starts, dtype=float)
+    value = np.full(len(u), -np.inf)
+    for iteration in range(nonmarkov.ASCENT_MAX_ITER + 1):
+        q = np.vecdot(u @ forms, u).T
+        value, previous = np.linalg.norm(q, axis=1), value
+        if iteration == nonmarkov.ASCENT_MAX_ITER or not np.any(value - previous > nonmarkov.ASCENT_RTOL * value):
+            break
+        moving = value > 0.0
+        top = np.linalg.eigh(np.tensordot(q[moving] / value[moving, None], forms, 1))[1][..., -1]
+        u[moving] = top * np.where(np.vecdot(top, u[moving]) < 0.0, -1.0, 1.0)[:, None]
+    return nonmarkov.MultiStartResult(u, -value, (iteration + 1) * len(u))
+
+
+def pair_bytes(result):
+    return np.array([result.rate, result.purity_swing]).tobytes() + result.pair.a_plus.as_array().tobytes()
+
+
+def visibility_bytes(result):
+    """Every field of a visibility maximum but its direction, as bytes."""
+    floats = np.array([result.value, result.gradient_norm, *result.hessian_eigenvalues])
+    return floats.tobytes(), result.verdict, result.degenerate
+
+
+def visibility_pair(cycle, monkeypatch):
+    """The visibility maximum by the shared ascent and by its own loop."""
+    got = maximize_visibility(cycle)
+    with monkeypatch.context() as patch:
+        patch.setattr(visibility, "minimize", visibility_ascent_reference)
+        return got, maximize_visibility(cycle)
+
+
+def test_shared_ascent_keeps_recorded_pair_bytes():
+    non_degenerate = 0
+    for op in recorded_ops("steady_sweep", lambda op: op["kind"] == "pair"):
+        ms = np.array(op["maps"])
+        rate, want = pair_ascent_reference(ms)
+        if rate > nonmarkov.DEGENERACY_VALUE_TOL:
+            non_degenerate += 1
+            assert pair_bytes(optimal_pair_search(AsymptoticCycle.from_maps(BlochMap(m) for m in ms))) == want
+    assert non_degenerate == 8
+
+
+def test_shared_ascent_keeps_recorded_visibility_bytes(monkeypatch):
+    ops = recorded_ops("steady_sweep", lambda op: op["id"].startswith("vis.p3-s2.83"))
+    assert len(ops) == 4
+    for op in ops:
+        got, want = visibility_pair(AsymptoticCycle.from_maps(BlochMap(np.array(m)) for m in op["maps"]), monkeypatch)
+        assert visibility_bytes(got) == visibility_bytes(want)
+        assert got.direction.tobytes() == want.direction.tobytes()
+
+
+@pytest.mark.parametrize("order", STEP_ORDERS)
+def test_shared_ascent_moves_one_preset_direction_bit(order, monkeypatch):
+    # The best start reaches its best value a few steps before the stop
+    # and keeps it while its point moves by rounding: the shared ascent
+    # reports the first point at that value, the reference the last.  The
+    # Newton finish lands one unit in the last place apart (2.8e-17 in
+    # eq2b, 3.6e-31 in an entry that is 0 by symmetry in eq4a); the
+    # value, gradient norm and Hessian keep their bytes.
+    config = cli.preset("three_controls")
+    got, want = visibility_pair(asymptotic_cycle(config.protocol, config.spectrum, order), monkeypatch)
+    assert visibility_bytes(got) == visibility_bytes(want)
+    assert np.max(np.abs(got.direction - want.direction)) <= 2.8e-17
+
+
+def test_shared_ascent_keeps_random_pair_bytes(monkeypatch):
+    # The replay is stubbed out: a degenerate ascent hands over to it
+    # exactly when the reference's would.
+    replays = []
+
+    def replay(ms):
+        replays.append(ms)
+        return np.array([0.0, 0.0, 1.0]), 0.0
+
+    monkeypatch.setattr(nonmarkov, "_replay", replay)
+    rng = np.random.default_rng(11)
+    degenerate = 0
+    for _ in range(48):
+        cycle = random_steady_cycle(rng)
+        rate, want = pair_ascent_reference(np.stack([m.m for m in cycle.maps]))
+        result = optimal_pair_search(cycle)
+        if rate > nonmarkov.DEGENERACY_VALUE_TOL:
+            assert pair_bytes(result) == want
+        else:
+            degenerate += 1
+            assert result.degenerate
+        assert len(replays) == degenerate
+    assert 0 < degenerate < 48
+
+
+def test_shared_ascent_agrees_on_random_three_point_visibility(monkeypatch):
+    # A start whose last step fell by rounding now reports its best
+    # point, so values and directions may move at rounding level.  Among
+    # the tied maximizers of a degenerate maximum the pick is arbitrary.
+    rng = np.random.default_rng(7)
+    for _ in range(48):
+        cycle = random_steady_cycle(rng, periods=(3, 4))
+        got, want = visibility_pair(cycle, monkeypatch)
+        assert abs(got.value - want.value) <= 1e-15
+        assert (got.verdict, got.degenerate) == (want.verdict, want.degenerate)
+        if not want.degenerate:
+            assert min(np.max(np.abs(got.direction - sign * want.direction)) for sign in (1, -1)) <= 1e-13
 
 
 def blp_rate_reference(cycle, pair):

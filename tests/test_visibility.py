@@ -80,7 +80,7 @@ def bfgs_maximum(cycle):
         return -qq / r2**2, -grad
 
     candidates = []
-    for start in nonmarkov._fibonacci_sphere(visibility.N_STARTS):
+    for start in nonmarkov._fibonacci_sphere(nonmarkov.SEARCH_GRID_POINTS):
         x = scipy.optimize.minimize(neg_extension, start, jac=True, method="BFGS", options={"gtol": 1e-10}).x
         candidates.append((_value(forms, c, x / np.linalg.norm(x)), x / np.linalg.norm(x)))
     best_value, best_u = max(candidates, key=lambda cand: cand[0])
@@ -239,16 +239,16 @@ class TestMaximizeVisibility:
         maximize_visibility(reference_three_cycle)
         assert len(calls) == 1
         n_starts, n_results, nfev = calls[0]
-        assert n_starts == n_results == visibility.N_STARTS == 32
-        assert nfev >= visibility.N_STARTS
+        assert n_starts == n_results == nonmarkov.SEARCH_GRID_POINTS == 32
+        assert nfev >= nonmarkov.SEARCH_GRID_POINTS
 
     def test_matches_bfgs_oracle(self, reference_two_cycle, reference_three_cycle):
         # default_rng(4)'s first triple keeps one start creeping until the
         # ascent's iteration cap; the Newton finish still certifies it.
         capped = random_three_cycle(4)
         forms, _ = _forms(capped)
-        nfev = visibility.minimize(forms, nonmarkov._fibonacci_sphere(visibility.N_STARTS)).nfev
-        assert nfev == visibility.N_STARTS * (visibility.ASCENT_MAX_ITER + 1)
+        nfev = visibility.minimize(forms, nonmarkov._fibonacci_sphere(nonmarkov.SEARCH_GRID_POINTS)).nfev
+        assert nfev == nonmarkov.SEARCH_GRID_POINTS * (nonmarkov.ASCENT_MAX_ITER + 1)
         cycles = [reference_two_cycle, reference_three_cycle, capped]
         cycles += [random_three_cycle(7, draw) for draw in (0, 1)]
         for cycle in cycles:
@@ -258,6 +258,48 @@ class TestMaximizeVisibility:
             assert (result.verdict, result.degenerate) == (verdict, degenerate)
             if not degenerate:
                 assert min(np.max(np.abs(result.direction - s * direction)) for s in (1, -1)) <= 1e-6
+
+    def test_starts_where_q_vanishes(self):
+        # q(u) = (0, 0, u_x u_y): Fibonacci start 0 has u_y = 0, so q = 0
+        # there.  The maximum 1/4 sits at (+-1, +-1, 0)/sqrt(2), two
+        # non-antipodal maximizer pairs.
+        cycle = AsymptoticCycle.from_maps(
+            [BlochMap(np.diag([1.0, 0.0, 0.0])), BlochMap(np.diag([0.0, 1.0, 0.0])), BlochMap(np.zeros((3, 3)))]
+        )
+        forms, _ = _forms(cycle)
+        start = nonmarkov._fibonacci_sphere(nonmarkov.SEARCH_GRID_POINTS)[0]
+        assert not np.any(start @ forms @ start)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = maximize_visibility(cycle)
+            zero = maximize_visibility(AsymptoticCycle.from_maps([BlochMap(np.zeros((3, 3)))] * 3))
+        assert result.value == 0.25000000000000006
+        assert result.verdict == NEG_DEFINITE
+        assert result.degenerate
+        assert_allclose(result.direction, [-math.sqrt(0.5), math.sqrt(0.5), 0.0], atol=1e-15)
+        assert zero.value == 0.0
+        assert zero.degenerate
+
+    def test_both_searches_run_one_ascent_loop(self, reference_two_cycle, monkeypatch):
+        calls = []
+        forward = nonmarkov._sphere_ascent
+
+        def counting(starts, step):
+            calls.append(len(starts))
+            return forward(starts, step)
+
+        for module in (nonmarkov, visibility):
+            monkeypatch.setattr(module, "_sphere_ascent", counting)
+        op = recorded_ops("steady_sweep", lambda op: op["id"] == "pair.p3-s2.83.v0")[0]
+        three = AsymptoticCycle.from_maps(BlochMap(np.array(m)) for m in op["maps"])
+        nonmarkov.optimal_pair_search(three)
+        # 32 grid points and the 3T Gram eigenvectors.
+        assert calls == [nonmarkov.SEARCH_GRID_POINTS + 9]
+        maximize_visibility(three)
+        assert calls[1:] == [nonmarkov.SEARCH_GRID_POINTS]
+        maximize_visibility(reference_two_cycle)
+        nonmarkov.optimal_pair_search(AsymptoticCycle.from_maps(three.maps[:1]))
+        assert len(calls) == 2
 
     def test_hessian_negative_semidefinite(self, reference_two_cycle, reference_three_cycle):
         for cycle in (reference_two_cycle, reference_three_cycle):
