@@ -17,14 +17,14 @@ long-iteration propagation; the products themselves keep a residual
 oscillatory error that decays only like 1/sqrt(m) through stationary
 points of the rotation angle.
 
-All functions are pure.  The steady maps of all phases refine in
-lockstep, each phase retiring at the refinement where it converges.  Each
-refinement runs in blocks of nodes: one harmonic-major cos/sin table per
-block serves the period and prefix series of every phase, the axis
-projectors of a block are extracted in one batched pass, and the weighted
-terms are added as one running sum in node order, carried from block to
-block.  So results are reproducible bit for bit, equal a node-by-node loop,
-and do not depend on which other phases are computed alongside.
+All functions are pure.  The T steady maps refine as one cycle: the
+window stops at the first refinement where no phase's map changes by
+QUAD_TOL.  Each refinement runs in blocks of nodes: one harmonic-major
+cos/sin table per block serves the period and prefix series of every
+phase, the axis projectors of a block are extracted in one batched pass,
+and the weighted terms are added as one running sum in node order, carried
+from block to block.  So results are reproducible bit for bit and equal a
+node-by-node loop run to the cycle's last refinement.
 
 The integrand is 2 pi-periodic, so the spectral average is also a periodic
 trapezoid sum over one period with the exact wrapped-normal weights
@@ -44,19 +44,18 @@ The fold reads one axis.  Phase K's rotated period is W_K = P_K P_T P_K^-1,
 so its projector is P_K Pi P_K^T and its integrand is P_K Pi, with Pi the
 axis projector of the one unshifted period product P_T (phase 0's integrand
 is Pi itself).  So one node pass evaluates P_T and Pi once per node for
-every phase that shares a node count; the window keeps the rotated form
-proj(W_K) P_K.  Calibration reads every bisection width from the phase-0
-fold and, for a protocol with a reference cycle, its residual table from
-the folds of all phases out of the same pass.
+every phase, on the period's one node count N; the window keeps the
+rotated form proj(W_K) P_K.  Calibration reads every bisection width from
+the phase-0 fold and, for a protocol with a reference cycle, its residual
+table from the folds of all phases out of the same pass.
 
-The hand-off, one rule at every width: a phase the window has not
-finished at its first refinement of n >= 2N nodes, or at the node cap,
-takes the bits of its fold's map at s; the phases handed over at one
-refinement are folded together, and a fold that raises ends the call.  rho
-is solved at most once per call, from P_T, and only past the smallest 2N
-of any strip.  At the calibrated s neither preset gets that far:
-two_controls converges at 128 of its 2N = 256 nodes, three_controls at 512
-of 512.
+The hand-off, one rule at every width: a cycle the window has not
+finished at its first refinement of n >= 2N nodes, or at the node cap, is
+handed over whole, and every phase takes the bits of its fold's map at s;
+a fold that raises ends the call.  rho is solved at most once per call,
+from P_T, and only past the smallest 2N of any strip.  At the calibrated s
+neither preset gets that far: two_controls converges at 128 of its 2N =
+256 nodes, three_controls at 512 of 512.
 """
 
 from __future__ import annotations
@@ -300,74 +299,65 @@ def _chain(p: Protocol, order: str) -> list:
     return list(itertools.islice(product_chain(p, order), p.period + 1))
 
 
-def _steady_maps(p: Protocol, sp: Spectrum, phases, order: str) -> list:
-    """Steady-cycle maps at the given integer phases, computed in lockstep
-    by the window, with the hand-off to the fold of the module docstring.
+def _steady_maps(p: Protocol, sp: Spectrum, order: str) -> list:
+    """The T steady-cycle maps, refined as one cycle by the window, with the
+    hand-off to the fold of the module docstring.
 
     Each refinement runs in node blocks (``_node_blocks``) whose coefficient
     rows, built for the deepest series, serve the rotated period and prefix
     series of every phase.  The nodes come from ``_quad_nodes`` alone; where
-    it gives none, the maps are point values.  The phases handed over at
-    one refinement are folded together (``_folds``), and the first of them
-    whose fold raises ends the call: its ConvergenceError is raised again
-    with the phase, s and the window's last change.
+    it gives none, the maps are point values.  The first phase whose fold
+    raises ends the call: its ConvergenceError is raised again with the
+    phase, s and the window's last change of that phase.
     """
     chain = _chain(p, order)
     top = chain[-1]
     series = [
         (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order) if K else top, chain[K])
-        for K in phases
+        for K in range(p.period)
     ]
     pairs = max(len(tm.terms) for pair in series for tm in pair)
     rho = functools.cache(lambda: _strip_halfwidth(top))
 
-    def integrals(nodes, weights, active):
-        acc = np.zeros((len(active), 3, 3))
+    def integrals(nodes, weights):
+        acc = np.zeros((p.period, 3, 3))
         for block, coef in _node_blocks(nodes, pairs):
             w = weights[block, None, None]
             theta = nodes[block]
-            for i, j in enumerate(active):
-                period, prefix = series[j]
+            for K, (period, prefix) in enumerate(series):
                 proj = _steady_projectors(period, theta, _running_sum(coef, period.terms))
                 # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
-                parts = w * (proj + 0.0 if phases[j] == 0 else proj @ _running_sum(coef, prefix.terms))
+                parts = w * (proj + 0.0 if K == 0 else proj @ _running_sum(coef, prefix.terms))
                 # A running sum in node order, carried from the previous block.
-                parts[0] += acc[i]
-                acc[i] = np.add.reduce(parts, axis=0)
+                parts[0] += acc[K]
+                acc[K] = np.add.reduce(parts, axis=0)
         return acc
 
-    maps = np.empty((len(series), 3, 3))
-    active = np.arange(len(series))
-    n_nodes, diff = QUAD_MIN_NODES, np.full(len(series), np.inf)
-    while active.size and (rule := _quad_nodes(sp, n_nodes)) is not None:
+    # The first refinement changes every map by inf.
+    n_nodes, maps = QUAD_MIN_NODES, np.full((p.period, 3, 3), np.inf)
+    while (rule := _quad_nodes(sp, n_nodes)) is not None:
+        cur = integrals(*rule)
+        diff, maps = np.max(np.abs(cur - maps), axis=(1, 2)), cur
+        if np.all(diff < QUAD_TOL):
+            break
         h_top = _fold_harmonics(sp.s)
-        cur = integrals(*rule, active)
-        if n_nodes > QUAD_MIN_NODES:
-            diff[active] = np.max(np.abs(cur - maps[active]), axis=(1, 2))
-        maps[active] = cur
-        active = active[~(diff[active] < QUAD_TOL)]
-        at_cap = n_nodes >= QUAD_MAX_NODES
-        due = np.zeros(active.size, dtype=bool)
-        for i, j in enumerate(active):
-            prefix = series[j][1]
-            # decay = 1 gives the smallest N of any strip: no root is solved below it.
-            ready = n_nodes >= 2 * _fold_count(1, h_top, prefix)
-            due[i] = at_cap or ready and n_nodes >= 2 * _fold_count(_decay(rho(), top), h_top, prefix)
-        handed = active[due]
-        folds = _folds(chain, [phases[j] for j in handed], sp, rho()) if handed.size else None
-        for j in handed:
-            try:
-                maps[j] = next(folds).map_at(sp.s)
-            except ConvergenceError as error:
-                raise ConvergenceError(
-                    f"steady-map quadrature did not reach {QUAD_TOL} by {n_nodes} nodes "
-                    f"(period {p.period}, phase {phases[j]}, s = {sp.s}, last change {diff[j]:.3e}); {error}"
-                ) from error
-        active = active[~due]
+        # decay = 1 gives the smallest N of any strip: no root is solved below it.
+        ready = n_nodes >= 2 * _fold_count(1, h_top, chain)
+        if n_nodes >= QUAD_MAX_NODES or ready and n_nodes >= 2 * _fold_count(_decay(rho(), top), h_top, chain):
+            folds = _folds(chain, range(p.period), sp, rho())
+            for K in range(p.period):
+                try:
+                    maps[K] = next(folds).map_at(sp.s)
+                except ConvergenceError as error:
+                    raise ConvergenceError(
+                        f"steady-map quadrature did not reach {QUAD_TOL} by {n_nodes} nodes "
+                        f"(period {p.period}, phase {K}, s = {sp.s}, last change {diff[K]:.3e}); {error}"
+                    ) from error
+            break
         n_nodes *= 2
-    if active.size:
+    else:
         # The spectral integral is a point value (see _quad_nodes).
-        maps[active] = integrals(np.array([sp.theta_bar]), np.ones(1), active)
+        maps = integrals(np.array([sp.theta_bar]), np.ones(1))
     return [BlochMap(m) for m in maps]
 
 
@@ -413,10 +403,11 @@ class SteadyFold:
     theta_bar (doubled for h >= 1), h <= H*, so the steady map at any width
     s with ``H* >= FOLD_TAIL / s`` is their sum weighted by the damping row
     ``exp(-h^2 s^2 / 2)``; a uniform-limit fold keeps only h = 0, taken on
-    a grid anchored at 0.  ``nodes`` is the a-priori count N: the rule
-    runs on the 2N nodes ``theta_bar + 2 pi (j + 1/2) / (2N)``, and
-    ``guard_delta`` is the largest change of the map from the rule's
-    N-node half (the even nodes) at widths doubling from s_min.
+    a grid anchored at 0.  ``nodes`` is the period's a-priori count N,
+    the same at every phase: the rule runs on the 2N nodes
+    ``theta_bar + 2 pi (j + 1/2) / (2N)``, and ``guard_delta`` is the
+    largest change of the map from the rule's N-node half (the even nodes)
+    at widths doubling from s_min.
     ``strip_halfwidth`` is rho.
     """
 
@@ -452,11 +443,13 @@ def _decay(rho: float, period: TrigMatrix) -> int:
     return period.max_harmonic + 1
 
 
-def _fold_count(decay: int, h_top: int, prefix: TrigMatrix) -> int:
-    """The fold's node count N = decay + 2 H* + H_P, rounded up to a power
-    of 2; H_P is the prefix's degree (0 at phase 0).  decay = 1 gives the
-    smallest N of any strip, a bound that needs no root."""
-    return 2 ** max(decay + 2 * h_top + prefix.max_harmonic - 1, 1).bit_length()
+def _fold_count(decay: int, h_top: int, chain: list) -> int:
+    """The period's fold node count N = decay + 2 H* + H_P, rounded up to a
+    power of 2; H_P is the deepest degree of the prefixes P_0, ..., P_{T-1}
+    of ``chain``.  decay = 1 gives the smallest N of any strip, a bound
+    that needs no root."""
+    h_prefix = max(tm.max_harmonic for tm in chain[:-1])
+    return 2 ** max(decay + 2 * h_top + h_prefix - 1, 1).bit_length()
 
 
 def _folds(chain: list, phases, sp: Spectrum, rho: float):
@@ -464,45 +457,39 @@ def _folds(chain: list, phases, sp: Spectrum, rho: float):
     sp.theta_bar, yielded in phase order.  ``chain`` is P_0, ..., P_T and
     rho the strip half-width of P_T.  In the uniform limit H* = 0 and the
     grid is anchored at 0, so every such fold is the s = inf fold.  Raises
-    ConvergenceError at the first phase whose 2N nodes exceed QUAD_MAX_NODES
-    or whose guard exceeds QUAD_TOL, naming rho, N and the guard delta.
+    ConvergenceError, naming rho, N and the guard delta, when the 2N nodes
+    exceed QUAD_MAX_NODES or at the first phase whose guard exceeds QUAD_TOL.
 
-    A phase's N is ``_fold_count`` over rho, P_T's degree and its prefix's.
-    The phases that share an N share one node pass, run for the first of
-    them: per node block one table of coefficient rows, P_T and its axis
+    Every phase folds on the period's N (``_fold_count``) from one node
+    pass: per node block one table of coefficient rows, P_T and its axis
     projectors Pi once, and each phase's value ``P_K Pi``.  The FFT and the
     guard run per phase, so a fold's bits do not depend on the phases alongside.
     """
     top = chain[-1]
     h_top = _fold_harmonics(sp.s)
-    anchor = 0.0 if sp.is_uniform else sp.theta_bar
-    counts = [_fold_count(_decay(rho, top), h_top, chain[K]) for K in phases]
+    n = _fold_count(_decay(rho, top), h_top, chain)
+    where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
+    if 2 * n > QUAD_MAX_NODES:
+        raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
+    theta = (0.0 if sp.is_uniform else sp.theta_bar) + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
+    values = np.empty((len(phases), 2 * n, 3, 3))
+    for block, coef in _node_blocks(theta, max(len(tm.terms) for tm in chain)):
+        axis = _steady_projectors(top, theta[block], _running_sum(coef, top.terms))
+        for v, K in zip(values, phases):
+            # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
+            v[block] = axis + 0.0 if K == 0 else _running_sum(coef, chain[K].terms) @ axis
     h = np.arange(h_top + 1)
-    scale = np.where(h == 0, 1.0, 2.0)[:, None]
+    scale = np.where(h == 0, 1.0, 2.0)[:, None] / (2 * n)
+    # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
+    # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
+    shift = np.exp(-0.5j * np.pi * h / n)[:, None]
     # The guard reads the change at widths doubling from s_min until the
     # weights are uniform, so it covers every width the fold serves.
     rows = [_damping(sp.s * 2.0**k, h_top) for k in range((h_top - 1).bit_length() + 1)]
-    passes = {}
-    for K, n in zip(phases, counts):
-        where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
-        if 2 * n > QUAD_MAX_NODES:
-            raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
-        if n not in passes:
-            group = [k for k, count in zip(phases, counts) if count == n]
-            theta = anchor + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
-            values = np.empty((len(group), 2 * n, 3, 3))
-            for block, coef in _node_blocks(theta, max(len(tm.terms) for tm in [top] + [chain[k] for k in group])):
-                axis = _steady_projectors(top, theta[block], _running_sum(coef, top.terms))
-                for v, k in zip(values, group):
-                    # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
-                    v[block] = axis + 0.0 if k == 0 else _running_sum(coef, chain[k].terms) @ axis
-            passes[n] = iter(values)
-        # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
-        # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
-        shift = np.exp(-0.5j * np.pi * h / n)[:, None]
-        spectrum = np.fft.rfft(next(passes[n]).reshape(2 * n, 9), axis=0)
-        coefficients = scale / (2 * n) * np.real(shift * spectrum[h])
-        change = scale / (2 * n) * np.real(shift * np.conj(spectrum[n - h]))
+    for v in values:
+        spectrum = np.fft.rfft(v.reshape(2 * n, 9), axis=0)
+        coefficients = scale * np.real(shift * spectrum[h])
+        change = scale * np.real(shift * np.conj(spectrum[n - h]))
         guard = max(float(np.max(np.abs(row @ change))) for row in rows)
         if not guard <= QUAD_TOL:
             raise ConvergenceError(f"{where} has guard delta {guard:.3e}, above {QUAD_TOL}")
@@ -524,31 +511,34 @@ def steady_fold(
 ) -> SteadyFold:
     """The one-period fold of the steady integrand at phase K, for every
     width s >= s_min about the mean phase theta_bar: one node pass over the
-    axis of the unshifted period product, whose ``map_at(s)`` is the steady
-    map at Spectrum(theta_bar, s).  It agrees with ``asymptotic_map`` to
-    the window's tolerance, and its own error is about FOLD_TOL.  Raises
-    DomainError for a phase that is not an integer in [0, T), s_min not
-    positive or theta_bar out of range, and ConvergenceError when the rule
-    needs more than QUAD_MAX_NODES nodes or fails its guard."""
+    axis of the unshifted period product, on the period's node count N,
+    whose ``map_at(s)`` is the steady map at Spectrum(theta_bar, s).  It
+    agrees with ``asymptotic_map`` to the window's tolerance, and its own
+    error is about FOLD_TOL.  Raises DomainError for a phase that is not an
+    integer in [0, T), s_min not positive or theta_bar out of range, and
+    ConvergenceError when the rule needs more than QUAD_MAX_NODES nodes or
+    fails its guard."""
     return _steady_folds(p, theta_bar, s_min, [_check_phase(K, p.period)], order)[0]
 
 
 def asymptotic_map(
     p: Protocol, sp: Spectrum, K: int, order: str = ORDER_PHASE_AFTER
 ) -> BlochMap:
-    """Steady-cycle map at integer driving phase K.
+    """Steady-cycle map at integer driving phase K: phase K of
+    ``asymptotic_cycle``, so it computes the whole period.
 
     Spectral average of the axis projector of the one-period product of the
     schedule rotated by K (``steps[K:] + steps[:K]``) times the K-step
     prefix.  The quadrature doubles its node count until two successive
-    refinements agree to 1e-10 entrywise; a phase not converged at its
-    first refinement of 2N nodes, at any width, takes its fold's map.  The
-    uniform limit (``sp.is_uniform``) integrates over one period, free of
-    theta_bar; at s = 0 or tiny s the map is a point value.  Raises
-    DomainError unless K is an integer in [0, T), and ConvergenceError
-    where the fold it is handed to raises.
+    refinements of every phase agree to 1e-10 entrywise; a cycle not
+    converged at its first refinement of 2N nodes, at any width, takes its
+    folds' maps.  The uniform limit (``sp.is_uniform``) integrates over one
+    period, free of theta_bar; at s = 0 or tiny s the map is a point value.
+    Raises DomainError unless K is an integer in [0, T), and
+    ConvergenceError where a fold of the cycle raises.
     """
-    return _steady_maps(p, sp, [_check_phase(K, p.period)], order)[0]
+    K = _check_phase(K, p.period)
+    return _steady_maps(p, sp, order)[K]
 
 
 @dataclass(frozen=True)
@@ -573,11 +563,11 @@ class AsymptoticCycle:
 def asymptotic_cycle(
     p: Protocol, sp: Spectrum, order: str = ORDER_PHASE_AFTER
 ) -> AsymptoticCycle:
-    """All T steady-cycle maps of a protocol, refined in lockstep: each map
-    has the bits of ``asymptotic_map`` at its phase, from the window or its
-    fold by the hand-off of the module docstring.  The first fold that
-    raises ends the call with its ConvergenceError, naming its phase."""
-    return AsymptoticCycle.from_maps(_steady_maps(p, sp, range(p.period), order))
+    """All T steady-cycle maps of a protocol, refined as one cycle: every
+    map comes from the window, or every map from its fold, by the hand-off
+    of the module docstring.  The first fold that raises ends the call with
+    its ConvergenceError, naming its phase."""
+    return AsymptoticCycle.from_maps(_steady_maps(p, sp, order))
 
 
 def limit_cycle(cycle: AsymptoticCycle, a0: BlochVector) -> np.ndarray:

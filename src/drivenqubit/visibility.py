@@ -15,7 +15,7 @@ forms ``q_k(u) = u^T Q_k u`` of the initial direction ``u``:
 
 The period-2 maximum is the top eigenpair of ``Q``.  The period-3 maximum
 is a multi-start alternating ascent on the sphere (see ``minimize``),
-finished by one Newton step in the tangent plane.  Gradient and Hessian at
+finished by Newton steps in the tangent plane.  Gradient and Hessian at
 the result are the analytic Riemannian ones on the sphere, in an
 orthonormal basis of the tangent plane.
 """
@@ -185,6 +185,7 @@ def maximize_visibility(cycle) -> VisibilityMaximum:
         vals, vecs = np.linalg.eigh(forms[0])
         best_u = vecs[:, -1]
         degenerate = bool(vals[-1] - vals[-2] <= DEGENERACY_VALUE_TOL)
+        grad, hess = _sphere_derivatives(forms, c, best_u)
     else:
         res = minimize(forms, _fibonacci_sphere(SEARCH_GRID_POINTS))
         values = -c * res.fun
@@ -192,13 +193,18 @@ def maximize_visibility(cycle) -> VisibilityMaximum:
         best_u = res.x[np.argmax(values >= (1.0 - ASCENT_RTOL) * best)]
         top = res.x[values >= best - DEGENERACY_VALUE_TOL]
         degenerate = bool(np.any(np.abs(top @ top[0]) <= 1.0 - 1e-6))
-        # The alternating ascent converges only linearly, so one Newton
-        # step in the tangent plane finishes the best maximizer.
+        # The alternating ascent converges only linearly, so Newton steps in
+        # the tangent plane finish the best maximizer: one always, more
+        # while the gradient is not yet stationary and the last step lowered it.
         grad, hess = _sphere_derivatives(forms, c, best_u)
-        best_u = best_u + _tangent_basis(best_u) @ np.linalg.lstsq(hess, -grad, rcond=None)[0]
-        best_u /= np.linalg.norm(best_u)
+        while True:
+            last = np.linalg.norm(grad)
+            best_u = best_u + _tangent_basis(best_u) @ np.linalg.lstsq(hess, -grad, rcond=None)[0]
+            best_u /= np.linalg.norm(best_u)
+            grad, hess = _sphere_derivatives(forms, c, best_u)
+            if not STATIONARITY_TOL <= np.linalg.norm(grad) < last:
+                break
 
-    grad, hess = _sphere_derivatives(forms, c, best_u)
     gradient_norm = float(np.linalg.norm(grad))
     if gradient_norm >= STATIONARITY_TOL:
         raise ConvergenceError(f"visibility ascent stalled with |grad| = {gradient_norm:.3e}")

@@ -679,11 +679,12 @@ class TestSteadyFold:
         with pytest.raises(ConvergenceError, match=r"strip half-width 3.05\de-03, N = 16384\) needs 32768 nodes"):
             asymptotic_cycle(p, Spectrum(-0.707, 4.597), "eq2b")
 
-    def test_a_raise_skips_the_node_passes_of_later_phases(self, monkeypatch):
-        # Phases 0 and 1 fold on N = 8 and 16 nodes, one node pass each, in
-        # phase order: phase 0's failed guard ends the call before phase 1's
-        # pass runs.
+    def test_one_node_pass_serves_every_phase(self, monkeypatch):
+        # Phase 1's prefix has degree 4, so the period's N is 16: both
+        # phases fold on it from one pass of 32 nodes, and a failed guard
+        # names that N after that one pass.
         p = Protocol([ControlStep(0.5, 4), ControlStep(0.5, 0)])
+        assert [steady_fold(p, 0.3, 10.0, K, "eq2b").nodes for K in range(2)] == [16, 16]
         passes = []
         node_blocks = asymptotics._node_blocks
 
@@ -692,13 +693,13 @@ class TestSteadyFold:
             return node_blocks(theta, pairs)
 
         monkeypatch.setattr(asymptotics, "_node_blocks", counted)
-        assert [fold.nodes for fold in asymptotics._steady_folds(p, 0.3, 10.0, range(2), "eq2b")] == [8, 16]
-        assert passes == [16, 32]
+        assert [fold.nodes for fold in asymptotics._steady_folds(p, 0.3, 10.0, range(2), "eq2b")] == [16, 16]
+        assert passes == [32]
         passes.clear()
         monkeypatch.setattr(asymptotics, "QUAD_TOL", -1.0)
-        with pytest.raises(ConvergenceError, match=r"N = 8\) has guard delta"):
+        with pytest.raises(ConvergenceError, match=r"N = 16\) has guard delta"):
             asymptotics._steady_folds(p, 0.3, 10.0, range(2), "eq2b")
-        assert passes == [16]
+        assert passes == [32]
 
     def test_failed_guard_raises(self, two_controls, calibrated_spectrum, monkeypatch):
         # Nothing meets a zero tolerance: the window hands phase 0 to its

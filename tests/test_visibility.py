@@ -400,6 +400,17 @@ class TestMaximizeVisibility:
         assert result.verdict == NEG_DEFINITE
         assert result.degenerate == degenerate
 
+    def test_flat_maximum_takes_newton_steps_until_stationary(self):
+        # A flat maximum: one Newton step leaves |grad| = 3.6e-8, and a
+        # second reaches 7.3e-14.
+        steps = [(0.7818444124871367, 1), (0.5134939413281067, 1), (0.19473921890500656, 1)]
+        p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
+        cycle = asymptotic_cycle(p, Spectrum(-0.6456894800771762, 4.472831417872813), "eq4a")
+        result = maximize_visibility(cycle)
+        assert result.gradient_norm < 1e-12
+        assert result.value == pytest.approx(0.0279405939354017, rel=1e-9)
+        assert result.verdict == NEG_DEFINITE
+
     def test_polar_maximizer_uses_rotated_chart(self):
         # Optimum exactly at a pole of the spherical angles: the maximizer
         # works on the sphere without a chart and still certifies concavity.
