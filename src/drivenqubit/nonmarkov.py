@@ -72,7 +72,9 @@ def pair_distances(
     order: str = ORDER_PHASE_AFTER,
 ) -> np.ndarray:
     """Trace distance of the jointly evolved pair after 0..n steps, shape
-    ``(n + 1,)``; both states share each averaged map."""
+    ``(n + 1,)``; both states share each averaged map (``averaged_maps``),
+    so the result has the bits of ``trace_distance`` between two
+    ``propagate`` trajectories."""
     ms = averaged_maps(p, sp, n, order)
     plus, minus = pair.a_plus.as_array(), pair.a_minus.as_array()
     diff = np.vstack([plus - minus, ms @ plus - ms @ minus])

@@ -469,10 +469,9 @@ class TestLockstepCycle:
     def test_one_coefficient_row_per_node_block(self, three_controls, calibrated_spectrum, monkeypatch):
         # Every phase's period and prefix series read the rows of one shared
         # table: each node of each refinement enters exactly one row, where a
-        # phase-by-phase quadrature builds 2 T rows per block.  The phases
-        # the window hands to their folds at one refinement share one fold
-        # pass per node count N: 2N nodes, in blocks of the same size, not
-        # one pass per phase.
+        # phase-by-phase quadrature builds 2 T rows per block.  A cycle the
+        # window hands to the fold takes one fold pass for all its phases, on
+        # the period's one node count N: 2N nodes, in blocks of the same size.
         rows, refinements = [], []
         build_rows, quad_nodes = bloch._coefficient_rows, asymptotics._quad_nodes
 

@@ -29,7 +29,7 @@ from drivenqubit import (
 from drivenqubit import bloch, cli
 from drivenqubit.bloch import averaged_maps
 
-from conftest import UNIFORM_S
+from conftest import CALIBRATED_S, UNIFORM_S
 
 
 def z_rotation(angle):
@@ -235,6 +235,44 @@ class TestTrigCompose:
             tracemalloc.stop()
         assert out.max_harmonic == 1001
         assert peak < 5 * out.terms.nbytes
+
+
+class TestNodeAverages:
+    def test_grid_is_odd_and_just_above_its_least_size(self):
+        # Odd, so that every node but the centre has a mirror; a and b near
+        # sqrt(N), so that the weights' two DFT stages stay small.
+        for least in range(1, 3000):
+            a, b = bloch._grid_factors(least)
+            assert a % 2 == b % 2 == 1
+            assert least <= a * b <= least + 2 * a and a * a <= least < 4 * (a + 2) ** 2
+
+    @pytest.mark.parametrize(
+        "extra, s, n",
+        [((), CALIBRATED_S, 2000), ((ControlStep(0.5, 4096),), 1.0, 3)],
+        ids=["two_controls-2000-steps", "k4096"],
+    )
+    def test_peak_memory_is_linear_in_the_nodes(self, two_controls, extra, s, n):
+        # One grid of N > H_n + L nodes: two buffers of the step products and
+        # a few tables of N.  An (n, N) table would take 82 MB for 2,000
+        # steps of two_controls (N = 5,103), and cosines for every harmonic
+        # up to k = 4,096 (N = 4,141) 136 MB; the trig tables are per
+        # distinct k.
+        p = Protocol.from_steps(two_controls.steps + extra)
+        sp = Spectrum(0.0, s)
+        top = bloch._top_harmonic_bound(p, n)
+        last = int(np.flatnonzero(bloch._damping(s, top))[-1])
+        a, b = bloch._grid_factors(top + last + 1)
+        nodes = a * b
+        assert nodes > top + last and nodes % 2 == 1
+        propagate(p, sp, 2, BlochVector(0.0, 0.0, 1.0))  # numpy's one-off first-call allocations
+        tracemalloc.start()
+        try:
+            traj = propagate(p, sp, n, BlochVector(0.0, 0.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.shape == (n + 1, 3)
+        assert peak < 64 * 8 * nodes
 
 
 class TestTrigEvaluate:
@@ -513,8 +551,12 @@ class TestDomainTypes:
                 lambda: averaged_maps(Protocol([ControlStep(0.5, 1)]), Spectrum(0.0, 0.4), -1),
                 "n must be a non-negative integer, got -1",
             ),
+            (
+                lambda: averaged_maps(Protocol([ControlStep(0.5, 1)]), Spectrum(0.0, 0.4), 2, "eq3"),
+                r"order must be one of \('eq2b', 'eq4a'\), got 'eq3'",
+            ),
         ],
-        ids=["protocol-step-type", "bloch-map-shape", "averaged-maps-negative-n"],
+        ids=["protocol-step-type", "bloch-map-shape", "averaged-maps-negative-n", "averaged-maps-unknown-order"],
     )
     def test_malformed_input_is_named(self, call, message):
         with pytest.raises(DomainError, match=message):

@@ -35,7 +35,7 @@ from drivenqubit import (
 )
 from drivenqubit import bloch, nonmarkov
 
-from conftest import random_ball_point, random_contraction, recorded_ops
+from conftest import UNIFORM_S, random_ball_point, random_contraction, recorded_ops
 
 EY = BlochVector(0.0, 1.0, 0.0)
 
@@ -102,7 +102,9 @@ class TestTraceDistancePovm:
 class TestPairDistances:
     def test_one_product_chain(self, three_controls, calibrated_spectrum, monkeypatch):
         # Both states share each averaged map: the pair costs the compose
-        # calls of one trajectory, T step matrices plus one per step.
+        # calls of one trajectory.  At Gaussian and sharp widths the maps are
+        # node products, with no compose; in the uniform limit they read the
+        # chain, T step matrices plus one compose per step.
         calls = []
 
         def counting(a, b, compose=bloch.trig_compose):
@@ -111,13 +113,17 @@ class TestPairDistances:
 
         monkeypatch.setattr(bloch, "trig_compose", counting)
         pair = StatePair(BlochVector(0.6, 0.3, -0.2), BlochVector(0.0, 0.0, 1.0))
-        bloch.step_matrix.cache_clear()
-        pair_distances(three_controls, calibrated_spectrum, pair, 20)
-        per_pair = len(calls)
-        calls.clear()
-        bloch.step_matrix.cache_clear()
-        propagate(three_controls, calibrated_spectrum, 20, pair.a_plus)
-        assert per_pair == len(calls) == three_controls.period + 20
+        widths = [(calibrated_spectrum.s, 0), (0.0, 0), (UNIFORM_S, three_controls.period + 20)]
+        for s, composes in widths:
+            sp = Spectrum(calibrated_spectrum.theta_bar, s)
+            bloch.step_matrix.cache_clear()
+            pair_distances(three_controls, sp, pair, 20)
+            per_pair = len(calls)
+            calls.clear()
+            bloch.step_matrix.cache_clear()
+            propagate(three_controls, sp, 20, pair.a_plus)
+            assert per_pair == len(calls) == composes
+            calls.clear()
 
     def test_zero_steps(self, two_controls, calibrated_spectrum):
         pair = StatePair(BlochVector(0.6, 0.3, -0.2), BlochVector(0.0, 0.0, 1.0))

@@ -7,6 +7,7 @@ orders.  The examples are drawn by the deterministic profile registered in
 conftest.py, so every run checks the same cases.
 """
 
+import functools
 import hashlib
 import itertools
 import math
@@ -190,7 +191,7 @@ def test_signed_zero_and_subnormal_chains_replay_pairs_bytewise(order):
 @given(protocols, orders, st.integers(0, 300))
 def test_top_harmonic_bound_is_the_step_sum(p, order, n):
     loop = sum(step_matrix(p.step(i), order).max_harmonic for i in range(n))
-    assert bloch._top_harmonic_bound(p, n, order) == loop
+    assert bloch._top_harmonic_bound(p, n) == loop
 
 
 @given(protocols, orders, st.integers(0, 8), st.integers(0, 8), phases)
@@ -239,11 +240,12 @@ def trajectory_reference(p, sp, n, a0, order):
 
 @given(protocols, orders, depths, spectra, state_pairs)
 def test_pair_distances_match_two_trajectories_bitwise(p, order, n, sp, pair):
-    plus = trajectory_reference(p, sp, n, pair.a_plus, order)
-    minus = trajectory_reference(p, sp, n, pair.a_minus, order)
-    got = propagate(p, sp, n, pair.a_plus, order)
-    assert got.shape == plus.shape == (n + 1, 3)
-    assert got.tobytes() == plus.tobytes()
+    plus, minus = (propagate(p, sp, n, a, order) for a in (pair.a_plus, pair.a_minus))
+    want = trajectory_reference(p, sp, n, pair.a_plus, order)
+    assert plus.shape == want.shape == (n + 1, 3)
+    assert np.max(np.abs(plus - want)) <= 1e-12
+    if sp.is_uniform:
+        assert plus.tobytes() == want.tobytes()
     want = np.array([trace_distance(BlochVector.from_array(a), BlochVector.from_array(b)) for a, b in zip(plus, minus)])
     assert pair_distances(p, sp, pair, n, order).tobytes() == want.tobytes()
 
@@ -262,22 +264,41 @@ def test_averaged_maps_are_unital_contractions(p, order, n, sp):
     assert np.max(bm.singular_values()) <= 1.0 + 1e-12
 
 
-@given(protocols, orders, depths, spectra)
-def test_shared_damping_matches_own_average_bitwise(p, order, n, sp):
-    # averaged_maps takes prefixes of one coefficient row, built for the
-    # deepest product.
+F_ODD = (np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]))
+
+
+def assert_maps_match_own_averages(p, sp, n, order):
+    """``averaged_maps`` against the band average of each product: to the
+    bit in the uniform limit, else to 1e-12 with the band's symmetry zeros:
+    at theta_bar = 0 the F-odd entries xy, yx, yz and zy are +0.0 in both.
+    Other exact zeros of the band, such as the entries of C_h that a
+    damping of 0.0 leaves alone, node sums meet only to rounding."""
     stack = averaged_maps(p, sp, n, order)
     assert stack.shape == (n, 3, 3) and not stack.flags.writeable
-    for m, row in enumerate(stack, start=1):
-        assert row.tobytes() == gaussian_average(protocol_product(p, m, order), sp).m.tobytes()
+    chain = itertools.islice(product_chain(p, order), 1, n + 1)
+    want = np.array([gaussian_average(tm, sp).m for tm in chain]).reshape(n, 3, 3)
+    if sp.is_uniform:
+        assert stack.tobytes() == want.tobytes()
+        return
+    assert np.max(np.abs(stack - want), initial=0.0) <= 1e-12
+    if sp.theta_bar == 0.0:
+        for maps in (stack, want):
+            odd = maps[:, F_ODD[0], F_ODD[1]]
+            assert not np.any(odd) and not np.any(np.signbit(odd))
 
 
+@given(protocols, orders, depths, spectra)
+def test_averaged_maps_match_own_average(p, order, n, sp):
+    assert_maps_match_own_averages(p, sp, n, order)
+
+
+# The cut-off h s = 38.7 falls between harmonics h - 1 and h.
+cut_off_widths = st.tuples(st.floats(38.6, 38.8), st.integers(2, 400)).map(lambda t: t[0] / t[1])
 damping_widths = st.one_of(
     st.sampled_from([0.0, 5e-324, 1e-310, math.inf]),
     st.floats(math.log(1e-4), math.log(300.0)).map(math.exp),
     st.floats(38.6, 38.8),
-    # The cut-off h s = 38.7 falls between harmonics h - 1 and h.
-    st.tuples(st.floats(38.6, 38.8), st.integers(2, 400)).map(lambda t: t[0] / t[1]),
+    cut_off_widths,
 )
 
 
@@ -288,6 +309,40 @@ def test_damping_cut_off_matches_every_exponential(s, top):
     # (and the overflow clamp at 40) changes no bit.
     want = np.array([1.0] + [math.exp(-0.5 * min(h * s, 40.0) ** 2) for h in range(1, top + 1)])
     assert bloch._damping(s, top).tobytes() == want.tobytes()
+
+
+deep_protocols = st.lists(st.builds(ControlStep, eta=edge_etas, k=st.integers(0, 8)), min_size=1, max_size=5).map(
+    Protocol.from_steps
+)
+node_spectra = st.builds(
+    Spectrum,
+    theta_bar=st.one_of(st.just(0.0), st.floats(-math.pi, math.pi)),
+    s=st.one_of(
+        st.sampled_from([0.0, 5e-324, math.inf]),
+        st.floats(math.log(1e-4), math.log(38.5)).map(math.exp),
+        cut_off_widths,
+    ),
+)
+
+
+def deep_case(steps, theta_bar, s, n, order):
+    return example(Protocol.from_steps(ControlStep(eta, k) for eta, k in steps), order, n, Spectrum(theta_bar, s))
+
+
+# Full depth at s = 1e-4, where every harmonic of the products (up to 3,000)
+# is live and the grid holds 6,003 nodes; and one harmonic per step, up to
+# 3,200, at a sharp theta_bar near -pi.  There the band's cos(h theta_bar) takes
+# h theta_bar past 8,192, rounded to 1.8e-12: at step 331 the band is off
+# the exact map by 8.4e-13, the node product by 4e-15.
+@deep_case([(0.3, 8), (0.8, 7)], 0.0, 1e-4, 400, "eq4a")
+@deep_case([(0.3, 8), (0.8, 7), (0.55, 5)], -2.7, 1e-4, 400, "eq2b")
+@deep_case([(1.0, 8)], -3.1, 0.0, 400, "eq2b")
+@given(deep_protocols, orders, st.integers(0, 400), node_spectra)
+def test_node_averages_match_the_band_to_depth_400(p, order, n, sp):
+    # Against the band average of every product of the chain.  The bound
+    # 1e-12 holds for |h theta_bar| < 2^14, where a rounding of h theta_bar
+    # moves the band's cosines by at most 9.1e-13.
+    assert_maps_match_own_averages(p, sp, n, order)
 
 
 @given(protocols, orders, depths, st.floats(-10.0, 10.0))
@@ -422,19 +477,30 @@ def steady_projector_reference(period, theta, w, nudged=False):
 
 
 def steady_map_reference(p, sp, K, order, fold_nodes=None):
-    """Reference window map: one node at a time, added to a running sum.
+    """Reference window map of phase K (see ``steady_cycle_reference``)."""
+    cycle = steady_cycle_reference(p, sp, order, fold_nodes)
+    return None if cycle is None else cycle[K]
 
-    None where the phase is handed to its fold: not converged at a
+
+@functools.cache
+def steady_cycle_reference(p, sp, order, fold_nodes=None):
+    """Reference window maps of every phase: one node at a time, added to a
+    running sum, refined until no phase's map changes by ``QUAD_TOL``.
+
+    None where the cycle is handed to its fold: not converged at a
     refinement of at least 2 ``fold_nodes`` nodes, the fold's N at any
-    width."""
-    period = compose_loop(p.steps[K:] + p.steps[:K], order)
-    prefix = compose_loop(p.steps[:K], order)
+    width.  Cached: each phase of a cycle reads the same run."""
+    series = [
+        (compose_loop(p.steps[K:] + p.steps[:K], order), compose_loop(p.steps[:K], order)) for K in range(p.period)
+    ]
     half = asymptotics.GAUSSIAN_WINDOW_SIGMAS * sp.s
     if sp.theta_bar - half == sp.theta_bar + half:
-        w = period.evaluate(sp.theta_bar)
-        return steady_projector_reference(period, sp.theta_bar, w) @ prefix.evaluate(sp.theta_bar)
+        return [
+            steady_projector_reference(period, sp.theta_bar, period.evaluate(sp.theta_bar)) @ prefix.evaluate(sp.theta_bar)
+            for period, prefix in series
+        ]
 
-    def integral(n_nodes):
+    def integral(n_nodes, period, prefix):
         nodes, weights = asymptotics._quad_nodes(sp, n_nodes)
         values = zip(nodes, weights, period.evaluate(nodes), prefix.evaluate(nodes))
         acc = np.zeros((3, 3))
@@ -444,8 +510,8 @@ def steady_map_reference(p, sp, K, order, fold_nodes=None):
 
     n_nodes, prev = asymptotics.QUAD_MIN_NODES, None
     while True:
-        cur = integral(n_nodes)
-        if prev is not None and float(np.max(np.abs(cur - prev))) < asymptotics.QUAD_TOL:
+        cur = [integral(n_nodes, period, prefix) for period, prefix in series]
+        if prev is not None and all(float(np.max(np.abs(c - q))) < asymptotics.QUAD_TOL for c, q in zip(cur, prev)):
             return cur
         if fold_nodes is not None and n_nodes >= 2 * fold_nodes:
             return None
@@ -679,6 +745,15 @@ def test_steady_map_fallbacks_and_blocks_match_node_loop(steps, sp, order):
     p = Protocol.from_steps(steps)
     for K in range(p.period):
         assert_steady_map_matches_reference(p, sp, K, order)
+
+
+def test_window_oracle_refines_the_whole_cycle():
+    # The window stops when no phase's map changes, so a phase that
+    # converged a refinement earlier takes the later one too; an oracle that
+    # stopped each phase at its own refinement missed phase 0's bits here.
+    steps = [(0.318414910499757, 1), (1.0, 1), (0.6324235927297248, 2), (0.5263811677246363, 0), (0.9375649037593979, 3)]
+    p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
+    assert_steady_map_matches_reference(p, Spectrum(-2.5008924578824114, math.inf), 0, "eq4a")
 
 
 @pytest.mark.parametrize("order", STEP_ORDERS)
