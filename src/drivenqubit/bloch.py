@@ -17,15 +17,15 @@ of the averaged single step.
 Propagation (``averaged_maps``) runs in node space.  P_n has degree
 H_n, the sum of the steps' k, and the wrapped-normal weight
 ``1 + 2 sum_h d_h cos(h t)`` has degree L, the last harmonic whose damping
-is nonzero, so the trapezoid rule on N > H_n + L equispaced nodes gives
-every average ``E[P_m]``, m <= n, exactly.  The step matrices are
-multiplied at the nodes and the maps are weighted node sums; mirror nodes
-``theta_bar +- t`` are added in pairs first, so at theta_bar = 0 the
-entries that are odd under theta -> -theta are +0.0.  A sharp spectrum
-takes one node.  In the uniform limit the maps are the constant terms of
-the band products, to the bit of ``gaussian_average``; elsewhere they
-agree with it to rounding (1e-12 up to 3,200 harmonics).  The bands,
-``product_chain`` and ``gaussian_average`` stay the exact oracle.
+is nonzero, so the trapezoid rule on the least odd N > H_n + L equispaced
+nodes, with weights from one real inverse FFT, gives every ``E[P_m]``,
+m <= n, exactly.  The step matrices are multiplied at the nodes and
+summed; mirror nodes ``theta_bar +- t`` are added in pairs first, so at
+theta_bar = 0 the entries that are odd under theta -> -theta are +0.0.
+A sharp spectrum takes one node.  In the uniform limit the maps are the
+constant terms of the band products, to the bit of ``gaussian_average``;
+elsewhere they agree with it to rounding (1e-12 up to 3,200 harmonics).
+The bands, ``product_chain`` and ``gaussian_average`` stay the exact oracle.
 
 Everything here is a pure function of its inputs; all values are immutable
 after construction and safe to share across threads.  Sums over harmonics
@@ -525,40 +525,10 @@ def _top_harmonic_bound(p: Protocol, n: int) -> int:
     return periods * sum(ks) + sum(ks[:rest])
 
 
-def _grid_factors(least: int) -> tuple:
-    """Odd factors (a, b) of the node count: the smallest N = a b >= ``least``
-    with odd a in [sqrt(least) / 2, sqrt(least)] and odd b, so that
-    ``_pair_weights`` takes two DFT stages of about sqrt(N) terms."""
-    root = math.isqrt(least)
-    return min(((a, -(-least // a) | 1) for a in range(root // 2 | 1, root + 1, 2)), key=lambda f: f[0] * f[1])
-
-
-def _pair_weights(damping: np.ndarray, unit: np.ndarray, a: int) -> np.ndarray:
-    """Weights of the mirror pairs ``(t_j, -t_j)``, j = 0..N // 2, of the N
-    nodes ``t_j = 2 pi j / N``: the wrapped-normal node weight
-    ``(1 + 2 sum_{h=1..L} d_h cos(h t_j)) / N`` with ``damping = (d_0..d_L)``,
-    halved for the centre, which pairs with itself.
-
-    ``unit`` holds ``exp(2 pi i m / N)``, m = 0..N-1.  The sum over h is a
-    DFT of length N = a b, taken in two stages (Cooley-Tukey, h = b h1 + h2
-    and j = j1 + a j2): O(N (a + b)) work where a direct sum takes O(L N).
-    Its matrix products are real: a complex one would load OpenBLAS's
-    zgemm, about 0.4 MB of resident memory that nothing else needs.
-    """
-    nodes = len(unit)
-    b = nodes // a
-    coef = np.zeros(nodes)
-    coef[: len(damping)] = damping
-    coef[nodes - len(damping) + 1 :] = damping[:0:-1]
-    cos, sin = unit.real, unit.imag
-    ja, jb = np.arange(a), np.arange(b)
-    m = np.multiply.outer(ja, ja) * b % nodes
-    re, im = cos[m] @ coef.reshape(a, b), sin[m] @ coef.reshape(a, b)
-    m = np.multiply.outer(ja, jb) % nodes
-    re, im = re * cos[m] - im * sin[m], re * sin[m] + im * cos[m]
-    m = np.multiply.outer(jb, jb) * a % nodes
-    total = (re @ cos[m] - im @ sin[m]).ravel(order="F")
-    weights = total[: nodes // 2 + 1] / nodes
+def _pair_weights(damping: np.ndarray, nodes: int) -> np.ndarray:
+    """Weights ``(1 + 2 sum_{h=1..L} d_h cos(2 pi h j / N)) / N`` of the mirror
+    pairs j = 0..N // 2, the centre halved, as one real inverse FFT (N > 2L odd)."""
+    weights = np.fft.irfft(damping, nodes)[: nodes // 2 + 1]
     weights[0] *= 0.5
     return weights
 
@@ -569,9 +539,9 @@ def _node_averages(p: Protocol, sp: Spectrum, n: int, order: str) -> np.ndarray:
 
     ``P_m`` has degree H_m <= H_n, and the node weights (``_pair_weights``)
     have degree L, the last harmonic whose damping is nonzero, so the
-    trapezoid rule is exact on N = 2 half + 1 > H_n + L nodes, N = a b
-    (``_grid_factors``).  With no harmonic damped (s = 0, or s H_n below
-    about 1.5e-8) E[P] is P(theta_bar), one node.  The nodes are kept as two
+    trapezoid rule is exact on N = 2 half + 1 > H_n + L nodes, the least
+    such odd N.  With no harmonic damped (s = 0, or s H_n below about
+    1.5e-8) E[P] is P(theta_bar), one node.  The nodes are kept as two
     halves, ``+t_j`` and ``-t_j`` for j = 0..half (the centre in both), and
     node j keeps ``P(theta_j)^T``, whose rows are the columns (x, y, z) of
     P.  The rotation ``C(eta)`` is one product of every row with the
@@ -583,17 +553,17 @@ def _node_averages(p: Protocol, sp: Spectrum, n: int, order: str) -> np.ndarray:
     OpenBLAS rounding each 3-term dot product alike in every row).  Each
     mirror pair is added before it is weighted, so the F-odd entries (xy,
     yx, yz, zy) sum to +0.0 there.  Work is O(n N) for the products and
-    O(N^1.5) for the weights, memory O(N + n).
+    O(N log N) for the weights, memory O(N + n).
     """
     top = _top_harmonic_bound(p, n)
     damping = _damping(sp.s, top)
     last = 0 if damping[-1] == 1.0 else int(np.flatnonzero(damping)[-1])
-    a, b = _grid_factors(top + last + 1 if last else 1)
-    half = a * b // 2
-    phase = np.arange(a * b) * (2.0 * math.pi / (a * b))
-    unit = np.empty(a * b, dtype=complex)
+    nodes = (top + last + 1) | 1 if last else 1
+    half = nodes // 2
+    phase = np.arange(nodes) * (2.0 * math.pi / nodes)
+    unit = np.empty(nodes, dtype=complex)
     unit.real, unit.imag = np.cos(phase), np.sin(phase)
-    weights = _pair_weights(damping[: last + 1], unit, a)
+    weights = _pair_weights(damping[: last + 1], nodes)
     turns = {}
     for k in {s.k for s in p.steps if s.k}:
         turn = np.empty((2, half + 1), dtype=complex)

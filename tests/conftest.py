@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from drivenqubit import (
     Spectrum,
     asymptotic_cycle,
 )
+from drivenqubit import bloch
 
 # Spectral width fitted once against the reference y-channel contraction
 # 0.114589 of the two-unit benchmark (see test_acceptance, criterion 2);
@@ -94,6 +96,26 @@ def random_ball_point(rng):
     """Uniform random point of the closed unit ball."""
     v = rng.normal(size=3)
     return v / np.linalg.norm(v) * rng.uniform(0.0, 1.0) ** (1.0 / 3.0)
+
+
+def assert_pair_weights_are_exact(s, top):
+    """The mirror-pair weights of the node grid for H_n = ``top`` at width
+    ``s``: on grids of at most 201 nodes within rounding of a direct cosine
+    sum, and on every grid the full sum of ``w_j cos(h t_j)`` is d_h for
+    each h <= L, so the rule integrates the wrapped normal's moments."""
+    damping = bloch._damping(s, top)
+    last = 0 if damping[-1] == 1.0 else int(np.flatnonzero(damping)[-1])
+    nodes = (top + last + 1) | 1 if last else 1
+    weights = bloch._pair_weights(damping[: last + 1], nodes)
+    assert weights.shape == (nodes // 2 + 1,)
+    # cos(h t_j) from the exact angle 2 pi (h j mod N) / N.
+    cos = np.cos(np.multiply.outer(np.arange(last + 1), np.arange(nodes // 2 + 1)) % nodes * (2.0 * math.pi / nodes))
+    if nodes <= 201:
+        direct = np.array([math.fsum([1.0, *(2.0 * damping[1 : last + 1] * col[1:])]) for col in cos.T]) / nodes
+        direct[0] *= 0.5
+        assert np.max(np.abs(weights - direct)) <= 1e-15 * (2 * last + 1) / nodes
+    moments = np.array([math.fsum(2.0 * weights * row) for row in cos])
+    assert np.max(np.abs(moments - damping[: last + 1])) <= 2e-15
 
 
 def recorded_ops(workload, keep):

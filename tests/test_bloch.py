@@ -29,7 +29,7 @@ from drivenqubit import (
 from drivenqubit import bloch, cli
 from drivenqubit.bloch import averaged_maps
 
-from conftest import CALIBRATED_S, UNIFORM_S
+from conftest import CALIBRATED_S, UNIFORM_S, assert_pair_weights_are_exact
 
 
 def z_rotation(angle):
@@ -238,13 +238,12 @@ class TestTrigCompose:
 
 
 class TestNodeAverages:
-    def test_grid_is_odd_and_just_above_its_least_size(self):
-        # Odd, so that every node but the centre has a mirror; a and b near
-        # sqrt(N), so that the weights' two DFT stages stay small.
-        for least in range(1, 3000):
-            a, b = bloch._grid_factors(least)
-            assert a % 2 == b % 2 == 1
-            assert least <= a * b <= least + 2 * a and a * a <= least < 4 * (a + 2) ** 2
+    def test_pair_weights_match_a_direct_cosine_sum(self):
+        # From a live harmonic on every node (s = 1e-4) to harmonic 1 alone,
+        # its damping subnormal (s = 38.5).
+        for s in (1e-4, 0.4, 3.0, 38.5):
+            for top in (1, 2, 7, 60, 100, 400):
+                assert_pair_weights_are_exact(s, top)
 
     @pytest.mark.parametrize(
         "extra, s, n",
@@ -254,15 +253,14 @@ class TestNodeAverages:
     def test_peak_memory_is_linear_in_the_nodes(self, two_controls, extra, s, n):
         # One grid of N > H_n + L nodes: two buffers of the step products and
         # a few tables of N.  An (n, N) table would take 82 MB for 2,000
-        # steps of two_controls (N = 5,103), and cosines for every harmonic
+        # steps of two_controls (N = 5,097), and cosines for every harmonic
         # up to k = 4,096 (N = 4,141) 136 MB; the trig tables are per
         # distinct k.
         p = Protocol.from_steps(two_controls.steps + extra)
         sp = Spectrum(0.0, s)
         top = bloch._top_harmonic_bound(p, n)
         last = int(np.flatnonzero(bloch._damping(s, top))[-1])
-        a, b = bloch._grid_factors(top + last + 1)
-        nodes = a * b
+        nodes = (top + last + 1) | 1
         assert nodes > top + last and nodes % 2 == 1
         propagate(p, sp, 2, BlochVector(0.0, 0.0, 1.0))  # numpy's one-off first-call allocations
         tracemalloc.start()

@@ -666,6 +666,16 @@ class TestColdStart:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), False]
 
+    def test_import_leaves_numpy_fft_unloaded(self):
+        # numpy loads numpy.fft on first use.  The node weights and the
+        # fold take it at their first call; importing the package must not.
+        script = "import sys\nimport drivenqubit\nprint('numpy' in sys.modules, 'numpy.fft' in sys.modules)\n"
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "False"]
+
     def test_package_runs_as_module(self, tmp_path):
         # python -m drivenqubit.cli would warn that the package, which
         # imports .cli, already loaded it; the package's __main__ does not.

@@ -49,7 +49,14 @@ from drivenqubit import (
 from drivenqubit import asymptotics, bloch, cli, nonmarkov, visibility
 from drivenqubit.bloch import averaged_maps
 
-from conftest import CALIBRATED_S, UNIFORM_S, random_ball_point, random_contraction, recorded_ops
+from conftest import (
+    CALIBRATED_S,
+    UNIFORM_S,
+    assert_pair_weights_are_exact,
+    random_ball_point,
+    random_contraction,
+    recorded_ops,
+)
 
 
 def protocols_with(etas, min_period=1):
@@ -309,6 +316,11 @@ def test_damping_cut_off_matches_every_exponential(s, top):
     # (and the overflow clamp at 40) changes no bit.
     want = np.array([1.0] + [math.exp(-0.5 * min(h * s, 40.0) ** 2) for h in range(1, top + 1)])
     assert bloch._damping(s, top).tobytes() == want.tobytes()
+
+
+@given(cut_off_widths, st.integers(1, 400))
+def test_pair_weights_are_exact_at_the_damping_cut_off(s, top):
+    assert_pair_weights_are_exact(s, top)
 
 
 deep_protocols = st.lists(st.builds(ControlStep, eta=edge_etas, k=st.integers(0, 8)), min_size=1, max_size=5).map(
