@@ -29,10 +29,11 @@ node-by-node loop run to the cycle's last refinement.
 The integrand is 2 pi-periodic, so the spectral average is also a periodic
 trapezoid sum over one period with the exact wrapped-normal weights
 ``(1 + 2 sum_h exp(-h^2 s^2 / 2) cos h(theta - theta_bar)) / N``.  On that
-grid the node values do not depend on s; only the weights do.  The fold
-(``steady_fold``) takes their cosine coefficients about theta_bar from one
-FFT, so the map at any width is one dot product with the damping row, which
-takes no exponential past h s = 38.7 (every later term is 0.0); a fold
+grid the node values do not depend on s; only the weights do.  Each
+phase's fold (``steady_fold`` returns the T of them) takes their cosine
+coefficients about theta_bar from one FFT, so the map at any width is one
+dot product with the damping row, which takes no exponential past
+h s = 38.7 (every later term is 0.0); a fold
 serves the widths whose weights stop at its top harmonic H*, and no others.
 Its node count is fixed a priori by the strip where the integrand is
 analytic: the projector is a trigonometric polynomial over d(theta) =
@@ -47,7 +48,7 @@ is Pi itself).  So one node pass evaluates P_T and Pi once per node for
 every phase, on the period's one node count N; the window keeps the
 rotated form proj(W_K) P_K.  Calibration reads every bisection width from
 the phase-0 fold and, for a protocol with a reference cycle, its residual
-table from the folds of all phases out of the same pass.
+table from the folds of all phases, all out of the one pass.
 
 The hand-off, one rule at every width: a cycle the window has not
 finished at its first refinement of n >= 2N nodes, or at the node cap, is
@@ -344,7 +345,7 @@ def _steady_maps(p: Protocol, sp: Spectrum, order: str) -> list:
         # decay = 1 gives the smallest N of any strip: no root is solved below it.
         ready = n_nodes >= 2 * _fold_count(1, h_top, chain)
         if n_nodes >= QUAD_MAX_NODES or ready and n_nodes >= 2 * _fold_count(_decay(rho(), top), h_top, chain):
-            folds = _folds(chain, range(p.period), sp, rho())
+            folds = _folds(chain, sp, rho())
             for K in range(p.period):
                 try:
                     maps[K] = next(folds).map_at(sp.s)
@@ -405,9 +406,9 @@ class SteadyFold:
     ``exp(-h^2 s^2 / 2)``; a uniform-limit fold keeps only h = 0, taken on
     a grid anchored at 0.  ``nodes`` is the period's a-priori count N,
     the same at every phase: the rule runs on the 2N nodes
-    ``theta_bar + 2 pi (j + 1/2) / (2N)``, and ``guard_delta`` is the
-    largest change of the map from the rule's N-node half (the even nodes)
-    at widths doubling from s_min.
+    ``theta_bar + 2 pi (j + 1/2) / (2N)``, and ``guard_delta`` bounds the
+    change of the map from the rule's N-node half (the even nodes) at every
+    width s >= s_min, s = inf included.
     ``strip_halfwidth`` is rho.
     """
 
@@ -452,8 +453,8 @@ def _fold_count(decay: int, h_top: int, chain: list) -> int:
     return 2 ** max(decay + 2 * h_top + h_prefix - 1, 1).bit_length()
 
 
-def _folds(chain: list, phases, sp: Spectrum, rho: float):
-    """The folds of the given phases for widths from sp.s on, about
+def _folds(chain: list, sp: Spectrum, rho: float):
+    """The folds of the T phases for widths from sp.s on, about
     sp.theta_bar, yielded in phase order.  ``chain`` is P_0, ..., P_T and
     rho the strip half-width of P_T.  In the uniform limit H* = 0 and the
     grid is anchored at 0, so every such fold is the s = inf fold.  Raises
@@ -463,7 +464,9 @@ def _folds(chain: list, phases, sp: Spectrum, rho: float):
     Every phase folds on the period's N (``_fold_count``) from one node
     pass: per node block one table of coefficient rows, P_T and its axis
     projectors Pi once, and each phase's value ``P_K Pi``.  The FFT and the
-    guard run per phase, so a fold's bits do not depend on the phases alongside.
+    guard run per phase.  The guard, ``max_entries sum_h d_h(sp.s)
+    |change_h|``, bounds the change from the rule's N-node half at every
+    width s >= sp.s, s = inf included, as 0 <= d_h(s) <= d_h(sp.s) there.
     """
     top = chain[-1]
     h_top = _fold_harmonics(sp.s)
@@ -472,10 +475,10 @@ def _folds(chain: list, phases, sp: Spectrum, rho: float):
     if 2 * n > QUAD_MAX_NODES:
         raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
     theta = (0.0 if sp.is_uniform else sp.theta_bar) + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
-    values = np.empty((len(phases), 2 * n, 3, 3))
+    values = np.empty((len(chain) - 1, 2 * n, 3, 3))
     for block, coef in _node_blocks(theta, max(len(tm.terms) for tm in chain)):
         axis = _steady_projectors(top, theta[block], _running_sum(coef, top.terms))
-        for v, K in zip(values, phases):
+        for K, v in enumerate(values):
             # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
             v[block] = axis + 0.0 if K == 0 else _running_sum(coef, chain[K].terms) @ axis
     h = np.arange(h_top + 1)
@@ -483,42 +486,32 @@ def _folds(chain: list, phases, sp: Spectrum, rho: float):
     # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
     # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
     shift = np.exp(-0.5j * np.pi * h / n)[:, None]
-    # The guard reads the change at widths doubling from s_min until the
-    # weights are uniform, so it covers every width the fold serves.
-    rows = [_damping(sp.s * 2.0**k, h_top) for k in range((h_top - 1).bit_length() + 1)]
+    row = _damping(sp.s, h_top)
     for v in values:
         spectrum = np.fft.rfft(v.reshape(2 * n, 9), axis=0)
         coefficients = scale * np.real(shift * spectrum[h])
         change = scale * np.real(shift * np.conj(spectrum[n - h]))
-        guard = max(float(np.max(np.abs(row @ change))) for row in rows)
+        guard = float(np.max(row @ np.abs(change)))
         if not guard <= QUAD_TOL:
             raise ConvergenceError(f"{where} has guard delta {guard:.3e}, above {QUAD_TOL}")
         yield SteadyFold(coefficients.reshape(-1, 3, 3), n, rho, guard)
 
 
-def _steady_folds(p: Protocol, theta_bar: float, s_min: float, phases, order: str) -> list:
-    """``steady_fold`` at each of the given phases, folded together by
-    ``_folds``; raises the first failing phase's ConvergenceError."""
+def steady_fold(p: Protocol, theta_bar: float, s_min: float, order: str = ORDER_PHASE_AFTER) -> tuple:
+    """The one-period folds of the steady integrand at the T phases, for
+    every width s >= s_min about the mean phase theta_bar: one node pass
+    over the axis of the unshifted period product, on the period's node
+    count N.  Phase K's ``map_at(s)`` is the steady map at
+    Spectrum(theta_bar, s), as ``asymptotic_cycle`` returns it.  The folds
+    agree with the window to its tolerance, and their own error is about
+    FOLD_TOL.  Raises DomainError for s_min not positive or theta_bar out
+    of range, and ConvergenceError when the rule needs more than
+    QUAD_MAX_NODES nodes or at the first phase that fails its guard."""
     if not s_min > 0.0:
         raise DomainError(f"the fold needs a smallest width s_min > 0, got {s_min}")
     sp = Spectrum(theta_bar, s_min)  # checks theta_bar
     chain = _chain(p, order)
-    return list(_folds(chain, phases, sp, _strip_halfwidth(chain[-1])))
-
-
-def steady_fold(
-    p: Protocol, theta_bar: float, s_min: float, K: int = 0, order: str = ORDER_PHASE_AFTER
-) -> SteadyFold:
-    """The one-period fold of the steady integrand at phase K, for every
-    width s >= s_min about the mean phase theta_bar: one node pass over the
-    axis of the unshifted period product, on the period's node count N,
-    whose ``map_at(s)`` is the steady map at Spectrum(theta_bar, s).  It
-    agrees with ``asymptotic_map`` to the window's tolerance, and its own
-    error is about FOLD_TOL.  Raises DomainError for a phase that is not an
-    integer in [0, T), s_min not positive or theta_bar out of range, and
-    ConvergenceError when the rule needs more than QUAD_MAX_NODES nodes or
-    fails its guard."""
-    return _steady_folds(p, theta_bar, s_min, [_check_phase(K, p.period)], order)[0]
+    return tuple(_folds(chain, sp, _strip_halfwidth(chain[-1])))
 
 
 def asymptotic_map(

@@ -26,13 +26,13 @@ from pathlib import Path
 import numpy as np
 
 from .asymptotics import (
-    _steady_folds,
     abel_limit,
     asymptotic_cycle,
     cesaro_mean,
     convergence_profile,
     limit_cycle,
     resolvent,
+    steady_fold,
 )
 from .bloch import (
     ORDER_PHASE_AFTER,
@@ -360,15 +360,15 @@ def calibrate(config: RunConfig, anchor: float = CALIBRATION_ANCHOR) -> Calibrat
     """Fit the spectral width so the phase-0 y-channel contraction hits
     the anchor, by bisection on s over CALIBRATION_BRACKET to CALIBRATION_TOL.
 
-    Every width is read from one fold of the phase-0 steady integrand onto
-    one period (``asymptotics.steady_fold``), built once for the smallest
-    width of the bracket: lambda_y(s) is one dot product of its coefficients
-    with the damping row exp(-h^2 s^2 / 2).  When the protocol has a
-    reference cycle, the folds of all T phases come from the same node pass
-    over the axis of the period product, and their maps at the fitted width
-    give the residuals of all remaining entries as a consistency table.
-    Raises ConvergenceError where a fold needs more nodes than the steady
-    maps' cap or fails its guard.
+    Every width is read from the phase-0 fold of the steady integrand onto
+    one period: ``asymptotics.steady_fold`` folds all T phases from one node
+    pass over the axis of the period product, once, for the smallest width
+    of the bracket, and lambda_y(s) is one dot product of phase 0's
+    coefficients with the damping row exp(-h^2 s^2 / 2).  When the protocol
+    has a reference cycle, the maps of all T folds at the fitted width give
+    the residuals of all remaining entries as a consistency table.  Raises
+    ConvergenceError where the folds need more nodes than the steady maps'
+    cap or a phase fails its guard.
 
     Intended for the two-unit benchmark protocol (any protocol whose
     steady cycle decouples the y axis works the same way).
@@ -376,8 +376,7 @@ def calibrate(config: RunConfig, anchor: float = CALIBRATION_ANCHOR) -> Calibrat
     theta_bar = config.spectrum.theta_bar
     evaluations = 0
     reference = reference_maps_for(config.protocol)
-    phases = range(config.protocol.period) if reference is not None else [0]
-    folds = _steady_folds(config.protocol, theta_bar, CALIBRATION_BRACKET[0], phases, config.order)
+    folds = steady_fold(config.protocol, theta_bar, CALIBRATION_BRACKET[0], config.order)
     fold = folds[0]
 
     def lambda_y(s: float) -> float:

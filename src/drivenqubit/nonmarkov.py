@@ -269,14 +269,19 @@ def _replay(ms: np.ndarray) -> tuple:
     """The Nelder-Mead pair search on the maps ``ms`` (T, 3, 3): every grid
     point refined in spherical angles by ``minimize``, ties going to the
     earliest start.  Returns the best unit vector and its rate.  Its path
-    alone picks a degenerate cycle's direction."""
+    alone picks a degenerate cycle's direction.  At period 1 the rate
+    max(0, d - d) is 0.0 everywhere, so the search never moves its first
+    start, and that start is returned without it."""
 
     def neg_rates(angles: np.ndarray) -> np.ndarray:
         return -_cycle_gain(_map_norms(ms, _angles_to_unit(angles)))
 
     grid = _fibonacci_sphere(SEARCH_GRID_POINTS)
     starts = np.stack([np.arccos(np.clip(grid[:, 2], -1.0, 1.0)), np.arctan2(grid[:, 1], grid[:, 0])], axis=1)
-    res = minimize(neg_rates, starts, xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000)
+    if len(ms) == 1:
+        res = MultiStartResult(starts[:1], neg_rates(starts[:1]), 0)
+    else:
+        res = minimize(neg_rates, starts, xatol=1e-12, fatol=1e-14, maxiter=4000, maxfev=8000)
     best = int(np.argmin(res.fun))
     best_u = _angles_to_unit(res.x[best])
     return best_u / np.linalg.norm(best_u), -res.fun[best]

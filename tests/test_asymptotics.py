@@ -162,7 +162,7 @@ class TestHalfTurn:
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         for s in (0.3, math.inf):
             assert np.max(np.abs(asymptotic_cycle(p, Spectrum(0.4, s)).maps[0].m - axis)) <= 1e-15
-            assert np.max(np.abs(steady_fold(p, 0.4, s).map_at(s) - axis)) <= 1e-15
+            assert np.max(np.abs(steady_fold(p, 0.4, s)[0].map_at(s) - axis)) <= 1e-15
         assert abel_limit(np.diag([1.0, -1.0, -1.0])).tobytes() == np.diag([1.0, 0.0, 0.0]).tobytes()
 
 
@@ -448,8 +448,6 @@ class TestPhaseIndex:
         with pytest.raises(DomainError, match="phase"):
             asymptotic_map(two_controls, calibrated_spectrum, K)
         with pytest.raises(DomainError, match="phase"):
-            steady_fold(two_controls, 0.0, 0.4, K)
-        with pytest.raises(DomainError, match="phase"):
             convergence_profile(two_cycle, traj, K)
 
     def test_numpy_integer_is_the_int_phase(self, two_controls, calibrated_spectrum, two_cycle):
@@ -458,7 +456,6 @@ class TestPhaseIndex:
         def results(K):
             return (
                 asymptotic_map(two_controls, calibrated_spectrum, K).m.tobytes(),
-                steady_fold(two_controls, 0.0, 0.4, K).coefficients.tobytes(),
                 convergence_profile(two_cycle, traj, K),
             )
 
@@ -503,8 +500,9 @@ class TestLockstepCycle:
             assert len(refinements) > 1
             window = [min(block, n - lo) for n in refinements for lo in range(0, n, block)]
             assert rows == window + [min(block, n - lo) for n in passes for lo in range(0, n, block)]
-            for K, n in enumerate(folds):
-                assert 2 * steady_fold(protocol, sp.theta_bar, sp.s, K).nodes == n == max(refinements)
+            if folds:
+                assert [2 * fold.nodes for fold in steady_fold(protocol, sp.theta_bar, sp.s)] == folds
+                assert folds == [max(refinements)] * protocol.period
         assert max(refinements) > 4 * block
 
     def test_peak_memory_is_a_few_blocks(self):
@@ -567,7 +565,7 @@ class TestTrigRoots:
         depths = strip_depths(protocol_product(p, p.period, order))
         assert np.count_nonzero(depths < asymptotics.ON_CIRCLE_TOL) == on_circle
         assert np.all(depths[on_circle:] > 0.2)
-        fold = steady_fold(p, 0.0, 0.05, 0, order)
+        fold = steady_fold(p, 0.0, 0.05, order)[0]
         assert fold.strip_halfwidth == pytest.approx(rho, abs=1e-7)
         assert fold.nodes == 512
 
@@ -575,30 +573,31 @@ class TestTrigRoots:
 class TestSteadyFold:
     @pytest.mark.parametrize("order", STEP_ORDERS)
     def test_matches_the_window_at_every_width(self, two_controls, three_controls, order):
-        # One node pass per phase serves all 40 widths; measured at most
-        # 3.7e-15 from the window's maps.
+        # One node pass for all phases serves all 40 widths; measured at
+        # most 3.7e-15 from the window's maps.
         for p in (two_controls, three_controls):
-            folds = [steady_fold(p, 0.0, 0.05, K, order) for K in range(p.period)]
+            folds = steady_fold(p, 0.0, 0.05, order)
             for s in np.linspace(0.05, 1.5, 40):
                 cycle = asymptotic_cycle(p, Spectrum(0.0, s), order)
-                for fold, m in zip(folds, cycle.maps):
+                for fold, m in zip(folds, cycle.maps, strict=True):
                     assert np.max(np.abs(fold.map_at(s) - m.m)) <= 1e-12
 
     def test_off_centre_mean_phase(self, three_controls):
         # The coefficients are taken about theta_bar, whatever it is.
         for theta_bar in (0.7, -2.3):
-            folds = [steady_fold(three_controls, theta_bar, 0.2, K) for K in range(3)]
+            folds = steady_fold(three_controls, theta_bar, 0.2)
             for s in (0.2, 0.9, 4.0, 50.0):
                 cycle = asymptotic_cycle(three_controls, Spectrum(theta_bar, s))
-                for fold, m in zip(folds, cycle.maps):
+                for fold, m in zip(folds, cycle.maps, strict=True):
                     assert np.max(np.abs(fold.map_at(s) - m.m)) <= 1e-12
 
     def test_constant_trace_takes_its_nodes_from_the_weights(self):
         # k = 0 steps give a phase-free period map: no root, rho = inf, and
         # N = 2 H* = 2 ceil(sqrt(80) / 0.5) = 36, rounded up to 64.
         p = Protocol([ControlStep(0.3, 0), ControlStep(0.6, 0)])
-        for K in range(2):
-            fold = steady_fold(p, 0.4, 0.5, K)
+        folds = steady_fold(p, 0.4, 0.5)
+        assert len(folds) == 2
+        for K, fold in enumerate(folds):
             assert fold.strip_halfwidth == math.inf
             assert fold.nodes == 64
             assert_allclose(fold.map_at(0.5), asymptotic_map(p, Spectrum(0.4, 0.5), K).m, atol=1e-14)
@@ -607,14 +606,11 @@ class TestSteadyFold:
     def test_every_phase_reads_the_strip_of_the_unshifted_period(self, steps):
         # rho comes from P_T of the one chain, whichever phase is folded.
         p = Protocol([ControlStep(eta, k) for eta, k in steps])
-        rho = [steady_fold(p, 0.3, 0.5, K).strip_halfwidth for K in range(p.period)]
+        rho = [fold.strip_halfwidth for fold in steady_fold(p, 0.3, 0.5)]
         assert math.isfinite(rho[0])
         assert rho == [rho[0]] * p.period
 
     def test_domain(self, two_controls):
-        for K in (-1, 2):
-            with pytest.raises(DomainError, match="phase"):
-                steady_fold(two_controls, 0.0, 0.5, K)
         for s_min in (0.0, -1.0, math.nan):
             with pytest.raises(DomainError, match="s_min"):
                 steady_fold(two_controls, 0.0, s_min)
@@ -637,26 +633,25 @@ class TestSteadyFold:
         ],
     )
     def test_widths_below_the_fold_raise(self, two_controls, s_min, s, served):
-        fold = steady_fold(two_controls, 0.0, s_min)
+        fold = steady_fold(two_controls, 0.0, s_min)[0]
         with pytest.raises(DomainError, match=served):
             fold.map_at(s)
 
     def test_widths_the_fold_serves(self, two_controls):
-        fold = steady_fold(two_controls, 0.0, 0.4)
+        fold = steady_fold(two_controls, 0.0, 0.4)[0]
         for s in (0.39, 0.4, 1.0, 38.6, math.inf):
             assert_allclose(fold.map_at(s), asymptotic_map(two_controls, Spectrum(0.0, s), 0).m, atol=1e-12)
-        uniform = steady_fold(two_controls, 0.0, 50.0)
+        uniform = steady_fold(two_controls, 0.0, 50.0)[0]
         assert uniform.map_at(UNIFORM_S).tobytes() == uniform.map_at(math.inf).tobytes()
 
     @pytest.mark.parametrize("steps, sp, rho", CAPPED_CYCLES)
     def test_window_at_its_cap_takes_the_fold(self, steps, sp, rho):
         # Both cycles raised ConvergenceError at the window's 65,536 nodes.
-        # Every phase's map is its own fold's, so it does not depend on the
-        # phases computed alongside; one phase alone shows it end to end.
+        # Every phase's map is its own fold's; asymptotic_map, one phase of
+        # the same cycle, shows it end to end.
         p = Protocol([ControlStep(eta, k) for eta, k in steps])
         cycle = asymptotic_cycle(p, sp, "eq2b")
-        for K, m in enumerate(cycle.maps):
-            fold = steady_fold(p, sp.theta_bar, sp.s, K, "eq2b")
+        for m, fold in zip(cycle.maps, steady_fold(p, sp.theta_bar, sp.s, "eq2b"), strict=True):
             assert fold.strip_halfwidth == pytest.approx(rho, rel=0.01)
             assert fold.guard_delta <= asymptotics.QUAD_TOL
             assert m.m.tobytes() == fold.map_at(sp.s).tobytes()
@@ -666,9 +661,9 @@ class TestSteadyFold:
     def test_rescued_maps_hold_on_twice_the_nodes(self, steps, sp, rho, monkeypatch):
         # A fold on twice the nodes, an interleaved grid, agrees.
         p = Protocol([ControlStep(eta, k) for eta, k in steps])
-        coarse = steady_fold(p, sp.theta_bar, sp.s, 0, "eq2b")
+        coarse = steady_fold(p, sp.theta_bar, sp.s, "eq2b")[0]
         monkeypatch.setattr(asymptotics, "FOLD_TOL", asymptotics.FOLD_TOL**2)
-        fine = steady_fold(p, sp.theta_bar, sp.s, 0, "eq2b")
+        fine = steady_fold(p, sp.theta_bar, sp.s, "eq2b")[0]
         assert fine.nodes == 2 * coarse.nodes
         assert np.max(np.abs(fine.map_at(sp.s) - coarse.map_at(sp.s))) <= 1e-13
 
@@ -683,7 +678,6 @@ class TestSteadyFold:
         # phases fold on it from one pass of 32 nodes, and a failed guard
         # names that N after that one pass.
         p = Protocol([ControlStep(0.5, 4), ControlStep(0.5, 0)])
-        assert [steady_fold(p, 0.3, 10.0, K, "eq2b").nodes for K in range(2)] == [16, 16]
         passes = []
         node_blocks = asymptotics._node_blocks
 
@@ -692,12 +686,12 @@ class TestSteadyFold:
             return node_blocks(theta, pairs)
 
         monkeypatch.setattr(asymptotics, "_node_blocks", counted)
-        assert [fold.nodes for fold in asymptotics._steady_folds(p, 0.3, 10.0, range(2), "eq2b")] == [16, 16]
+        assert [fold.nodes for fold in steady_fold(p, 0.3, 10.0, "eq2b")] == [16, 16]
         assert passes == [32]
         passes.clear()
         monkeypatch.setattr(asymptotics, "QUAD_TOL", -1.0)
         with pytest.raises(ConvergenceError, match=r"N = 16\) has guard delta"):
-            asymptotics._steady_folds(p, 0.3, 10.0, range(2), "eq2b")
+            steady_fold(p, 0.3, 10.0, "eq2b")
         assert passes == [32]
 
     def test_failed_guard_raises(self, two_controls, calibrated_spectrum, monkeypatch):
@@ -732,8 +726,7 @@ class TestSteadyFold:
         monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
         cycle = asymptotic_cycle(two_controls, Spectrum(0.7, math.inf), order)
         assert refinements == [64, 128, 256]
-        for K, m in enumerate(cycle.maps):
-            fold = steady_fold(two_controls, 0.7, math.inf, K, order)
+        for m, fold in zip(cycle.maps, steady_fold(two_controls, 0.7, math.inf, order), strict=True):
             assert fold.nodes == 128
             assert m.m.tobytes() == fold.map_at(math.inf).tobytes()
 
@@ -765,8 +758,7 @@ class TestSmallStrip:
         p = Protocol([ControlStep(eta, k) for eta, k in steps])
         cycle = asymptotic_cycle(p, Spectrum(0.3, math.inf), order)
         monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", 2**18)
-        for K, m in enumerate(cycle.maps):
-            fold = steady_fold(p, 0.3, math.inf, K, order)
+        for m, fold in zip(cycle.maps, steady_fold(p, 0.3, math.inf, order), strict=True):
             assert 2 * fold.nodes == 2**17
             assert np.max(np.abs(fold.map_at(math.inf) - m.m)) <= 1e-13
 

@@ -299,6 +299,22 @@ class TestEigenvectorAscent:
         u, rate = nonmarkov._replay(ms)
         assert result_bytes(result) == np.array([rate, 0.0]).tobytes() + u.tobytes() + bytes([True])
 
+    def test_period_one_returns_the_replay_bytes_without_it(self, monkeypatch):
+        # The doubled cycle (M, M) has the same objective, 0.0 at every
+        # point, and runs the whole Nelder-Mead replay; a period-1 cycle
+        # returns its answer with no minimize call.
+        rng = np.random.default_rng(450)
+        maps = [np.zeros((3, 3)), np.eye(3), *(random_contraction(rng) for _ in range(30))]
+        replays = [nonmarkov._replay(np.stack([m, m])) for m in maps]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the replay ran")
+
+        monkeypatch.setattr(nonmarkov, "minimize", refuse)
+        for m, (u, rate) in zip(maps, replays):
+            result = optimal_pair_search(cycle_of([m]))
+            assert result_bytes(result) == np.array([rate, 0.0]).tobytes() + u.tobytes() + bytes([True])
+
     def test_non_degenerate_cycles_make_no_replay_call(self, three_cycle, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the replay ran")

@@ -1,7 +1,8 @@
 """Static checks on the package source, for want of a linter in the test
-environment: every name a module imports is read somewhere in it, and every
-module-level private name is read somewhere in the package.  ``__init__.py``
-imports to re-export, so the first check leaves it out."""
+environment: every name a module imports is read somewhere in it, every
+module-level private name is read somewhere in the package, and the command
+line imports only the library's public names.  ``__init__.py`` imports to
+re-export, so the first check leaves it out."""
 
 import ast
 from pathlib import Path
@@ -53,6 +54,17 @@ def unread_private_names(sources: list) -> list:
     return sorted(defined - set().union(*(read_names(tree) for tree in trees)))
 
 
+def private_imports(source: str) -> list:
+    """Private names that ``source`` imports from the package's modules."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").partition(".")[0] == PACKAGE.name)
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
 def test_unused_imports_are_found():
     source = "import os.path\nimport numpy as np\nfrom .bloch import _damping, _running_sum\nnp.ones(_damping)\n"
     assert unused_imports(source) == ["_running_sum", "os"]
@@ -66,6 +78,18 @@ def test_unread_private_names_are_found():
     reading = "from .m import _fold, _node_values\nimport m\n_fold()\nm._K\n"
     assert unread_private_names([defining]) == ["_B", "_D", "_K", "_fold", "_node_values"]
     assert unread_private_names([defining, reading]) == ["_B", "_D", "_node_values"]
+
+
+def test_private_imports_are_found():
+    source = (
+        "from __future__ import annotations\nfrom os import _exit\nfrom .asymptotics import _folds, steady_fold\n"
+        "from . import _private\nfrom drivenqubit.bloch import _damping\n"
+    )
+    assert private_imports(source) == ["_damping", "_folds", "_private"]
+
+
+def test_cli_imports_only_public_names():
+    assert private_imports((PACKAGE / "cli.py").read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
