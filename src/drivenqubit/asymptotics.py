@@ -17,13 +17,14 @@ long-iteration propagation; the products themselves keep a residual
 oscillatory error that decays only like 1/sqrt(m) through stationary
 points of the rotation angle.
 
-All functions are pure.  The T steady maps refine as one cycle: the
-window stops at the first refinement where no phase's map changes by
-QUAD_TOL.  Each refinement runs in blocks of nodes: one harmonic-major
-cos/sin table per block serves the period and prefix series of every
-phase, the axis projectors of a block are extracted in one batched pass,
-and the weighted terms are added as one running sum in node order, carried
-from block to block.  So results are reproducible bit for bit and equal a
+All functions are pure.  The T steady maps refine as one cycle
+(``asymptotic_cycle``; ``asymptotic_map`` is its phase K): the window
+stops at the first refinement where no phase's map changes by QUAD_TOL.
+Each refinement runs in blocks of nodes: one harmonic-major cos/sin table
+per block (``bloch._node_values``) gives the period and prefix series of
+every phase, the axis projectors of a block are extracted in one batched
+pass, and the weighted terms are added as one running sum in node order,
+carried from block to block.  So results are reproducible bit for bit and equal a
 node-by-node loop run to the cycle's last refinement.
 
 The integrand is 2 pi-periodic, so the spectral average is also a periodic
@@ -52,11 +53,13 @@ table from the folds of all phases, all out of the one pass.
 
 The hand-off, one rule at every width: a cycle the window has not
 finished at its first refinement of n >= 2N nodes, or at the node cap, is
-handed over whole, and every phase takes the bits of its fold's map at s;
-a fold that raises ends the call.  rho is solved at most once per call,
-from P_T, and only past the smallest 2N of any strip.  At the calibrated s
-neither preset gets that far: two_controls converges at 128 of its 2N =
-256 nodes, three_controls at 512 of 512.
+handed over whole, and every phase takes the bits of its fold's map at s.
+A fold that raises ends the call; the error names the phase whose guard
+failed, the window's node count, s and largest last change.  rho is
+solved at most once per call, from P_T, and only past the smallest 2N of
+any strip.  At the calibrated s neither preset gets that far:
+two_controls converges at 128 of its 2N = 256 nodes, three_controls at
+512 of 512.
 """
 
 from __future__ import annotations
@@ -77,9 +80,8 @@ from .bloch import (
     Spectrum,
     TrigMatrix,
     _damping,
-    _node_blocks,
+    _node_values,
     _nonzero_pairs,
-    _running_sum,
     product_chain,
     protocol_product,
 )
@@ -300,68 +302,6 @@ def _chain(p: Protocol, order: str) -> list:
     return list(itertools.islice(product_chain(p, order), p.period + 1))
 
 
-def _steady_maps(p: Protocol, sp: Spectrum, order: str) -> list:
-    """The T steady-cycle maps, refined as one cycle by the window, with the
-    hand-off to the fold of the module docstring.
-
-    Each refinement runs in node blocks (``_node_blocks``) whose coefficient
-    rows, built for the deepest series, serve the rotated period and prefix
-    series of every phase.  The nodes come from ``_quad_nodes`` alone; where
-    it gives none, the maps are point values.  The first phase whose fold
-    raises ends the call: its ConvergenceError is raised again with the
-    phase, s and the window's last change of that phase.
-    """
-    chain = _chain(p, order)
-    top = chain[-1]
-    series = [
-        (protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order) if K else top, chain[K])
-        for K in range(p.period)
-    ]
-    pairs = max(len(tm.terms) for pair in series for tm in pair)
-    rho = functools.cache(lambda: _strip_halfwidth(top))
-
-    def integrals(nodes, weights):
-        acc = np.zeros((p.period, 3, 3))
-        for block, coef in _node_blocks(nodes, pairs):
-            w = weights[block, None, None]
-            theta = nodes[block]
-            for K, (period, prefix) in enumerate(series):
-                proj = _steady_projectors(period, theta, _running_sum(coef, period.terms))
-                # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
-                parts = w * (proj + 0.0 if K == 0 else proj @ _running_sum(coef, prefix.terms))
-                # A running sum in node order, carried from the previous block.
-                parts[0] += acc[K]
-                acc[K] = np.add.reduce(parts, axis=0)
-        return acc
-
-    # The first refinement changes every map by inf.
-    n_nodes, maps = QUAD_MIN_NODES, np.full((p.period, 3, 3), np.inf)
-    while (rule := _quad_nodes(sp, n_nodes)) is not None:
-        cur = integrals(*rule)
-        diff, maps = np.max(np.abs(cur - maps), axis=(1, 2)), cur
-        if np.all(diff < QUAD_TOL):
-            break
-        h_top = _fold_harmonics(sp.s)
-        # decay = 1 gives the smallest N of any strip: no root is solved below it.
-        ready = n_nodes >= 2 * _fold_count(1, h_top, chain)
-        if n_nodes >= QUAD_MAX_NODES or ready and n_nodes >= 2 * _fold_count(_decay(rho(), top), h_top, chain):
-            folds = _folds(chain, sp, rho())
-            for K in range(p.period):
-                try:
-                    maps[K] = next(folds).map_at(sp.s)
-                except ConvergenceError as error:
-                    raise ConvergenceError(
-                        f"steady-map quadrature did not reach {QUAD_TOL} by {n_nodes} nodes "
-                        f"(period {p.period}, phase {K}, s = {sp.s}, last change {diff[K]:.3e}); {error}"
-                    ) from error
-            break
-        n_nodes *= 2
-    else:
-        # The spectral integral is a point value (see _quad_nodes).
-        maps = integrals(np.array([sp.theta_bar]), np.ones(1))
-    return [BlochMap(m) for m in maps]
-
-
 def trig_roots(series) -> np.ndarray:
     """Roots in z = e^(i theta) of a scalar trigonometric polynomial.
 
@@ -458,15 +398,17 @@ def _folds(chain: list, sp: Spectrum, rho: float):
     sp.theta_bar, yielded in phase order.  ``chain`` is P_0, ..., P_T and
     rho the strip half-width of P_T.  In the uniform limit H* = 0 and the
     grid is anchored at 0, so every such fold is the s = inf fold.  Raises
-    ConvergenceError, naming rho, N and the guard delta, when the 2N nodes
-    exceed QUAD_MAX_NODES or at the first phase whose guard exceeds QUAD_TOL.
+    ConvergenceError, naming rho and N: for the whole cycle, before any
+    node, when the 2N nodes exceed QUAD_MAX_NODES, and with the guard delta
+    and the phase at the first phase whose guard exceeds QUAD_TOL.
 
     Every phase folds on the period's N (``_fold_count``) from one node
-    pass: per node block one table of coefficient rows, P_T and its axis
-    projectors Pi once, and each phase's value ``P_K Pi``.  The FFT and the
-    guard run per phase.  The guard, ``max_entries sum_h d_h(sp.s)
-    |change_h|``, bounds the change from the rule's N-node half at every
-    width s >= sp.s, s = inf included, as 0 <= d_h(s) <= d_h(sp.s) there.
+    pass: per node block the values of P_T and P_1, ..., P_{T-1}
+    (``_node_values``), the axis projectors Pi of P_T once, and each
+    phase's ``P_K Pi``.  The FFT and the guard run per phase.  The guard,
+    ``max_entries sum_h d_h(sp.s) |change_h|``, bounds the change from the
+    rule's N-node half at every width s >= sp.s, s = inf included, as
+    0 <= d_h(s) <= d_h(sp.s).
     """
     top = chain[-1]
     h_top = _fold_harmonics(sp.s)
@@ -476,24 +418,24 @@ def _folds(chain: list, sp: Spectrum, rho: float):
         raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
     theta = (0.0 if sp.is_uniform else sp.theta_bar) + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
     values = np.empty((len(chain) - 1, 2 * n, 3, 3))
-    for block, coef in _node_blocks(theta, max(len(tm.terms) for tm in chain)):
-        axis = _steady_projectors(top, theta[block], _running_sum(coef, top.terms))
+    for block, sums in _node_values([top, *chain[1:-1]], theta):
+        axis = _steady_projectors(top, theta[block], next(sums))
         for K, v in enumerate(values):
             # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
-            v[block] = axis + 0.0 if K == 0 else _running_sum(coef, chain[K].terms) @ axis
+            v[block] = axis + 0.0 if K == 0 else next(sums) @ axis
     h = np.arange(h_top + 1)
     scale = np.where(h == 0, 1.0, 2.0)[:, None] / (2 * n)
     # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
     # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
     shift = np.exp(-0.5j * np.pi * h / n)[:, None]
     row = _damping(sp.s, h_top)
-    for v in values:
+    for K, v in enumerate(values):
         spectrum = np.fft.rfft(v.reshape(2 * n, 9), axis=0)
         coefficients = scale * np.real(shift * spectrum[h])
         change = scale * np.real(shift * np.conj(spectrum[n - h]))
         guard = float(np.max(row @ np.abs(change)))
         if not guard <= QUAD_TOL:
-            raise ConvergenceError(f"{where} has guard delta {guard:.3e}, above {QUAD_TOL}")
+            raise ConvergenceError(f"{where} has guard delta {guard:.3e} at phase {K}, above {QUAD_TOL}")
         yield SteadyFold(coefficients.reshape(-1, 3, 3), n, rho, guard)
 
 
@@ -506,32 +448,13 @@ def steady_fold(p: Protocol, theta_bar: float, s_min: float, order: str = ORDER_
     agree with the window to its tolerance, and their own error is about
     FOLD_TOL.  Raises DomainError for s_min not positive or theta_bar out
     of range, and ConvergenceError when the rule needs more than
-    QUAD_MAX_NODES nodes or at the first phase that fails its guard."""
+    QUAD_MAX_NODES nodes, or at the first phase that fails its guard,
+    which the message names."""
     if not s_min > 0.0:
         raise DomainError(f"the fold needs a smallest width s_min > 0, got {s_min}")
     sp = Spectrum(theta_bar, s_min)  # checks theta_bar
     chain = _chain(p, order)
     return tuple(_folds(chain, sp, _strip_halfwidth(chain[-1])))
-
-
-def asymptotic_map(
-    p: Protocol, sp: Spectrum, K: int, order: str = ORDER_PHASE_AFTER
-) -> BlochMap:
-    """Steady-cycle map at integer driving phase K: phase K of
-    ``asymptotic_cycle``, so it computes the whole period.
-
-    Spectral average of the axis projector of the one-period product of the
-    schedule rotated by K (``steps[K:] + steps[:K]``) times the K-step
-    prefix.  The quadrature doubles its node count until two successive
-    refinements of every phase agree to 1e-10 entrywise; a cycle not
-    converged at its first refinement of 2N nodes, at any width, takes its
-    folds' maps.  The uniform limit (``sp.is_uniform``) integrates over one
-    period, free of theta_bar; at s = 0 or tiny s the map is a point value.
-    Raises DomainError unless K is an integer in [0, T), and
-    ConvergenceError where a fold of the cycle raises.
-    """
-    K = _check_phase(K, p.period)
-    return _steady_maps(p, sp, order)[K]
 
 
 @dataclass(frozen=True)
@@ -553,14 +476,78 @@ class AsymptoticCycle:
         return tuple(float(m.m[1, 1]) for m in self.maps)
 
 
-def asymptotic_cycle(
-    p: Protocol, sp: Spectrum, order: str = ORDER_PHASE_AFTER
-) -> AsymptoticCycle:
-    """All T steady-cycle maps of a protocol, refined as one cycle: every
-    map comes from the window, or every map from its fold, by the hand-off
-    of the module docstring.  The first fold that raises ends the call with
-    its ConvergenceError, naming its phase."""
-    return AsymptoticCycle.from_maps(_steady_maps(p, sp, order))
+def asymptotic_cycle(p: Protocol, sp: Spectrum, order: str = ORDER_PHASE_AFTER) -> AsymptoticCycle:
+    """All T steady-cycle maps of a protocol, refined as one cycle.
+
+    Phase K's map is the spectral average of the axis projector of the
+    schedule rotated by K (``steps[K:] + steps[:K]``) times the K-step
+    prefix.  The window doubles its nodes until no phase's map changes by
+    QUAD_TOL entrywise; ``_node_values`` gives each block of nodes every
+    phase's rotated period and prefix.  The uniform limit integrates over
+    one period, free of theta_bar; where ``_quad_nodes`` gives no nodes
+    (s = 0 or tiny s) the maps are point values.  A cycle the window has
+    not finished at its first refinement of 2N nodes, or at the cap, takes
+    its folds' maps (the hand-off of the module docstring).  A fold that
+    raises ends the call: its ConvergenceError, which names the failing
+    phase, is raised again with the window's node count, s and largest
+    last change.
+    """
+    chain = _chain(p, order)
+    top = chain[-1]
+    periods = [
+        protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order) if K else top for K in range(p.period)
+    ]
+    # In reading order: each phase's rotated period, then its prefix (none for phase 0).
+    series = [top] + [tm for K in range(1, p.period) for tm in (periods[K], chain[K])]
+    rho = functools.cache(lambda: _strip_halfwidth(top))
+
+    def integrals(nodes, weights):
+        acc = np.zeros((p.period, 3, 3))
+        for block, values in _node_values(series, nodes):
+            w = weights[block, None, None]
+            theta = nodes[block]
+            for K, period in enumerate(periods):
+                proj = _steady_projectors(period, theta, next(values))
+                # Phase 0's prefix is I: ``+ 0.0`` gives the +0.0 zeros of the product with it.
+                parts = w * (proj + 0.0 if K == 0 else proj @ next(values))
+                # A running sum in node order, carried from the previous block.
+                parts[0] += acc[K]
+                acc[K] = np.add.reduce(parts, axis=0)
+        return acc
+
+    # The first refinement changes every map by inf.
+    n_nodes, maps = QUAD_MIN_NODES, np.full((p.period, 3, 3), np.inf)
+    while (rule := _quad_nodes(sp, n_nodes)) is not None:
+        cur = integrals(*rule)
+        diff, maps = np.max(np.abs(cur - maps), axis=(1, 2)), cur
+        if np.all(diff < QUAD_TOL):
+            break
+        h_top = _fold_harmonics(sp.s)
+        # decay = 1 gives the smallest N of any strip: no root is solved below it.
+        ready = n_nodes >= 2 * _fold_count(1, h_top, chain)
+        if n_nodes >= QUAD_MAX_NODES or ready and n_nodes >= 2 * _fold_count(_decay(rho(), top), h_top, chain):
+            try:
+                maps = [fold.map_at(sp.s) for fold in _folds(chain, sp, rho())]
+            except ConvergenceError as error:
+                raise ConvergenceError(
+                    f"steady-map quadrature did not reach {QUAD_TOL} by {n_nodes} nodes "
+                    f"(period {p.period}, s = {sp.s}, largest last change {np.max(diff):.3e}); {error}"
+                ) from error
+            break
+        n_nodes *= 2
+    else:
+        # The spectral integral is a point value (see _quad_nodes).
+        maps = integrals(np.array([sp.theta_bar]), np.ones(1))
+    return AsymptoticCycle.from_maps(BlochMap(m) for m in maps)
+
+
+def asymptotic_map(p: Protocol, sp: Spectrum, K: int, order: str = ORDER_PHASE_AFTER) -> BlochMap:
+    """Steady-cycle map at integer driving phase K: phase K of
+    ``asymptotic_cycle(p, sp, order)``, so it computes the whole period.
+    Raises DomainError unless K is an integer in [0, T), and
+    ConvergenceError where a fold of the cycle raises."""
+    K = _check_phase(K, p.period)
+    return asymptotic_cycle(p, sp, order).maps[K]
 
 
 def limit_cycle(cycle: AsymptoticCycle, a0: BlochVector) -> np.ndarray:

@@ -54,6 +54,7 @@ MAX_PHASE_MULTIPLIER = 2**20
 # Bound on |theta_bar|, exclusive: from 2^52 on one ulp of theta_bar is at
 # least 1 rad, so it carries no phase.
 MAX_THETA_BAR = 2.0**52
+_TWO_PI_HI, _TWO_PI_LO = 2.0 * math.pi, 2.4492935982947064e-16  # 2 pi as fl(2 pi) + the rest
 
 # Step-operator orderings within one operation unit.  ORDER_PHASE_AFTER
 # applies the polarization rotation first and the environment phase second;
@@ -112,6 +113,8 @@ class Spectrum:
     sentinel for the fully dephased limit where the phase is uniform.
     From s* = 38.6039692027113 on every harmonic h >= 1 is damped to 0.0,
     so every layer treats such a spectrum as uniform (``is_uniform``).
+    ``theta_bar`` is stored reduced by whole turns toward zero, within an
+    ulp of the exact reduction; |theta_bar| < fl(2 pi) keeps its bits.
     """
 
     theta_bar: float
@@ -122,6 +125,8 @@ class Spectrum:
             raise DomainError(f"theta_bar must be finite with |theta_bar| < 2^52, got {self.theta_bar}")
         if math.isnan(self.s) or self.s < 0.0:
             raise DomainError(f"spectral width s must be >= 0, got {self.s}")
+        rest = math.fmod(self.theta_bar, _TWO_PI_HI)  # exact: whole turns of fl(2 pi) off
+        object.__setattr__(self, "theta_bar", rest - round((self.theta_bar - rest) / _TWO_PI_HI) * _TWO_PI_LO)
 
     @property
     def is_uniform(self) -> bool:
@@ -130,7 +135,7 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class ControlStep:
-    """One operation unit: rotation parameter eta, integer phase multiplier k."""
+    """One operation unit: rotation parameter eta, stored as a float, and phase multiplier k, as an int."""
 
     eta: float
     k: int
@@ -142,6 +147,8 @@ class ControlStep:
             raise DomainError(
                 f"k must be an integer in [0, {MAX_PHASE_MULTIPLIER}], got {self.k}"
             )
+        object.__setattr__(self, "eta", float(self.eta))
+        object.__setattr__(self, "k", int(self.k))
 
 
 @dataclass(frozen=True)
@@ -239,28 +246,33 @@ class TrigMatrix:
         Returns shape ``np.shape(theta) + (3, 3)``.
         """
         theta = np.asarray(theta, dtype=float)
-        flat = theta.reshape(-1)
-        out = np.empty((flat.size, 3, 3))
-        for block, coef in _node_blocks(flat, len(self.terms)):
-            out[block] = _running_sum(coef, self.terms)
+        out = np.empty((theta.size, 3, 3))
+        for block, (value,) in _node_values([self], theta.reshape(-1)):
+            out[block] = value
         return out.reshape(theta.shape + (3, 3))
 
     def __repr__(self):
         return f"TrigMatrix(max_harmonic={self.max_harmonic}, harmonics={len(self._harmonics)})"
 
 
-# Phases per block of ``_node_blocks`` (evaluate, the steady-map window and
+# Phases per block of ``_node_values`` (evaluate, the steady-map window and
 # the fold) times the 2H+1 slots of a series that can be nonzero: bounds the
 # (2H+2, 9, block) products of ``_running_sum`` to about 0.6 MB.
 _SUM_BLOCK_TERMS = 2**13
 
 
-def _node_blocks(theta: np.ndarray, pairs: int):
-    """``(slice, undamped coefficient rows)`` per block of the 1-D phases
-    ``theta``, in order, for series of up to ``pairs`` = H+1 harmonics."""
+def _node_values(series, theta: np.ndarray):
+    """``(slice, values)`` per block of the 1-D phases ``theta``, in order:
+    ``values`` iterates over the series at the block's phases, (block, 3, 3)
+    each, from one table of coefficient rows built for the deepest series.
+    Each phase gets the bits of a scalar call."""
+    pairs = max(len(tm.terms) for tm in series)
     size = max(1, _SUM_BLOCK_TERMS // (2 * pairs - 1))
     for lo in range(0, len(theta), size):
-        yield slice(lo, lo + size), _coefficient_rows(theta[lo : lo + size], np.ones(pairs))
+        coef = _coefficient_rows(theta[lo : lo + size], np.ones(pairs))
+        # Summed as read, one at a time: holding all of a block's sums made a steady
+        # cycle amid other work page-fault about a hundred times per call.
+        yield slice(lo, lo + size), map(functools.partial(_running_sum, coef), [tm.terms for tm in series])
 
 
 def _coefficient_rows(theta, damping: np.ndarray) -> np.ndarray:

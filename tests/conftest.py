@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -122,3 +123,25 @@ def recorded_ops(workload, keep):
     """The recorded ops of one benchmark workload that ``keep`` selects."""
     templates = json.loads((REFS / f"{workload}.json").read_text())["templates"]
     return [op for t in templates for variant in t["variants"] for op in variant if keep(op)]
+
+
+def machin_two_pi(bits: int = 256) -> Fraction:
+    """2 pi as a rational within 2^-bits, from Machin's formula
+    pi = 16 atan(1/5) - 4 atan(1/239) summed in Python integers."""
+    one = 1 << (bits + 16)
+
+    def atan_inv(x):
+        total, term, n = 0, one // x, 1
+        while term:
+            total += (term // n) * (1 if n % 4 == 1 else -1)
+            term //= x * x
+            n += 2
+        return total
+
+    return Fraction(2 * (16 * atan_inv(5) - 4 * atan_inv(239)), one)
+
+
+def exact_turns_off(theta: float, two_pi: Fraction) -> Fraction:
+    """theta less its whole turns toward zero, exactly, for a rational 2 pi."""
+    t = Fraction(theta)
+    return t - int(t / two_pi) * two_pi

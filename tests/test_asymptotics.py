@@ -34,7 +34,7 @@ from drivenqubit import (
     trig_roots,
 )
 from drivenqubit import asymptotics, bloch, cli
-from conftest import UNIFORM_S, random_rotation, recorded_ops
+from conftest import UNIFORM_S, exact_turns_off, machin_two_pi, random_rotation, recorded_ops
 
 
 class TestResolvent:
@@ -438,6 +438,25 @@ class TestAsymptoticMap:
                 got = asymptotic_map(two_controls, Spectrum(0.0, m * 5e-324), K).m
                 assert np.max(np.abs(got - sharp[K])) < 1e-15
 
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    @pytest.mark.parametrize("theta_bar", [2.0**20 + 0.3, 2.0**51 + 0.3])
+    def test_large_mean_phases_converge(self, two_controls, three_controls, calibrated_spectrum, theta_bar, order):
+        # Spectrum keeps theta_bar reduced by whole turns, so no node
+        # theta_bar + t and no turn k theta_bar loses ulp(theta_bar), which is
+        # 2.3e-10 at 2^20 and 0.5 rad at 2^51.  Both presets converge there,
+        # on the bits of the cycle at the reduced mean phase, and within
+        # 1e-12 of the cycle at the correctly rounded exact reduction.
+        s = calibrated_spectrum.s
+        sp = Spectrum(theta_bar, s)
+        exact = Spectrum(float(exact_turns_off(theta_bar, machin_two_pi())), s)
+        for p in (two_controls, three_controls):
+            cycle = asymptotic_cycle(p, sp, order)
+            reduced = asymptotic_cycle(p, Spectrum(sp.theta_bar, s), order)
+            near = asymptotic_cycle(p, exact, order)
+            for m, r, e in zip(cycle.maps, reduced.maps, near.maps, strict=True):
+                assert m.m.tobytes() == r.m.tobytes()
+                assert np.max(np.abs(m.m - e.m)) <= 1e-12
+
 
 class TestPhaseIndex:
     # A phase is an integer in [0, T), T = 2 here: operator.index admits
@@ -488,7 +507,7 @@ class TestLockstepCycle:
         # from one pass.
         cases = [(three_controls, calibrated_spectrum, [], []), (capped, Spectrum(-0.707, 4.597), [2**15, 2**15], [2**15])]
         for protocol, sp, folds, passes in cases:
-            # Every node block, of the window, the fold and evaluate, comes from bloch._node_blocks.
+            # Every node block, of the window, the fold and evaluate, comes from bloch._node_values.
             monkeypatch.setattr(bloch, "_coefficient_rows", counted_rows)
             monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
             rows.clear()
@@ -675,39 +694,56 @@ class TestSteadyFold:
 
     def test_one_node_pass_serves_every_phase(self, monkeypatch):
         # Phase 1's prefix has degree 4, so the period's N is 16: both
-        # phases fold on it from one pass of 32 nodes, and a failed guard
-        # names that N after that one pass.
+        # phases fold on it from one pass of 32 nodes over P_1 and P_2, and
+        # a failed guard names that N and phase 0 after that one pass.
         p = Protocol([ControlStep(0.5, 4), ControlStep(0.5, 0)])
         passes = []
-        node_blocks = asymptotics._node_blocks
+        node_values = asymptotics._node_values
 
-        def counted(theta, pairs):
-            passes.append(len(theta))
-            return node_blocks(theta, pairs)
+        def counted(series, theta):
+            passes.append((len(series), len(theta)))
+            return node_values(series, theta)
 
-        monkeypatch.setattr(asymptotics, "_node_blocks", counted)
+        monkeypatch.setattr(asymptotics, "_node_values", counted)
         assert [fold.nodes for fold in steady_fold(p, 0.3, 10.0, "eq2b")] == [16, 16]
-        assert passes == [32]
+        assert passes == [(2, 32)]
         passes.clear()
         monkeypatch.setattr(asymptotics, "QUAD_TOL", -1.0)
-        with pytest.raises(ConvergenceError, match=r"N = 16\) has guard delta"):
+        with pytest.raises(ConvergenceError, match=r"N = 16\) has guard delta \S+ at phase 0, above -1.0$"):
             steady_fold(p, 0.3, 10.0, "eq2b")
-        assert passes == [32]
+        assert passes == [(2, 32)]
 
     def test_failed_guard_raises(self, two_controls, calibrated_spectrum, monkeypatch):
-        # Nothing meets a zero tolerance: the window hands phase 0 to its
-        # fold at 2N = 256 nodes, at a Gaussian width and in the uniform
-        # limit alike, and the fold's guard, a sum of rounding-level
-        # changes, exceeds it.  The call ends there, short of the cap.
+        # Nothing meets a zero tolerance: the window hands the cycle to its
+        # folds at 2N = 256 nodes, at a Gaussian width and in the uniform
+        # limit alike, and phase 0's guard, a sum of rounding-level changes,
+        # exceeds it.  The call ends there, short of the cap.
         monkeypatch.setattr(asymptotics, "QUAD_TOL", 0.0)
         monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", 2**10)
         for sp in (calibrated_spectrum, Spectrum(0.0, math.inf)):
             message = (
-                rf"did not reach 0.0 by 256 nodes \(period 2, phase 0, s = {re.escape(str(sp.s))}, last change \S+\); "
-                r"the one-period fold \(strip half-width 4.415e-01, N = 128\) has guard delta \S+, above 0.0$"
+                rf"did not reach 0.0 by 256 nodes \(period 2, s = {re.escape(str(sp.s))}, largest last change \S+\); "
+                r"the one-period fold \(strip half-width 4.415e-01, N = 128\) has guard delta \S+ at phase 0, above 0.0$"
             )
             with pytest.raises(ConvergenceError, match=message):
                 asymptotic_map(two_controls, sp, 0)
+
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    def test_failed_guard_names_its_phase(self, three_controls, order, monkeypatch):
+        # At s = 1 the window hands the cycle over at 2N = 512 nodes.  A
+        # tolerance between phase 0's guard delta (2.5e-16 or 2.8e-16) and
+        # phase 1's (3.3e-16) passes phase 0 and fails phase 1: steady_fold
+        # names phase 1, and the cycle adds the window's own numbers.
+        guards = [fold.guard_delta for fold in steady_fold(three_controls, 0.0, 1.0, order)]
+        assert guards[0] < guards[1]
+        tol = 0.5 * (guards[0] + guards[1])
+        monkeypatch.setattr(asymptotics, "QUAD_TOL", tol)
+        failed = rf"N = 256\) has guard delta {guards[1]:.3e} at phase 1, above {re.escape(str(tol))}$"
+        with pytest.raises(ConvergenceError, match=r"^the one-period fold \(strip half-width \S+, " + failed):
+            steady_fold(three_controls, 0.0, 1.0, order)
+        handed = r"^steady-map quadrature did not reach \S+ by 512 nodes \(period 3, s = 1.0, largest last change \S+\); "
+        with pytest.raises(ConvergenceError, match=handed + r"the one-period fold \(strip half-width \S+, " + failed):
+            asymptotic_cycle(three_controls, Spectrum(0.0, 1.0), order)
 
     @pytest.mark.parametrize("order", STEP_ORDERS)
     def test_uniform_limit_hands_over_at_2n(self, two_controls, order, monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from drivenqubit import (
 from drivenqubit import bloch, cli
 from drivenqubit.bloch import averaged_maps
 
-from conftest import CALIBRATED_S, UNIFORM_S, assert_pair_weights_are_exact
+from conftest import CALIBRATED_S, UNIFORM_S, assert_pair_weights_are_exact, exact_turns_off, machin_two_pi
 
 
 def z_rotation(angle):
@@ -493,11 +494,54 @@ class TestDomainTypes:
             assert Spectrum(0.0, s).is_uniform == (bloch._damping(s, 1)[1] == 0.0) == damped
 
     def test_spectrum_mean_phase_bound(self):
-        # From 2^52 on one ulp of theta_bar is at least 1 rad.
-        assert Spectrum(-(2.0**52 - 1.0), 0.4).theta_bar == -(2.0**52 - 1.0)
+        # From 2^52 on one ulp of theta_bar is at least 1 rad.  Below it the
+        # mean phase is kept reduced by whole turns toward zero: 2^52 - 1 is
+        # 716,770,142,402,832 turns and 1.0778 rad, to the bit.
+        assert Spectrum(-(2.0**52 - 1.0), 0.4).theta_bar == -1.07777121530127
         for theta_bar in (2.0**52, -(2.0**52), 1e308, math.inf, math.nan):
             with pytest.raises(DomainError, match="theta_bar"):
                 Spectrum(theta_bar, 0.4)
+
+    def test_mean_phase_reduction(self):
+        # Every theta_bar with |theta_bar| < fl(2 pi) is stored as given,
+        # -0.0 included, so no pinned or recorded input moves.
+        rng = np.random.default_rng(20261020)
+        fl_two_pi = 2.0 * math.pi
+        edges = [0.0, -0.0, 5e-324, -5e-324, math.pi, np.nextafter(fl_two_pi, 0.0), -np.nextafter(fl_two_pi, 0.0)]
+        for theta_bar in [*edges, *rng.uniform(-fl_two_pi, fl_two_pi, 2000)]:
+            assert Spectrum(float(theta_bar), 0.4).theta_bar.hex() == float(theta_bar).hex()
+        # Larger ones lose whole turns toward zero.  Against whole turns of a
+        # rational 2 pi, modulo 2 pi, the result is within one ulp of
+        # itself, counted at no less than 0.25, where the rounding of the
+        # turns' share of 2 pi - fl(2 pi) (up to 1.4e-17) takes over from
+        # the result's own.  Reducing again keeps the bits.
+        two_pi = machin_two_pi()
+        draws = np.ldexp(rng.uniform(1.0, 2.0, 2000), rng.integers(0, 52, 2000)) * rng.choice([-1.0, 1.0], 2000)
+        edges = [fl_two_pi, -fl_two_pi, 2.0**52 - 1.0, -(2.0**52 - 1.0), 2.0**20 + 0.3, 2.0**51 + 0.3]
+        for theta_bar in [*edges, *draws.tolist()]:
+            reduced = Spectrum(theta_bar, 0.4).theta_bar
+            assert abs(reduced) < fl_two_pi
+            assert Spectrum(reduced, 0.4).theta_bar.hex() == reduced.hex()
+            offset = (Fraction(reduced) - exact_turns_off(theta_bar, two_pi)) / two_pi
+            error = abs((offset - round(offset)) * two_pi)
+            assert error <= math.ulp(max(abs(reduced), 0.25))
+
+    def test_control_step_normalises_its_fields(self):
+        # A whole float or numpy k is stored as an int, eta as a float.
+        for eta, k in ((0.5, 2.0), (np.float64(0.5), np.int64(2)), (np.float32(0.5), np.float64(2.0))):
+            step = ControlStep(eta, k)
+            assert (type(step.eta), type(step.k)) == (float, int)
+            assert step == ControlStep(0.5, 2) and hash(step) == hash(ControlStep(0.5, 2))
+
+    def test_float_or_numpy_k_averages_as_int_k(self):
+        # The averaged maps of a float-k or np.int64-k protocol are those of
+        # the int-k one, to the bit, at every kind of width.
+        int_k = Protocol([ControlStep(0.5, 3), ControlStep(0.25, 2)])
+        for k in (3.0, np.int64(3)):
+            p = Protocol([ControlStep(0.5, k), ControlStep(0.25, 2)])
+            for s in (0.0, 0.4, math.inf):
+                sp = Spectrum(0.3, s)
+                assert averaged_maps(p, sp, 13).tobytes() == averaged_maps(int_k, sp, 13).tobytes()
 
     def test_control_step_ranges(self):
         with pytest.raises(DomainError):

@@ -219,12 +219,13 @@ class TestCalibrate:
     @pytest.mark.parametrize("name", ["two_controls", "three_controls"])
     def test_residuals_come_from_the_folds(self, name, order, monkeypatch):
         # The folds of every phase come from the phase-0 fold's node pass, so
-        # calibrate runs no asymptotic_cycle and no window at all; the table
-        # is within 1e-12 of the window's cycle at the fitted width.
+        # calibrate runs no asymptotic_cycle and no window at all: it asks
+        # for no window nodes.  The table is within 1e-12 of the window's
+        # cycle at the fitted width.
         config = dataclasses.replace(preset(name), order=order)
         windows = []
         monkeypatch.setattr(cli, "asymptotic_cycle", lambda *args: pytest.fail("calibrate ran asymptotic_cycle"))
-        monkeypatch.setattr(asymptotics, "_steady_maps", lambda *args: windows.append(args))
+        monkeypatch.setattr(asymptotics, "_quad_nodes", lambda *args: windows.append(args))
         result = calibrate(config)
         monkeypatch.undo()
         assert windows == []
@@ -322,6 +323,32 @@ class TestRunOutputs:
             two_config.out_dir, "trajectory.csv"
         )
 
+    def test_large_mean_phase_echoes_reduced(self, tmp_path):
+        # A config theta_bar of a million turns runs on, and echoes, the mean
+        # phase reduced by whole turns; re-ingesting the echo reproduces
+        # the run byte for byte.
+        cfg = config_from_dict(config_dict(tmp_path / "big", spectrum={"theta_bar": 2.0**20 + 0.3, "s": CALIBRATED_S}))
+        assert cfg.spectrum.theta_bar == Spectrum(2.0**20 + 0.3, CALIBRATED_S).theta_bar
+        assert 0.0 < cfg.spectrum.theta_bar < 2.0 * math.pi
+        assert run(cfg, "asymptotics") == 0
+        echoed = json.loads(read_output(cfg.out_dir, "effective_config.json"))
+        assert echoed["spectrum"]["theta_bar"] == cfg.spectrum.theta_bar
+        echoed["outputs"]["dir"] = str(tmp_path / "replay")
+        replay = config_from_dict(echoed)
+        assert replay == dataclasses.replace(cfg, out_dir=echoed["outputs"]["dir"])
+        assert run(replay, "asymptotics") == 0
+        assert read_output(replay.out_dir, "asymptotics.json") == read_output(cfg.out_dir, "asymptotics.json")
+
+    def test_library_steps_echo_integer_k(self, two_config):
+        # Steps built with a whole float or numpy k echo "k" as an integer,
+        # which config_from_dict accepts.
+        steps = [ControlStep(np.float64(0.5), 3.0), ControlStep(0.5, np.int64(2))]
+        cfg = dataclasses.replace(two_config, protocol=Protocol(steps))
+        echoed = json.loads(json.dumps(config_to_dict(cfg)))
+        assert echoed["protocol"]["steps"] == [{"k": 3, "eta": 0.5}, {"k": 2, "eta": 0.5}]
+        assert all(type(step["k"]) is int for step in echoed["protocol"]["steps"])
+        assert config_from_dict(echoed) == two_config
+
     def test_asymptotics_emits_period_maps(self, tmp_path):
         cfg = config_from_dict(
             config_dict(
@@ -346,18 +373,25 @@ class TestRunOutputs:
 
     @pytest.mark.parametrize("name, period", [("two_controls", 2), ("three_controls", 3)])
     def test_asymptotics_runs_one_quadrature_pass(self, name, period, tmp_path, monkeypatch):
-        # The steady cycle is computed once, for all phases, and the limit
-        # cycle and the convergence profile read it.
-        periods = []
-        steady_maps = asymptotics._steady_maps
+        # The steady cycle is computed once, for all phases, from one product
+        # chain and one window, and the limit cycle and the convergence
+        # profile read it.
+        periods, refinements = [], []
+        chain, quad_nodes = asymptotics._chain, asymptotics._quad_nodes
 
-        def counted(p, sp, order):
+        def counted_chain(p, order):
             periods.append(p.period)
-            return steady_maps(p, sp, order)
+            return chain(p, order)
 
-        monkeypatch.setattr(asymptotics, "_steady_maps", counted)
+        def counted_nodes(sp, n_nodes):
+            refinements.append(n_nodes)
+            return quad_nodes(sp, n_nodes)
+
+        monkeypatch.setattr(asymptotics, "_chain", counted_chain)
+        monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
         assert main(["asymptotics", "--preset", name, "--out", str(tmp_path)]) == 0
         assert periods == [period]
+        assert refinements.count(asymptotics.QUAD_MIN_NODES) == 1
 
     def test_nonmarkov_files(self, tmp_path):
         cfg = config_from_dict(config_dict(tmp_path / "nm", initial_state="+y"))

@@ -360,7 +360,9 @@ def test_node_averages_match_the_band_to_depth_400(p, order, n, sp):
 @given(protocols, orders, depths, st.floats(-10.0, 10.0))
 def test_sharp_average_is_point_evaluation_bitwise(p, order, n, theta_bar):
     tm = protocol_product(p, n, order)
-    assert np.array_equal(gaussian_average(tm, Spectrum(theta_bar, 0.0)).m, tm.evaluate(theta_bar))
+    # A mean phase of at least fl(2 pi) is kept reduced by whole turns.
+    sp = Spectrum(theta_bar, 0.0)
+    assert np.array_equal(gaussian_average(tm, sp).m, tm.evaluate(sp.theta_bar))
 
 
 def loop_sum(tm, theta, s=0.0):
@@ -976,29 +978,37 @@ def test_fold_matches_the_window_where_it_converges(p, order, theta_bar, s_min, 
 
 
 @pytest.mark.parametrize(
-    "steps, sp, cap, failing",
+    "steps, sp, cap, fold_nodes",
     [
         # Every phase hits the node cap, and the fold rescues none: its
         # 2N = 32,768 nodes (strip half-width 3.05e-3) exceed a cap of
-        # 16,384, so phase 0 raises.  At the real cap the fold converges.
-        ([ControlStep(0.3875, 4), ControlStep(0.3815, 2)], Spectrum(-0.707, 4.597), 2**14, 0),
+        # 16,384, so the whole cycle raises, naming no phase.  At the real
+        # cap the fold converges.
+        ([ControlStep(0.3875, 4), ControlStep(0.3815, 2)], Spectrum(-0.707, 4.597), 2**14, 2**14),
         # Phases 0, 1, 2 converge at 512, 1,024 and 1,024 nodes: at a cap of
-        # 512 the cycle is handed over whole, and phase 0's fold raises.
-        ([ControlStep(0.862, 3), ControlStep(0.371, 0), ControlStep(0.852, 2)], Spectrum(-2.09, 0.44), 512, 0),
+        # 512 the cycle is handed over whole, and its fold (N = 512) needs
+        # more nodes than the cap.
+        ([ControlStep(0.862, 3), ControlStep(0.371, 0), ControlStep(0.852, 2)], Spectrum(-2.09, 0.44), 512, 512),
         ([ControlStep(0.862, 3), ControlStep(0.371, 0), ControlStep(0.852, 2)], Spectrum(-2.09, 0.44), None, None),
     ],
     ids=["all-capped", "phase-1-capped", "converged"],
 )
-def test_lockstep_cycle_raises_first_capped_phase(steps, sp, cap, failing, monkeypatch):
+def test_lockstep_cycle_raises_first_capped_phase(steps, sp, cap, fold_nodes, monkeypatch):
     if cap is not None:
         monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", cap)
     p = Protocol.from_steps(steps)
     assert_lockstep_matches_phase_by_phase(p, sp, "eq2b")
-    if failing is None:
+    if fold_nodes is None:
         asymptotic_cycle(p, sp)
     else:
-        with pytest.raises(ConvergenceError, match=f"phase {failing},"):
+        message = (
+            rf"^steady-map quadrature did not reach 1e-10 by {cap} nodes \(period {p.period}, s = {sp.s}, "
+            rf"largest last change \S+\); the one-period fold \(strip half-width \S+, N = {fold_nodes}\) "
+            rf"needs {2 * fold_nodes} nodes, more than {cap}; its guard did not run$"
+        )
+        with pytest.raises(ConvergenceError, match=message) as error:
             asymptotic_cycle(p, sp)
+        assert "phase" not in str(error.value)
 
 
 @pytest.mark.parametrize("sp", [Spectrum(0.0045, 1.0), Spectrum(0.0, 0.25)])

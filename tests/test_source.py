@@ -92,6 +92,15 @@ def test_cli_imports_only_public_names():
     assert private_imports((PACKAGE / "cli.py").read_text()) == []
 
 
+def test_steady_maps_read_bands_through_node_values():
+    # The window and the fold evaluate their series through
+    # bloch._node_values alone, the one place that sums coefficient rows
+    # at nodes.
+    imported = private_imports((PACKAGE / "asymptotics.py").read_text())
+    assert "_node_values" in imported
+    assert not {"_running_sum", "_coefficient_rows"} & set(imported)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_imported_name_is_read(path):
     assert unused_imports(path.read_text()) == []
