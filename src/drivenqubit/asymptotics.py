@@ -30,12 +30,13 @@ node-by-node loop run to the cycle's last refinement.
 The integrand is 2 pi-periodic, so the spectral average is also a periodic
 trapezoid sum over one period with the exact wrapped-normal weights
 ``(1 + 2 sum_h exp(-h^2 s^2 / 2) cos h(theta - theta_bar)) / N``.  On that
-grid the node values do not depend on s; only the weights do.  Each
-phase's fold (``steady_fold`` returns the T of them) takes their cosine
-coefficients about theta_bar from one FFT, so the map at any width is one
-dot product with the damping row, which takes no exponential past
-h s = 38.7 (every later term is 0.0); a fold
-serves the widths whose weights stop at its top harmonic H*, and no others.
+grid, anchored at 0 for every spectrum, the node values depend on neither
+s nor theta_bar; only the weights do.  Each phase's fold (``steady_fold``
+returns the T of them) takes their cosine coefficients about theta_bar
+from one FFT, theta_bar being the phase of each harmonic, so the map at
+any width is one dot product with the damping row, which takes no
+exponential past h s = 38.7 (every later term is 0.0); a fold serves the
+widths whose weights stop at its top harmonic H*, and no others.
 Its node count is fixed a priori by the strip where the integrand is
 analytic: the projector is a trigonometric polynomial over d(theta) =
 3 - tr W(theta), whose roots off the unit circle (``trig_roots``) set the
@@ -45,11 +46,12 @@ strip's half-width rho, and the trapezoid rule errs like exp(-rho N)
 The fold reads one axis.  Phase K's rotated period is W_K = P_K P_T P_K^-1,
 so its projector is P_K Pi P_K^T and its integrand is P_K Pi, with Pi the
 axis projector of the one unshifted period product P_T (phase 0's integrand
-is Pi itself).  So one node pass evaluates P_T and Pi once per node for
-every phase, on the period's one node count N; the window keeps the
-rotated form proj(W_K) P_K.  Calibration reads every bisection width from
-the phase-0 fold and, for a protocol with a reference cycle, its residual
-table from the folds of all phases, all out of the one pass.
+is Pi itself).  So one node pass, on the same nodes at every theta_bar,
+evaluates P_T and Pi once per node for every phase, on the period's one
+node count N; the window keeps the rotated form proj(W_K) P_K.
+Calibration reads every bisection width from the phase-0 fold and, for a
+protocol with a reference cycle, its residual table from the folds of all
+phases, all out of the one pass.
 
 The hand-off, one rule at every width: a cycle the window has not
 finished at its first refinement of n >= 2N nodes, or at the node cap, is
@@ -343,13 +345,12 @@ class SteadyFold:
     is Pi itself).  ``coefficients[h]`` is its h-th cosine coefficient about
     theta_bar (doubled for h >= 1), h <= H*, so the steady map at any width
     s with ``H* >= FOLD_TAIL / s`` is their sum weighted by the damping row
-    ``exp(-h^2 s^2 / 2)``; a uniform-limit fold keeps only h = 0, taken on
-    a grid anchored at 0.  ``nodes`` is the period's a-priori count N,
-    the same at every phase: the rule runs on the 2N nodes
-    ``theta_bar + 2 pi (j + 1/2) / (2N)``, and ``guard_delta`` bounds the
-    change of the map from the rule's N-node half (the even nodes) at every
-    width s >= s_min, s = inf included.
-    ``strip_halfwidth`` is rho.
+    ``exp(-h^2 s^2 / 2)``; a uniform-limit fold keeps only h = 0.
+    ``nodes`` is the period's a-priori count N, the same at every phase:
+    the rule runs on the 2N nodes ``2 pi (j + 1/2) / (2N)`` at every
+    theta_bar, and ``guard_delta`` bounds the change of the map from the
+    rule's N-node half (the even nodes) at every width s >= s_min, s = inf
+    included.  ``strip_halfwidth`` is rho.
     """
 
     coefficients: np.ndarray
@@ -396,11 +397,12 @@ def _fold_count(decay: int, h_top: int, chain: list) -> int:
 def _folds(chain: list, sp: Spectrum, rho: float):
     """The folds of the T phases for widths from sp.s on, about
     sp.theta_bar, yielded in phase order.  ``chain`` is P_0, ..., P_T and
-    rho the strip half-width of P_T.  In the uniform limit H* = 0 and the
-    grid is anchored at 0, so every such fold is the s = inf fold.  Raises
-    ConvergenceError, naming rho and N: for the whole cycle, before any
-    node, when the 2N nodes exceed QUAD_MAX_NODES, and with the guard delta
-    and the phase at the first phase whose guard exceeds QUAD_TOL.
+    rho the strip half-width of P_T.  theta_bar is only the phase of each
+    harmonic, so the node pass, N and rho follow from the chain and sp.s;
+    in the uniform limit H* = 0 and every such fold is the s = inf fold.
+    Raises ConvergenceError, naming rho and N: for the whole cycle, before
+    any node, when the 2N nodes exceed QUAD_MAX_NODES, and with the guard
+    delta and the phase at the first phase whose guard exceeds QUAD_TOL.
 
     Every phase folds on the period's N (``_fold_count``) from one node
     pass: per node block the values of P_T and P_1, ..., P_{T-1}
@@ -416,7 +418,7 @@ def _folds(chain: list, sp: Spectrum, rho: float):
     where = f"the one-period fold (strip half-width {rho:.3e}, N = {n})"
     if 2 * n > QUAD_MAX_NODES:
         raise ConvergenceError(f"{where} needs {2 * n} nodes, more than {QUAD_MAX_NODES}; its guard did not run")
-    theta = (0.0 if sp.is_uniform else sp.theta_bar) + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
+    theta = np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
     values = np.empty((len(chain) - 1, 2 * n, 3, 3))
     for block, sums in _node_values([top, *chain[1:-1]], theta):
         axis = _steady_projectors(top, theta[block], next(sums))
@@ -425,9 +427,9 @@ def _folds(chain: list, sp: Spectrum, rho: float):
             v[block] = axis + 0.0 if K == 0 else next(sums) @ axis
     h = np.arange(h_top + 1)
     scale = np.where(h == 0, 1.0, 2.0)[:, None] / (2 * n)
-    # sum_j f_j cos(h phi_j) = Re(exp(-i h pi / 2N) F_h) for phi_j = pi (2j + 1) / 2N;
+    # On theta_j = pi (2j + 1) / 2N, sum_j f_j cos h(theta_j - theta_bar) = Re(shift_h F_h);
     # the even nodes alone alias harmonic N - h onto h, through conj(F_{N-h}).
-    shift = np.exp(-0.5j * np.pi * h / n)[:, None]
+    shift = np.exp(1j * h * (sp.theta_bar - 0.5 * np.pi / n))[:, None]
     row = _damping(sp.s, h_top)
     for K, v in enumerate(values):
         spectrum = np.fft.rfft(v.reshape(2 * n, 9), axis=0)

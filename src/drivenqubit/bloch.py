@@ -78,6 +78,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _whole(x, name: str, top: float = math.inf) -> int:
+    """``x`` as an int; DomainError naming it unless it is a whole number in [0, top]."""
+    if not (0 <= x <= top and x < math.inf and x == int(x)):
+        span = "a non-negative integer" if top == math.inf else f"an integer in [0, {top}]"
+        raise DomainError(f"{name} must be {span}, got {x}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class BlochVector:
     """Point in the closed unit ball of R^3 representing a qubit state."""
@@ -143,12 +151,8 @@ class ControlStep:
     def __post_init__(self):
         if not 0.0 <= self.eta <= 1.0:
             raise DomainError(f"eta must lie in [0, 1], got {self.eta}")
-        if self.k != int(self.k) or not 0 <= self.k <= MAX_PHASE_MULTIPLIER:
-            raise DomainError(
-                f"k must be an integer in [0, {MAX_PHASE_MULTIPLIER}], got {self.k}"
-            )
         object.__setattr__(self, "eta", float(self.eta))
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", _whole(self.k, "k", MAX_PHASE_MULTIPLIER))
 
 
 @dataclass(frozen=True)
@@ -365,9 +369,7 @@ def quartz_rotation(k: int) -> TrigMatrix:
     The phase rotates the Bloch vector about the z axis by ``k * theta``:
     only harmonic ``h = k`` is populated (plus h = 0 for the z-z entry).
     """
-    if k != int(k) or k < 0:
-        raise DomainError(f"k must be a non-negative integer, got {k}")
-    k = int(k)
+    k = _whole(k, "k")
     if k == 0:
         return TrigMatrix.identity()
     terms = np.zeros((k + 1, 2, 3, 3))
@@ -524,9 +526,7 @@ def protocol_product(p: Protocol, n: int, order: str = ORDER_PHASE_AFTER) -> Tri
     Returns ``step[(n-1) mod T] @ ... @ step[1 mod T] @ step[0]`` as a
     harmonic series; ``n = 0`` gives the identity.
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n}")
-    return next(itertools.islice(product_chain(p, order), int(n), None))
+    return next(itertools.islice(product_chain(p, order), _whole(n, "n"), None))
 
 
 def _top_harmonic_bound(p: Protocol, n: int) -> int:
@@ -618,11 +618,9 @@ def averaged_maps(p: Protocol, sp: Spectrum, n: int, order: str = ORDER_PHASE_AF
     checks every map, as ``BlochMap`` checks one; the error names the step
     m of the first map that is not a contraction.
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"n must be a non-negative integer, got {n}")
+    n = _whole(n, "n")
     if order not in STEP_ORDERS:
         raise DomainError(f"order must be one of {STEP_ORDERS}, got {order!r}")
-    n = int(n)
     if sp.is_uniform:
         out = np.empty((n, 3, 3))
         for i, tm in enumerate(itertools.islice(product_chain(p, order), 1, n + 1)):

@@ -713,6 +713,25 @@ class TestSteadyFold:
             steady_fold(p, 0.3, 10.0, "eq2b")
         assert passes == [(2, 32)]
 
+    @pytest.mark.parametrize("s_min", [0.4, 3.0, math.inf])
+    def test_one_node_set_at_every_mean_phase(self, three_controls, s_min, monkeypatch):
+        # The grid is anchored at 0: theta_bar is only the phase of each
+        # harmonic, so every mean phase evaluates the same nodes.
+        grids = []
+        node_values = asymptotics._node_values
+
+        def recorded(series, theta):
+            grids.append(theta)
+            return node_values(series, theta)
+
+        monkeypatch.setattr(asymptotics, "_node_values", recorded)
+        for theta_bar in (0.0, 1.3, -2.5, 2**20 + 0.3):
+            steady_fold(three_controls, theta_bar, s_min, "eq2b")
+        n = len(grids[0])
+        assert len(grids) == 4
+        assert grids[0].tobytes() == (np.pi * (2.0 * np.arange(n) + 1.0) / n).tobytes()
+        assert all(np.array_equal(theta, grids[0]) for theta in grids)
+
     def test_failed_guard_raises(self, two_controls, calibrated_spectrum, monkeypatch):
         # Nothing meets a zero tolerance: the window hands the cycle to its
         # folds at 2N = 256 nodes, at a Gaussian width and in the uniform

@@ -549,6 +549,23 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             ControlStep(eta=0.5, k=-2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 2.5, -1], ids=["nan", "inf", "-inf", "2.5", "-1"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: ControlStep(0.5, x),
+            quartz_rotation,
+            lambda x: protocol_product(Protocol([ControlStep(0.5, 1)]), x),
+            lambda x: averaged_maps(Protocol([ControlStep(0.5, 1)]), Spectrum(0.0, 0.4), x),
+        ],
+        ids=["control-step", "quartz-rotation", "protocol-product", "averaged-maps"],
+    )
+    def test_bad_whole_numbers_are_named(self, call, value):
+        # NaN and +-inf included: the range is compared before any int().
+        # propagate and pair_distances take n through averaged_maps.
+        with pytest.raises(DomainError, match=rf"^[kn] must be (a non-negative integer|an integer in \[0, 1048576\]), got {value}$"):
+            call(value)
+
     def test_protocol_needs_steps(self):
         with pytest.raises(DomainError):
             Protocol.from_steps([])

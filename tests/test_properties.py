@@ -534,15 +534,15 @@ def steady_cycle_reference(p, sp, order, fold_nodes=None):
         n_nodes, prev = 2 * n_nodes, cur
 
 
-def fold_node_values(p, sp, K, order, n, rotated=False):
-    """The fold's 2n nodes ``theta_bar + 2 pi (j + 1/2) / 2n`` (anchored at 0
-    in the uniform limit) and each node's value, shape (2n, 3, 3): the
+def fold_node_values(p, K, order, n, rotated=False):
+    """The fold's 2n nodes ``2 pi (j + 1/2) / 2n``, anchored at 0 at every
+    theta_bar, and each node's value, shape (2n, 3, 3): the
     one-axis integrand ``P_K Pi``, Pi the axis projector of the unshifted
     period P_T; with ``rotated``, the window's form ``proj(W_K) P_K`` over
     the period of the schedule rotated by K."""
     period = compose_loop(p.steps[K:] + p.steps[:K] if rotated else p.steps, order)
     prefix = compose_loop(p.steps[:K], order)
-    nodes = (0.0 if sp.is_uniform else sp.theta_bar) + np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
+    nodes = np.pi * (2.0 * np.arange(2 * n) + 1.0) / (2 * n)
     values = np.empty((2 * n, 3, 3))
     for j, (theta, w, x) in enumerate(zip(nodes, period.evaluate(nodes), prefix.evaluate(nodes))):
         proj = steady_projector_reference(period, theta, w)
@@ -554,7 +554,7 @@ def fold_reference(p, sp, K, order, n, rotated=False):
     """The fold's rule summed node by node, with no FFT: the values of
     ``fold_node_values``, each weighted by the truncated wrapped-normal
     density ``(1 + 2 sum_{h <= H*} exp(-h^2 s^2 / 2) cos h(theta_j - theta_bar)) / 2n``."""
-    nodes, values = fold_node_values(p, sp, K, order, n, rotated)
+    nodes, values = fold_node_values(p, K, order, n, rotated)
     density = np.ones(2 * n)
     for h in range(1, 1 if sp.is_uniform else math.ceil(asymptotics.FOLD_TAIL / sp.s) + 1):
         density += 2.0 * math.exp(-0.5 * (h * sp.s) ** 2) * np.cos(h * (nodes - sp.theta_bar))
@@ -615,18 +615,19 @@ FOLD_ORACLE_CASES = [
 
 # sha256 of the phase-0 fold coefficients of each FOLD_ORACLE_CASES entry:
 # phase 0 folds Pi + 0.0 itself, with the bits it had before the fold
-# moved onto the one axis.
+# moved onto the one axis.  The six cases with theta_bar != 0 are pinned on
+# the grid anchored at 0, where theta_bar is the phase of each harmonic.
 PHASE_ZERO_FOLD_DIGESTS = {
     "two_controls-calibrated": "89a02f3ab7aec55065a286ac1bed784824ca4d31a272277358459cca63e67ef8",
     "three_controls-calibrated": "f0e1a012cb29369dedb7cf2b5ed27211a7fc91aea6a6b0542628c19f693dc038",
     "two_controls-s8.25": "a2c1c612de4db7ec38a1cdd1bcd5a35673e2cd028e6c772a3529ef4c79fc8162",
     "three_controls-s8.25": "e50a901f810d2be61af06ec2f7918b1bde0b800c521a067e2aa6cf6a6ca68af4",
-    "p2-s8.25": "8c16683f2e8188a32934fea58ad8154852180bf64b264b28f0bdbafe62d6cab1",
-    "p4-s4.31": "0b967594cb21072991df0dccf63fd421354529d4b8d660f6c4e4f920f2ee4a4d",
-    "p3-s2.83": "5aa8e63cc5d08e981136512ee05e98801e5201b5ac67f249ac68fd276aa685ec",
-    "p1-s21.7": "9b273197e9fdf358fa815fffc9a999d28b1ef608e5e3f81518138709e41c55e5",
-    "period-5-s38.6": "552b8cbbd800dee11c784c0dbbe148f3012f4146d825f71554d45c455c123297",
-    "period-2-s4.597": "1b810740b6077a248ab5109596eb370f2e7fb19df7252a9a345acac5ec461a8f",
+    "p2-s8.25": "0adbdfd8d54689c7aed3c083ea1c5e180498f2fa05c23320e38362a48604706d",
+    "p4-s4.31": "252040638c7fa1670af70aa1599556862a43691f5701efa69c523b4036ad9a5d",
+    "p3-s2.83": "e551244a122faf9e370e9084988a5f38b5414ca85745be44f9090c93b437fbc4",
+    "p1-s21.7": "eb7a69c744a2f73ae33e24241a36d84aafb6f0bc67a7c8698dbd277739d823d3",
+    "period-5-s38.6": "a9a631e72c7daffec012034ed53dc85fcf725679423ac274ec63262d5c4238df",
+    "period-2-s4.597": "b431feaef979c37d1f260d36d599eb197b7eb1a0b8dc88309fc4aedd3bf033b5",
 }
 
 
@@ -647,18 +648,18 @@ def test_fold_matches_its_node_by_node_oracle(steps, sp, order, request):
 def assert_guard_bounds_the_change(folds, p, sp, order):
     """Each fold's guard_delta bounds the change between its 2N-node rule and
     the rule's N even nodes, both summed node by node in long double on the
-    exact grid phases pi (2j + 1) / 2N, at 400 widths from s_min to s* and
-    at s = inf: the widths between the doublings of s_min included.  The
-    guard's FFT rounds, so the bound holds to one ulp of 1 (measured at
-    most 5.1e-17 short, over 870 folds of 300 random cycles)."""
+    exact grid phases pi (2j + 1) / 2N less theta_bar, at 400 widths from
+    s_min to s* and at s = inf: the widths between the doublings of s_min
+    included.  The guard's FFT rounds, so the bound holds to one ulp of 1
+    (measured at most 5.1e-17 short, over 870 folds of 300 random cycles)."""
     h = np.arange(len(folds[0].coefficients))
     finite = np.geomspace(sp.s, max(sp.s, UNIFORM_S), 400)
     damping = np.vstack([np.exp(-0.5 * np.multiply.outer(finite, h).astype(np.longdouble) ** 2), h == 0])
     for K, fold in enumerate(folds):
-        _, values = fold_node_values(p, sp, K, order, fold.nodes)
+        _, values = fold_node_values(p, K, order, fold.nodes)
         count = 2 * fold.nodes
-        phases = np.arccos(np.longdouble(-1.0)) * (2 * np.arange(count, dtype=np.longdouble) + 1) / count
-        cosines = np.cos(np.multiply.outer(h, phases)) * np.where(h == 0, 1, 2)[:, None]
+        grid = np.arccos(np.longdouble(-1.0)) * (2 * np.arange(count, dtype=np.longdouble) + 1) / count
+        cosines = np.cos(np.multiply.outer(h, grid - sp.theta_bar)) * np.where(h == 0, 1, 2)[:, None]
         # Harmonic by harmonic: the rule's sums less its even nodes' sums.
         values = values.reshape(count, 9)
         change = cosines @ values / count - cosines[:, ::2] @ values[::2] / (count // 2)
@@ -690,14 +691,12 @@ def test_guard_bounds_the_change_on_random_cycles():
             checked += 1
 
 
-def test_guard_bounds_the_change_between_doubled_widths(monkeypatch):
-    # Two nodes with 1 + tr W = 6e-15 and |a| = 1.6e-7, just above the
-    # half-turn mask (ROADMAP item 1), leave the change table flat near
-    # 1e-11 out to H* = 63.  The change peaks at 5.87e-11 near s = 0.38,
-    # between the doubled widths 0.28 and 0.57, where a guard sampled at
-    # s_min 2^k read at most 5.27e-11.  The one-row bound reads 1.64e-10,
-    # above QUAD_TOL, so the fold is taken at a tolerance of 1e-9.
-    monkeypatch.setattr(asymptotics, "QUAD_TOL", 1e-9)
+def test_guard_bounds_the_change_between_doubled_widths():
+    # Four grid nodes with 1 + tr W = 2.7e-14 and |a| = 3.3e-7, just above
+    # the half-turn mask (ROADMAP item 1), leave the change table flat out to
+    # H* = 63.  The change peaks at 1.47e-12 near s = 0.38, between the
+    # doubled widths 0.28 and 0.57, where a guard sampled at s_min 2^k reads
+    # at most 1.32e-12.  The one-row bound reads 4.04e-12.
     p = Protocol.from_steps([ControlStep(0.5, 4), ControlStep(0.5, 2), ControlStep(0.5, 2)])
     sp = Spectrum(-1.1897039732514385, 0.14194170041730123)
     assert_guard_bounds_the_change(asymptotics.steady_fold(p, sp.theta_bar, sp.s, "eq2b"), p, sp, "eq2b")
@@ -911,6 +910,64 @@ def test_reflected_cycle_with_a_node_near_a_half_turn():
     cycle, mirrored = (asymptotic_cycle(p, Spectrum(t, 27.82), "eq2b") for t in (1.62298, -1.62298))
     for m, r in zip(cycle.maps, mirrored.maps):
         assert np.max(np.abs(r.m - REFLECTION @ m.m @ REFLECTION)) <= 1e-14
+
+
+def assert_folds_reflect(p, theta_bar, s, order):
+    """M_K(-theta_bar) = F M_K(theta_bar) F, F = diag(1, -1, 1), to 1e-13 at
+    every phase, read at s and 2 s: theta -> -theta takes every step matrix
+    P to F P F, and the grid anchored at 0 maps onto itself."""
+    plus = asymptotics.steady_fold(p, theta_bar, s, order)
+    minus = asymptotics.steady_fold(p, -theta_bar, s, order)
+    assert len(plus) == len(minus) == p.period
+    for a, b in zip(plus, minus):
+        assert a.nodes == b.nodes
+        for width in (s, 2 * s):
+            assert np.max(np.abs(b.map_at(width) - REFLECTION @ a.map_at(width) @ REFLECTION)) <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "steps, sp, order",
+    [case for case in FOLD_ORACLE_CASES if case.values[1].theta_bar != 0.0]
+    + [
+        # Folds on a grid at theta_bar + pi (2j + 1) / 2N missed their
+        # mirror by 1.79e-12, 7.6e-13 and 5.4e-13 here.
+        pytest.param(
+            [(0.0, 4), (0.0, 2), (0.5, 3), (0.5, 1)],
+            Spectrum(-1.6327778870630456, 6.837032258022275),
+            "eq4a",
+            id="period-4-s6.84",
+        ),
+        pytest.param(
+            [(0.11040123550286973, 4), (0.5, 2)], Spectrum(1.9082869888484977, 0.4286484230125275), "eq4a", id="p2-s0.429"
+        ),
+        pytest.param(
+            [(1.0, 3), (0.0, 2), (0.5, 3), (0.5, 0)],
+            Spectrum(-0.7269463492293196, 0.4553812685981908),
+            "eq2b",
+            id="period-4-s0.455",
+        ),
+    ],
+)
+def test_folds_reflect_the_mean_phase(steps, sp, order):
+    assert_folds_reflect(Protocol.from_steps(ControlStep(eta, k) for eta, k in steps), sp.theta_bar, sp.s, order)
+
+
+def test_folds_reflect_the_mean_phase_on_random_cycles():
+    # Periods 1-5, theta_bar uniform on (-pi, pi) and s log-uniform over
+    # [0.05, 38.5]; a cycle whose fold raises at either mean phase is drawn
+    # again.  The worst of the 200 misses its mirror by 3.1e-14.
+    rng = np.random.default_rng(7)
+    checked = 0
+    while checked < 200:
+        steps = [(float(rng.choice([0.0, 0.5, 1.0, rng.uniform()])), int(rng.integers(0, 5))) for _ in range(rng.integers(1, 6))]
+        p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
+        theta_bar, s = float(rng.uniform(-math.pi, math.pi)), math.exp(rng.uniform(math.log(0.05), math.log(38.5)))
+        order = str(rng.choice(STEP_ORDERS))
+        try:
+            assert_folds_reflect(p, theta_bar, s, order)
+        except ConvergenceError:
+            continue
+        checked += 1
 
 
 @pytest.mark.parametrize("theta_bar", [0.3, 1.1])
