@@ -19,6 +19,7 @@ import dataclasses
 import itertools
 import json
 import math
+import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -550,8 +551,12 @@ def _residue(w: np.ndarray) -> np.ndarray:
 
 def _verification_checks(config: RunConfig):
     """Oracle cross-checks on the configured run; yields (name, ok, detail).
-    Each check evaluates all of its probe phases in one call."""
-    rng = np.random.default_rng(20240801)
+    Each check evaluates all of its probe phases, drawn by random.Random, in one call."""
+    rng = random.Random(20240801)
+
+    def phases(n: int) -> np.ndarray:
+        return np.array([rng.uniform(-math.pi, math.pi) for _ in range(n)])
+
     p = config.protocol
     sp = config.spectrum
     order = config.order
@@ -560,13 +565,13 @@ def _verification_checks(config: RunConfig):
     products = list(itertools.islice(product_chain(p, order), max(50, 3 * p.period) + 1))
     period_tm = products[p.period]
 
-    thetas = rng.uniform(-np.pi, np.pi, size=100)
+    thetas = phases(100)
     half = products[max(1, p.period // 2)]
     lhs = trig_compose(period_tm, half).evaluate(thetas)
     worst = _max_dev(lhs, period_tm.evaluate(thetas) @ half.evaluate(thetas))
     yield "compose/evaluate homomorphism", worst < 1e-12, f"max dev {worst:.3e}"
 
-    ms = np.concatenate([products[n].evaluate(rng.uniform(-np.pi, np.pi, size=10)) for n in (1, 7, 50)])
+    ms = np.concatenate([products[n].evaluate(phases(10)) for n in (1, 7, 50)])
     worst = max(_max_dev(ms.transpose(0, 2, 1) @ ms, eye), _max_dev(np.linalg.det(ms), 1.0))
     yield "products stay special orthogonal", worst < 1e-10, f"max dev {worst:.3e}"
 
@@ -585,7 +590,7 @@ def _verification_checks(config: RunConfig):
     dev = _max_dev(gaussian_average(tm, sp).m, quad)
     yield "harmonic average vs quadrature", dev < 1e-10, f"{detail}, max dev {dev:.3e}"
 
-    probe = period_tm.evaluate(rng.uniform(-np.pi, np.pi, size=40))
+    probe = period_tm.evaluate(phases(40))
     gap = np.abs(np.trace(probe, axis1=1, axis2=2) - 3.0)
     keep = gap >= 1e-3
     kept = probe[keep]
@@ -623,13 +628,13 @@ def _measurement_bound(rng, n: int):
     """Over n random states x, y in the unit ball and effects f with
     |f| <= 1: the largest excess of f . (x - y) / 2 over the trace distance
     (-1.0 floor), and the largest deviation from it of the effect aligned
-    with x - y.  Per sample the draws run x, y, f, each a normal direction
-    then a uniform radius; the values are evaluated in one pass."""
-    draws = [(rng.normal(size=3), rng.uniform(0.0, 1.0)) for _ in range(3 * n)]
-    directions = np.array([v for v, _ in draws]).reshape(n, 3, 3)
+    with x - y.  Per sample rng (a random.Random) draws x, y, f, each three
+    normals then a uniform radius; the values are evaluated in one pass."""
+    draws = np.array([[rng.gauss(0.0, 1.0) for _ in range(3)] + [rng.uniform(0.0, 1.0)] for _ in range(3 * n)])
+    directions = draws[:, :3].reshape(n, 3, 3)
     # x and y are uniform in the ball.  Python's float power: numpy's array
     # power may round differently.
-    radii = np.array([r if i % 3 == 2 else r ** (1.0 / 3.0) for i, (_, r) in enumerate(draws)])
+    radii = np.array([r if i % 3 == 2 else r ** (1.0 / 3.0) for i, r in enumerate(draws[:, 3].tolist())])
     # np.linalg.norm's bits: the square root of a dot product.
     unit = directions / np.sqrt(np.vecdot(directions, directions))[..., None]
     x, y, f = (unit * radii.reshape(n, 3, 1)).transpose(1, 0, 2)

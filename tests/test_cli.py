@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -675,12 +676,18 @@ class TestColdStart:
 
     def test_no_run_imports_numpy_ma(self, tmp_path):
         # numpy's set routines (np.setdiff1d, np.isin, np.unique) import
-        # numpy.ma, about 1 MB of resident memory that no run needs.  The
-        # cycles are sharp, handed to their folds (s = 8.25) and uniform.
+        # numpy.ma, about 1 MB of resident memory that no run needs, and
+        # numpy.random costs 6 MB: verify draws its probes from random.Random,
+        # which numpy's import has loaded.  The cycles are sharp, handed to
+        # their folds (s = 8.25) and uniform; verify takes each branch of its
+        # quadrature check.
         runs = [
             [cmd, "--preset", name, "--out", str(tmp_path / f"{cmd}-{name}")]
             for cmd in cli.SUBCOMMANDS
             for name in ("two_controls", "three_controls")
+        ] + [
+            ["verify", "--preset", "two_controls", "--spectrum-s", s, "--out", str(tmp_path / f"verify-{s}")]
+            for s in ("0", "inf", "12")
         ]
         script = (
             "import json, math, sys\n"
@@ -692,13 +699,13 @@ class TestColdStart:
             "calibrate(two)\n"
             "dq.optimal_pair_search(cycles[1])\n"
             "dq.maximize_visibility(dq.asymptotic_cycle(three.protocol, three.spectrum))\n"
-            "print(json.dumps([codes, 'numpy.ma' in sys.modules]))\n"
+            "print(json.dumps([codes, 'numpy.ma' in sys.modules, 'numpy.random' in sys.modules]))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], env=src_env(), capture_output=True, text=True, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), False]
+        assert json.loads(proc.stdout.splitlines()[-1]) == [[0] * len(runs), False, False]
 
     def test_import_leaves_numpy_fft_unloaded(self):
         # numpy loads numpy.fft on first use.  The node weights and the
@@ -748,39 +755,54 @@ class TestPresetBytes:
 
 
 # sha256 of verify.json and of stdout.  The resolvent checks' details carry
-# the rounding of numpy.linalg's LU inverse, so these pairs move with it;
-# every check name and pass flag stays.  The last three runs take each
-# branch of the quadrature check: sharp, uniform, and a wide trapezoid rule.
+# the rounding of numpy.linalg's LU inverse, so these pairs move with it, and
+# with the probe draws of random.Random(20240801); every check name and pass
+# flag stays.  The last three runs take each branch of the quadrature check:
+# sharp, uniform, and a wide trapezoid rule.
 VERIFY_DIGESTS = {
     ("two_controls", "eq2b", None): (
-        "5259d54a01bbf6ebed84fe11692980c2266649042bd0ef202a6c8fcd581ed09a",
-        "10e8bf813effb20be16e8a5ac8b7a70bb6e360e8f45780c02161ceba06d071f8",
+        "ecc6476f788b600a634472715de6ba00708e46dd2dc34d55dcf6284981171401",
+        "8872ccb6fa8a50444f469ae828b8e11c9795e5410f867f0956654e7f489b8616",
     ),
     ("two_controls", "eq4a", None): (
-        "d0061b1e183adfe66c45e5714ed896eece215959e928cfa1a8fd5f0d685594a8",
-        "2ea750f11010163d9d05d3b115d352edf7bf6631094b3fc7e3233605e26146ff",
+        "dec7a719e575eea8df901feda7153e8698248c8ce2abc5e152994ef327b564dd",
+        "74f3449c8625c10b2064c91c31b70fd9b98e6fa7fd8e9e1ac74ee943bba0bd43",
     ),
     ("three_controls", "eq2b", None): (
-        "a5c91270222cfe8df5c99dadcfcc3c5dfd6e699e6d8a6eb37573608656d459e4",
-        "45af0f738aec06edc149e2e9db51193064e0c877259de9f427d319a4a237e40b",
+        "b7c0fc4b022d482fb1d2e6d48b741b53aefb2e18a70b5665e7f12b6a0565a202",
+        "82a5cff58e7234f5af32eb578d4afba0158c3191e9144cde919e86bc88a23bb4",
     ),
     ("three_controls", "eq4a", None): (
-        "f8d409a8623f2b341e0b621148f82c57a42b7119a887bc465be07916da213491",
-        "49a0f395b007f74d37d3319b0762d1d832b0f051c5ed68e773a2959582c2c7c3",
+        "07c1312168b83ade3b6e8f57c6b11df72f04c4077be48abbfd603071fe6fc74a",
+        "0ba3cdfa9dae9e2fe14ddcd637739e0b5f9e5cc44707c398337f82911256bda9",
     ),
     ("two_controls", "eq2b", "0"): (
-        "6ca5e8f4f286fd5f222e59944f13974855498bf13889ba8509e34402d7d21b8c",
-        "d4fda2011a271710970b0af681db06ddea1be9b1d9d0a47209aff27acb4391a5",
+        "5991c95f03b346dfed95fc646f7c642b2d5af1ae511b912ac86d49f9bb5e164e",
+        "afbb6a4981bbf16c84d23b08cc3232505829d9932955c91235f137c3ecaba1f9",
     ),
     ("two_controls", "eq2b", "inf"): (
-        "ec1a2a882f466221f5917f926773557633ce3bd7267ec51fe41e26ffa27a4ba9",
-        "5a6f86bb05421d4a56fd5395b0632d9797c16b524df84a0a149dcc8e32ee353a",
+        "30814cab29b66ea45e023860b12e34fad4d92e1cfd60dacbe79c0edaa2f39a74",
+        "1561fd637ca9c766ecdd5dd7063bb565e04763c0cba7ac7e8970826f544269ed",
     ),
     ("two_controls", "eq2b", "12"): (
-        "c6d37f02ddf9668797e09e4f4e281757d069af18efef72c9100062fa5f9100f7",
-        "eac69586af218cdc82c28c57a54b464a6592f9258482b575c57972179f67e74d",
+        "cbad9181c1df6a615c1c325e810bb1d6eada6c404c66dbccb72b26e80dd4fa1e",
+        "08b52aac8bcdb59aa67ab54d3cdd5e4104ddca8c373fe03ae721fb7701db9e88",
     ),
 }
+
+
+# verify's checks in order; every one passes on every VERIFY_DIGESTS run.
+VERIFY_CHECKS = [
+    "compose/evaluate homomorphism",
+    "products stay special orthogonal",
+    "harmonic average vs quadrature",
+    "axis projector laws",
+    "Abel limit vs Cesaro iteration",
+    "resolvent inverse identity",
+    "residue at z=1 vs Abel limit",
+    "averaged maps contract",
+    "measurement bound on distinguishability",
+]
 
 
 def verify_argv(name, order, s, out) -> list:
@@ -793,6 +815,8 @@ class TestVerifyBytes:
     def test_report_and_stdout_match_pinned_hashes(self, key, tmp_path, capsys):
         assert main(verify_argv(*key, tmp_path)) == 0
         report, stdout = VERIFY_DIGESTS[key]
+        checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+        assert [(c["check"], c["passed"]) for c in checks] == [(name, True) for name in VERIFY_CHECKS]
         assert hashlib.sha256((tmp_path / "verify.json").read_bytes()).hexdigest() == report
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout
 
@@ -847,16 +871,57 @@ class TestVerifyBytes:
         assert n == 50
         assert [v.hex() for v in got] == [v.hex() for v in measurement_bound_loop(rng, n)]
 
+    def test_probes_are_seeded_standard_library_draws(self, tmp_path, monkeypatch, capsys):
+        # 100 + 3 x 10 + 40 phases, then 50 samples of x, y and f, each three
+        # normals and a uniform radius, all from one generator.
+        draws = []
+
+        class Counted(random.Random):
+            def __init__(self, seed):
+                draws.append(("seed", seed))
+                super().__init__(seed)
+
+            def uniform(self, a, b):
+                draws.append(("uniform", a, b))
+                return super().uniform(a, b)
+
+            def gauss(self, mu, sigma):
+                draws.append(("gauss", mu, sigma))
+                return super().gauss(mu, sigma)
+
+        monkeypatch.setattr(cli.random, "Random", Counted)
+        assert main(verify_argv("two_controls", "eq2b", None, tmp_path)) == 0
+        sample = [("gauss", 0.0, 1.0)] * 3 + [("uniform", 0.0, 1.0)]
+        assert draws == [("seed", 20240801)] + [("uniform", -math.pi, math.pi)] * 170 + sample * 150
+
     @pytest.mark.parametrize("seed", range(20))
     def test_measurement_bound_matches_sample_loop_on_fresh_draws(self, seed):
-        got = cli._measurement_bound(np.random.default_rng(seed), 50)
-        want = measurement_bound_loop(np.random.default_rng(seed), 50)
+        got = cli._measurement_bound(random.Random(seed), 50)
+        want = measurement_bound_loop(random.Random(seed), 50)
         assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+class GeneratorShape:
+    """A random.Random behind the two numpy Generator methods that
+    random_ball_point and measurement_bound_loop call, drawing the same
+    values in the same order as verify: a normal direction is three
+    gauss(0, 1) draws and a uniform is one uniform(low, high)."""
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def normal(self, size):
+        return np.array([self.rng.gauss(0.0, 1.0) for _ in range(size)])
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high)
 
 
 def measurement_bound_loop(rng, n):
     """The sample-by-sample loop that verify's measurement check replaced:
-    (max excess, aligned dev) through BlochVector and the trace distances."""
+    (max excess, aligned dev) through BlochVector and the trace distances,
+    drawn from the random.Random ``rng``."""
+    rng = GeneratorShape(rng)
     worst_excess = -1.0
     aligned_dev = 0.0
     for _ in range(n):
