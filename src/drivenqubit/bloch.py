@@ -22,10 +22,11 @@ nodes, with weights from one real inverse FFT, gives every ``E[P_m]``,
 m <= n, exactly.  The step matrices are multiplied at the nodes and
 summed; mirror nodes ``theta_bar +- t`` are added in pairs first, so at
 theta_bar = 0 the entries that are odd under theta -> -theta are +0.0.
-A sharp spectrum takes one node.  In the uniform limit the maps are the
-constant terms of the band products, to the bit of ``gaussian_average``;
-elsewhere they agree with it to rounding (1e-12 up to 3,200 harmonics).
-The bands, ``product_chain`` and ``gaussian_average`` stay the exact oracle.
+A sharp spectrum takes one node.  In the uniform limit (L = 0) the weights
+are 1/N and the grid is anchored at 0, so the maps do not depend on
+theta_bar, to the bit.  At every width they agree with ``gaussian_average``
+to rounding (1e-12 up to 3,200 harmonics).  The bands, ``product_chain``
+and ``gaussian_average`` stay the exact oracle.
 
 Everything here is a pure function of its inputs; all values are immutable
 after construction and safe to share across threads.  Sums over harmonics
@@ -546,14 +547,16 @@ def _pair_weights(damping: np.ndarray, nodes: int) -> np.ndarray:
 
 
 def _node_averages(p: Protocol, sp: Spectrum, n: int, order: str) -> np.ndarray:
-    """``E[P_1], ..., E[P_n]`` for 0 <= s < s*, from the step products at the
-    nodes ``theta_bar + t_j``, j = -half..half, of one grid.
+    """``E[P_1], ..., E[P_n]`` from the step products at the nodes
+    ``theta_bar + t_j``, j = -half..half, of one grid.
 
     ``P_m`` has degree H_m <= H_n, and the node weights (``_pair_weights``)
     have degree L, the last harmonic whose damping is nonzero, so the
     trapezoid rule is exact on N = 2 half + 1 > H_n + L nodes, the least
     such odd N.  With no harmonic damped (s = 0, or s H_n below about
-    1.5e-8) E[P] is P(theta_bar), one node.  The nodes are kept as two
+    1.5e-8) E[P] is P(theta_bar), one node.  In the uniform limit L = 0,
+    every weight is 1/N and E[P] is the period mean, which does not depend
+    on theta_bar: the grid is then anchored at 0.  The nodes are kept as two
     halves, ``+t_j`` and ``-t_j`` for j = 0..half (the centre in both), and
     node j keeps ``P(theta_j)^T``, whose rows are the columns (x, y, z) of
     P.  The rotation ``C(eta)`` is one product of every row with the
@@ -569,8 +572,10 @@ def _node_averages(p: Protocol, sp: Spectrum, n: int, order: str) -> np.ndarray:
     """
     top = _top_harmonic_bound(p, n)
     damping = _damping(sp.s, top)
-    last = 0 if damping[-1] == 1.0 else int(np.flatnonzero(damping)[-1])
-    nodes = (top + last + 1) | 1 if last else 1
+    sharp = damping[-1] == 1.0
+    last = 0 if sharp else int(np.flatnonzero(damping)[-1])
+    nodes = 1 if sharp else (top + last + 1) | 1
+    theta_bar = 0.0 if sp.is_uniform else sp.theta_bar
     half = nodes // 2
     phase = np.arange(nodes) * (2.0 * math.pi / nodes)
     unit = np.empty(nodes, dtype=complex)
@@ -581,7 +586,7 @@ def _node_averages(p: Protocol, sp: Spectrum, n: int, order: str) -> np.ndarray:
         turn = np.empty((2, half + 1), dtype=complex)
         turn[0] = unit[np.arange(half + 1) * k % len(unit)]
         np.conjugate(turn[0], out=turn[1])
-        turn *= complex(math.cos(k * sp.theta_bar), math.sin(k * sp.theta_bar))
+        turn *= complex(math.cos(k * theta_bar), math.sin(k * theta_bar))
         turns[k] = turn[..., None, None]
     factors = [(c_rotation(s.eta), turns.get(s.k)) for s in p.steps]
     # Two buffers of both halves; each step's C reads one and writes the other.
@@ -609,24 +614,19 @@ def averaged_maps(p: Protocol, sp: Spectrum, n: int, order: str = ORDER_PHASE_AF
     stacked read-only with shape ``(n, 3, 3)``.
 
     The environment phase is shared by all steps, so ``E[P_m]`` is *not*
-    the m-th power of the averaged one-step map.  For 0 <= s < s* the maps
+    the m-th power of the averaged one-step map.  At every width the maps
     are weighted node sums of the step products on one grid
     (``_node_averages``), with no compose, and agree with
-    ``gaussian_average(P_m, sp).m`` to rounding.  In the uniform limit only
-    the constant term ``C_0`` of each product of the chain survives, and
-    ``C_0 + 0.0`` has the bits of ``gaussian_average``.  One batched SVD
-    checks every map, as ``BlochMap`` checks one; the error names the step
-    m of the first map that is not a contraction.
+    ``gaussian_average(P_m, sp).m`` to rounding.  In the uniform limit they
+    are the period means of the products, with the same bits at every
+    theta_bar.  One batched SVD checks every map, as ``BlochMap`` checks
+    one; the error names the step m of the first map that is not a
+    contraction.
     """
     n = _whole(n, "n")
     if order not in STEP_ORDERS:
         raise DomainError(f"order must be one of {STEP_ORDERS}, got {order!r}")
-    if sp.is_uniform:
-        out = np.empty((n, 3, 3))
-        for i, tm in enumerate(itertools.islice(product_chain(p, order), 1, n + 1)):
-            np.add(tm.terms[0, 0], 0.0, out=out[i])
-    else:
-        out = _node_averages(p, sp, n, order)
+    out = _node_averages(p, sp, n, order)
     _check_contractions(out)
     out.setflags(write=False)
     return out
@@ -641,9 +641,8 @@ def propagate(
 ) -> np.ndarray:
     """Bloch trajectory under the averaged dynamics, read-only with shape
     ``(n + 1, 3)``: row 0 is ``a0``, and row m applies the spectral average
-    of the full m-step product to it (see ``averaged_maps``: node sums for
-    0 <= s < s*, within rounding of the band average, and its bits in the
-    uniform limit).
+    of the full m-step product to it (see ``averaged_maps``: node sums,
+    within rounding of the band average at every width).
     """
     a = a0.as_array()
     out = np.vstack([a, averaged_maps(p, sp, n, order) @ a])

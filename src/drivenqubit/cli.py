@@ -4,8 +4,9 @@ The command line exposes five subcommands -- simulate, asymptotics,
 nonmarkov, visibility and verify -- that all consume the same JSON run
 configuration (or a named preset) and write deterministic CSV/JSON files:
 identical configurations produce byte-identical outputs (data floats are
-fixed at 9 significant digits; the effective-config echo keeps full
-precision so that re-ingesting it reproduces the run exactly).
+fixed at 9 significant digits, and a CSV data float with |x| < 1e-12 is
+written as 0; the effective-config echo keeps full precision so that
+re-ingesting it reproduces the run exactly).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical/convergence
 error, 4 verification failure.
@@ -76,6 +77,8 @@ CALIBRATION_TOL = 1e-6
 # of the step count: in process on one CPU of a two-core Xeon, a simulate of
 # a preset takes 1.3-1.9 s at 5,000 steps and 41-47 s at 20,000.
 MAX_STEPS = 2**16
+# CSV data floats below this magnitude are rounding noise and print as 0.
+NOISE_FLOOR = 1e-12
 
 TWO_CONTROL_REFERENCE = (
     np.array(
@@ -446,11 +449,12 @@ def _write_json(path: Path, payload: dict, round_floats: bool = True):
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header, rows):
-    """Floats at 9 significant digits, anything else as ``str``.  Each
-    column keeps the type of its first row, so one format serves all rows."""
-    fmt = ",".join("%.9g" if isinstance(v, float) else "%s" for v in rows[0])
-    lines = [",".join(header)] + [fmt % row for row in rows]
+def _write_csv(path: Path, header, table: np.ndarray):
+    """Row i is the step ``i``, then the floats of ``table[i]`` at 9
+    significant digits; each |x| < ``NOISE_FLOOR``, -0.0 included, prints as 0."""
+    fmt = ",".join(["%d"] + ["%.9g"] * table.shape[1])
+    table = np.where(np.abs(table) < NOISE_FLOOR, 0.0, table).tolist()
+    lines = [",".join(header)] + [fmt % (step, *row) for step, row in enumerate(table)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -458,9 +462,8 @@ def _run_simulate(config: RunConfig, out: Path):
     traj = propagate(config.protocol, config.spectrum, config.n_steps, config.initial_state, config.order)
     x, y, z = traj.T
     # tr(rho^2), summed in the order 1, x^2, y^2, z^2.
-    table = np.column_stack([traj, 0.5 * (1.0 + x**2 + y**2 + z**2)]).tolist()
-    rows = [(step, *row) for step, row in enumerate(table)]
-    _write_csv(out / "trajectory.csv", ("step", "ax", "ay", "az", "purity"), rows)
+    table = np.column_stack([traj, 0.5 * (1.0 + x**2 + y**2 + z**2)])
+    _write_csv(out / "trajectory.csv", ("step", "ax", "ay", "az", "purity"), table)
 
 
 def _run_asymptotics(config: RunConfig, out: Path):
@@ -489,11 +492,7 @@ def _run_nonmarkov(config: RunConfig, out: Path):
     d = pair_distances(
         config.protocol, config.spectrum, pair, config.n_steps, config.order
     )
-    _write_csv(
-        out / "nonmarkov.csv",
-        ("step", "trace_distance"),
-        [(i, float(v)) for i, v in enumerate(d)],
-    )
+    _write_csv(out / "nonmarkov.csv", ("step", "trace_distance"), d[:, None])
     cycle = asymptotic_cycle(config.protocol, config.spectrum, config.order)
     payload = {
         "blp_total": blp_accumulate(d),

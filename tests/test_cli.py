@@ -404,6 +404,12 @@ class TestRunOutputs:
         assert payload["blp_total"] >= 0.0
         assert "per_cycle_rate" in payload
 
+    def test_csv_prints_noise_as_zero(self, tmp_path):
+        # Each |x| < 1e-12, -0.0 included, prints as 0; +-1e-12 print as they are.
+        table = np.array([[9.99e-13, -1e-13, -0.0, 1e-12, -1e-12], [0.25, -3.0, 1e-11, 0.0, 1.0 / 3.0]])
+        cli._write_csv(tmp_path / "t.csv", ("step", "a", "b", "c", "d", "e"), table)
+        assert read_output(tmp_path, "t.csv") == "step,a,b,c,d,e\n0,0,0,0,1e-12,-1e-12\n1,0.25,-3,1e-11,0,0.333333333\n"
+
     def test_visibility_report(self, tmp_path):
         cfg = config_from_dict(config_dict(tmp_path / "vis", n_steps=6))
         assert run(cfg, "visibility") == 0

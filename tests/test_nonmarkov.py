@@ -102,9 +102,8 @@ class TestTraceDistancePovm:
 class TestPairDistances:
     def test_one_product_chain(self, three_controls, calibrated_spectrum, monkeypatch):
         # Both states share each averaged map: the pair costs the compose
-        # calls of one trajectory.  At Gaussian and sharp widths the maps are
-        # node products, with no compose; in the uniform limit they read the
-        # chain, T step matrices plus one compose per step.
+        # calls of one trajectory.  At every width, the uniform limit
+        # included, the maps are node products, with no compose.
         calls = []
 
         def counting(a, b, compose=bloch.trig_compose):
@@ -113,8 +112,7 @@ class TestPairDistances:
 
         monkeypatch.setattr(bloch, "trig_compose", counting)
         pair = StatePair(BlochVector(0.6, 0.3, -0.2), BlochVector(0.0, 0.0, 1.0))
-        widths = [(calibrated_spectrum.s, 0), (0.0, 0), (UNIFORM_S, three_controls.period + 20)]
-        for s, composes in widths:
+        for s in (calibrated_spectrum.s, 0.0, UNIFORM_S, math.inf):
             sp = Spectrum(calibrated_spectrum.theta_bar, s)
             bloch.step_matrix.cache_clear()
             pair_distances(three_controls, sp, pair, 20)
@@ -122,7 +120,7 @@ class TestPairDistances:
             calls.clear()
             bloch.step_matrix.cache_clear()
             propagate(three_controls, sp, 20, pair.a_plus)
-            assert per_pair == len(calls) == composes
+            assert per_pair == len(calls) == 0
             calls.clear()
 
     def test_zero_steps(self, two_controls, calibrated_spectrum):

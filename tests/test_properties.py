@@ -252,7 +252,7 @@ def test_pair_distances_match_two_trajectories_bitwise(p, order, n, sp, pair):
     assert plus.shape == want.shape == (n + 1, 3)
     assert np.max(np.abs(plus - want)) <= 1e-12
     if sp.is_uniform:
-        assert plus.tobytes() == want.tobytes()
+        assert plus.tobytes() == propagate(p, Spectrum(0.0, sp.s), n, pair.a_plus, order).tobytes()
     want = np.array([trace_distance(BlochVector.from_array(a), BlochVector.from_array(b)) for a, b in zip(plus, minus)])
     assert pair_distances(p, sp, pair, n, order).tobytes() == want.tobytes()
 
@@ -274,21 +274,28 @@ def test_averaged_maps_are_unital_contractions(p, order, n, sp):
 F_ODD = (np.array([0, 1, 1, 2]), np.array([1, 0, 2, 1]))
 
 
+def refuse_compose(a, b):
+    raise AssertionError("averaged_maps composed a band")
+
+
 def assert_maps_match_own_averages(p, sp, n, order):
-    """``averaged_maps`` against the band average of each product: to the
-    bit in the uniform limit, else to 1e-12 with the band's symmetry zeros:
-    at theta_bar = 0 the F-odd entries xy, yx, yz and zy are +0.0 in both.
-    Other exact zeros of the band, such as the entries of C_h that a
-    damping of 0.0 leaves alone, node sums meet only to rounding."""
-    stack = averaged_maps(p, sp, n, order)
+    """``averaged_maps``, with no compose, against the band average of each
+    product to 1e-12, with the band's symmetry zeros: at theta_bar = 0 the
+    F-odd entries xy, yx, yz and zy are +0.0 in both.  In the uniform limit
+    the grid is anchored at 0, so the stack has the bits of the
+    theta_bar = 0 stack and those +0.0 at every theta_bar.  Other exact
+    zeros of the band, such as the entries of C_h that a damping of 0.0
+    leaves alone, node sums meet only to rounding."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bloch, "trig_compose", refuse_compose)
+        stack = averaged_maps(p, sp, n, order)
     assert stack.shape == (n, 3, 3) and not stack.flags.writeable
     chain = itertools.islice(product_chain(p, order), 1, n + 1)
     want = np.array([gaussian_average(tm, sp).m for tm in chain]).reshape(n, 3, 3)
-    if sp.is_uniform:
-        assert stack.tobytes() == want.tobytes()
-        return
     assert np.max(np.abs(stack - want), initial=0.0) <= 1e-12
-    if sp.theta_bar == 0.0:
+    if sp.is_uniform:
+        assert stack.tobytes() == averaged_maps(p, Spectrum(0.0, sp.s), n, order).tobytes()
+    if sp.theta_bar == 0.0 or sp.is_uniform:
         for maps in (stack, want):
             odd = maps[:, F_ODD[0], F_ODD[1]]
             assert not np.any(odd) and not np.any(np.signbit(odd))
@@ -345,10 +352,12 @@ def deep_case(steps, theta_bar, s, n, order):
 # is live and the grid holds 6,003 nodes; and one harmonic per step, up to
 # 3,200, at a sharp theta_bar near -pi.  There the band's cos(h theta_bar) takes
 # h theta_bar past 8,192, rounded to 1.8e-12: at step 331 the band is off
-# the exact map by 8.4e-13, the node product by 4e-15.
+# the exact map by 8.4e-13, the node product by 4e-15.  In the uniform limit
+# the 2,669 nodes carry weight 1/N each and the band keeps only C_0.
 @deep_case([(0.3, 8), (0.8, 7)], 0.0, 1e-4, 400, "eq4a")
 @deep_case([(0.3, 8), (0.8, 7), (0.55, 5)], -2.7, 1e-4, 400, "eq2b")
 @deep_case([(1.0, 8)], -3.1, 0.0, 400, "eq2b")
+@deep_case([(0.3, 8), (0.8, 7), (0.55, 5)], 2.2, math.inf, 400, "eq4a")
 @given(deep_protocols, orders, st.integers(0, 400), node_spectra)
 def test_node_averages_match_the_band_to_depth_400(p, order, n, sp):
     # Against the band average of every product of the chain.  The bound
