@@ -27,7 +27,7 @@ from drivenqubit import (
     step_matrix,
     trig_compose,
 )
-from drivenqubit import bloch, cli
+from drivenqubit import bloch
 from drivenqubit.bloch import averaged_maps
 
 from conftest import CALIBRATED_S, UNIFORM_S, assert_pair_weights_are_exact, exact_turns_off, machin_two_pi
@@ -329,9 +329,11 @@ class TestGaussianAverage:
         [(4, Spectrum(0.0, 0.4), 256), (16, Spectrum(-0.7, 1.0), 2048), (9, Spectrum(1.3, 3.0), 4096)],
     )
     def test_trapezoid_rule_matches_gauss_hermite(self, three_controls, n_steps, sp, nodes):
-        # verify's quadrature against this module's independent oracle.
+        # The node rule, verify's quadrature, against this module's
+        # independent oracle.
         tm = protocol_product(three_controls, n_steps)
-        assert np.max(np.abs(cli._trapezoid_average(tm, sp) - gauss_hermite_average(tm, sp, nodes))) < 1e-12
+        got = averaged_maps(three_controls, sp, n_steps)[-1]
+        assert np.max(np.abs(got - gauss_hermite_average(tm, sp, nodes))) < 1e-12
 
     def test_sharp_spectrum_is_point_evaluation(self, two_controls):
         tm = protocol_product(two_controls, 5)

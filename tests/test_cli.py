@@ -575,37 +575,41 @@ class TestMainEntry:
         assert got and got == outputs("inf")
 
     def test_verify_at_overflowing_width(self, tmp_path, capsys):
-        # Every harmonic h >= 1 is damped to 0.0, so the check reads the
-        # harmonic-0 term and lays out no quadrature nodes.
+        # Every harmonic h >= 1 is damped to 0.0: the node rule's weights
+        # are 1/N, and its mean matches the band's harmonic-0 term.
         argv = ["verify", "--preset", "two_controls", "--spectrum-s", "1e308", "--out", str(tmp_path)]
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "ok   harmonic average vs quadrature (uniform limit: harmonic-0 term, max dev 0.000e+00)" in out
+        assert "ok   harmonic average vs quadrature (node rule, max dev " in out
         assert "FAIL" not in out
 
     def test_harmonic_average_check_at_huge_width(self, tmp_path, capsys):
-        # At s = 1e200 quadrature nodes s x would scatter far beyond one
-        # period; the check reads the harmonic-0 term, and the whole verify,
-        # steady maps included, passes in the uniform limit.
+        # At s = 1e200 the node rule runs in the uniform limit, and the whole
+        # verify, steady maps included, passes.
         base = preset("two_controls")
         config = dataclasses.replace(base, spectrum=Spectrum(base.spectrum.theta_bar, 1e200))
         name, ok, detail = next(c for c in cli._verification_checks(config) if c[0] == "harmonic average vs quadrature")
         assert ok, detail
-        assert detail == "uniform limit: harmonic-0 term, max dev 0.000e+00"
+        assert detail.startswith("node rule, max dev ")
         assert main(["verify", "--preset", "two_controls", "--spectrum-s", "1e200", "--out", str(tmp_path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
 
-    def test_trapezoid_rule_at_subnormal_width(self):
-        # The step is in units of s, so s = 5e-324 neither overflows it nor
-        # warns; every node rounds to theta_bar or next to it.
-        tm = bloch.protocol_product(preset("three_controls").protocol, 9)
+    def test_trapezoid_rule_at_subnormal_width(self, tmp_path, capsys):
+        # At s = 5e-324 verify neither overflows nor warns, and the node rule
+        # (a periodic trapezoid rule) gives the band's value at theta_bar.
+        base = preset("three_controls")
+        tm = bloch.protocol_product(base.protocol, 9)
         for theta_bar in (0.0, 2.1):
             sp = Spectrum(theta_bar, 5e-324)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = cli._trapezoid_average(tm, sp)
+                got = bloch.averaged_maps(base.protocol, sp, 9)[-1]
+                assert run(dataclasses.replace(base, spectrum=sp, out_dir=str(tmp_path)), "verify") == 0
             assert np.isfinite(got).all()
             assert np.max(np.abs(got - tm.evaluate(theta_bar))) < 1e-14
+            out = capsys.readouterr().out
+            assert "ok   harmonic average vs quadrature (node rule, max dev " in out
+            assert "FAIL" not in out
 
     @pytest.mark.parametrize("name", ["two_controls", "three_controls"])
     def test_harmonic_average_check_fails_on_wrong_width(self, tmp_path, capsys, monkeypatch, name):
@@ -613,7 +617,28 @@ class TestMainEntry:
         average = cli.gaussian_average
         monkeypatch.setattr(cli, "gaussian_average", lambda tm, sp: average(tm, Spectrum(sp.theta_bar, 1.001 * sp.s)))
         assert main(["verify", "--preset", name, "--out", str(tmp_path)]) == 4
-        assert "FAIL harmonic average vs quadrature (trapezoid rule, max dev " in capsys.readouterr().out
+        assert "FAIL harmonic average vs quadrature (node rule, max dev " in capsys.readouterr().out
+
+    # two_controls at s = 0 is left out: its 6-step product at theta = 0 is
+    # C(eta)^6 = I for every eta, so a shifted eta leaves that band's value
+    # there unchanged.
+    @pytest.mark.parametrize(
+        "name, s",
+        [("three_controls", s) for s in (None, "0", "12", "inf")] + [("two_controls", s) for s in (None, "12", "inf")],
+    )
+    def test_harmonic_average_check_fails_on_wrong_band(self, tmp_path, capsys, monkeypatch, name, s):
+        # The bands come from a protocol whose every eta is 1e-6 too large;
+        # the node rule multiplies the configured steps, so verify must fail
+        # at every width, the sharp and uniform limits included.
+        chain = cli.product_chain
+
+        def shifted(p, order):
+            return chain(Protocol(ControlStep(min(step.eta + 1e-6, 1.0), step.k) for step in p.steps), order)
+
+        monkeypatch.setattr(cli, "product_chain", shifted)
+        argv = ["verify", "--preset", name, "--out", str(tmp_path)]
+        assert main(argv if s is None else argv + ["--spectrum-s", s]) == 4
+        assert "FAIL harmonic average vs quadrature (node rule, max dev " in capsys.readouterr().out
 
     def test_phaseless_mean_phase_exit_code(self, tmp_path, capsys):
         # h theta_bar would overflow to a NaN period map.
@@ -761,38 +786,41 @@ class TestPresetBytes:
 
 
 # sha256 of verify.json and of stdout.  The resolvent checks' details carry
-# the rounding of numpy.linalg's LU inverse, so these pairs move with it, and
+# the rounding of numpy.linalg's LU inverse, and the quadrature check's the
+# node weights of numpy.fft (pocketfft), so these pairs move with both, and
 # with the probe draws of random.Random(20240801); every check name and pass
-# flag stays.  The last three runs take each branch of the quadrature check:
-# sharp, uniform, and a wide trapezoid rule.
+# flag stays.  The last three runs put the node rule at the sharp limit (one
+# node), the uniform limit (weights 1/N) and a wide width.  The preset
+# two_controls.eq2b run and its s = inf run print the same bytes: no check's
+# detail at 9 significant digits tells the two widths apart.
 VERIFY_DIGESTS = {
     ("two_controls", "eq2b", None): (
-        "ecc6476f788b600a634472715de6ba00708e46dd2dc34d55dcf6284981171401",
-        "8872ccb6fa8a50444f469ae828b8e11c9795e5410f867f0956654e7f489b8616",
+        "7e73372c3d378a807fc88254d11ca0e48183ff9cdb93b01de15eb549e0f32277",
+        "d1443fc4acb71d8e5e0f1ab07beb3133d5c57b88bd7af528841218080e783d3f",
     ),
     ("two_controls", "eq4a", None): (
-        "dec7a719e575eea8df901feda7153e8698248c8ce2abc5e152994ef327b564dd",
-        "74f3449c8625c10b2064c91c31b70fd9b98e6fa7fd8e9e1ac74ee943bba0bd43",
+        "94951a6d563c9dc308709cd14cdbd92fa5275f5bdc24d42ace50a055b8857fb0",
+        "5ad6a0a57c8c2e918896cd458f723f9a8f2a95b7c8774baa756f807b7409ec8b",
     ),
     ("three_controls", "eq2b", None): (
-        "b7c0fc4b022d482fb1d2e6d48b741b53aefb2e18a70b5665e7f12b6a0565a202",
-        "82a5cff58e7234f5af32eb578d4afba0158c3191e9144cde919e86bc88a23bb4",
+        "e0cc4cb89d991aa57072e29fcc2a1d36d960641ca02d7b8665c3ae589e5afd12",
+        "c934ac21196a31610b089fefbe890972d062c48162b262742aa8ada0fc9696e1",
     ),
     ("three_controls", "eq4a", None): (
-        "07c1312168b83ade3b6e8f57c6b11df72f04c4077be48abbfd603071fe6fc74a",
-        "0ba3cdfa9dae9e2fe14ddcd637739e0b5f9e5cc44707c398337f82911256bda9",
+        "3d16f8c66ae14937fcb68b23ca0f74452c5ced64c1c9bd80d1288aec1ac6da20",
+        "3b6639f69c6b8a5863a53e21ea02f09436e6ca011ce71adc076051731bd273d7",
     ),
     ("two_controls", "eq2b", "0"): (
-        "5991c95f03b346dfed95fc646f7c642b2d5af1ae511b912ac86d49f9bb5e164e",
-        "afbb6a4981bbf16c84d23b08cc3232505829d9932955c91235f137c3ecaba1f9",
+        "3cfb3a797be968c2d490218d1c3f9ba443b6137862751c97b009477aaefdb34e",
+        "590ed5415634366c0b64051d08d2300cccce60812c7ec1dea616fc9452d4007e",
     ),
     ("two_controls", "eq2b", "inf"): (
-        "30814cab29b66ea45e023860b12e34fad4d92e1cfd60dacbe79c0edaa2f39a74",
-        "1561fd637ca9c766ecdd5dd7063bb565e04763c0cba7ac7e8970826f544269ed",
+        "7e73372c3d378a807fc88254d11ca0e48183ff9cdb93b01de15eb549e0f32277",
+        "d1443fc4acb71d8e5e0f1ab07beb3133d5c57b88bd7af528841218080e783d3f",
     ),
     ("two_controls", "eq2b", "12"): (
-        "cbad9181c1df6a615c1c325e810bb1d6eada6c404c66dbccb72b26e80dd4fa1e",
-        "08b52aac8bcdb59aa67ab54d3cdd5e4104ddca8c373fe03ae721fb7701db9e88",
+        "190418d13305268a5572f384e06ac67be0fa0fb64a66862f00ac62147cdaaf19",
+        "4c2ee037e28ad028d97996df6c63fcdafe8b6ad58e288f0495d69808e6098042",
     ),
 }
 
@@ -840,7 +868,7 @@ class TestVerifyBytes:
 
         monkeypatch.setattr(bloch.TrigMatrix, "evaluate", counted)
         assert main(verify_argv(name, order, None, tmp_path)) == 0
-        assert 0 < calls <= 40
+        assert 0 < calls <= 7
 
     @pytest.mark.parametrize("order", ["eq2b", "eq4a"])
     @pytest.mark.parametrize("name", ["two_controls", "three_controls"])

@@ -403,15 +403,15 @@ def test_average_matches_loop_reference_bitwise(p, order, n, sp):
 @given(
     protocols,
     orders,
-    st.integers(0, 15),
+    st.integers(1, 15),
     st.floats(-2.0 * math.pi, 2.0 * math.pi),
     st.floats(math.log(1e-9), math.log(UNIFORM_S), exclude_max=True).map(math.exp).filter(lambda s: s < UNIFORM_S),
 )
 def test_trapezoid_rule_matches_closed_form_average(p, order, n, theta_bar, s):
-    # verify's quadrature oracle, below the uniform limit where it runs.
+    # verify's quadrature check: the node rule against the band's closed form.
     tm = protocol_product(p, n, order)
     sp = Spectrum(theta_bar, s)
-    assert np.max(np.abs(cli._trapezoid_average(tm, sp) - gaussian_average(tm, sp).m)) < 1e-13
+    assert np.max(np.abs(averaged_maps(p, sp, n, order)[-1] - gaussian_average(tm, sp).m)) < 1e-13
 
 
 def chain_and_composed(p, order, n1, n2):
