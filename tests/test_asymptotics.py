@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import re
 import tracemalloc
@@ -392,8 +393,9 @@ class TestAsymptoticMap:
             asymptotic_map(two_controls, calibrated_spectrum, 0)
 
     def test_node_cap_reports_last_change(self, two_controls, monkeypatch):
-        # s = 8.25 needs 4,096 nodes; at a cap of 128 the last two
-        # refinements still differ, and the message says by how much.
+        # At a cap of 128 the fold (2N = 256) cannot run first and the
+        # window, which needs 4,096 nodes at s = 8.25, runs to the cap: its
+        # last two refinements still differ, and the message says by how much.
         import drivenqubit.asymptotics as asym
 
         monkeypatch.setattr(asym, "QUAD_MAX_NODES", 128)
@@ -485,9 +487,10 @@ class TestLockstepCycle:
     def test_one_coefficient_row_per_node_block(self, three_controls, calibrated_spectrum, monkeypatch):
         # Every phase's period and prefix series read the rows of one shared
         # table: each node of each refinement enters exactly one row, where a
-        # phase-by-phase quadrature builds 2 T rows per block.  A cycle the
-        # window hands to the fold takes one fold pass for all its phases, on
-        # the period's one node count N: 2N nodes, in blocks of the same size.
+        # phase-by-phase quadrature builds 2 T rows per block.  A cycle that
+        # folds, first or from the window, takes one fold pass for all its
+        # phases, on the period's one node count N: 2N nodes, in blocks of
+        # the same size.
         rows, refinements = [], []
         build_rows, quad_nodes = bloch._coefficient_rows, asymptotics._quad_nodes
 
@@ -500,13 +503,23 @@ class TestLockstepCycle:
             refinements.append(len(rule[0]))
             return rule
 
-        capped = Protocol([ControlStep(0.3875, 4), ControlStep(0.3815, 2)])
         # three_controls converges within one block of 630 nodes at 512 of
-        # its fold's 2N = 512.  The capped cycle refines to 32,768 nodes in
-        # blocks of 630, where both phases take their 2N = 32,768-node folds
-        # from one pass.
-        cases = [(three_controls, calibrated_spectrum, [], []), (capped, Spectrum(-0.707, 4.597), [2**15, 2**15], [2**15])]
-        for protocol, sp, folds, passes in cases:
+        # its fold's 2N = 512.  Below pi/4 the multi-block cycle converges at
+        # 2,048 nodes, its 2N, in three blocks of 744, and the hand-off cycle
+        # refines to 512 nodes, its 2N, and both phases take their folds from
+        # one pass.  At s = 4.597 the window spans two periods: the capped
+        # cycle makes no refinement and one 32,768-node fold pass in 53
+        # blocks of 630.
+        multi_block = Protocol([ControlStep(0.605, 1), ControlStep(0.5, 4)])
+        handoff = Protocol([ControlStep(0.7, 3), ControlStep(0.7, 4)])
+        capped = Protocol([ControlStep(0.3875, 4), ControlStep(0.3815, 2)])
+        cases = [
+            (three_controls, calibrated_spectrum, [64, 128, 256, 512], [], 1),
+            (multi_block, Spectrum(0.4, 0.48), [64, 128, 256, 512, 1024, 2048], [], 3),
+            (handoff, Spectrum(2.425, 0.6636), [64, 128, 256, 512], [512], 1),
+            (capped, Spectrum(-0.707, 4.597), [], [2**15], 53),
+        ]
+        for protocol, sp, window_nodes, passes, blocks in cases:
             # Every node block, of the window, the fold and evaluate, comes from bloch._node_values.
             monkeypatch.setattr(bloch, "_coefficient_rows", counted_rows)
             monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
@@ -516,13 +529,12 @@ class TestLockstepCycle:
             monkeypatch.undo()
             top = protocol_product(protocol, protocol.period).max_harmonic
             block = bloch._SUM_BLOCK_TERMS // (2 * top + 1)
-            assert len(refinements) > 1
+            assert refinements == window_nodes
+            assert math.ceil(max(refinements + passes) / block) == blocks
             window = [min(block, n - lo) for n in refinements for lo in range(0, n, block)]
             assert rows == window + [min(block, n - lo) for n in passes for lo in range(0, n, block)]
-            if folds:
-                assert [2 * fold.nodes for fold in steady_fold(protocol, sp.theta_bar, sp.s)] == folds
-                assert folds == [max(refinements)] * protocol.period
-        assert max(refinements) > 4 * block
+            if passes:
+                assert [2 * fold.nodes for fold in steady_fold(protocol, sp.theta_bar, sp.s)] == passes * protocol.period
 
     def test_peak_memory_is_a_few_blocks(self):
         # The window refines to 16,384 nodes, short of its fold's 2N, at
@@ -749,10 +761,11 @@ class TestSteadyFold:
 
     @pytest.mark.parametrize("order", STEP_ORDERS)
     def test_failed_guard_names_its_phase(self, three_controls, order, monkeypatch):
-        # At s = 1 the window hands the cycle over at 2N = 512 nodes.  A
-        # tolerance between phase 0's guard delta (2.5e-16 or 2.8e-16) and
-        # phase 1's (3.3e-16) passes phase 0 and fails phase 1: steady_fold
-        # names phase 1, and the cycle adds the window's own numbers.
+        # At s = 1 the fold runs first.  A tolerance between phase 0's guard
+        # delta (2.5e-16 or 2.8e-16) and phase 1's (3.3e-16) passes phase 0
+        # and fails phase 1: steady_fold names phase 1, the window runs and
+        # hands the cycle over at 2N = 512 nodes, and the cycle adds the
+        # window's own numbers.
         guards = [fold.guard_delta for fold in steady_fold(three_controls, 0.0, 1.0, order)]
         assert guards[0] < guards[1]
         tol = 0.5 * (guards[0] + guards[1])
@@ -816,6 +829,109 @@ class TestSmallStrip:
         for m, fold in zip(cycle.maps, steady_fold(p, 0.3, math.inf, order), strict=True):
             assert 2 * fold.nodes == 2**17
             assert np.max(np.abs(fold.map_at(math.inf) - m.m)) <= 1e-13
+
+
+class TestFoldFirst:
+    # A Gaussian window of half-width 8 s >= 2 pi spans two periods or more:
+    # from s = pi/4 up to s* the cycle takes its folds' maps before any
+    # refinement, and the window runs only where a fold raises.
+    @staticmethod
+    def traced_cycle(p, sp, order, monkeypatch):
+        """The cycle, the node counts of its window refinements and the nodes its coefficient rows read."""
+        refinements, rows = [], []
+        build_rows, quad_nodes = bloch._coefficient_rows, asymptotics._quad_nodes
+
+        def counted_rows(theta, damping):
+            rows.append(np.size(theta))
+            return build_rows(theta, damping)
+
+        def counted_nodes(sp, n_nodes):
+            refinements.append(n_nodes)
+            return quad_nodes(sp, n_nodes)
+
+        monkeypatch.setattr(bloch, "_coefficient_rows", counted_rows)
+        monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
+        try:
+            cycle = asymptotic_cycle(p, sp, order)
+        finally:
+            monkeypatch.undo()
+        return cycle, refinements, sum(rows)
+
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    @pytest.mark.parametrize("s", [math.pi / 4, 1.0, 2.0, 8.0, 32.0])
+    def test_presets_read_only_the_fold_nodes(self, two_controls, three_controls, s, order, monkeypatch):
+        # One fold pass of 2N nodes; the window read up to 704 and 1,472
+        # nodes, its refinements up to 2N and then the fold's.
+        for p, nodes in ((two_controls, 256), (three_controls, 512)):
+            sp = Spectrum(0.0, s)
+            cycle, refinements, read = self.traced_cycle(p, sp, order, monkeypatch)
+            folds = steady_fold(p, sp.theta_bar, s, order)
+            assert refinements == []
+            assert read == nodes == 2 * folds[0].nodes
+            assert [m.m.tobytes() for m in cycle.maps] == [fold.map_at(s).tobytes() for fold in folds]
+
+    def test_seeded_cycles_take_their_folds_bits(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        drawn = 0
+        while drawn < 24:
+            p = random_protocol(rng, int(rng.integers(1, 5)))
+            order = STEP_ORDERS[int(rng.integers(0, 2))]
+            s = math.exp(rng.uniform(math.log(math.pi / 4), math.log(UNIFORM_S)))
+            sp = Spectrum(float(rng.uniform(-math.pi, math.pi)), s)
+            try:
+                folds = steady_fold(p, sp.theta_bar, s, order)
+            except ConvergenceError:
+                continue
+            drawn += 1
+            cycle, refinements, read = self.traced_cycle(p, sp, order, monkeypatch)
+            assert refinements == []
+            assert read >= 2 * folds[0].nodes
+            for fold, m in zip(folds, cycle.maps, strict=True):
+                assert m.m.tobytes() == fold.map_at(s).tobytes()
+
+    def test_narrower_and_uniform_windows_run_first(self, monkeypatch):
+        # Below pi/4 and in the uniform limit the window refines before any
+        # fold runs, whether or not the fold would serve.
+        rng = np.random.default_rng(43)
+        for draw in range(24):
+            p = random_protocol(rng, int(rng.integers(1, 5)))
+            order = STEP_ORDERS[int(rng.integers(0, 2))]
+            s = math.inf if draw % 4 == 3 else float(rng.uniform(0.05, math.pi / 4))
+            sp = Spectrum(float(rng.uniform(-math.pi, math.pi)), s)
+            try:
+                _, refinements, _ = self.traced_cycle(p, sp, order, monkeypatch)
+            except ConvergenceError:
+                continue
+            assert refinements[0] == asymptotics.QUAD_MIN_NODES
+
+    @pytest.mark.parametrize(
+        "s, digest",
+        [
+            (0.8, "7d535db7db4baae71872a91296e5c6f667d0bab65970e984c78131bebfd28a69"),
+            (1.0, "b1d452993726faa42cb6be5bde39bdc3364fc76f3f2b043b4753af82420d5eb6"),
+        ],
+        ids=["s0.8", "s1.0"],
+    )
+    def test_a_fold_past_the_cap_leaves_the_cycle_to_the_window(self, s, digest, monkeypatch):
+        # The strip is thin (rho = 5.5e-4): the fold needs 2N = 131,072
+        # nodes, and the window converges at the cap with these bits.
+        p = Protocol([ControlStep(0.5, 3), ControlStep(0.501, 2)])
+        with pytest.raises(ConvergenceError, match=r"N = 65536\) needs 131072 nodes, more than 65536"):
+            steady_fold(p, 0.0, s, "eq2b")
+        cycle, refinements, _ = self.traced_cycle(p, Spectrum(0.0, s), "eq2b", monkeypatch)
+        assert refinements[-1] == asymptotics.QUAD_MAX_NODES
+        assert hashlib.sha256(np.stack([m.m for m in cycle.maps]).tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("s, change, guard", [(0.8, "1.313e-08", "6.272e-06"), (2.0, "2.633e-05", "4.003e-06")])
+    def test_a_cycle_neither_rule_serves_keeps_the_window_message(self, s, change, guard):
+        p = Protocol([ControlStep(0.5, 4), ControlStep(0.50001, 2)])
+        with pytest.raises(ConvergenceError) as error:
+            asymptotic_cycle(p, Spectrum(0.0, s))
+        assert str(error.value) == (
+            f"steady-map quadrature did not reach 1e-10 by 256 nodes (period 2, s = {s}, largest last change "
+            f"{change}); the one-period fold (strip half-width 5.306e-01, N = 128) has guard delta {guard} "
+            "at phase 0, above 1e-10"
+        )
 
 
 class TestRecordedCycles:

@@ -709,8 +709,8 @@ class TestColdStart:
         # numpy's set routines (np.setdiff1d, np.isin, np.unique) import
         # numpy.ma, about 1 MB of resident memory that no run needs, and
         # numpy.random costs 6 MB: verify draws its probes from random.Random,
-        # which numpy's import has loaded.  The cycles are sharp, handed to
-        # their folds (s = 8.25) and uniform; verify takes each branch of its
+        # which numpy's import has loaded.  The cycles are sharp, folded
+        # first (s = 8.25) and uniform; verify takes each branch of its
         # quadrature check.
         runs = [
             [cmd, "--preset", name, "--out", str(tmp_path / f"{cmd}-{name}")]
@@ -790,37 +790,38 @@ class TestPresetBytes:
 # node weights of numpy.fft (pocketfft), so these pairs move with both, and
 # with the probe draws of random.Random(20240801); every check name and pass
 # flag stays.  The last three runs put the node rule at the sharp limit (one
-# node), the uniform limit (weights 1/N) and a wide width.  The preset
-# two_controls.eq2b run and its s = inf run print the same bytes: no check's
-# detail at 9 significant digits tells the two widths apart.
+# node), the uniform limit (weights 1/N) and a wide width.  The contraction
+# check's detail prints the steady maps' largest singular value, which tells
+# the widths apart: 0.882 at the two_controls preset width, 0.403 at s = inf
+# and 0.99999999308 at s = 0, where CONTINUITY_NUDGE's error shows.
 VERIFY_DIGESTS = {
     ("two_controls", "eq2b", None): (
-        "7e73372c3d378a807fc88254d11ca0e48183ff9cdb93b01de15eb549e0f32277",
-        "d1443fc4acb71d8e5e0f1ab07beb3133d5c57b88bd7af528841218080e783d3f",
+        "daf74a67c15777da11431ffac6e1d5c52873b7d9a7cae25d082005504dd566e1",
+        "91d9d9173f5fae5f90ac7d1cbd29b05a1535f29a78be698683ba5fbfe7be4a32",
     ),
     ("two_controls", "eq4a", None): (
-        "94951a6d563c9dc308709cd14cdbd92fa5275f5bdc24d42ace50a055b8857fb0",
-        "5ad6a0a57c8c2e918896cd458f723f9a8f2a95b7c8774baa756f807b7409ec8b",
+        "026b6082e7ee71b6c99b4e472e8d903f8fcb38141eb96e9e69766ffcb0097e92",
+        "b1c75d461c33a4243f35beb10d52b5d2ba1047b63ab813374314d037c0df9e76",
     ),
     ("three_controls", "eq2b", None): (
-        "e0cc4cb89d991aa57072e29fcc2a1d36d960641ca02d7b8665c3ae589e5afd12",
-        "c934ac21196a31610b089fefbe890972d062c48162b262742aa8ada0fc9696e1",
+        "fe8f8367eabb522851a0119d890fc2a56713c1c62a9185f4e6a8508460ca78ee",
+        "177cd9fff5fe083f1c5f3d44d33d7fa2c136f4a2508b9683d0b6a6c6115aca15",
     ),
     ("three_controls", "eq4a", None): (
-        "3d16f8c66ae14937fcb68b23ca0f74452c5ced64c1c9bd80d1288aec1ac6da20",
-        "3b6639f69c6b8a5863a53e21ea02f09436e6ca011ce71adc076051731bd273d7",
+        "3ea4f8bfb26c601f2fcde4e586bd1cd579e6f856935c3f8f0a793746861c2e17",
+        "deed747cf6b03ca87d73a3f843f688cb6a858a594e77f3b6191427b183c84801",
     ),
     ("two_controls", "eq2b", "0"): (
-        "3cfb3a797be968c2d490218d1c3f9ba443b6137862751c97b009477aaefdb34e",
-        "590ed5415634366c0b64051d08d2300cccce60812c7ec1dea616fc9452d4007e",
+        "f7aed78ab3f67429ea5f8e7c5251c75b6a4e46d0dd7ea388183edb7efb612ee0",
+        "212387e348ce71ac5189650d27c5dcc011dbbc3d32bd86ba44e773fb6b981213",
     ),
     ("two_controls", "eq2b", "inf"): (
-        "7e73372c3d378a807fc88254d11ca0e48183ff9cdb93b01de15eb549e0f32277",
-        "d1443fc4acb71d8e5e0f1ab07beb3133d5c57b88bd7af528841218080e783d3f",
+        "c34927ce85fcfd8b6097b84d380ef6165fdd70dea0e5ab2b2d50130ba5847f02",
+        "3a9fb8266267488064d27dd4ce82d4e6789db02e3a89a74412998e5f564cc539",
     ),
     ("two_controls", "eq2b", "12"): (
-        "190418d13305268a5572f384e06ac67be0fa0fb64a66862f00ac62147cdaaf19",
-        "4c2ee037e28ad028d97996df6c63fcdafe8b6ad58e288f0495d69808e6098042",
+        "98acd979ba2985c5666c9f3d4bb94a69b2e1fffeb9f8492576be666fa764b711",
+        "2570b4af86d32012246ec55e483077069e842464907258b1b86e479b53131cb9",
     ),
 }
 

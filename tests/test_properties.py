@@ -579,11 +579,14 @@ def assert_fold_matches_reference(fold, p, sp, K, order, rotated=False, tol=1e-1
 
 
 def assert_steady_map_matches_reference(p, sp, K, order):
-    """The window's map equals the node loop bit for bit.  A phase the loop
-    has not finished at 2N nodes, N its fold's count at any width, is handed
-    to the fold: it has the fold's bits and the fold matches its node-by-node
-    oracle, or the fold raised and so does the map.  A fold that needs more
-    than the cap is named only at the cap, where the loop raises too."""
+    """The map has the bits of the window's node loop or of its fold.  A
+    phase the loop has not finished at 2N nodes, N its fold's count at any
+    width, is handed to the fold; a Gaussian window of two periods or more
+    does not run where the fold serves.  A map with its fold's bits matches
+    the fold's node-by-node oracle and, where the loop converges short of
+    2N, the loop to its stopping tolerance; any other map has the loop's
+    bits.  A fold that raises leaves the loop: where that hits the cap
+    first, the map raises too."""
     fold = nodes = None
     if sp.s > 0.0:
         try:
@@ -595,14 +598,17 @@ def assert_steady_map_matches_reference(p, sp, K, order):
         want = steady_map_reference(p, sp, K, order, nodes)
     except ConvergenceError:
         want = None
-    if want is not None:
-        assert asymptotic_map(p, sp, K, order).m.tobytes() == want.tobytes()
-    elif fold is None:
+    if want is None and fold is None:
         with pytest.raises(ConvergenceError, match=r"last change \S+\); the one-period fold \(strip half-width"):
             asymptotic_map(p, sp, K, order)
-    else:
-        assert asymptotic_map(p, sp, K, order).m.tobytes() == fold.map_at(sp.s).tobytes()
+        return
+    got = asymptotic_map(p, sp, K, order).m
+    if fold is not None and got.tobytes() == fold.map_at(sp.s).tobytes():
         assert_fold_matches_reference(fold, p, sp, K, order)
+        if want is not None:
+            assert np.max(np.abs(got - want)) <= asymptotics.QUAD_TOL
+    else:
+        assert want is not None and got.tobytes() == want.tobytes()
 
 
 # (eta, k) steps, spectrum and order: both presets at the calibrated width
@@ -819,8 +825,8 @@ def test_steady_map_matches_node_loop_bytewise(p, order, phase, sp):
         # A half turn at every phase: every node takes Rodrigues' closed form.
         ([ControlStep(0.7, 0)], Spectrum(0.4, 0.3)),
         ([ControlStep(0.7, 0)], Spectrum(0.4, math.inf)),
-        # The window spends 2N = 256 nodes unconverged and hands both
-        # phases to the fold (it converged at 4,096 nodes).
+        # The window spans two periods: both phases take their folds'
+        # maps first (the window converged at 4,096 nodes, past its 2N = 256).
         ([ControlStep(0.5, 3), ControlStep(0.5, 2)], Spectrum(0.4, 8.25)),
         # The window converges at 2,048 nodes, in blocks of 744, short of
         # its fold's 2N.
@@ -1032,15 +1038,18 @@ def test_fold_matches_the_window_where_it_converges(p, order, theta_bar, s_min, 
     # window converges the two rules agree to its stopping tolerance, not
     # to 1e-12: the window errs by 1.7e-11 on a [(0.5, 4)] cycle at s = 9.2,
     # where a fold on four times the nodes moves by 2e-18, and a node near a
-    # half turn puts up to 3e-11 into the fold.
+    # half turn puts up to 3e-11 into the fold.  The window is the node-by-node
+    # reference: from s = pi/4 on the cycle takes its folds' maps first.
     s = s_min * scale
     try:
-        cycle = asymptotic_cycle(p, Spectrum(theta_bar, s), order)
+        folds = asymptotics.steady_fold(p, theta_bar, s_min, order)
+        window = steady_cycle_reference(p, Spectrum(theta_bar, s), order, folds[0].nodes)
     except ConvergenceError:
         reject()
-    for fold, m in zip(asymptotics.steady_fold(p, theta_bar, s_min, order), cycle.maps, strict=True):
+    for fold in folds:
         assert fold.guard_delta <= asymptotics.QUAD_TOL
-        assert np.max(np.abs(fold.map_at(s) - m.m)) <= asymptotics.QUAD_TOL
+    for fold, m in zip(folds, window or [], strict=window is not None):
+        assert np.max(np.abs(fold.map_at(s) - m)) <= asymptotics.QUAD_TOL
 
 
 @pytest.mark.parametrize(
