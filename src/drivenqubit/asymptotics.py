@@ -53,19 +53,23 @@ Calibration reads every bisection width from the phase-0 fold and, for a
 protocol with a reference cycle, its residual table from the folds of all
 phases, all out of the one pass.
 
-Fold first: where the Gaussian window theta_bar -/+ 8 s spans two periods
-or more (pi/4 <= s < s*), every phase takes the bits of its fold's map at
-s before any refinement, and the window runs only where the fold raises.
-Then, and at every other width, the hand-off: a cycle the window has not
-finished at its first refinement of n >= 2N nodes, or at the node cap, is
-handed over whole, and every phase takes the bits of its fold's map at s.
-A fold that raises there ends the call; the error names the phase whose
-guard failed, the window's node count, s and largest last change.  rho is
-solved at most once per call, from P_T: at once where the cycle folds
-first, and in the window only past the smallest 2N of any strip.  At the
-calibrated s two_controls converges there, at 128 nodes; three_controls,
-in both orders, passes 128 unconverged, solves rho = 0.22401 and
-converges at 512 nodes, its 2N, without the hand-off.
+Fold first: in the uniform limit (s >= s*), where the fold is the plain
+period mean on 2N nodes, and where the Gaussian window theta_bar -/+ 8 s
+spans two periods or more (s >= pi/4), every phase takes the bits of its
+fold's map at s before any refinement, and the window runs only where the
+fold raises.  Then, and below pi/4, the hand-off: a cycle the window has
+not finished at its first refinement of n >= 2N nodes, or at the node
+cap, is handed over whole, and every phase takes the bits of its fold's
+map at s.  A fold that raises there ends the call; the error names the
+phase whose guard failed, the window's node count, s and largest last
+change.  The folds run at most once per call: a fold that raised first
+hands its error to the hand-off.  rho is solved at most once per call,
+from P_T: at once where the cycle folds first, and in the window only
+past the smallest 2N of any strip.  At the calibrated s two_controls
+converges there, at 128 nodes; three_controls, in both orders, passes 128
+unconverged, solves rho = 0.22401 and converges at 512 nodes, its 2N,
+without the hand-off.  In the uniform limit both presets fold first, on
+256 and 512 nodes.
 """
 
 from __future__ import annotations
@@ -491,24 +495,27 @@ def asymptotic_cycle(p: Protocol, sp: Spectrum, order: str = ORDER_PHASE_AFTER) 
     QUAD_TOL entrywise; ``_node_values`` gives each block of nodes every
     phase's rotated period and prefix.  The uniform limit integrates over
     one period, free of theta_bar; where ``_quad_nodes`` gives no nodes
-    (s = 0 or tiny s) the maps are point values.  A Gaussian window that
-    spans two periods (8 s >= 2 pi) does not run unless the folds raise:
-    the cycle takes its folds' maps first.  A cycle the window has not
-    finished at its first refinement of 2N nodes, or at the cap, takes its
-    folds' maps (the hand-off of the module docstring).  A fold that raises
-    there ends the call: its ConvergenceError, which names the failing
-    phase, is raised again with the window's node count, s and largest
-    last change.
+    (s = 0 or tiny s) the maps are point values.  In the uniform limit and
+    where a Gaussian window spans two periods (8 s >= 2 pi) the window does
+    not run unless the folds raise: the cycle takes its folds' maps first.
+    A cycle the window has not finished at its first refinement of 2N
+    nodes, or at the cap, takes its folds' maps (the hand-off of the
+    module docstring).  A fold that raises there, or that raised first,
+    ends the call: its ConvergenceError, which names the failing phase, is
+    raised again with the window's node count, s and largest last change.
     """
     chain = _chain(p, order)
     top = chain[-1]
     rho = functools.cache(lambda: _strip_halfwidth(top))
-    # A Gaussian window of two periods or more: the folds serve first, and the window runs only if they raise.
-    if not sp.is_uniform and GAUSSIAN_WINDOW_SIGMAS * sp.s >= 2.0 * np.pi:
+    # The uniform limit, or a Gaussian window of two periods or more: the
+    # folds serve first, and the window runs only if they raise.  Their
+    # error is kept for the hand-off, so the folds run at most once.
+    failed = None
+    if sp.is_uniform or GAUSSIAN_WINDOW_SIGMAS * sp.s >= 2.0 * np.pi:
         try:
             return AsymptoticCycle.from_maps(BlochMap(fold.map_at(sp.s)) for fold in _folds(chain, sp, rho()))
-        except ConvergenceError:
-            pass
+        except ConvergenceError as error:
+            failed = error
     periods = [
         protocol_product(Protocol(p.steps[K:] + p.steps[:K]), p.period, order) if K else top for K in range(p.period)
     ]
@@ -541,6 +548,8 @@ def asymptotic_cycle(p: Protocol, sp: Spectrum, order: str = ORDER_PHASE_AFTER) 
         ready = n_nodes >= 2 * _fold_count(1, h_top, chain)
         if n_nodes >= QUAD_MAX_NODES or ready and n_nodes >= 2 * _fold_count(_decay(rho(), top), h_top, chain):
             try:
+                if failed is not None:
+                    raise failed
                 maps = [fold.map_at(sp.s) for fold in _folds(chain, sp, rho())]
             except ConvergenceError as error:
                 raise ConvergenceError(

@@ -424,8 +424,8 @@ class TestAsymptoticMap:
             assert got.tobytes() == want.tobytes()
 
     def test_overflowing_window_is_uniform_limit(self, two_controls):
-        # From s* on the nodes span one period with uniform weights; here
-        # 8 s overflows, and a NaN window would give the sharp map.
+        # From s* on the cycle folds first, as at s = inf; here 8 s
+        # overflows, and a NaN window would give the sharp map.
         for K in range(2):
             got = asymptotic_map(two_controls, Spectrum(0.7, 1e308), K).m
             want = asymptotic_map(two_controls, Spectrum(0.7, math.inf), K).m
@@ -745,10 +745,11 @@ class TestSteadyFold:
         assert all(np.array_equal(theta, grids[0]) for theta in grids)
 
     def test_failed_guard_raises(self, two_controls, calibrated_spectrum, monkeypatch):
-        # Nothing meets a zero tolerance: the window hands the cycle to its
-        # folds at 2N = 256 nodes, at a Gaussian width and in the uniform
-        # limit alike, and phase 0's guard, a sum of rounding-level changes,
-        # exceeds it.  The call ends there, short of the cap.
+        # Nothing meets a zero tolerance: phase 0's guard, a sum of
+        # rounding-level changes, exceeds it.  At a Gaussian width the window
+        # hands the cycle to its folds at 2N = 256 nodes; in the uniform
+        # limit the folds raise first, and the window raises their error at
+        # the same hand-off.  The call ends there, short of the cap.
         monkeypatch.setattr(asymptotics, "QUAD_TOL", 0.0)
         monkeypatch.setattr(asymptotics, "QUAD_MAX_NODES", 2**10)
         for sp in (calibrated_spectrum, Spectrum(0.0, math.inf)):
@@ -776,27 +777,6 @@ class TestSteadyFold:
         handed = r"^steady-map quadrature did not reach \S+ by 512 nodes \(period 3, s = 1.0, largest last change \S+\); "
         with pytest.raises(ConvergenceError, match=handed + r"the one-period fold \(strip half-width \S+, " + failed):
             asymptotic_cycle(three_controls, Spectrum(0.0, 1.0), order)
-
-    @pytest.mark.parametrize("order", STEP_ORDERS)
-    def test_uniform_limit_hands_over_at_2n(self, two_controls, order, monkeypatch):
-        # At s = inf the window's changes stay above 1e-15 up to the cap, so
-        # at that tolerance it never finishes.  The rule of every width
-        # hands both phases to their folds (N = 128, guard 1.2e-16) at
-        # 2N = 256 nodes, not at the cap.
-        refinements = []
-        quad_nodes = asymptotics._quad_nodes
-
-        def counted_nodes(sp, n_nodes):
-            refinements.append(n_nodes)
-            return quad_nodes(sp, n_nodes)
-
-        monkeypatch.setattr(asymptotics, "QUAD_TOL", 1e-15)
-        monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
-        cycle = asymptotic_cycle(two_controls, Spectrum(0.7, math.inf), order)
-        assert refinements == [64, 128, 256]
-        for m, fold in zip(cycle.maps, steady_fold(two_controls, 0.7, math.inf, order), strict=True):
-            assert fold.nodes == 128
-            assert m.m.tobytes() == fold.map_at(math.inf).tobytes()
 
 
 # Near-equal-eta period-2 cycles at theta_bar = 0.3 whose strip half-width
@@ -830,11 +810,26 @@ class TestSmallStrip:
             assert 2 * fold.nodes == 2**17
             assert np.max(np.abs(fold.map_at(math.inf) - m.m)) <= 1e-13
 
+    @pytest.mark.parametrize("steps, order", SMALL_STRIP_CYCLES)
+    def test_uniform_limit_keeps_the_window_bits(self, steps, order):
+        # The uniform limit folds first, but these folds raise past the cap:
+        # the cycle falls back to the window, whose maps keep these bits.
+        digests = {
+            "eq2b": "93da6ad2a987b8068b1f8f2221254fb932e604e38ccb184a51c479ee44b6c15a",
+            "eq4a": "8528f3d5b14e03a26f6241144e0e35edf5b0fe044c4167cb316d95e11f46f2c1",
+        }
+        p = Protocol([ControlStep(eta, k) for eta, k in steps])
+        with pytest.raises(ConvergenceError, match=r"needs 131072 nodes, more than 65536"):
+            steady_fold(p, 0.3, math.inf, order)
+        cycle = asymptotic_cycle(p, Spectrum(0.3, math.inf), order)
+        assert hashlib.sha256(np.stack([m.m for m in cycle.maps]).tobytes()).hexdigest() == digests[order]
+
 
 class TestFoldFirst:
-    # A Gaussian window of half-width 8 s >= 2 pi spans two periods or more:
-    # from s = pi/4 up to s* the cycle takes its folds' maps before any
-    # refinement, and the window runs only where a fold raises.
+    # In the uniform limit, and where a Gaussian window of half-width
+    # 8 s >= 2 pi spans two periods or more (s >= pi/4), the cycle takes its
+    # folds' maps before any refinement, and the window runs only where a
+    # fold raises.
     @staticmethod
     def traced_cycle(p, sp, order, monkeypatch):
         """The cycle, the node counts of its window refinements and the nodes its coefficient rows read."""
@@ -858,10 +853,11 @@ class TestFoldFirst:
         return cycle, refinements, sum(rows)
 
     @pytest.mark.parametrize("order", STEP_ORDERS)
-    @pytest.mark.parametrize("s", [math.pi / 4, 1.0, 2.0, 8.0, 32.0])
+    @pytest.mark.parametrize("s", [math.pi / 4, 1.0, 2.0, 8.0, 32.0, 40.0, math.inf, 1e300])
     def test_presets_read_only_the_fold_nodes(self, two_controls, three_controls, s, order, monkeypatch):
-        # One fold pass of 2N nodes; the window read up to 704 and 1,472
-        # nodes, its refinements up to 2N and then the fold's.
+        # One fold pass of 2N nodes, 256 and 512 at every width here; the
+        # window read up to 704 and 1,472 nodes, its refinements up to 2N
+        # and then, at a Gaussian width, the fold's.
         for p, nodes in ((two_controls, 256), (three_controls, 512)):
             sp = Spectrum(0.0, s)
             cycle, refinements, read = self.traced_cycle(p, sp, order, monkeypatch)
@@ -889,9 +885,11 @@ class TestFoldFirst:
             for fold, m in zip(folds, cycle.maps, strict=True):
                 assert m.m.tobytes() == fold.map_at(s).tobytes()
 
-    def test_narrower_and_uniform_windows_run_first(self, monkeypatch):
-        # Below pi/4 and in the uniform limit the window refines before any
-        # fold runs, whether or not the fold would serve.
+    def test_narrower_windows_run_first_and_the_uniform_limit_folds(self, monkeypatch):
+        # Below pi/4 the window refines before any fold runs, whether or
+        # not the fold would serve.  In the uniform limit the cycle makes no
+        # refinement where its fold serves (all six draws here), and the
+        # window starts at its first refinement where the fold raises.
         rng = np.random.default_rng(43)
         for draw in range(24):
             p = random_protocol(rng, int(rng.integers(1, 5)))
@@ -902,7 +900,31 @@ class TestFoldFirst:
                 _, refinements, _ = self.traced_cycle(p, sp, order, monkeypatch)
             except ConvergenceError:
                 continue
-            assert refinements[0] == asymptotics.QUAD_MIN_NODES
+            if sp.is_uniform and self.fold_serves(p, sp, order):
+                assert refinements == []
+            else:
+                assert refinements[0] == asymptotics.QUAD_MIN_NODES
+
+    @staticmethod
+    def fold_serves(p, sp, order):
+        try:
+            steady_fold(p, sp.theta_bar, sp.s, order)
+        except ConvergenceError:
+            return False
+        return True
+
+    @pytest.mark.parametrize("order", STEP_ORDERS)
+    def test_uniform_limit_folds_first(self, two_controls, order, monkeypatch):
+        # At s = inf the window's changes stay above 1e-15 up to the cap, so
+        # at that tolerance it would never finish.  The folds (N = 128,
+        # guard 1.2e-16) serve first: no refinement, one pass of 2N = 256.
+        sp = Spectrum(0.7, math.inf)
+        monkeypatch.setattr(asymptotics, "QUAD_TOL", 1e-15)
+        folds = steady_fold(two_controls, sp.theta_bar, sp.s, order)
+        cycle, refinements, read = self.traced_cycle(two_controls, sp, order, monkeypatch)
+        assert refinements == []
+        assert read == 2 * folds[0].nodes == 256
+        assert [m.m.tobytes() for m in cycle.maps] == [fold.map_at(math.inf).tobytes() for fold in folds]
 
     @pytest.mark.parametrize(
         "s, digest",
@@ -922,14 +944,37 @@ class TestFoldFirst:
         assert refinements[-1] == asymptotics.QUAD_MAX_NODES
         assert hashlib.sha256(np.stack([m.m for m in cycle.maps]).tobytes()).hexdigest() == digest
 
-    @pytest.mark.parametrize("s, change, guard", [(0.8, "1.313e-08", "6.272e-06"), (2.0, "2.633e-05", "4.003e-06")])
-    def test_a_cycle_neither_rule_serves_keeps_the_window_message(self, s, change, guard):
+    @pytest.mark.parametrize(
+        "s, change, guard",
+        [(0.8, "1.313e-08", "6.272e-06"), (2.0, "2.633e-05", "4.003e-06"), (math.inf, "9.090e-09", "4.000e-06")],
+    )
+    def test_a_cycle_neither_rule_serves_keeps_the_window_message(self, s, change, guard, monkeypatch):
+        # The folds run once, first, and raise; the window refines from its
+        # first refinement up to 2N and raises their error again with its
+        # own numbers.  N is 57 + 2 H* + 4 rounded up to a power of 2: 128
+        # at these Gaussian widths (H* = 12 and 5), 64 in the uniform limit.
         p = Protocol([ControlStep(0.5, 4), ControlStep(0.50001, 2)])
+        passes, refinements = [], []
+        folds, quad_nodes = asymptotics._folds, asymptotics._quad_nodes
+
+        def counted_folds(chain, sp, rho):
+            passes.append(sp.s)
+            return folds(chain, sp, rho)
+
+        def counted_nodes(sp, n_nodes):
+            refinements.append(n_nodes)
+            return quad_nodes(sp, n_nodes)
+
+        monkeypatch.setattr(asymptotics, "_folds", counted_folds)
+        monkeypatch.setattr(asymptotics, "_quad_nodes", counted_nodes)
         with pytest.raises(ConvergenceError) as error:
             asymptotic_cycle(p, Spectrum(0.0, s))
+        n = 64 if math.isinf(s) else 128
+        assert passes == [s]
+        assert refinements == [m for m in (64, 128, 256) if m <= 2 * n]
         assert str(error.value) == (
-            f"steady-map quadrature did not reach 1e-10 by 256 nodes (period 2, s = {s}, largest last change "
-            f"{change}); the one-period fold (strip half-width 5.306e-01, N = 128) has guard delta {guard} "
+            f"steady-map quadrature did not reach 1e-10 by {2 * n} nodes (period 2, s = {s}, largest last change "
+            f"{change}); the one-period fold (strip half-width 5.306e-01, N = {n}) has guard delta {guard} "
             "at phase 0, above 1e-10"
         )
 

@@ -843,9 +843,40 @@ def test_window_oracle_refines_the_whole_cycle():
     # The window stops when no phase's map changes, so a phase that
     # converged a refinement earlier takes the later one too; an oracle that
     # stopped each phase at its own refinement missed phase 0's bits here.
+    # At s = inf the cycle folds first: the map has its fold's bits, and
+    # the oracle is held to QUAD_TOL of them.
     steps = [(0.318414910499757, 1), (1.0, 1), (0.6324235927297248, 2), (0.5263811677246363, 0), (0.9375649037593979, 3)]
     p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
     assert_steady_map_matches_reference(p, Spectrum(-2.5008924578824114, math.inf), 0, "eq4a")
+
+
+def test_uniform_limit_cycles_take_their_folds_bits():
+    # Periods 1-5 at widths from s* on, where the cycle folds first; cycles
+    # whose fold raises fall back to the window (TestSmallStrip).  Each map
+    # has its fold's bits and matches the fold's node-by-node oracle, and,
+    # where the node loop converges short of 2N, the loop to 1e-12
+    # (measured at most 2.0e-13 here).
+    rng = np.random.default_rng(20261022)
+    checked = 0
+    while checked < 40:
+        p = Protocol.from_steps(
+            ControlStep(float(rng.choice([0.0, 0.5, 1.0, rng.uniform()])), int(rng.integers(0, 5)))
+            for _ in range(rng.integers(1, 6))
+        )
+        sp = Spectrum(float(rng.uniform(-math.pi, math.pi)), float(rng.choice([UNIFORM_S, 40.0, math.inf])))
+        order = str(rng.choice(STEP_ORDERS))
+        try:
+            folds = asymptotics.steady_fold(p, sp.theta_bar, sp.s, order)
+        except ConvergenceError:
+            continue
+        cycle = asymptotic_cycle(p, sp, order)
+        window = steady_cycle_reference(p, sp, order, folds[0].nodes)
+        for K, (fold, m) in enumerate(zip(folds, cycle.maps, strict=True)):
+            assert m.m.tobytes() == fold.map_at(sp.s).tobytes()
+            assert_fold_matches_reference(fold, p, sp, K, order)
+            if window is not None:
+                assert np.max(np.abs(m.m - window[K])) <= 1e-12
+        checked += 1
 
 
 @pytest.mark.parametrize("order", STEP_ORDERS)
@@ -859,9 +890,8 @@ def test_phase_zero_maps_keep_the_identity_prefix_zeros(steps, s, order):
     # Phase 0 skips the product with its prefix P_0 = I.  Its projectors
     # have zero entries, some -0.0, which the product turns into +0.0.  At
     # a point value (s = 0 and 5e-324 here) the map is that node value, so
-    # the signs show in the bytes.  At s = inf the window's running sum
-    # starts at +0.0 and hides them, and a phase handed to its fold at 2N
-    # nodes has the fold's bits.
+    # the signs show in the bytes.  At s = inf the cycle folds first, and
+    # the fold's sums hide them.
     p = Protocol.from_steps(steps)
     sp = Spectrum(0.4, s)
     cycle = asymptotic_cycle(p, sp, order)
