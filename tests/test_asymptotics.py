@@ -855,16 +855,20 @@ class TestFoldFirst:
     @pytest.mark.parametrize("order", STEP_ORDERS)
     @pytest.mark.parametrize("s", [math.pi / 4, 1.0, 2.0, 8.0, 32.0, 40.0, math.inf, 1e300])
     def test_presets_read_only_the_fold_nodes(self, two_controls, three_controls, s, order, monkeypatch):
-        # One fold pass of 2N nodes, 256 and 512 at every width here; the
-        # window read up to 704 and 1,472 nodes, its refinements up to 2N
-        # and then, at a Gaussian width, the fold's.
+        # One fold pass of 2N nodes, 256 and 512 at every width and theta_bar
+        # here; the window read up to 704 and 1,472 nodes, its refinements up
+        # to 2N and then, at a Gaussian width, the fold's.  The folds' guards
+        # meet 1e-15, where two_controls' changes at s = inf stay above the
+        # tolerance up to the cap, so its window would never finish.
         for p, nodes in ((two_controls, 256), (three_controls, 512)):
-            sp = Spectrum(0.0, s)
-            cycle, refinements, read = self.traced_cycle(p, sp, order, monkeypatch)
-            folds = steady_fold(p, sp.theta_bar, s, order)
-            assert refinements == []
-            assert read == nodes == 2 * folds[0].nodes
-            assert [m.m.tobytes() for m in cycle.maps] == [fold.map_at(s).tobytes() for fold in folds]
+            for theta_bar in (0.0, 0.7):
+                monkeypatch.setattr(asymptotics, "QUAD_TOL", 1e-15)
+                sp = Spectrum(theta_bar, s)
+                cycle, refinements, read = self.traced_cycle(p, sp, order, monkeypatch)
+                folds = steady_fold(p, sp.theta_bar, s, order)
+                assert refinements == []
+                assert read == nodes == 2 * folds[0].nodes
+                assert [m.m.tobytes() for m in cycle.maps] == [fold.map_at(s).tobytes() for fold in folds]
 
     def test_seeded_cycles_take_their_folds_bits(self, monkeypatch):
         rng = np.random.default_rng(43)
@@ -887,9 +891,9 @@ class TestFoldFirst:
 
     def test_narrower_windows_run_first_and_the_uniform_limit_folds(self, monkeypatch):
         # Below pi/4 the window refines before any fold runs, whether or
-        # not the fold would serve.  In the uniform limit the cycle makes no
-        # refinement where its fold serves (all six draws here), and the
-        # window starts at its first refinement where the fold raises.
+        # not the fold would serve.  In the uniform limit the fold serves
+        # all six draws here, and the cycle makes no refinement; a cycle
+        # whose fold raises there is test_uniform_limit_keeps_the_window_bits.
         rng = np.random.default_rng(43)
         for draw in range(24):
             p = random_protocol(rng, int(rng.integers(1, 5)))
@@ -900,31 +904,10 @@ class TestFoldFirst:
                 _, refinements, _ = self.traced_cycle(p, sp, order, monkeypatch)
             except ConvergenceError:
                 continue
-            if sp.is_uniform and self.fold_serves(p, sp, order):
+            if sp.is_uniform:
                 assert refinements == []
             else:
                 assert refinements[0] == asymptotics.QUAD_MIN_NODES
-
-    @staticmethod
-    def fold_serves(p, sp, order):
-        try:
-            steady_fold(p, sp.theta_bar, sp.s, order)
-        except ConvergenceError:
-            return False
-        return True
-
-    @pytest.mark.parametrize("order", STEP_ORDERS)
-    def test_uniform_limit_folds_first(self, two_controls, order, monkeypatch):
-        # At s = inf the window's changes stay above 1e-15 up to the cap, so
-        # at that tolerance it would never finish.  The folds (N = 128,
-        # guard 1.2e-16) serve first: no refinement, one pass of 2N = 256.
-        sp = Spectrum(0.7, math.inf)
-        monkeypatch.setattr(asymptotics, "QUAD_TOL", 1e-15)
-        folds = steady_fold(two_controls, sp.theta_bar, sp.s, order)
-        cycle, refinements, read = self.traced_cycle(two_controls, sp, order, monkeypatch)
-        assert refinements == []
-        assert read == 2 * folds[0].nodes == 256
-        assert [m.m.tobytes() for m in cycle.maps] == [fold.map_at(math.inf).tobytes() for fold in folds]
 
     @pytest.mark.parametrize(
         "s, digest",

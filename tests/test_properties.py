@@ -841,13 +841,18 @@ def test_steady_map_fallbacks_and_blocks_match_node_loop(steps, sp, order):
 
 def test_window_oracle_refines_the_whole_cycle():
     # The window stops when no phase's map changes, so a phase that
-    # converged a refinement earlier takes the later one too; an oracle that
-    # stopped each phase at its own refinement missed phase 0's bits here.
-    # At s = inf the cycle folds first: the map has its fold's bits, and
-    # the oracle is held to QUAD_TOL of them.
-    steps = [(0.318414910499757, 1), (1.0, 1), (0.6324235927297248, 2), (0.5263811677246363, 0), (0.9375649037593979, 3)]
-    p = Protocol.from_steps(ControlStep(eta, k) for eta, k in steps)
-    assert_steady_map_matches_reference(p, Spectrum(-2.5008924578824114, math.inf), 0, "eq4a")
+    # converged a refinement earlier takes the later one too.  Here phases 0
+    # and 1 change by less than QUAD_TOL at 128 nodes and phase 2 only at
+    # 256, its 2N: every phase has the bits of the 256-node window, and an
+    # oracle that stopped each phase at its own refinement misses phases 0
+    # and 1 by 5.6e-16.
+    p = Protocol.from_steps(ControlStep(eta, k) for eta, k in [(0.06, 3), (0.0, 4), (0.06, 4)])
+    sp = Spectrum(-0.27, 0.54)
+    assert asymptotics.steady_fold(p, sp.theta_bar, sp.s, "eq2b")[0].nodes == 128
+    window = steady_cycle_reference(p, sp, "eq2b", 128)
+    for K, m in enumerate(asymptotic_cycle(p, sp, "eq2b").maps):
+        assert m.m.tobytes() == window[K].tobytes()
+        assert_steady_map_matches_reference(p, sp, K, "eq2b")
 
 
 def test_uniform_limit_cycles_take_their_folds_bits():
